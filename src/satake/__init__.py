@@ -2,8 +2,8 @@
 
 Everything is integer or rational arithmetic: Smith normal forms drive
 finitely generated abelian group computations, characters take values in
-an exact model of the circle times the positive reals, and Weyl orbits
-are enumerated as sets of integer matrices.
+an exact model of the circle times the positive reals, and parameter
+orbits are searched over the generators of the relative Weyl group.
 """
 
 from .abelian import FgAbGroup, GroupCharacter, GroupHom, all_characters, \
@@ -23,7 +23,7 @@ from .kottwitz import Envelope, KottwitzGroup, ParameterClass, \
     induced_character, induced_envelope, induced_torus_cocycle, kottwitz_group, \
     kottwitz_hom, maximal_compact_quotient, modulus_character, \
     parameter_from_character, parameters_equal, relative_weyl_action, \
-    setting_for_datum, setting_for_torus
+    setting_for_datum, setting_for_torus, weyl_orbit
 from .matrices import IntMatrix, Lattice, LatticeMap, SmithForm, \
     column_span_basis, kernel, kernel_basis, lattice_map, \
     smith_normal_form, solve, solve_mod

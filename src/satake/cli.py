@@ -24,13 +24,12 @@ from .circle import ExactCircle
 from .components import check_center_covers_components, \
     check_fixed_weyl_is_folded, check_tad_connected
 from .config import ConfigError, GroupConfig, parse_config, resolve
-from .kottwitz import SatakeParameter, character_from_dual_point, classify, \
-    induced_character, induced_torus_cocycle, kottwitz_group, \
-    maximal_compact_quotient, modulus_character, parameter_from_character, \
-    parameters_equal
+from .kottwitz import ParameterClass, SatakeParameter, \
+    character_from_dual_point, classify, induced_character, \
+    induced_torus_cocycle, kottwitz_group, maximal_compact_quotient, \
+    modulus_character, parameter_from_character, parameters_equal
 from .report import build_report, render_report
-from .rootdata import CapExceeded, DEFAULT_WEYL_CAP, pinned_automorphism, \
-    restricted_root_data
+from .rootdata import CapExceeded, DEFAULT_WEYL_CAP, restricted_root_data
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +58,9 @@ def _build_parser():
                         help="output format (default text)")
     parser.add_argument("--max-orbit", type=int, default=DEFAULT_WEYL_CAP,
                         dest="max_orbit", metavar="N",
-                        help="enumeration cap (default %(default)s)")
+                        help="cap on the orbit size and on the number of"
+                             " characters orbits enumerates, and on the Weyl"
+                             " closure of verify-ks (default %(default)s)")
     return parser
 
 
@@ -127,7 +128,7 @@ def _character(rg, setting, values, what):
 
 
 def _cmd_classify(rg, args):
-    setting = rg.setting(cap=args.max_orbit)
+    setting = rg.setting()
     character = _character(rg, setting, rg.values, "values")
     cls = classify(setting,
                    parameter_from_character(setting.kottwitz, character),
@@ -141,7 +142,7 @@ def _cmd_classify(rg, args):
 
 
 def _cmd_equal(rg, args):
-    setting = rg.setting(cap=args.max_orbit)
+    setting = rg.setting()
     c1 = _character(rg, setting, rg.values, "values")
     c2 = _character(rg, setting, rg.values2, "values2")
     same = parameters_equal(setting, SatakeParameter(c1), SatakeParameter(c2),
@@ -153,8 +154,7 @@ def _cmd_equal(rg, args):
 def _cmd_fold(rg, args):
     if rg.datum is None:
         raise ConfigError("fold needs a root datum, not a bare torus")
-    pin = pinned_automorphism(rg.datum, rg.tau_char)
-    rrd = restricted_root_data(rg.datum, pin)
+    rrd = restricted_root_data(rg.datum, rg.action.tau)
     result = {
         "type": rrd.type_name,
         "non_reduced": rrd.non_reduced,
@@ -168,10 +168,10 @@ def _cmd_fold(rg, args):
 def _cmd_verify_ks(rg, args):
     if rg.datum is None:
         raise ConfigError("verify-ks needs a root datum, not a bare torus")
-    pin = pinned_automorphism(rg.datum, rg.tau_char)
-    tad = check_tad_connected(rg.datum, pin)
-    cover = check_center_covers_components(rg.datum, pin)
-    foldc = check_fixed_weyl_is_folded(rg.datum, pin, cap=args.max_orbit)
+    tau = rg.action.tau
+    tad = check_tad_connected(rg.datum, tau)
+    cover = check_center_covers_components(rg.datum, tau)
+    foldc = check_fixed_weyl_is_folded(rg.datum, tau, cap=args.max_orbit)
     result = {
         "tad_connected": tad.is_connected(),
         "center_covers": cover.surjective,
@@ -185,7 +185,7 @@ def _cmd_verify_ks(rg, args):
 
 
 def _cmd_modulus(rg, args):
-    setting = rg.setting(cap=args.max_orbit)
+    setting = rg.setting()
     n = setting.group.ngens
     values = [modulus_character(setting, _unit(n, j)).render()
               for j in range(n)]
@@ -198,20 +198,24 @@ def _cmd_orbits(rg, args):
         raise ConfigError("orbits needs --torsion N")
     if args.torsion < 1:
         raise ConfigError("--torsion must be positive")
-    setting = rg.setting(cap=args.max_orbit)
-    classes = {}
+    setting = rg.setting()
+    # each orbit is searched once, from its first enumerated member
+    classes = []
+    visited = set()
     count = 0
     for character in all_characters(setting.group, args.torsion):
         count += 1
         if count > args.max_orbit:
             raise CapExceeded(
                 f"character enumeration exceeded cap {args.max_orbit}")
+        if character.key() in visited:
+            continue
         cls = classify(setting, SatakeParameter(character),
                        max_orbit=args.max_orbit)
-        classes.setdefault(cls.key(), cls)
+        visited |= cls.orbit_keys
+        classes.append(cls)
     listed = []
-    for key in sorted(classes):
-        cls = classes[key]
+    for cls in sorted(classes, key=ParameterClass.key):
         listed.append({
             "values": [v.render() for v in cls.representative.character.values],
             "orbit_size": cls.orbit_size,

@@ -18,7 +18,7 @@ from .kottwitz import TorusWithAction, cochar_torus, setting_for_datum, \
     setting_for_torus
 from .matrices import IntMatrix, Lattice
 from .presets import Preset, resolve_preset
-from .rootdata import BasedRootDatum, DEFAULT_WEYL_CAP, galois_action, validate
+from .rootdata import BasedRootDatum, GaloisAction, galois_action, validate
 
 
 class ConfigError(ValueError):
@@ -322,28 +322,24 @@ def serialize_config(config):
 class ResolvedGroup:
     """A config or preset turned into live objects.
 
-    Exactly one of `datum` (with char-side tau/sigma matrices) or a bare
-    torus is the source; `torus` is always the cocharacter-side action
-    feeding the Kottwitz machine.
+    Exactly one of `datum` (with its validated char-side Galois `action`)
+    or a bare torus (`datum` and `action` None) is the source; `torus` is
+    always the cocharacter-side action feeding the Kottwitz machine.
     """
 
     name: str
     datum: BasedRootDatum
-    tau_char: IntMatrix
-    sigma_char: IntMatrix
-    twist: int
+    action: GaloisAction
     torus: TorusWithAction
     q: int
     values: tuple = None
     values2: tuple = None
     value: ExactCircle = None
 
-    def setting(self, cap=DEFAULT_WEYL_CAP):
+    def setting(self):
         if self.datum is None:
             return setting_for_torus(self.torus)
-        action = galois_action(self.datum, self.tau_char, self.sigma_char,
-                               self.twist)
-        return setting_for_datum(self.datum, action, cap=cap)
+        return setting_for_datum(self.datum, self.action, torus=self.torus)
 
 
 def _action_matrix(tagged, rank, what):
@@ -397,8 +393,7 @@ def resolve(config=None, preset=None, q=None):
                     or config.twist is not None:
                 raise ConfigError("torus presets do not accept tau/sigma/twist"
                                   " overrides")
-            return ResolvedGroup(name or p.name, None, None, None,
-                                 p.torus.twist, p.torus, q,
+            return ResolvedGroup(name or p.name, None, None, p.torus, q,
                                  config.values, config.values2, config.value)
         datum = p.datum
         name = name or p.name
@@ -452,14 +447,13 @@ def resolve(config=None, preset=None, q=None):
                                     twist=twist, label=name or "torus")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return ResolvedGroup(name or "torus", None, None, None, twist, torus,
-                             q, config.values, config.values2, config.value)
+        return ResolvedGroup(name or "torus", None, None, torus, q,
+                             config.values, config.values2, config.value)
 
     try:
         action = galois_action(datum, tau, sigma, twist)
         torus = cochar_torus(datum, action)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return ResolvedGroup(name or (datum.label or "group"), datum,
-                         tau, sigma, twist, torus, q,
-                         config.values, config.values2, config.value)
+    return ResolvedGroup(name or (datum.label or "group"), datum, action,
+                         torus, q, config.values, config.values2, config.value)

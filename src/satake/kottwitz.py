@@ -4,13 +4,14 @@ The pipeline runs on the cocharacter lattice X_*(T): inertia coinvariants
 first (a cokernel), then Frobenius invariants of the induced action.  The
 resulting group — T/T_0 under the Kottwitz isomorphism — carries the
 characters that serve as Satake parameters; the relative Weyl group acts
-through the same presentation, and classes are compared by a canonical
-minimal orbit representative.
+through the same presentation by the images of its generators, orbits are
+found by breadth-first search over those images, and classes are compared
+by a canonical minimal orbit representative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
@@ -18,8 +19,8 @@ from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
                       subgroup_coordinates)
 from .circle import ExactCircle
 from .matrices import IntMatrix, Lattice, LatticeMap
-from .rootdata import (BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP,
-                       GaloisAction, weyl_group)
+from .rootdata import (BasedRootDatum, CapExceeded, FoldingError,
+                       GaloisAction, folded_generators)
 
 
 def _gcd(a, b):
@@ -223,10 +224,13 @@ def parameter_from_character(kg, character):
 
 @dataclass(frozen=True)
 class ParameterClass:
-    """Canonical representative of a W-orbit of parameters plus its size."""
+    """Canonical representative of a W-orbit of parameters plus its size;
+    `orbit_keys` holds the key of every character in the orbit."""
 
     representative: SatakeParameter
     orbit_size: int
+    orbit_keys: frozenset = field(default=frozenset(), compare=False,
+                                  repr=False)
 
     def key(self):
         return self.representative.key()
@@ -255,12 +259,13 @@ def descend_to_kottwitz(kg, ambient_matrix):
 class SphericalSetting:
     """Everything needed to classify parameters for one group: the based
     root datum (None for a bare torus), the torus action, its Kottwitz
-    group, and the relative Weyl group's induced action on it."""
+    group, and the induced action of the relative Weyl group's generators
+    on it (deduplicated, identity left out)."""
 
     datum: BasedRootDatum
     torus: TorusWithAction
     kottwitz: KottwitzGroup
-    weyl_homs: tuple   # deduplicated GroupHoms on kottwitz.group
+    weyl_generators: tuple   # GroupHoms on kottwitz.group
 
     @property
     def group(self):
@@ -268,25 +273,29 @@ class SphericalSetting:
 
 
 def setting_for_torus(torus):
-    kg = kottwitz_group(torus)
-    return SphericalSetting(None, torus, kg,
-                            (GroupHom.identity(kg.group),))
+    return SphericalSetting(None, torus, kottwitz_group(torus), ())
 
 
-def setting_for_datum(datum, action, cap=DEFAULT_WEYL_CAP):
-    """Build the classification setting: relative Weyl group = tau,sigma
-    centralizer in the Weyl group, acting on T/T_0 through coinvariants."""
-    torus = cochar_torus(datum, action)
+def setting_for_datum(datum, action, torus=None):
+    """Build the classification setting: the relative Weyl group is the
+    tau,sigma-fixed subgroup of the Weyl group, given by its folded
+    generators, acting on T/T_0 through coinvariants.  `torus` is the
+    cochar-side torus of the action when the caller has already built it."""
+    if torus is None:
+        torus = cochar_torus(datum, action)
     kg = kottwitz_group(torus)
-    weyl = weyl_group(datum, side="cochar", cap=cap)
+    identity = _action_key(GroupHom.identity(kg.group))
     homs = {}
-    for w in weyl:
+    for w in folded_generators(datum, action.tau, action.sigma,
+                               side="cochar"):
         if w @ torus.tau != torus.tau @ w or w @ torus.sigma != torus.sigma @ w:
-            continue
+            raise FoldingError("folded generator does not centralize the"
+                               " Galois action")
         hom = descend_to_kottwitz(kg, w)
-        homs.setdefault(_action_key(hom), hom)
-    ordered = tuple(homs[k] for k in sorted(homs))
-    return SphericalSetting(datum, torus, kg, ordered)
+        key = _action_key(hom)
+        if key != identity:
+            homs.setdefault(key, hom)
+    return SphericalSetting(datum, torus, kg, tuple(homs.values()))
 
 
 def relative_weyl_action(setting, w, parameter):
@@ -299,30 +308,53 @@ def relative_weyl_action(setting, w, parameter):
     return SatakeParameter(parameter.character.precompose(hom))
 
 
+def weyl_orbit(setting, character, max_orbit=None):
+    """The relative-Weyl orbit of a character as a dict key -> character.
+
+    Breadth-first search over the generator images; a finite group's
+    orbit is closed under its generators alone.  `max_orbit` caps the
+    orbit size (CapExceeded).
+    """
+    if character.domain != setting.group:
+        raise ValueError("parameter does not live on this setting's group")
+    orbit = {character.key(): character}
+    frontier = [character]
+    while frontier:
+        nxt = []
+        for ch in frontier:
+            for hom in setting.weyl_generators:
+                moved = ch.precompose(hom)
+                key = moved.key()
+                if key in orbit:
+                    continue
+                orbit[key] = moved
+                nxt.append(moved)
+                if max_orbit is not None and len(orbit) > max_orbit:
+                    raise CapExceeded(
+                        f"orbit enumeration exceeded cap {max_orbit}")
+        frontier = nxt
+    return orbit
+
+
 def classify(setting, parameter, max_orbit=None):
     """Canonical form of a parameter modulo the relative Weyl group.
 
-    Enumerates the orbit under the precomputed induced action, returns
-    the minimal representative in the documented character order and the
-    orbit size.  `max_orbit` caps the enumeration (CapExceeded).
+    Finds the orbit by breadth-first search over the generators' induced
+    action (`weyl_orbit`), returns the minimal representative in the
+    documented character order, the orbit size and the orbit's keys.
+    `max_orbit` caps the orbit size (CapExceeded).
     """
-    if parameter.character.domain != setting.group:
-        raise ValueError("parameter does not live on this setting's group")
-    orbit = {}
-    for hom in setting.weyl_homs:
-        moved = parameter.character.precompose(hom)
-        orbit[moved.key()] = moved
-        if max_orbit is not None and len(orbit) > max_orbit:
-            raise CapExceeded(f"orbit enumeration exceeded cap {max_orbit}")
+    orbit = weyl_orbit(setting, parameter.character, max_orbit)
     best = orbit[min(orbit)]
-    return ParameterClass(SatakeParameter(best), len(orbit))
+    return ParameterClass(SatakeParameter(best), len(orbit),
+                          frozenset(orbit))
 
 
 def parameters_equal(setting, p1, p2, max_orbit=None):
     """True iff the two parameters lie in one relative-Weyl orbit."""
-    c1 = classify(setting, p1, max_orbit)
-    c2 = classify(setting, p2, max_orbit)
-    return c1.representative.character == c2.representative.character
+    if p2.character.domain != setting.group:
+        raise ValueError("parameter does not live on this setting's group")
+    return p2.key() in weyl_orbit(setting, p1.character, max_orbit)
 
 
 def modulus_character(setting, coords):

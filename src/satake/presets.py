@@ -187,6 +187,9 @@ def resolve_preset(text, q=None):
     plain, kv = _split_keyvals(tokens)
     if q is None:
         q = _int(kv, "q")
+    if not plain:
+        raise ValueError(f"preset needs a family name, e.g. 'split GL2' or"
+                         f" 'induced e=2 f=1 q=3', got {text!r}")
     family = plain[0]
 
     if family == "split" and len(plain) == 2:

@@ -2,15 +2,18 @@
 
 Root data are recorded concretely: the character lattice is Z^n with the
 standard dot pairing against the cocharacter side, roots and coroots are
-integer vectors, and a marked subset of the roots is simple.  Weyl
-groups are enumerated as sets of integer matrices by breadth-first
-closure over the simple reflections, with a hard element cap.
+integer vectors, and a marked subset of the roots is simple.  Relative
+Weyl groups are described by generators (`folded_generators`); the full
+Weyl group is enumerated as a set of integer matrices by breadth-first
+closure over the simple reflections, with a hard element cap, only where
+the enumeration itself is the certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .abelian import cokernel
 from .matrices import IntMatrix, Lattice, LatticeMap, kernel, lattice_map
@@ -128,14 +131,20 @@ class BasedRootDatum:
             coeffs[c] = rows[i][ncols]
         return tuple(coeffs)
 
-    def positive_roots(self):
-        """Roots whose simple coefficients are all >= 0."""
+    @cached_property
+    def positive_indices(self):
+        """Indices of the roots whose simple coefficients are all >= 0,
+        computed once per datum."""
         out = []
-        for r in self.roots:
+        for i, r in enumerate(self.roots):
             coeffs = self.simple_coefficients(r)
             if coeffs is not None and all(c >= 0 for c in coeffs):
-                out.append(r)
-        return out
+                out.append(i)
+        return tuple(out)
+
+    def positive_roots(self):
+        """Roots whose simple coefficients are all >= 0."""
+        return [self.roots[i] for i in self.positive_indices]
 
     def two_rho(self):
         """Sum of the positive roots."""
@@ -418,10 +427,24 @@ def fixed_weyl_subgroup(weyl, commuting_with):
     return WeylGroup(kept, ())
 
 
-def _simple_orbit_partition(datum, tau):
-    """tau-orbits on the simple indices (as index tuples, in first-seen order)."""
+def _simple_orbit_partition(datum, *automorphisms):
+    """Orbits on the simple indices of the group the pinned automorphisms
+    generate, as index tuples ordered by their first member in
+    `simple_indices`."""
     simples = list(datum.simple_indices)
     root_pos = {datum.roots[i]: i for i in simples}
+    images = []
+    for aut in automorphisms:
+        perm = {}
+        for i in simples:
+            j = root_pos.get(aut.matrix.apply(datum.roots[i]))
+            if j is None:
+                raise FoldingError(
+                    "automorphism does not permute the simple roots")
+            perm[i] = j
+        if len(set(perm.values())) != len(simples):
+            raise FoldingError("automorphism does not permute the simple roots")
+        images.append(perm)
     seen = set()
     orbits = []
     for i in simples:
@@ -429,58 +452,46 @@ def _simple_orbit_partition(datum, tau):
             continue
         orbit = [i]
         seen.add(i)
-        cur = i
-        while True:
-            img = tau.matrix.apply(datum.roots[cur])
-            nxt = root_pos.get(img)
-            if nxt is None:
-                raise FoldingError("automorphism does not permute the simple roots")
-            if nxt == i:
-                break
-            if nxt in seen:
-                raise FoldingError("automorphism does not permute the simple roots")
-            orbit.append(nxt)
-            seen.add(nxt)
-            cur = nxt
+        for cur in orbit:
+            for perm in images:
+                nxt = perm[cur]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    orbit.append(nxt)
         orbits.append(tuple(orbit))
     return orbits
 
 
-def _orbit_type(datum, orbit):
-    """'a1' for pairwise-orthogonal orbits, 'a2' for an adjacent pair."""
-    pairs = [(i, j) for i in orbit for j in orbit if i < j]
-    adjacent = [(i, j) for (i, j) in pairs
-                if _dot(datum.roots[i], datum.coroots[j]) != 0]
-    if not adjacent:
-        return "a1"
-    if len(orbit) == 2 and len(adjacent) == 1:
-        i, j = adjacent[0]
-        if (_dot(datum.roots[i], datum.coroots[j]) == -1
-                and _dot(datum.roots[j], datum.coroots[i]) == -1):
-            return "a2"
-    raise FoldingError(
-        f"orbit {orbit} spans a subsystem that is neither A1^k nor A2")
+def folded_generators(datum, *automorphisms, side="char"):
+    """Longest elements of the orbit parabolics: one matrix per orbit of
+    the simple roots under the group the automorphisms generate.
 
-
-def folded_generators(datum, tau, side="char"):
-    """Longest elements of the orbit parabolics: one matrix per tau-orbit
-    of simple roots.  A1^k orbits give the product of the commuting
-    reflections; adjacent A2 pairs give s_i s_j s_i.
+    By Steinberg these generate the automorphism-fixed Weyl subgroup.  Each
+    longest element is built by descent: starting from the identity, keep
+    appending a simple reflection s_j of the orbit while w(alpha_j) is a
+    positive root.  side="cochar" gives the same elements on the
+    cocharacter lattice.
     """
-    refl = (datum.reflection_matrix if side == "char"
-            else datum.coreflection_matrix)
+    if side == "char":
+        refl, roots = datum.reflection_matrix, datum.roots
+        n = datum.rank
+    elif side == "cochar":
+        refl, roots = datum.coreflection_matrix, datum.coroots
+        n = datum.cochar_lattice.rank
+    else:
+        raise ValueError("side must be 'char' or 'cochar'")
+    positive = {roots[i] for i in datum.positive_indices}
     out = []
-    for orbit in _simple_orbit_partition(datum, tau):
-        kind = _orbit_type(datum, orbit)
-        if kind == "a1":
-            m = IntMatrix.identity(datum.rank if side == "char"
-                                   else datum.cochar_lattice.rank)
-            for i in sorted(orbit):
-                m = m @ refl(i)
-        else:
-            i, j = sorted(orbit)
-            m = refl(i) @ refl(j) @ refl(i)
-        out.append(m)
+    for orbit in _simple_orbit_partition(datum, *automorphisms):
+        members = sorted(orbit)
+        w = IntMatrix.identity(n)
+        while True:
+            j = next((j for j in members if w.apply(roots[j]) in positive),
+                     None)
+            if j is None:
+                break
+            w = w @ refl(j)
+        out.append(w)
     return out
 
 

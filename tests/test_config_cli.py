@@ -1,6 +1,7 @@
 """Configuration grammar, resolution, and command line behavior."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,7 +105,7 @@ def test_resolve_rejects_invalid_datum():
 def test_resolve_preset_with_tau_override():
     # the diagram flip of GL2 negates and swaps the coordinates
     rg = resolve(parse_config("preset = split GL2\ntau = [[0,-1],[-1,0]]"))
-    assert rg.tau_char == IntMatrix([[0, -1], [-1, 0]])
+    assert rg.action.tau.matrix == IntMatrix([[0, -1], [-1, 0]])
     assert rg.torus.rank == 2
     # plain coordinate swaps do not preserve the simple set
     with pytest.raises(ConfigError):
@@ -171,6 +172,7 @@ def test_cli_orbits_requires_torsion(capsys):
 def test_cli_exit_codes(capsys, tmp_path):
     assert main(["kottwitz"]) == 1                        # nothing to do
     assert main(["kottwitz", "--preset", "bogus"]) == 1   # unknown preset
+    assert main(["kottwitz", "--preset", "q=3"]) == 1     # no family name
     assert main(["bogus-command", "--preset", "norm-one"]) == 1
     assert main(["kottwitz", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert main(["orbits", "--preset", "torus n=2", "--torsion", "8",
@@ -183,6 +185,46 @@ def test_cli_exit_codes(capsys, tmp_path):
 def test_cli_modulus(capsys):
     assert main(["modulus", "--preset", "split SL2", "--q", "5"]) == 0
     assert "result.values = [q^1]" in capsys.readouterr().out
+
+
+# values/values2 per preset; flip D4 has T/T_0 = Z/2 + Z^3, torsion first
+NO_WEYL_VALUES = {
+    "split GL4": ("[(1,0),(0,0),(-1,0),(0,1/2)]",
+                  "[(0,1/2),(-1,0),(1,0),(0,0)]"),
+    "flip D4": ("[(0,1/2),(1,0),(0,0),(-1,0)]",
+                "[(0,1/2),(-1,0),(0,0),(1,0)]"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(NO_WEYL_VALUES))
+def test_commands_never_enumerate_weyl_group(preset, monkeypatch, tmp_path,
+                                             capsys):
+    """modulus, classify, equal and orbits work from the relative Weyl
+    generators alone: enumerating W or closing any group fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Weyl group enumerated")
+
+    for name, module in list(sys.modules.items()):
+        if name == "satake" or name.startswith("satake."):
+            for attr in ("weyl_group", "mulclose"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    values, values2 = NO_WEYL_VALUES[preset]
+    cfg = tmp_path / "group.cfg"
+    cfg.write_text(f"preset = {preset}\nvalues = {values}\n"
+                   f"values2 = {values2}\n")
+    assert main(["modulus", "--preset", preset]) == 0
+    assert main(["classify", "--config", str(cfg)]) == 0
+    assert main(["equal", "--config", str(cfg)]) == 0
+    assert main(["orbits", "--preset", preset, "--torsion", "2"]) == 0
+    capsys.readouterr()
+
+
+def test_modulus_needs_no_weyl_cap(capsys):
+    # |W(GL8)| = 40320 is far past the cap; modulus never enumerates W
+    assert main(["modulus", "--preset", "split GL8", "--max-orbit",
+                 "5000"]) == 0
+    assert "result.values = [q^7/2, q^5/2" in capsys.readouterr().out
 
 
 def test_report_renderers():

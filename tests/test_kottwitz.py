@@ -2,22 +2,30 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.abelian import GroupCharacter, all_characters
 from satake.circle import ExactCircle, ONE
+from satake.config import resolve
 from satake.kottwitz import (
     TorusWithAction, build_induced_torus, character_from_dual_point, classify,
-    cochar_torus, induced_character, induced_envelope, induced_torus_cocycle,
-    kottwitz_group, kottwitz_hom, maximal_compact_quotient, modulus_character,
-    parameter_from_character, parameters_equal, relative_weyl_action,
-    setting_for_datum, setting_for_torus,
+    cochar_torus, descend_to_kottwitz, induced_character, induced_envelope,
+    induced_torus_cocycle, kottwitz_group, kottwitz_hom,
+    maximal_compact_quotient, modulus_character, parameter_from_character,
+    parameters_equal, relative_weyl_action, setting_for_datum,
+    setting_for_torus, weyl_orbit,
 )
 from satake.matrices import IntMatrix, Lattice
 from satake.presets import split_gl
-from satake.rootdata import BasedRootDatum, CapExceeded, galois_action
+from satake.rootdata import (
+    BasedRootDatum, CapExceeded, fixed_weyl_subgroup, folded_generators,
+    galois_action, mulclose, pinned_automorphism, weyl_group,
+)
+from test_acceptance import TWISTED_SUITE
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()
@@ -33,6 +41,98 @@ def unramified_setting(datum):
     n = datum.rank
     act = galois_action(datum, IntMatrix.identity(n), IntMatrix.identity(n))
     return setting_for_datum(datum, act)
+
+
+# --- full enumeration of W^Gamma as the oracle for the generator path ---------
+
+def brute_force_fixed_weyl(setting):
+    """W^Gamma on the cocharacter lattice: every Weyl element commuting
+    with tau and sigma, found by enumerating the whole Weyl group."""
+    torus = setting.torus
+    return fixed_weyl_subgroup(weyl_group(setting.datum, side="cochar"),
+                               [torus.tau, torus.sigma])
+
+
+def brute_force_orbit(homs, character):
+    return {character.precompose(hom).key() for hom in homs}
+
+
+def assert_matches_brute_force(setting, characters):
+    """The folded generators generate the brute-force W^Gamma, and the
+    generator BFS finds the orbit under every descended element of it."""
+    torus = setting.torus
+    char_side = [pinned_automorphism(setting.datum,
+                                     m.inverse_unimodular().transpose())
+                 for m in (torus.tau, torus.sigma)]
+    fixed = brute_force_fixed_weyl(setting)
+    gens = folded_generators(setting.datum, *char_side, side="cochar")
+    assert set(mulclose(gens)) == fixed.element_set()
+    homs = [descend_to_kottwitz(setting.kottwitz, w) for w in fixed]
+    for ch in characters:
+        assert set(weyl_orbit(setting, ch)) == brute_force_orbit(homs, ch)
+
+
+ORACLE_PRESETS = (tuple(TWISTED_SUITE)
+                  + tuple(f"unitary {kind} {n}"
+                          for kind in ("ramified", "unramified")
+                          for n in (3, 4, 5))
+                  + ("split GL3", "split Sp4", "split SO5"))
+
+
+@pytest.mark.parametrize("name", ORACLE_PRESETS)
+def test_folded_generators_generate_fixed_weyl_subgroup(name):
+    rg = resolve(preset=name)
+    tau, sigma = rg.action.tau, rg.action.sigma
+    fixed = fixed_weyl_subgroup(weyl_group(rg.datum), [tau, sigma])
+    folded = mulclose(folded_generators(rg.datum, tau, sigma))
+    assert set(folded) == fixed.element_set()
+    # the same elements on the cocharacter side, where settings use them
+    setting = rg.setting()
+    cofolded = mulclose(folded_generators(rg.datum, tau, sigma,
+                                          side="cochar"))
+    assert set(cofolded) == brute_force_fixed_weyl(setting).element_set()
+
+
+ORBIT_PRESETS = ("split GL3", "split Sp4", "split SO5", "flip A3", "flip D4",
+                 "triality D4", "unitary ramified 3", "unitary unramified 4")
+
+
+@lru_cache(maxsize=None)
+def oracle_setting(name):
+    setting = resolve(preset=name).setting()
+    homs = tuple(descend_to_kottwitz(setting.kottwitz, w)
+                 for w in brute_force_fixed_weyl(setting))
+    return setting, homs
+
+
+@st.composite
+def bounded_characters(draw, group):
+    """A character of `group` whose arguments have order dividing n <= 6;
+    free generators also get a q-exponent in [-1, 1]."""
+    n = draw(st.integers(1, 6))
+    values = []
+    for d in group.generator_orders():
+        g = n if d == 0 else gcd(d, n)
+        exponent = Fraction(draw(st.integers(-2, 2)), 2) if d == 0 else 0
+        values.append(ExactCircle(exponent,
+                                  Fraction(draw(st.integers(0, g - 1)), g)))
+    return GroupCharacter(group, values)
+
+
+@pytest.mark.parametrize("name", ORBIT_PRESETS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_weyl_orbit_matches_brute_force(name, data):
+    setting, homs = oracle_setting(name)
+    character = data.draw(bounded_characters(setting.group))
+    orbit = weyl_orbit(setting, character)
+    assert set(orbit) == brute_force_orbit(homs, character)
+    assert all(orbit[key].key() == key for key in orbit)
+    cls = classify(setting, parameter_from_character(setting.kottwitz,
+                                                     character))
+    assert cls.orbit_size == len(orbit)
+    assert cls.orbit_keys == frozenset(orbit)
+    assert cls.key() == min(orbit)
 
 
 def test_split_torus_group():
@@ -99,11 +199,13 @@ def test_dual_point_requires_inertia_invariance():
 def test_sl2_classification():
     setting = unramified_setting(SL2)
     assert setting.group.describe() == "Z"
-    assert len(setting.weyl_homs) == 2
 
     def par(v):
         return parameter_from_character(
             setting.kottwitz, GroupCharacter(setting.group, (v,)))
+
+    assert_matches_brute_force(
+        setting, [par(v).character for v in (ONE, Q, Q ** 2)])
 
     assert parameters_equal(setting, par(Q), par(QINV))
     assert not parameters_equal(setting, par(Q), par(Q ** 2))
@@ -127,11 +229,13 @@ def test_relative_weyl_action_checks_centralizing():
 def test_gl2_classification_and_modulus():
     setting = unramified_setting(split_gl(2))
     assert setting.group.describe() == "Z^2"
-    assert len(setting.weyl_homs) == 2
 
     def par(a, b):
         return parameter_from_character(
             setting.kottwitz, GroupCharacter(setting.group, (a, b)))
+
+    assert_matches_brute_force(
+        setting, [par(a, b).character for a in (ONE, Q) for b in (Q, QINV)])
 
     assert parameters_equal(setting, par(Q, ONE), par(ONE, Q))
     assert not parameters_equal(setting, par(Q, ONE), par(Q, Q))
@@ -152,7 +256,7 @@ def test_sl2_modulus_at_coroot():
 def test_torus_setting_modulus_is_trivial():
     setting = setting_for_torus(NORM_ONE)
     assert modulus_character(setting, (1,)) == ONE
-    assert len(setting.weyl_homs) == 1
+    assert setting.weyl_generators == ()
 
 
 def test_norm_one_has_two_classes():
