@@ -6,8 +6,11 @@ lattice: a projection taking ambient vectors to canonical-generator
 coordinates and a lift the other way.  Canonical generators are ordered
 torsion first, then free.
 
-Homomorphisms are integer matrices on canonical generators; characters
-take values in the exact circle group.  Kernels of homomorphisms are
+Homomorphisms are integer matrices on canonical generators.  Characters
+take values in the exact circle group but are stored as integer
+numerators over one least common denominator, so precomposition is an
+integer vector times matrix product and `ExactCircle` values are built
+only to parse, render or extend them.  Kernels of homomorphisms are
 computed by lifting to the presentation and adjoining relation columns
 (a congruence-augmented integer system), so groups with torsion need no
 special casing.
@@ -15,7 +18,10 @@ special casing.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from fractions import Fraction
+from itertools import chain, product as iter_product
+from math import gcd, lcm
+from operator import mul
 
 from .circle import ExactCircle
 from .matrices import (IntMatrix, Lattice, LatticeMap, column_span_basis,
@@ -360,76 +366,123 @@ def subgroup_coordinates(inclusion, coords):
 class GroupCharacter:
     """Character of an FgAbGroup valued in the exact circle.
 
-    Stored as one value per canonical generator; torsion constraints are
-    enforced at construction.
+    Stored as integers over one denominator: the value at canonical
+    generator i is q^(q_nums[i]/den) e(arg_nums[i]/den), with
+    0 <= arg_nums[i] < den and `den` the least common denominator of all
+    the exponents.  `values` builds the ExactCircle values on demand.
+    Torsion constraints are enforced at construction.
+
+    The least denominator depends only on the image of the character, so
+    precomposing with an automorphism of the domain keeps it: inside one
+    orbit under automorphisms, comparing `ident()` compares `key()`.
     """
 
-    __slots__ = ("domain", "values")
+    __slots__ = ("domain", "den", "q_nums", "arg_nums")
 
     def __init__(self, domain, values):
         values = tuple(values)
         if len(values) != domain.ngens:
             raise ValueError("one value per canonical generator is required")
-        for v, d in zip(values, domain.generator_orders()):
-            if d and not (v ** d).is_identity():
+        den = lcm(*(x.denominator for v in values
+                    for x in (v.q_exponent, v.argument)))
+        self._store(domain, den,
+                    [int(v.q_exponent * den) for v in values],
+                    [int(v.argument * den) for v in values])
+
+    @classmethod
+    def _from_nums(cls, domain, den, q_nums, arg_nums):
+        """Trusted constructor for callers that already hold numerators
+        over `den`; normalisation and the torsion check still run."""
+        self = object.__new__(cls)
+        self._store(domain, den, q_nums, arg_nums)
+        return self
+
+    def _store(self, domain, den, q_nums, arg_nums):
+        arg_nums = [a % den for a in arg_nums]
+        g = gcd(den, *q_nums, *arg_nums)
+        if g > 1:
+            den //= g
+            q_nums = [x // g for x in q_nums]
+            arg_nums = [x // g for x in arg_nums]
+        for q, a, d in zip(q_nums, arg_nums, domain.generator_orders()):
+            if d and (q or d * a % den):
                 raise ValueError(f"value of order-{d} generator must be {d}-torsion")
         self.domain = domain
-        self.values = values
+        self.den = den
+        self.q_nums = tuple(q_nums)
+        self.arg_nums = tuple(arg_nums)
 
     @classmethod
     def trivial(cls, domain):
-        return cls(domain, tuple(ExactCircle.one() for _ in range(domain.ngens)))
+        zeros = (0,) * domain.ngens
+        return cls._from_nums(domain, 1, zeros, zeros)
+
+    @property
+    def values(self):
+        """One ExactCircle per canonical generator."""
+        den = self.den
+        return tuple(ExactCircle(Fraction(q, den), Fraction(a, den))
+                     for q, a in zip(self.q_nums, self.arg_nums))
 
     def __call__(self, coords):
         coords = self.domain.reduce(coords)
-        out = ExactCircle.one()
-        for c, v in zip(coords, self.values):
-            out = out * (v ** c)
-        return out
+        return ExactCircle(Fraction(sum(map(mul, coords, self.q_nums)), self.den),
+                           Fraction(sum(map(mul, coords, self.arg_nums)), self.den))
 
     def __mul__(self, other):
         if self.domain != other.domain:
             raise ValueError("characters of different groups")
-        return GroupCharacter(self.domain,
-                              tuple(a * b for a, b in zip(self.values, other.values)))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return GroupCharacter._from_nums(
+            self.domain, den,
+            [s * x + t * y for x, y in zip(self.q_nums, other.q_nums)],
+            [s * x + t * y for x, y in zip(self.arg_nums, other.arg_nums)])
 
     def inverse(self):
-        return GroupCharacter(self.domain, tuple(v.inverse() for v in self.values))
+        return GroupCharacter._from_nums(self.domain, self.den,
+                                         [-q for q in self.q_nums],
+                                         [-a for a in self.arg_nums])
 
     def precompose(self, hom):
-        """Character of hom.source obtained by following hom first."""
+        """Character of hom.source obtained by following hom first: the
+        numerator vectors times the columns of hom's matrix."""
         if hom.target != self.domain:
             raise ValueError("homomorphism does not land in the character's domain")
-        vals = []
-        for j in range(hom.source.ngens):
-            col = hom.matrix.column(j)
-            acc = ExactCircle.one()
-            for c, v in zip(col, self.values):
-                acc = acc * (v ** c)
-            vals.append(acc)
-        return GroupCharacter(hom.source, tuple(vals))
+        data = hom.matrix.data
+        cols = list(zip(*data)) if data else [()] * hom.source.ngens
+        qs, args = self.q_nums, self.arg_nums
+        return GroupCharacter._from_nums(
+            hom.source, self.den,
+            [sum(map(mul, col, qs)) for col in cols],
+            [sum(map(mul, col, args)) for col in cols])
 
     def is_trivial(self):
-        return all(v.is_identity() for v in self.values)
+        return not any(self.q_nums) and not any(self.arg_nums)
 
     def key(self):
-        """Canonical total-order key (basis-dependent, deterministic)."""
-        return tuple(v.sort_key() for v in self.values)
+        """Canonical total-order key (basis-dependent, deterministic):
+        the (q-exponent, argument) Fractions of each generator."""
+        den = self.den
+        return tuple((Fraction(q, den), Fraction(a, den))
+                     for q, a in zip(self.q_nums, self.arg_nums))
+
+    def ident(self):
+        """Canonical integer identity (den, q_0, arg_0, q_1, arg_1, ...):
+        equal characters of one domain have equal identities, and where
+        `den` agrees the tuples order as `key()` does."""
+        return (self.den, *chain.from_iterable(zip(self.q_nums, self.arg_nums)))
 
     def __eq__(self, other):
         return (isinstance(other, GroupCharacter) and self.domain == other.domain
-                and self.values == other.values)
+                and self.den == other.den and self.q_nums == other.q_nums
+                and self.arg_nums == other.arg_nums)
 
     def __hash__(self):
-        return hash((self.domain, self.values))
+        return hash((self.domain, self.den, self.q_nums, self.arg_nums))
 
     def __repr__(self):
         return f"GroupCharacter({self.domain!r}, {self.values!r})"
-
-
-def character_restrict(character, inclusion):
-    """Restriction of a character along a subgroup inclusion."""
-    return character.precompose(inclusion)
 
 
 def divisible_extension(character, inclusion):
@@ -495,25 +548,20 @@ def all_characters(group, torsion=None):
     """All characters with values in the given torsion of the circle.
 
     For a finite group with `torsion=None` this enumerates the full dual.
-    Free generators require an explicit `torsion` bound.
+    Free generators require an explicit positive `torsion` bound.
     """
     orders = group.generator_orders()
     if torsion is None:
         if not group.is_finite():
             raise ValueError("free generators need an explicit torsion bound")
-        choice_sets = [[ExactCircle.root_of_unity(k, d) for k in range(d)]
-                       for d in orders]
+        sizes = orders
     else:
         n = int(torsion)
-        choice_sets = []
-        for d in orders:
-            g = n if d == 0 else _gcd(d, n)
-            choice_sets.append([ExactCircle.root_of_unity(k, g) for k in range(g)])
-    for combo in iter_product(*choice_sets):
-        yield GroupCharacter(group, combo)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+        if n < 1:
+            raise ValueError("torsion bound must be positive")
+        sizes = [n if d == 0 else gcd(d, n) for d in orders]
+    # generator i takes the arguments k/sizes[i], as numerators over den
+    den = lcm(*sizes)
+    zeros = (0,) * len(sizes)
+    for combo in iter_product(*(range(0, den, den // g) for g in sizes)):
+        yield GroupCharacter._from_nums(group, den, zeros, combo)

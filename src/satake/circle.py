@@ -6,6 +6,10 @@ applications, the residue field cardinality); the group law is
 componentwise addition of exponents.  The group is divisible, which is
 what makes restriction of characters along subgroup inclusions onto.
 
+This is the type in which character values are parsed, rendered and
+extended; characters themselves (`abelian.GroupCharacter`) store integer
+numerators over a common denominator and build these values on demand.
+
 >>> z = ExactCircle(1, Fraction(3, 8))
 >>> (z * z.inverse()).is_identity()
 True

@@ -208,7 +208,7 @@ def _cmd_orbits(rg, args):
         if count > args.max_orbit:
             raise CapExceeded(
                 f"character enumeration exceeded cap {args.max_orbit}")
-        if character.key() in visited:
+        if character.ident() in visited:
             continue
         cls = classify(setting, SatakeParameter(character),
                        max_orbit=args.max_orbit)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
                       induced_endomorphism, invariants_of_induced_action,
@@ -21,13 +22,6 @@ from .circle import ExactCircle
 from .matrices import IntMatrix, Lattice, LatticeMap
 from .rootdata import (BasedRootDatum, CapExceeded, FoldingError,
                        GaloisAction, folded_generators)
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,7 @@ class TorusWithAction:
         lhs = self.sigma @ self.tau @ self.sigma.inverse_unimodular()
         if lhs != self.tau.power(j):
             raise ValueError("twist relation sigma tau sigma^-1 = tau^j fails")
-        if tau_order > 1 and _gcd(self.twist, tau_order) != 1:
+        if tau_order > 1 and gcd(self.twist, tau_order) != 1:
             raise ValueError("twist exponent must be invertible mod ord(tau)")
 
     @property
@@ -130,7 +124,7 @@ def build_induced_torus(e, f, q):
         raise ValueError("e and f must be positive")
     if q < 2:
         raise ValueError("residue cardinality must be at least 2")
-    if _gcd(q, e) != 1:
+    if gcd(q, e) != 1:
         raise ValueError("gcd(q, e) must be 1 (tameness)")
     n = e * f
 
@@ -225,7 +219,7 @@ def parameter_from_character(kg, character):
 @dataclass(frozen=True)
 class ParameterClass:
     """Canonical representative of a W-orbit of parameters plus its size;
-    `orbit_keys` holds the key of every character in the orbit."""
+    `orbit_keys` holds the `ident()` of every character in the orbit."""
 
     representative: SatakeParameter
     orbit_size: int
@@ -309,7 +303,8 @@ def relative_weyl_action(setting, w, parameter):
 
 
 def weyl_orbit(setting, character, max_orbit=None):
-    """The relative-Weyl orbit of a character as a dict key -> character.
+    """The relative-Weyl orbit of a character as a dict ident -> character
+    (see `GroupCharacter.ident`).
 
     Breadth-first search over the generator images; a finite group's
     orbit is closed under its generators alone.  `max_orbit` caps the
@@ -317,14 +312,14 @@ def weyl_orbit(setting, character, max_orbit=None):
     """
     if character.domain != setting.group:
         raise ValueError("parameter does not live on this setting's group")
-    orbit = {character.key(): character}
+    orbit = {character.ident(): character}
     frontier = [character]
     while frontier:
         nxt = []
         for ch in frontier:
             for hom in setting.weyl_generators:
                 moved = ch.precompose(hom)
-                key = moved.key()
+                key = moved.ident()
                 if key in orbit:
                     continue
                 orbit[key] = moved
@@ -341,8 +336,12 @@ def classify(setting, parameter, max_orbit=None):
 
     Finds the orbit by breadth-first search over the generators' induced
     action (`weyl_orbit`), returns the minimal representative in the
-    documented character order, the orbit size and the orbit's keys.
+    documented character order, the orbit size and the orbit's idents.
     `max_orbit` caps the orbit size (CapExceeded).
+
+    The generator images are automorphisms of T/T_0, so every character
+    in the orbit has the same least denominator, and the least ident is
+    the least `key()`.
     """
     orbit = weyl_orbit(setting, parameter.character, max_orbit)
     best = orbit[min(orbit)]
@@ -354,7 +353,7 @@ def parameters_equal(setting, p1, p2, max_orbit=None):
     """True iff the two parameters lie in one relative-Weyl orbit."""
     if p2.character.domain != setting.group:
         raise ValueError("parameter does not live on this setting's group")
-    return p2.key() in weyl_orbit(setting, p1.character, max_orbit)
+    return p2.character.ident() in weyl_orbit(setting, p1.character, max_orbit)
 
 
 def modulus_character(setting, coords):

@@ -87,11 +87,18 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        bt = other.transpose().data
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt]
-             for row in self.data],
-            ncols=other.ncols)
+        # each output row is a combination of the rows of `other`, taken
+        # only over the nonzero entries of the left row (sparse factors
+        # such as permutation matrices then cost O(n^2), not O(n^3))
+        zero = [0] * other.ncols
+        rows = []
+        for row in self.data:
+            acc = zero
+            for a, brow in zip(row, other.data):
+                if a:
+                    acc = [x + a * b for x, b in zip(acc, brow)]
+            rows.append(acc)
+        return IntMatrix(rows, ncols=other.ncols)
 
     def apply(self, vector):
         """Matrix times column vector, as a tuple."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .kottwitz import TorusWithAction, build_induced_torus
 from .matrices import IntMatrix, Lattice
-from .rootdata import BasedRootDatum, datum_from_simples
+from .rootdata import ROOT_CAP, BasedRootDatum, CapExceeded, datum_from_simples
 
 
 def standard_basis(n, i):
@@ -153,6 +153,26 @@ _SPLIT = {"GL": split_gl, "SL": split_sl, "PGL": split_pgl,
           "Sp": split_sp, "SO": split_so}
 
 
+def split_root_count(family, n):
+    """Number of roots of the split preset `family` n, from the closed
+    form of its type: A_{n-1} has n(n-1) roots, B_m and C_m have 2m^2,
+    D_m has 2m(m-1), where m = floor(n/2)."""
+    if family in ("GL", "SL", "PGL"):
+        return n * (n - 1)
+    m = n // 2
+    if family == "Sp" or n % 2:
+        return 2 * m * m
+    return 2 * m * (m - 1)
+
+
+def _refuse_oversized(name, roots):
+    """Refuse a datum whose root closure would pass the cap, before any
+    of it is built."""
+    if roots > ROOT_CAP:
+        raise CapExceeded(f"root generation: {name} would have {roots} roots,"
+                          f" over the cap {ROOT_CAP}")
+
+
 def _split_keyvals(tokens):
     plain, kv = [], {}
     for t in tokens:
@@ -196,7 +216,9 @@ def resolve_preset(text, q=None):
         m = re.fullmatch(r"([A-Za-z]+)(\d+)", plain[1])
         if not m or m.group(1) not in _SPLIT:
             raise ValueError(f"unknown split preset {plain[1]!r}")
-        datum = _SPLIT[m.group(1)](int(m.group(2)))
+        n = int(m.group(2))
+        _refuse_oversized(plain[1], split_root_count(m.group(1), n))
+        datum = _SPLIT[m.group(1)](n)
         return Preset(name=text, datum=datum, q=q)
 
     if family == "induced" and len(plain) == 1:
@@ -221,6 +243,7 @@ def resolve_preset(text, q=None):
             n = int(m.group(1))
             if n < 2:
                 raise ValueError("flip needs A2 or higher")
+            _refuse_oversized(plain[1], split_root_count("GL", n + 1))
             return Preset(name=text, datum=split_gl(n + 1),
                           tau=flip_negate(n + 1), q=q)
         if plain[1] == "D4":
@@ -241,6 +264,7 @@ def resolve_preset(text, q=None):
                              " 'unitary ramified 3'") from None
         if n < 2:
             raise ValueError("unitary presets need n >= 2")
+        _refuse_oversized(f"GL{n}", split_root_count("GL", n))
         datum = split_gl(n)
         if plain[1] == "ramified":
             return Preset(name=text, datum=datum, tau=flip_negate(n), q=q)

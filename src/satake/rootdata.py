@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .abelian import cokernel
 from .matrices import IntMatrix, Lattice, LatticeMap, kernel, lattice_map
 
 DEFAULT_WEYL_CAP = 10 ** 6
+ROOT_CAP = 10 ** 5
 
 
 class CapExceeded(RuntimeError):
@@ -96,40 +98,60 @@ class BasedRootDatum:
         return IntMatrix([[int(i == j) - av[i] * a[j] for j in range(n)]
                           for i in range(n)])
 
-    def simple_coefficients(self, root):
-        """Rational coefficients of a root over the simple roots, or None."""
+    @cached_property
+    def _coefficient_solver(self):
+        """One exact elimination of the simple-root matrix S, kept as
+        integers: (L, den, C) with coefficients L v / den for v in the
+        span of S, and C v = 0 exactly when v is in that span.
+
+        Gauss-Jordan on [S | I] gives E with E S in reduced row echelon
+        form; L holds the rows of E at the pivots (zero rows for simple
+        roots that are not pivots), C the rows past the rank."""
         simples = self.simple_roots()
-        if not simples:
-            return None if any(root) else ()
-        cols = [list(s) for s in simples]
-        mat = [[Fraction(cols[j][i]) for j in range(len(simples))]
-               for i in range(self.rank)]
-        rhs = [Fraction(v) for v in root]
-        # exact Gaussian elimination on the overdetermined system
-        rows = [mat[i] + [rhs[i]] for i in range(self.rank)]
-        ncols = len(simples)
+        n, k = self.rank, len(simples)
+        rows = [[Fraction(s[i]) for s in simples]
+                + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         pivots = []
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        for c in range(k):
+            r = len(pivots)
+            piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
             if piv is None:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
             p = rows[r][c]
             rows[r] = [v / p for v in rows[r]]
-            for i in range(len(rows)):
+            for i in range(n):
                 if i != r and rows[i][c] != 0:
                     f = rows[i][c]
                     rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
             pivots.append(c)
-            r += 1
-        for i in range(r, len(rows)):
-            if rows[i][ncols] != 0:
-                return None
-        coeffs = [Fraction(0)] * ncols
-        for i, c in enumerate(pivots):
-            coeffs[c] = rows[i][ncols]
-        return tuple(coeffs)
+        left = [[Fraction(0)] * n for _ in range(k)]
+        for r, c in enumerate(pivots):
+            left[c] = rows[r][k:]
+        den = lcm(*(v.denominator for row in left for v in row))
+        left_int = tuple(tuple(int(v * den) for v in row)
+                         for row in left)
+        consistency = []
+        for row in rows[len(pivots):]:
+            d = lcm(*(v.denominator for v in row[k:]))
+            consistency.append(tuple(int(v * d) for v in row[k:]))
+        return left_int, den, tuple(consistency)
+
+    def _simple_numerators(self, root):
+        """Simple coefficients of `root` times the solver's denominator
+        (integers), or None when it lies outside the span."""
+        left, _, consistency = self._coefficient_solver
+        if any(_dot(row, root) for row in consistency):
+            return None
+        return tuple(_dot(row, root) for row in left)
+
+    def simple_coefficients(self, root):
+        """Rational coefficients of a root over the simple roots, or None."""
+        nums = self._simple_numerators(root)
+        if nums is None:
+            return None
+        den = self._coefficient_solver[1]
+        return tuple(Fraction(x, den) for x in nums)
 
     @cached_property
     def positive_indices(self):
@@ -137,8 +159,8 @@ class BasedRootDatum:
         computed once per datum."""
         out = []
         for i, r in enumerate(self.roots):
-            coeffs = self.simple_coefficients(r)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
+            nums = self._simple_numerators(r)
+            if nums is not None and all(c >= 0 for c in nums):
                 out.append(i)
         return tuple(out)
 
@@ -154,7 +176,7 @@ class BasedRootDatum:
         return tuple(acc)
 
 
-def root_closure(simple_roots, simple_coroots, cap=10 ** 5):
+def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     """All (root, coroot) pairs generated from the simple ones by the
     simple reflections, acting on both sides at once.  Deterministic
     breadth-first order; raises CapExceeded past `cap` pairs."""
@@ -190,7 +212,7 @@ def root_closure(simple_roots, simple_coroots, cap=10 ** 5):
     return roots, [seen[r] for r in roots]
 
 
-def datum_from_simples(simple_roots, simple_coroots, label="", cap=10 ** 5):
+def datum_from_simples(simple_roots, simple_coroots, label="", cap=ROOT_CAP):
     """Based root datum generated by reflection closure of a simple system."""
     roots, coroots = root_closure(simple_roots, simple_coroots, cap)
     rank = len(simple_roots[0]) if simple_roots else 0
@@ -237,15 +259,16 @@ def validate(datum):
         coimage = {sv.apply(r) for r in datum.coroots}
         if coimage != coroot_set:
             problems.append(f"coreflection in root {idx} does not permute the coroots")
+    den = datum._coefficient_solver[1]
     for idx, r in enumerate(datum.roots):
-        coeffs = datum.simple_coefficients(r)
-        if coeffs is None:
+        nums = datum._simple_numerators(r)
+        if nums is None:
             problems.append(f"root {idx} is not in the span of the simple roots")
             continue
-        if any(c.denominator != 1 for c in coeffs):
+        if any(c % den for c in nums):
             problems.append(f"root {idx} is not an integer combination of simple roots")
             continue
-        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+        if not (all(c >= 0 for c in nums) or all(c <= 0 for c in nums)):
             problems.append(f"root {idx} has mixed-sign simple coefficients")
     return problems
 
@@ -333,7 +356,7 @@ class GaloisAction:
         if lhs != t.power(self.twist % self.tau.order if self.tau.order > 1
                           else 1):
             raise ValueError("twist relation sigma tau sigma^-1 = tau^j fails")
-        if self.tau.order > 1 and _gcd(self.twist, self.tau.order) != 1:
+        if self.tau.order > 1 and gcd(self.twist, self.tau.order) != 1:
             raise ValueError("twist exponent must be invertible mod ord(tau)")
 
 
@@ -341,13 +364,6 @@ def galois_action(datum, tau_matrix, sigma_matrix, twist=1):
     tau = pinned_automorphism(datum, tau_matrix)
     sigma = pinned_automorphism(datum, sigma_matrix)
     return GaloisAction(tau, sigma, twist)
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class WeylGroup:

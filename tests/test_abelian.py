@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.abelian import (
     FgAbGroup, GroupCharacter, GroupHom, all_characters, coinvariants,
@@ -180,3 +182,116 @@ def test_random_hom_kernel_image_count():
         img = 12 // (ker.order())
         assert ker.order() * img == 12
         assert hom.cokernel_group().order() == 12 // img
+
+
+# --- integer characters against the ExactCircle arithmetic they replace ------
+
+def precompose_oracle(character, hom):
+    """The ExactCircle product prod_i v_i ** c_i for each column of hom."""
+    values = []
+    for col in hom.matrix.columns():
+        acc = ExactCircle.one()
+        for c, v in zip(col, character.values):
+            acc = acc * (v ** c)
+        values.append(acc)
+    return tuple(values)
+
+
+@st.composite
+def small_groups(draw):
+    """Z/d_1 + ... + Z^r with at most two invariant factors (a chain
+    d_1 | d_2 with d_2 <= 12) and r <= 2."""
+    factors = []
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 6))
+        factors.append(d)
+        if draw(st.booleans()):
+            factors.append(d * draw(st.integers(1, 2)))
+    return FgAbGroup.from_invariants(factors, draw(st.integers(0, 2)))
+
+
+@st.composite
+def characters(draw, group):
+    """A character whose values have arguments k/n and, on free
+    generators, q-exponents j/m with n, m <= 12."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    values = []
+    for d in group.generator_orders():
+        g = n if d == 0 else gcd(d, n)
+        exponent = Fraction(draw(st.integers(-6, 6)), m) if d == 0 else 0
+        values.append(ExactCircle(exponent,
+                                  Fraction(draw(st.integers(0, g - 1)), g)))
+    return GroupCharacter(group, values)
+
+
+@st.composite
+def homs_into(draw, target):
+    """A random homomorphism source -> target: entries in the column of an
+    order-d source generator are multiples of t_i / gcd(t_i, d)."""
+    source = draw(small_groups())
+    t_orders = target.generator_orders()
+    cols = []
+    for d in source.generator_orders():
+        col = []
+        for t in t_orders:
+            step = 1 if d == 0 else (0 if t == 0 else t // gcd(t, d))
+            col.append(step * draw(st.integers(-3, 3)))
+        cols.append(tuple(col))
+    return GroupHom(source, target,
+                    IntMatrix.from_columns(cols, nrows=target.ngens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_precompose_matches_circle_products(data):
+    group = data.draw(small_groups())
+    chi = data.draw(characters(group))
+    hom = data.draw(homs_into(group))
+    assert chi.precompose(hom).values == precompose_oracle(chi, hom)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_precompose_homomorphism_laws(data):
+    a = data.draw(small_groups())
+    chi, psi = data.draw(characters(a)), data.draw(characters(a))
+    f = data.draw(homs_into(a))
+    g = data.draw(homs_into(f.source))
+    assert chi.precompose(f.compose(g)) == chi.precompose(f).precompose(g)
+    assert (chi * psi).precompose(f) == chi.precompose(f) * psi.precompose(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_character_identity_is_canonical(data):
+    group = data.draw(small_groups())
+    chi, psi = data.draw(characters(group)), data.draw(characters(group))
+    # (chi psi) psi^-1 passes through a larger common denominator
+    back = (chi * psi) * psi.inverse()
+    rebuilt = GroupCharacter(group, chi.values)
+    for other in (back, rebuilt):
+        assert other == chi
+        assert hash(other) == hash(chi)
+        assert other.ident() == chi.ident()
+        assert (other.den, other.q_nums, other.arg_nums) == \
+            (chi.den, chi.q_nums, chi.arg_nums)
+    assert (chi * chi.inverse()).is_trivial()
+    assert (chi * chi.inverse()).den == 1
+    assert all(0 <= a < chi.den for a in chi.arg_nums)
+
+
+def test_equal_characters_from_different_denominators():
+    z6 = FgAbGroup.from_invariants((6,), 1)
+    # e(1/6)^3 and e(1/2) are one value; q^(2/4) is q^(1/2)
+    a = GroupCharacter(z6, (ExactCircle(0, Fraction(1, 6)) ** 3,
+                            ExactCircle(Fraction(2, 4), Fraction(5, 3))))
+    b = GroupCharacter(z6, (ExactCircle(0, Fraction(1, 2)),
+                            ExactCircle(Fraction(1, 2), Fraction(2, 3))))
+    assert a == b and hash(a) == hash(b)
+    assert (a.den, a.q_nums, a.arg_nums) == (6, (0, 3), (3, 4))
+    c = GroupCharacter(z6, (ExactCircle(0, Fraction(1, 3)),
+                            ExactCircle(0, Fraction(1, 3))))
+    triple = GroupHom(z6, z6, IntMatrix([[3, 0], [0, 3]]))
+    assert c.precompose(triple) == GroupCharacter.trivial(z6)
+    assert c.precompose(triple).den == 1

@@ -227,6 +227,43 @@ def test_modulus_needs_no_weyl_cap(capsys):
     assert "result.values = [q^7/2, q^5/2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("preset, roots", [
+    ("split GL99999999999", 99999999999 * 99999999998),
+    ("split SL1000", 999000),
+    ("split Sp1000", 2 * 500 ** 2),
+    ("split SO1001", 2 * 500 ** 2),
+    ("split SO1000", 2 * 500 * 499),
+    ("flip A999", 1000 * 999),
+    ("unitary ramified 1000", 1000 * 999),
+])
+def test_oversized_presets_are_refused_before_building(preset, roots,
+                                                       monkeypatch, capsys):
+    """Presets whose root system passes the root-closure cap exit 2 with
+    the estimate, without calling a builder (each is patched to fail)."""
+    from satake import presets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("builder called for an oversized preset")
+
+    for family in list(presets._SPLIT):
+        monkeypatch.setitem(presets._SPLIT, family, refuse)
+    monkeypatch.setattr(presets, "split_gl", refuse)
+    assert main(["kottwitz", "--preset", preset]) == 2
+    err = capsys.readouterr().err
+    assert "root generation" in err and f"{roots} roots" in err
+
+
+def test_split_root_count_matches_closure():
+    from satake.presets import _SPLIT, split_root_count
+    for family, build in _SPLIT.items():
+        for n in range(2, 11):
+            try:
+                datum = build(n)
+            except ValueError:
+                continue
+            assert len(datum.roots) == split_root_count(family, n)
+
+
 def test_report_renderers():
     report = build_report("demo", {"name": "x"}, {"flag": True, "n": 3,
                                                   "items": [1, 2]})

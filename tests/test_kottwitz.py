@@ -1,5 +1,6 @@
 """Kottwitz groups, parameter classification, functoriality, envelopes."""
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from satake.abelian import GroupCharacter, all_characters
 from satake.circle import ExactCircle, ONE
+from satake.cli import main
 from satake.config import resolve
 from satake.kottwitz import (
     TorusWithAction, build_induced_torus, character_from_dual_point, classify,
@@ -26,6 +28,7 @@ from satake.rootdata import (
     galois_action, mulclose, pinned_automorphism, weyl_group,
 )
 from test_acceptance import TWISTED_SUITE
+from test_config_cli import NO_WEYL_VALUES
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()
@@ -54,7 +57,7 @@ def brute_force_fixed_weyl(setting):
 
 
 def brute_force_orbit(homs, character):
-    return {character.precompose(hom).key() for hom in homs}
+    return {character.precompose(hom).ident() for hom in homs}
 
 
 def assert_matches_brute_force(setting, characters):
@@ -127,12 +130,60 @@ def test_weyl_orbit_matches_brute_force(name, data):
     character = data.draw(bounded_characters(setting.group))
     orbit = weyl_orbit(setting, character)
     assert set(orbit) == brute_force_orbit(homs, character)
-    assert all(orbit[key].key() == key for key in orbit)
+    assert all(orbit[key].ident() == key for key in orbit)
     cls = classify(setting, parameter_from_character(setting.kottwitz,
                                                      character))
     assert cls.orbit_size == len(orbit)
     assert cls.orbit_keys == frozenset(orbit)
-    assert cls.key() == min(orbit)
+    assert cls.representative.character.ident() == min(orbit)
+    # the integer order picks the same representative as the Fraction order
+    assert cls.key() == min(ch.key() for ch in orbit.values())
+
+
+@pytest.mark.parametrize("name, torsion", [("split GL3", 4), ("flip D4", 2),
+                                           ("unitary ramified 3", 6)])
+def test_orbits_class_count_is_burnside(name, torsion, capsys):
+    """orbits counts (1/|W^Gamma|) sum_w |Fix(w)| classes, with W^Gamma
+    enumerated by brute force."""
+    setting, homs = oracle_setting(name)
+    chars = list(all_characters(setting.group, torsion))
+    fixed = sum(ch.precompose(hom) == ch for hom in homs for ch in chars)
+    assert fixed % len(homs) == 0
+    assert main(["orbits", "--preset", name, "--torsion", str(torsion),
+                 "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["character_count"] == len(chars)
+    assert result["class_count"] == fixed // len(homs)
+
+
+@pytest.mark.parametrize("preset", sorted(NO_WEYL_VALUES))
+def test_classification_needs_no_circle_arithmetic(preset, monkeypatch,
+                                                   tmp_path, capsys):
+    """orbits, classify and equal run on integer numerators: with
+    ExactCircle products and powers refused, their output is unchanged."""
+    values, values2 = NO_WEYL_VALUES[preset]
+    cfg = tmp_path / "group.cfg"
+    cfg.write_text(f"preset = {preset}\nvalues = {values}\n"
+                   f"values2 = {values2}\n")
+    runs = (["orbits", "--preset", preset, "--torsion", "2"],
+            ["classify", "--config", str(cfg)],
+            ["equal", "--config", str(cfg)])
+
+    def outputs():
+        out = []
+        for argv in runs:
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    expected = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ExactCircle arithmetic used")
+
+    monkeypatch.setattr(ExactCircle, "__mul__", refuse)
+    monkeypatch.setattr(ExactCircle, "__pow__", refuse)
+    assert outputs() == expected
 
 
 def test_split_torus_group():

@@ -1,6 +1,9 @@
 """Based root data, pinned automorphisms, Weyl groups, folding."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.matrices import IntMatrix, Lattice
 from satake.presets import (
@@ -196,3 +199,74 @@ def test_simple_coefficients_are_exact():
     highest = max(gl4.positive_roots(),
                   key=lambda r: sum(gl4.simple_coefficients(r)))
     assert sum(gl4.simple_coefficients(highest)) == 3
+
+
+def simple_coefficients_oracle(datum, root):
+    """Per-vector exact Gaussian elimination of [S | root] over Q."""
+    simples = datum.simple_roots()
+    if not simples:
+        return None if any(root) else ()
+    rows = [[Fraction(s[i]) for s in simples] + [Fraction(root[i])]
+            for i in range(datum.rank)]
+    ncols = len(simples)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        rows[r] = [v / p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(rows[i][ncols] != 0 for i in range(r, len(rows))):
+        return None
+    coeffs = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        coeffs[c] = rows[i][ncols]
+    return tuple(coeffs)
+
+
+PRESET_DATA = ([SL2, adjoint_d4(),
+                BasedRootDatum(Lattice(2), (), Lattice(2), (), ())]
+               + [build(n) for build in (split_gl, split_sl, split_pgl)
+                  for n in range(2, 6)]
+               + [split_sp(n) for n in (4, 6, 8)]
+               + [split_so(n) for n in range(5, 11)])
+
+
+@pytest.mark.parametrize("datum", PRESET_DATA, ids=lambda d: d.label or "torus")
+def test_simple_coefficients_match_elimination_on_roots(datum):
+    for root in datum.roots:
+        assert datum.simple_coefficients(root) == \
+            simple_coefficients_oracle(datum, root)
+    assert datum.positive_indices == tuple(
+        i for i, r in enumerate(datum.roots)
+        if all(c >= 0 for c in simple_coefficients_oracle(datum, r)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_simple_coefficients_match_elimination_on_vectors(data):
+    datum = data.draw(st.sampled_from(PRESET_DATA))
+    vec = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=datum.rank,
+                                   max_size=datum.rank)))
+    assert datum.simple_coefficients(vec) == \
+        simple_coefficients_oracle(datum, vec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), data=st.data())
+def test_simple_coefficients_outside_the_span_of_gl(n, data):
+    # the roots of GL_n span the vectors with coordinate sum 0
+    gl = split_gl(n)
+    vec = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n,
+                                   max_size=n)))
+    expected = simple_coefficients_oracle(gl, vec)
+    assert (expected is None) == (sum(vec) != 0)
+    assert gl.simple_coefficients(vec) == expected
