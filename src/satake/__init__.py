@@ -7,7 +7,7 @@ orbits are searched over the generators of the relative Weyl group.
 """
 
 from .abelian import FgAbGroup, GroupCharacter, GroupHom, all_characters, \
-    coinvariants, cokernel, divisible_extension, finite_dual, \
+    character_count, coinvariants, cokernel, divisible_extension, finite_dual, \
     induced_endomorphism, invariants_of_induced_action, kernel_of_hom, \
     subgroup_coordinates
 from .circle import ExactCircle
@@ -29,10 +29,10 @@ from .matrices import IntMatrix, Lattice, LatticeMap, SmithForm, \
     smith_normal_form, solve, solve_mod
 from .rootdata import BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP, \
     FoldingError, GaloisAction, PinnedAutomorphism, RestrictedRootData, \
-    WeylGroup, datum_from_simples, detect_type, dual_datum, \
-    fixed_weyl_subgroup, folded_generators, galois_action, identity_pin, \
-    mulclose, pinned_automorphism, restricted_root_data, root_closure, \
-    validate, weyl_group
+    WeylGroup, check_twist_relation, datum_from_simples, detect_type, \
+    dual_datum, fixed_weyl_subgroup, folded_generators, galois_action, \
+    identity_pin, mulclose, pinned_automorphism, restricted_root_data, \
+    root_closure, validate, weyl_group
 
 __version__ = "0.1.0"
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .circle import ExactCircle
@@ -544,22 +544,33 @@ def finite_dual(group):
     return FgAbGroup(group.invariant_factors, 0)
 
 
+def _choice_sizes(group, torsion):
+    """How many values each generator can take in the given torsion of
+    the circle: t for a free generator, gcd(d, t) for a Z/d."""
+    orders = group.generator_orders()
+    if torsion is None:
+        if not group.is_finite():
+            raise ValueError("free generators need an explicit torsion bound")
+        return orders
+    n = int(torsion)
+    if n < 1:
+        raise ValueError("torsion bound must be positive")
+    return [n if d == 0 else gcd(d, n) for d in orders]
+
+
+def character_count(group, torsion=None):
+    """The number of characters `all_characters` yields, without
+    enumerating them."""
+    return prod(_choice_sizes(group, torsion))
+
+
 def all_characters(group, torsion=None):
     """All characters with values in the given torsion of the circle.
 
     For a finite group with `torsion=None` this enumerates the full dual.
     Free generators require an explicit positive `torsion` bound.
     """
-    orders = group.generator_orders()
-    if torsion is None:
-        if not group.is_finite():
-            raise ValueError("free generators need an explicit torsion bound")
-        sizes = orders
-    else:
-        n = int(torsion)
-        if n < 1:
-            raise ValueError("torsion bound must be positive")
-        sizes = [n if d == 0 else gcd(d, n) for d in orders]
+    sizes = _choice_sizes(group, torsion)
     # generator i takes the arguments k/sizes[i], as numerators over den
     den = lcm(*sizes)
     zeros = (0,) * len(sizes)

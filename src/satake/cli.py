@@ -19,7 +19,7 @@ exceeded.
 import argparse
 import sys
 
-from .abelian import GroupCharacter, all_characters
+from .abelian import GroupCharacter, all_characters, character_count
 from .circle import ExactCircle
 from .components import check_center_covers_components, \
     check_fixed_weyl_is_folded, check_tad_connected
@@ -199,15 +199,16 @@ def _cmd_orbits(rg, args):
     if args.torsion < 1:
         raise ConfigError("--torsion must be positive")
     setting = rg.setting()
+    count = character_count(setting.group, args.torsion)
+    if count > args.max_orbit:
+        raise CapExceeded(
+            f"character enumeration: {count} characters of "
+            f"{setting.group.describe()} with torsion {args.torsion}, "
+            f"over the cap {args.max_orbit}")
     # each orbit is searched once, from its first enumerated member
     classes = []
     visited = set()
-    count = 0
     for character in all_characters(setting.group, args.torsion):
-        count += 1
-        if count > args.max_orbit:
-            raise CapExceeded(
-                f"character enumeration exceeded cap {args.max_orbit}")
         if character.ident() in visited:
             continue
         cls = classify(setting, SatakeParameter(character),

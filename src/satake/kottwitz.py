@@ -21,7 +21,7 @@ from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
 from .circle import ExactCircle
 from .matrices import IntMatrix, Lattice, LatticeMap
 from .rootdata import (BasedRootDatum, CapExceeded, FoldingError,
-                       GaloisAction, folded_generators)
+                       GaloisAction, check_twist_relation, folded_generators)
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,7 @@ class TorusWithAction:
                 raise ValueError(f"{name} is not a lattice automorphism")
         tau_order = self.tau.multiplicative_order(cap=10 ** 4)
         self.sigma.multiplicative_order(cap=10 ** 4)
-        j = self.twist % tau_order
-        lhs = self.sigma @ self.tau @ self.sigma.inverse_unimodular()
-        if lhs != self.tau.power(j):
-            raise ValueError("twist relation sigma tau sigma^-1 = tau^j fails")
-        if tau_order > 1 and gcd(self.twist, tau_order) != 1:
-            raise ValueError("twist exponent must be invertible mod ord(tau)")
+        check_twist_relation(self.tau, self.sigma, self.twist, tau_order)
 
     @property
     def rank(self):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 
 class IntMatrix:
@@ -39,8 +40,19 @@ class IntMatrix:
         self.ncols = width
 
     @classmethod
+    def _trusted(cls, data, ncols):
+        """Wrap a tuple of int tuples of width `ncols` as it is: no
+        coercion and no shape check, for results the kernels build."""
+        m = object.__new__(cls)
+        m.data = data
+        m.nrows = len(data)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
+                                  for i in range(n)), n)
 
     @classmethod
     def zeros(cls, m, n):
@@ -81,8 +93,8 @@ class IntMatrix:
         return self.data[i][j]
 
     def transpose(self):
-        return IntMatrix([[self.data[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)], ncols=self.nrows)
+        return IntMatrix._trusted(tuple(zip(*self.data)) if self.nrows
+                                  else ((),) * self.ncols, self.nrows)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -90,34 +102,39 @@ class IntMatrix:
         # each output row is a combination of the rows of `other`, taken
         # only over the nonzero entries of the left row (sparse factors
         # such as permutation matrices then cost O(n^2), not O(n^3))
-        zero = [0] * other.ncols
+        zero = (0,) * other.ncols
         rows = []
         for row in self.data:
-            acc = zero
+            acc = None
             for a, brow in zip(row, other.data):
-                if a:
-                    acc = [x + a * b for x, b in zip(acc, brow)]
-            rows.append(acc)
-        return IntMatrix(rows, ncols=other.ncols)
+                if not a:
+                    continue
+                if acc is None:
+                    acc = brow if a == 1 else tuple(a * b for b in brow)
+                else:
+                    acc = tuple(x + a * b for x, b in zip(acc, brow))
+            rows.append(zero if acc is None else acc)
+        return IntMatrix._trusted(tuple(rows), other.ncols)
 
     def apply(self, vector):
         """Matrix times column vector, as a tuple."""
         if len(vector) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.data)
+        return tuple(sum(map(mul, row, vector)) for row in self.data)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)],
-                         ncols=self.ncols)
+        return IntMatrix._trusted(tuple(tuple(map(add, r1, r2)) for r1, r2
+                                        in zip(self.data, other.data)),
+                                  self.ncols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix([[-a for a in row] for row in self.data], ncols=self.ncols)
+        return IntMatrix._trusted(tuple(tuple(-a for a in row)
+                                        for row in self.data), self.ncols)
 
     def scaled(self, k):
         return IntMatrix([[k * a for a in row] for row in self.data], ncols=self.ncols)
@@ -148,7 +165,11 @@ class IntMatrix:
                         for i in range(self.nrows) for j in range(self.ncols)))
 
     def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant by fraction-free (Bareiss) elimination.
+
+        A row with a zero in the pivot column is left alone when the
+        pivot equals the previous one, since the update would return it
+        unchanged; a permutation matrix then costs O(n^2)."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
@@ -166,11 +187,14 @@ class IntMatrix:
                         break
                 else:
                     return 0
+            pivot = a[k][k]
             for i in range(k + 1, n):
+                if a[i][k] == 0 and pivot == prev:
+                    continue
                 for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
                 a[i][k] = 0
-            prev = a[k][k]
+            prev = pivot
         return sign * a[n - 1][n - 1]
 
     def is_unimodular(self):
@@ -201,13 +225,21 @@ class IntMatrix:
         return IntMatrix([[int(v) for v in row] for row in inv], ncols=n)
 
     def multiplicative_order(self, cap=10**6):
-        """Least k >= 1 with self**k = 1; raises if cap is passed."""
+        """Least k >= 1 with self**k = 1; raises if cap is passed.
+
+        The eigenvalues of a finite-order matrix are roots of unity, so
+        every power has |trace| <= n; a power past that bound proves the
+        order infinite and is refused at once."""
         if not self.is_square():
             raise ValueError("order of a non-square matrix")
+        n = self.nrows
         acc = self
         k = 1
-        ident = IntMatrix.identity(self.nrows)
+        ident = IntMatrix.identity(n)
         while not acc == ident:
+            if abs(sum(acc.data[i][i] for i in range(n))) > n:
+                raise ValueError(f"matrix has infinite order: |trace| of "
+                                 f"its power {k} exceeds the size {n}")
             acc = acc @ self
             k += 1
             if k > cap:
@@ -286,9 +318,6 @@ class LatticeMap:
             raise ValueError("composition mismatch")
         return LatticeMap(other.source, self.target, self.matrix @ other.matrix)
 
-    def is_automorphism(self):
-        return self.source.rank == self.target.rank and self.matrix.is_unimodular()
-
 
 def lattice_map(matrix, source=None, target=None):
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
@@ -331,7 +360,8 @@ def smith_normal_form(matrix):
     """Smith normal form with unimodular transforms and their inverses.
 
     Pivot selection: smallest nonzero absolute value in the trailing
-    block, ties broken by (row, column) position.
+    block, ties broken by (row, column) position; the row-major scan
+    stops at the first entry of absolute value 1.
 
     >>> sf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> sf.diagonal
@@ -393,6 +423,10 @@ def smith_normal_form(matrix):
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != s:
@@ -426,6 +460,8 @@ def smith_normal_form(matrix):
                 continue
             # pivot must divide the whole trailing block for the chain
             p = a[s][s]
+            if p in (1, -1):
+                break
             offender = None
             for i in range(s + 1, m):
                 for j in range(s + 1, n):
@@ -441,12 +477,11 @@ def smith_normal_form(matrix):
             negate_row(s)
         s += 1
 
-    U = IntMatrix(u, ncols=m)
-    Ui = IntMatrix(ui, ncols=m)
-    V = IntMatrix(v, ncols=n)
-    Vi = IntMatrix(vi, ncols=n)
-    D = IntMatrix(a, ncols=n)
-    return SmithForm(matrix, U, D, V, Ui, Vi)
+    def frozen(rows, width):
+        return IntMatrix._trusted(tuple(map(tuple, rows)), width)
+
+    return SmithForm(matrix, frozen(u, m), frozen(a, n), frozen(v, n),
+                     frozen(ui, m), frozen(vi, n))
 
 
 def kernel_basis(matrix):

@@ -351,13 +351,18 @@ class GaloisAction:
     twist: int = 1
 
     def __post_init__(self):
-        t, s = self.tau.matrix, self.sigma.matrix
-        lhs = s @ t @ s.inverse_unimodular()
-        if lhs != t.power(self.twist % self.tau.order if self.tau.order > 1
-                          else 1):
-            raise ValueError("twist relation sigma tau sigma^-1 = tau^j fails")
-        if self.tau.order > 1 and gcd(self.twist, self.tau.order) != 1:
-            raise ValueError("twist exponent must be invertible mod ord(tau)")
+        check_twist_relation(self.tau.matrix, self.sigma.matrix, self.twist,
+                             self.tau.order)
+
+
+def check_twist_relation(tau, sigma, twist, tau_order):
+    """Raise ValueError unless sigma tau sigma^-1 = tau^j, j = twist mod
+    ord(tau), with j invertible mod ord(tau).  The relation is checked as
+    sigma tau = tau^j sigma, so sigma is never inverted."""
+    if sigma @ tau != tau.power(twist % tau_order) @ sigma:
+        raise ValueError("twist relation sigma tau sigma^-1 = tau^j fails")
+    if tau_order > 1 and gcd(twist, tau_order) != 1:
+        raise ValueError("twist exponent must be invertible mod ord(tau)")
 
 
 def galois_action(datum, tau_matrix, sigma_matrix, twist=1):
@@ -367,13 +372,23 @@ def galois_action(datum, tau_matrix, sigma_matrix, twist=1):
 
 
 class WeylGroup:
-    """A finite set of integer matrices closed under multiplication."""
+    """A finite set of integer matrices closed under multiplication, each
+    with the permutation it induces on the roots of its side.
 
-    __slots__ = ("elements", "generators")
+    `permutations[k]` lists the indices in `roots` of the images of the
+    roots under `elements[k]`; `coroots` are the paired vectors on the
+    other side.  Elements are sorted by `IntMatrix.key`.
+    """
 
-    def __init__(self, elements, generators=()):
-        self.elements = tuple(sorted(elements, key=lambda m: m.key()))
+    __slots__ = ("elements", "permutations", "generators", "roots", "coroots")
+
+    def __init__(self, by_permutation, generators, roots, coroots):
+        items = sorted(by_permutation.items(), key=lambda pw: pw[1].key())
+        self.elements = tuple(w for _, w in items)
+        self.permutations = tuple(p for p, _ in items)
         self.generators = tuple(generators)
+        self.roots = roots
+        self.coroots = coroots
 
     @property
     def order(self):
@@ -387,9 +402,6 @@ class WeylGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def same_group(self, other):
-        return self.element_set() == other.element_set()
 
 
 def mulclose(generators, cap=DEFAULT_WEYL_CAP):
@@ -415,32 +427,74 @@ def mulclose(generators, cap=DEFAULT_WEYL_CAP):
     return seen
 
 
+def _root_permutation(matrix, roots):
+    """The indices in `roots` of the images of the roots under `matrix`;
+    FoldingError unless the matrix permutes them."""
+    index = {r: i for i, r in enumerate(roots)}
+    perm = tuple(index.get(matrix.apply(r)) for r in roots)
+    if None in perm or len(set(perm)) != len(perm):
+        raise FoldingError("matrix does not permute the roots")
+    return perm
+
+
 def weyl_group(datum, side="char", cap=DEFAULT_WEYL_CAP):
     """The Weyl group as matrices on the chosen side of the datum.
 
     side="char" acts on the character lattice, side="cochar" on the
-    cocharacter lattice.  Raises CapExceeded past `cap` elements.
+    cocharacter lattice.  The breadth-first closure over the simple
+    reflections keys each element by the permutation it induces on the
+    roots of that side (W acts faithfully on them), so a product of keys
+    is tuple indexing and a matrix product is formed once per new
+    element.  Raises CapExceeded past `cap` elements.
     """
     if side == "char":
-        gens = [datum.reflection_matrix(i) for i in datum.simple_indices]
+        refl, roots, coroots = (datum.reflection_matrix, datum.roots,
+                                datum.coroots)
         n = datum.rank
     elif side == "cochar":
-        gens = [datum.coreflection_matrix(i) for i in datum.simple_indices]
+        refl, roots, coroots = (datum.coreflection_matrix, datum.coroots,
+                                datum.roots)
         n = datum.cochar_lattice.rank
     else:
         raise ValueError("side must be 'char' or 'cochar'")
-    if not gens:
-        return WeylGroup([IntMatrix.identity(n)], [])
-    return WeylGroup(mulclose(gens, cap), gens)
+    gens = [refl(i) for i in datum.simple_indices]
+    keyed = [(_root_permutation(g, roots), g) for g in gens]
+    identity = tuple(range(len(roots)))
+    found = {identity: IntMatrix.identity(n)}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q, g in keyed:
+                pq = tuple(map(p.__getitem__, q))   # (wg)(r_i) = w(r_q[i])
+                if pq not in found:
+                    found[pq] = found[p] @ g
+                    nxt.append(pq)
+                    if len(found) > cap:
+                        raise CapExceeded(
+                            f"group enumeration exceeded cap {cap}")
+        frontier = nxt
+    return WeylGroup(found, gens, roots, coroots)
 
 
 def fixed_weyl_subgroup(weyl, commuting_with):
-    """Subgroup of elements commuting with every given matrix."""
-    mats = [m.matrix if isinstance(m, (PinnedAutomorphism, LatticeMap)) else m
-            for m in commuting_with]
-    kept = [w for w in weyl.elements
-            if all(w @ m == m @ w for m in mats)]
-    return WeylGroup(kept, ())
+    """Subgroup of elements commuting with every given matrix, tested on
+    the root permutations.
+
+    Each matrix must permute the roots of the group's side and its
+    transpose the coroots (FoldingError otherwise).  It then preserves
+    the annihilator of the coroots, on which W acts trivially, so it
+    commutes with w exactly when their permutations of the roots commute.
+    """
+    perms = []
+    for m in commuting_with:
+        mat = m.matrix if isinstance(m, (PinnedAutomorphism, LatticeMap)) else m
+        perms.append(_root_permutation(mat, weyl.roots))
+        _root_permutation(mat.transpose(), weyl.coroots)
+    kept = {p: w for p, w in zip(weyl.permutations, weyl.elements)
+            if all(tuple(map(p.__getitem__, t)) == tuple(map(t.__getitem__, p))
+                   for t in perms)}
+    return WeylGroup(kept, (), weyl.roots, weyl.coroots)
 
 
 def _simple_orbit_partition(datum, *automorphisms):

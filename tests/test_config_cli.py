@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,55 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["cocycle", "--preset", "norm-one"]) == 1
     assert main(["kottwitz", "--preset", "norm-one", "--format", "yaml"]) == 1
     capsys.readouterr()
+
+
+def test_oversized_orbits_are_refused_before_enumerating(monkeypatch,
+                                                         capsys):
+    """The character count is a product of choice-set sizes, so an
+    oversized `orbits` exits 2 with the estimate before any character is
+    built (all_characters is patched to fail)."""
+    from satake import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("characters enumerated")
+
+    monkeypatch.setattr(cli, "all_characters", refuse)
+    start = time.perf_counter()
+    assert main(["orbits", "--preset", "split GL4", "--torsion", "100",
+                 "--max-orbit", "20000"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "character enumeration" in err and "100000000 characters" in err
+    # Z/2 + Z^3 with torsion 4: 2 * 4^3 characters
+    assert main(["orbits", "--preset", "flip D4", "--torsion", "4",
+                 "--max-orbit", "127"]) == 2
+    assert "128 characters" in capsys.readouterr().err
+
+
+def _block_diagonal(block, copies):
+    k = len(block)
+    n = k * copies
+    return [[block[i % k][j % k] if i // k == j // k else 0
+             for j in range(n)] for i in range(n)]
+
+
+# x^6 - x - 1 has a root off the unit circle
+COMPANION = [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0],
+             [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("tau", [_block_diagonal([[2, 1], [1, 1]], 8),
+                                 COMPANION])
+def test_infinite_order_actions_exit_1_fast(tau, tmp_path, capsys):
+    """Unimodular actions of infinite order are refused by the trace
+    bound within a few products, not by the order cap."""
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text(f"rank = {len(tau)}\ntau = {tau}\nsigma = id\n"
+                   .replace(" ", ""))
+    start = time.perf_counter()
+    assert main(["kottwitz", "--config", str(cfg)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "infinite order" in capsys.readouterr().err
 
 
 def test_cli_modulus(capsys):

@@ -22,10 +22,11 @@ from satake.kottwitz import (
     setting_for_torus, weyl_orbit,
 )
 from satake.matrices import IntMatrix, Lattice
-from satake.presets import split_gl
+from satake.presets import flip_negate, split_gl
 from satake.rootdata import (
-    BasedRootDatum, CapExceeded, fixed_weyl_subgroup, folded_generators,
-    galois_action, mulclose, pinned_automorphism, weyl_group,
+    BasedRootDatum, CapExceeded, GaloisAction, fixed_weyl_subgroup,
+    folded_generators, galois_action, mulclose, pinned_automorphism,
+    weyl_group,
 )
 from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
@@ -206,6 +207,29 @@ def test_twist_relation_is_validated():
     with pytest.raises(ValueError):
         TorusWithAction(Lattice(2), IntMatrix([[0, 1], [1, 0]]),
                         IntMatrix.identity(2), twist=2)
+
+
+def test_twist_relation_is_checked_without_inverses(monkeypatch):
+    """One validator serves the torus and the Galois action, and checks
+    sigma tau = tau^j sigma, so sigma is never inverted."""
+    def refuse(self):
+        raise AssertionError("inverse_unimodular called")
+
+    gl4 = split_gl(4)
+    flip = pinned_automorphism(gl4, flip_negate(4))
+    ident = pinned_automorphism(gl4, IntMatrix.identity(4))
+    monkeypatch.setattr(IntMatrix, "inverse_unimodular", refuse)
+    torus = build_induced_torus(8, 8, 3)
+    assert torus.sigma @ torus.tau == torus.tau.power(3) @ torus.sigma
+    GaloisAction(flip, ident, 1)
+    GaloisAction(ident, flip, 5)
+    with pytest.raises(ValueError, match="twist relation"):
+        # tau = (1 2) and sigma = (2 3) do not normalise each other
+        TorusWithAction(Lattice(3), IntMatrix([[0, 1, 0], [1, 0, 0],
+                                               [0, 0, 1]]),
+                        IntMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
+    with pytest.raises(ValueError, match="twist relation"):
+        GaloisAction(flip, ident, 2)
 
 
 def test_induced_grid_is_infinite_cyclic():

@@ -3,6 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from satake.matrices import (
     IntMatrix, Lattice, SmithForm, column_span_basis, hstack, kernel_basis,
@@ -159,3 +162,208 @@ def test_lattice_map_shape_checks():
 def test_key_orders_matrices_deterministically():
     mats = [IntMatrix([[2]]), IntMatrix([[-1]]), IntMatrix([[0]])]
     assert sorted(mats, key=lambda m: m.key())[0] == IntMatrix([[-1]])
+
+
+# --- oracles for the fast paths of det and smith_normal_form ------------------
+
+def reference_smith(matrix):
+    """The Smith normal form as computed before its pivot scan stopped at
+    a unit and before it skipped the divisibility sweep for a unit pivot:
+    (U, D, V, U_inv, V_inv) as row tuples."""
+    m, n = matrix.nrows, matrix.ncols
+    a = [list(row) for row in matrix.data]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    ui = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    vi = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, k):
+        a[i], a[k] = a[k], a[i]
+        u[i], u[k] = u[k], u[i]
+        for r in range(m):
+            ui[r][i], ui[r][k] = ui[r][k], ui[r][i]
+
+    def swap_cols(j, k):
+        for r in range(m):
+            a[r][j], a[r][k] = a[r][k], a[r][j]
+        for r in range(n):
+            v[r][j], v[r][k] = v[r][k], v[r][j]
+        vi[j], vi[k] = vi[k], vi[j]
+
+    def row_op(i, k, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        for r in range(m):
+            ui[r][k] += q * ui[r][i]
+
+    def col_op(j, k, q):
+        for r in range(m):
+            a[r][j] -= q * a[r][k]
+        for r in range(n):
+            v[r][j] -= q * v[r][k]
+        vi[k] = [x + q * y for x, y in zip(vi[k], vi[j])]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for r in range(m):
+            ui[r][i] = -ui[r][i]
+
+    s = 0
+    while s < min(m, n):
+        pivot = None
+        best = None
+        for i in range(s, m):
+            for j in range(s, n):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != s:
+            swap_rows(s, pivot[0])
+        if pivot[1] != s:
+            swap_cols(s, pivot[1])
+        while True:
+            p = a[s][s]
+            dirty = False
+            for i in range(s + 1, m):
+                if a[i][s] != 0:
+                    q, r = divmod(a[i][s], p)
+                    row_op(i, s, q)
+                    if r != 0:
+                        swap_rows(s, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(s + 1, n):
+                if a[s][j] != 0:
+                    q, r = divmod(a[s][j], p)
+                    col_op(j, s, q)
+                    if r != 0:
+                        swap_cols(s, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            p = a[s][s]
+            offender = None
+            for i in range(s + 1, m):
+                for j in range(s + 1, n):
+                    if a[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(s, offender, -1)
+        if a[s][s] < 0:
+            negate_row(s)
+        s += 1
+    return tuple(tuple(map(tuple, x)) for x in (u, a, v, ui, vi))
+
+
+def as_tuples(sf):
+    return tuple(x.data for x in (sf.U, sf.D, sf.V, sf.U_inv, sf.V_inv))
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=7, square=False):
+    """Entries in [-9, 9], each kept with probability 0.15, 0.4 or 1."""
+    m = draw(st.integers(1, max_dim))
+    n = m if square else draw(st.integers(1, max_dim))
+    density = draw(st.sampled_from((15, 40, 100)))
+    entries = draw(st.lists(st.integers(-9, 9), min_size=m * n,
+                            max_size=m * n))
+    keep = draw(st.lists(st.integers(0, 99), min_size=m * n, max_size=m * n))
+    flat = [x if k < density else 0 for x, k in zip(entries, keep)]
+    return IntMatrix([flat[i * n:(i + 1) * n] for i in range(m)])
+
+
+@st.composite
+def signed_permutations(draw, max_dim=9):
+    n = draw(st.integers(1, max_dim))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return IntMatrix([[signs[i] if perm[i] == j else 0 for j in range(n)]
+                      for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=st.one_of(sparse_matrices(square=True), signed_permutations()))
+def test_det_matches_sympy(mat):
+    assert mat.det() == Matrix(mat.data).det()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat=st.one_of(sparse_matrices(), signed_permutations()))
+def test_smith_diagonal_matches_sympy(mat):
+    expected = sympy_smith(Matrix(mat.data), domain=ZZ)
+    k = min(mat.nrows, mat.ncols)
+    assert smith_normal_form(mat).diagonal == tuple(
+        abs(int(expected[i, i])) for i in range(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mat=st.one_of(sparse_matrices(max_dim=9), signed_permutations()))
+def test_smith_transforms_match_reference(mat):
+    sf = smith_normal_form(mat)
+    assert as_tuples(sf) == reference_smith(mat)
+    assert_snf_contract(mat, sf)
+
+
+def test_smith_transforms_match_reference_on_a_sweep():
+    rng = random.Random(2718)
+    for density in (0.15, 0.4, 1.0):
+        for _ in range(150):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            mat = IntMatrix([[rng.randint(-9, 9) if rng.random() < density
+                              else 0 for _ in range(n)] for _ in range(m)])
+            assert as_tuples(smith_normal_form(mat)) == reference_smith(mat)
+
+
+def test_permutation_matrix_det_and_products():
+    n = 64
+    cols = [(7 * j + 3) % n for j in range(n)]
+    perm = IntMatrix([[int(cols[j] == i) for j in range(n)] for i in range(n)])
+    assert perm.det() == Matrix(perm.data).det()
+    assert perm.transpose() @ perm == IntMatrix.identity(n)
+    assert (-perm).det() == perm.det()   # n is even
+
+
+def test_trusted_results_are_plain_int_tuples():
+    a = IntMatrix([[1, -2], [0, 3]])
+    for m in (a @ a, a.transpose(), a + a, -a, IntMatrix.identity(3),
+              *as_tuples(smith_normal_form(a))):
+        data = m if isinstance(m, tuple) else m.data
+        assert isinstance(data, tuple)
+        assert all(isinstance(row, tuple) for row in data)
+        assert all(type(x) is int for row in data for x in row)
+    assert IntMatrix.identity(0).shape == (0, 0)
+    assert IntMatrix([], ncols=3).transpose().shape == (3, 0)
+    assert IntMatrix([[], []]).transpose().shape == (0, 2)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [1, 1]],                    # hyperbolic: trace 3 > 2
+    [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0],
+     [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]],
+])
+def test_infinite_order_is_refused_by_the_trace(rows):
+    """The trace bound refuses these well before the cap of 10^6."""
+    with pytest.raises(ValueError, match="infinite order"):
+        IntMatrix(rows).multiplicative_order()
+
+
+def test_finite_orders_pass_the_trace_bound():
+    # signed permutations of order up to 12, and -1
+    for mat, order in ((IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), 3),
+                       (IntMatrix([[-1]]), 2),
+                       (IntMatrix([[0, -1, 0, 0, 0], [1, 0, 0, 0, 0],
+                                   [0, 0, 0, 0, 1], [0, 0, 1, 0, 0],
+                                   [0, 0, 0, 1, 0]]), 12),
+                       (IntMatrix([[1, -1], [1, 0]]), 6)):
+        assert mat.multiplicative_order() == order

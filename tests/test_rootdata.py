@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satake.config import resolve
 from satake.matrices import IntMatrix, Lattice
 from satake.presets import (
     adjoint_d4, d4_flip_matrix, d4_triality_matrix, flip_negate, split_gl,
@@ -16,6 +17,7 @@ from satake.rootdata import (
     galois_action, identity_pin, mulclose, pinned_automorphism,
     restricted_root_data, root_closure, validate, weyl_group,
 )
+from test_acceptance import TWISTED_SUITE
 
 SL2 = BasedRootDatum(Lattice(1, "X"), ((2,), (-2,)), Lattice(1, "X^"),
                      ((1,), (-1,)), (0,), label="SL2")
@@ -270,3 +272,62 @@ def test_simple_coefficients_outside_the_span_of_gl(n, data):
     expected = simple_coefficients_oracle(gl, vec)
     assert (expected is None) == (sum(vec) != 0)
     assert gl.simple_coefficients(vec) == expected
+
+
+# --- Weyl closure keyed by root permutations vs matrix closure ---------------
+
+WEYL_PRESETS = tuple(sorted(TWISTED_SUITE)) + ("split Sp4", "split SO5",
+                                               "unitary ramified 4")
+SIDES = {"char": ("reflection_matrix", "roots"),
+         "cochar": ("coreflection_matrix", "coroots")}
+
+
+@pytest.mark.parametrize("name", WEYL_PRESETS)
+@pytest.mark.parametrize("side", sorted(SIDES))
+def test_weyl_group_matches_matrix_closure(name, side):
+    datum = resolve(preset=name).datum
+    refl, attr = SIDES[side]
+    roots = getattr(datum, attr)
+    weyl = weyl_group(datum, side=side)
+    gens = [getattr(datum, refl)(i) for i in datum.simple_indices]
+    assert weyl.element_set() == set(mulclose(gens))
+    assert list(weyl.elements) == sorted(weyl.elements, key=IntMatrix.key)
+    assert weyl.roots == roots
+    for w, perm in zip(weyl.elements, weyl.permutations):
+        assert tuple(roots[j] for j in perm) == tuple(map(w.apply, roots))
+
+
+def commuting_by_matrices(weyl, mats):
+    return {w for w in weyl.elements if all(w @ m == m @ w for m in mats)}
+
+
+@pytest.mark.parametrize("name", WEYL_PRESETS)
+def test_fixed_weyl_subgroup_matches_matrix_commutation(name):
+    rg = resolve(preset=name)
+    tau, sigma = rg.action.tau.matrix, rg.action.sigma.matrix
+    weyl = weyl_group(rg.datum)
+    for mats in ([tau], [sigma], [tau, sigma]):
+        fixed = fixed_weyl_subgroup(weyl, mats)
+        assert fixed.element_set() == commuting_by_matrices(weyl, mats)
+    # centralizers of Weyl elements: no pinned automorphism needed
+    for w in weyl.elements[:: max(1, weyl.order // 12)]:
+        assert (fixed_weyl_subgroup(weyl, [w]).element_set()
+                == commuting_by_matrices(weyl, [w]))
+    # cocharacter side, with the dual matrices
+    coweyl = weyl_group(rg.datum, side="cochar")
+    duals = [rg.torus.tau, rg.torus.sigma]
+    assert (fixed_weyl_subgroup(coweyl, duals).element_set()
+            == commuting_by_matrices(coweyl, duals))
+
+
+def test_fixed_weyl_subgroup_refuses_matrices_off_the_roots():
+    gl2 = split_gl(2)
+    weyl = weyl_group(gl2)
+    with pytest.raises(FoldingError):     # (1, -1) goes to (0, -1)
+        fixed_weyl_subgroup(weyl, [IntMatrix([[1, 1], [0, 1]])])
+    # fixes both roots but moves (1, 1) off the annihilator of the
+    # coroots: s does not commute with it, though it fixes every root
+    shear = IntMatrix([[2, 1], [-1, 0]])
+    assert commuting_by_matrices(weyl, [shear]) == {IntMatrix.identity(2)}
+    with pytest.raises(FoldingError):
+        fixed_weyl_subgroup(weyl, [shear])
