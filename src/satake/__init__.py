@@ -6,8 +6,13 @@ an exact model of the circle times the positive reals, and parameter
 orbits are searched over the generators of the relative Weyl group.
 """
 
+# set before the submodule imports, so that `report` can read it
+__version__ = "0.1.0"
+
+from types import ModuleType as _ModuleType
+
 from .abelian import FgAbGroup, GroupCharacter, GroupHom, all_characters, \
-    character_count, coinvariants, cokernel, divisible_extension, finite_dual, \
+    character_count, coinvariants, cokernel, divisible_extension, \
     induced_endomorphism, invariants_of_induced_action, kernel_of_hom, \
     subgroup_coordinates
 from .circle import ExactCircle
@@ -26,7 +31,7 @@ from .kottwitz import Envelope, KottwitzGroup, ParameterClass, \
     setting_for_datum, setting_for_torus, weyl_orbit
 from .matrices import IntMatrix, Lattice, LatticeMap, SmithForm, \
     column_span_basis, kernel, kernel_basis, lattice_map, \
-    smith_normal_form, solve, solve_mod
+    smith_normal_form, solve
 from .rootdata import BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP, \
     FoldingError, GaloisAction, PinnedAutomorphism, RestrictedRootData, \
     WeylGroup, check_twist_relation, datum_from_simples, detect_type, \
@@ -34,6 +39,5 @@ from .rootdata import BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP, \
     identity_pin, mulclose, pinned_automorphism, restricted_root_data, \
     root_closure, validate, weyl_group
 
-__version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -25,8 +25,7 @@ from operator import mul
 
 from .circle import ExactCircle
 from .matrices import (IntMatrix, Lattice, LatticeMap, column_span_basis,
-                       hstack, kernel_basis, smith_normal_form, solve,
-                       solve_mod)
+                       hstack, kernel_basis, smith_normal_form)
 
 
 class FgAbGroup:
@@ -108,12 +107,6 @@ class FgAbGroup:
     def add(self, x, y):
         return self.reduce(tuple(a + b for a, b in zip(x, y)))
 
-    def negate(self, x):
-        return self.reduce(tuple(-a for a in x))
-
-    def scale(self, k, x):
-        return self.reduce(tuple(k * a for a in x))
-
     def project(self, ambient_vector):
         """Class of an ambient lattice vector, in canonical coordinates."""
         return self.reduce(self.proj.apply(ambient_vector))
@@ -190,10 +183,11 @@ class GroupHom:
     """Homomorphism between FgAbGroups as a matrix on canonical generators.
 
     Construction checks well-definedness: each source relation d_i * e_i
-    must land in the target's relation lattice.
+    must land in the target's relation lattice.  `preimage` factors
+    [matrix | target relations] once, on first use, for every later call.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_solver")
 
     def __init__(self, source, target, matrix, _unchecked=False):
         if matrix.shape != (target.ngens, source.ngens):
@@ -201,6 +195,7 @@ class GroupHom:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._solver = None
         if not _unchecked:
             t_orders = target.generator_orders()
             for j, d in enumerate(source.generator_orders()):
@@ -241,11 +236,13 @@ class GroupHom:
 
     def preimage(self, coords):
         """Some x with self(x) = coords, or None."""
-        rel = self.target.relation_matrix()
-        x = solve_mod(self.matrix, rel, self.target.reduce(coords))
+        if self._solver is None:
+            self._solver = smith_normal_form(
+                hstack(self.matrix, self.target.relation_matrix()))
+        x = self._solver.solve(self.target.reduce(coords))
         if x is None:
             return None
-        return self.source.reduce(x)
+        return self.source.reduce(x[:self.matrix.ncols])
 
     def cokernel_group(self):
         """target / image(self) with the quotient projection retained."""
@@ -255,10 +252,6 @@ class GroupHom:
 
     def is_surjective(self):
         return self.cokernel_group().is_trivial()
-
-    def is_injective(self):
-        grp, _ = kernel_of_hom(self)
-        return grp.is_trivial()
 
 
 def cokernel(lm):
@@ -326,12 +319,13 @@ def kernel_of_hom(hom):
     basis = column_span_basis(x_part)
     # present the subgroup modulo the source relations, which it contains
     rel_cols = []
-    for j in range(src.torsion_count):
-        r = src.relation_matrix().column(j)
-        c = solve(basis, r)
-        if c is None:
-            raise ValueError("source relation escapes the solution lattice")
-        rel_cols.append(c)
+    if src.torsion_count:
+        basis_sf = smith_normal_form(basis)
+        for r in src.relation_matrix().columns():
+            c = basis_sf.solve(r)
+            if c is None:
+                raise ValueError("source relation escapes the solution lattice")
+            rel_cols.append(c)
     rel_in_basis = IntMatrix.from_columns(rel_cols, nrows=basis.ncols)
     grp = cokernel(LatticeMap(Lattice(rel_in_basis.ncols),
                               Lattice(basis.ncols), rel_in_basis))
@@ -535,13 +529,6 @@ def divisible_extension(character, inclusion):
             acc = acc * (t ** c)
         w.append(acc)
     return GroupCharacter(big, tuple(w))
-
-
-def finite_dual(group):
-    """The character group of a finite group (isomorphic to the group)."""
-    if not group.is_finite():
-        raise ValueError("dual of an infinite group is not finite")
-    return FgAbGroup(group.invariant_factors, 0)
 
 
 def _choice_sizes(group, torsion):

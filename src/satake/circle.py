@@ -35,10 +35,6 @@ class ExactCircle:
     def one(cls):
         return cls(0, 0)
 
-    @classmethod
-    def root_of_unity(cls, numerator, denominator):
-        return cls(0, Fraction(numerator, denominator))
-
     def __mul__(self, other):
         return ExactCircle(self.q_exponent + other.q_exponent,
                            self.argument + other.argument)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import (FgAbGroup, GroupHom, cokernel, finite_dual,
-                      induced_endomorphism, kernel_of_hom)
+from .abelian import (FgAbGroup, GroupHom, cokernel, induced_endomorphism,
+                      kernel_of_hom)
 from .matrices import IntMatrix, Lattice, LatticeMap
 from .rootdata import (DEFAULT_WEYL_CAP, fixed_weyl_subgroup,
                        folded_generators, mulclose, weyl_group)
@@ -53,7 +53,8 @@ class Pi0Certificate:
 
 
 def pi0_fixed(dgroup):
-    """pi_0(D^tau) as the dual of torsion of the coinvariants M_tau.
+    """pi_0(D^tau) as the dual of torsion of the coinvariants M_tau, which
+    is isomorphic to that torsion group, so the group itself is returned.
 
     >>> from .matrices import IntMatrix
     >>> pi0_fixed(diagonalizable_from_lattice(IntMatrix([[-1]]))).group.describe()
@@ -61,11 +62,7 @@ def pi0_fixed(dgroup):
     """
     coinv = (dgroup.tau - GroupHom.identity(dgroup.char_group)).cokernel_group()
     torsion, _ = coinv.torsion_subgroup()
-    return Pi0Certificate(finite_dual(torsion), coinv)
-
-
-def _dual_matrix(m):
-    return m.inverse_unimodular().transpose()
+    return Pi0Certificate(torsion, coinv)
 
 
 def _simple_coroot_permutation(datum, tau):
@@ -110,7 +107,7 @@ def check_center_covers_components(datum, tau):
     coroot span); checked by enumerating the finite torsion subgroup.
     """
     n = datum.cochar_lattice.rank
-    dual_tau = _dual_matrix(tau.matrix)
+    dual_tau = tau.dual()
     ct = cokernel(LatticeMap(datum.cochar_lattice, datum.cochar_lattice,
                              dual_tau - IntMatrix.identity(n)))
     if datum.coroots:
@@ -130,8 +127,8 @@ def check_center_covers_components(datum, tau):
             break
     tors_z, _ = cz.torsion_subgroup()
     return CenterCoverCheck(surjective=not witness,
-                            pi0_torus=finite_dual(torsion),
-                            pi0_center=finite_dual(tors_z),
+                            pi0_torus=torsion,
+                            pi0_center=tors_z,
                             kernel_witness=witness)
 
 

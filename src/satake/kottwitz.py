@@ -59,9 +59,8 @@ def cochar_torus(datum, action, twist=1, label=""):
     The action is given on the character lattice; the cocharacter side
     carries the dual (inverse-transpose) matrices.
     """
-    tau = action.tau.matrix.inverse_unimodular().transpose()
-    sigma = action.sigma.matrix.inverse_unimodular().transpose()
-    return TorusWithAction(datum.cochar_lattice, tau, sigma,
+    return TorusWithAction(datum.cochar_lattice, action.tau.dual(),
+                           action.sigma.dual(),
                            twist=action.twist,
                            label=label or (datum.label + " torus" if datum.label
                                            else ""))
@@ -230,18 +229,25 @@ def _action_key(hom):
                  for j in range(hom.source.ngens))
 
 
+def _restrict_to_kottwitz(chom, kg_source, kg_target):
+    """The map T/T_0 -> T'/T'_0 that a map of coinvariants carrying the
+    source's invariant subgroup into the target's restricts to."""
+    k = kg_source.group.ngens
+    cols = []
+    for j in range(k):
+        unit = tuple(int(i == j) for i in range(k))
+        img = chom(kg_source.inclusion(unit))
+        cols.append(subgroup_coordinates(kg_target.inclusion, img))
+    return GroupHom(kg_source.group, kg_target.group,
+                    IntMatrix.from_columns(cols, nrows=kg_target.group.ngens))
+
+
 def descend_to_kottwitz(kg, ambient_matrix):
     """GroupHom on T/T_0 induced by a cochar-lattice map commuting with
     tau (so it descends to coinvariants) and sigma (so it preserves the
     invariant subgroup)."""
-    cbar = induced_endomorphism(kg.coinvariants, ambient_matrix)
-    cols = []
-    k = kg.group.ngens
-    for j in range(k):
-        unit = tuple(int(i == j) for i in range(k))
-        img = cbar(kg.inclusion(unit))
-        cols.append(subgroup_coordinates(kg.inclusion, img))
-    return GroupHom(kg.group, kg.group, IntMatrix.from_columns(cols, nrows=k))
+    return _restrict_to_kottwitz(
+        induced_endomorphism(kg.coinvariants, ambient_matrix), kg, kg)
 
 
 @dataclass(frozen=True)
@@ -384,15 +390,7 @@ def kottwitz_hom(matrix, kg_source, kg_target):
         raise ValueError("map is not sigma-equivariant")
     cs, ct = kg_source.coinvariants, kg_target.coinvariants
     chom = GroupHom(cs, ct, ct.proj @ matrix @ cs.lift)
-    cols = []
-    k = kg_source.group.ngens
-    for j in range(k):
-        unit = tuple(int(i == j) for i in range(k))
-        img = chom(kg_source.inclusion(unit))
-        cols.append(subgroup_coordinates(kg_target.inclusion, img))
-    khom = GroupHom(kg_source.group, kg_target.group,
-                    IntMatrix.from_columns(cols, nrows=kg_target.group.ngens))
-    return khom, chom
+    return _restrict_to_kottwitz(chom, kg_source, kg_target), chom
 
 
 @dataclass(frozen=True)
@@ -451,7 +449,7 @@ def induced_envelope(torus, n):
 
     embed_rows = []
     for a, r in gamma:
-        inv = a.inverse_unimodular()
+        inv = a.power(len(group_a) - 1)   # a^|A| = 1
         embed_rows.extend(inv.row(i) for i in range(d))
     embed = LatticeMap(torus.cochar_lattice, prime.cochar_lattice,
                        IntMatrix(embed_rows, ncols=d))
@@ -461,7 +459,7 @@ def induced_envelope(torus, n):
     norm = LatticeMap(prime.cochar_lattice, torus.cochar_lattice,
                       IntMatrix.from_columns(norm_cols, nrows=d))
 
-    if norm.matrix @ embed.matrix != IntMatrix.identity(d).scaled(n):
+    if norm.matrix @ embed.matrix != IntMatrix.diagonal([n] * d):
         raise RuntimeError("norm o embed is not multiplication by the degree")
     if (embed.matrix @ torus.tau != prime.tau @ embed.matrix
             or embed.matrix @ torus.sigma != prime.sigma @ embed.matrix):

@@ -9,7 +9,6 @@ closure enumerations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 
 
@@ -136,14 +135,11 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(tuple(-a for a in row)
                                         for row in self.data), self.ncols)
 
-    def scaled(self, k):
-        return IntMatrix([[k * a for a in row] for row in self.data], ncols=self.ncols)
-
     def power(self, k):
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
         if k < 0:
-            return self.inverse_unimodular().power(-k)
+            raise ValueError("negative power")
         out = IntMatrix.identity(self.nrows)
         base = self
         while k:
@@ -200,30 +196,6 @@ class IntMatrix:
     def is_unimodular(self):
         return self.is_square() and self.det() in (1, -1)
 
-    def inverse_unimodular(self):
-        """Inverse of a unimodular matrix, again integral."""
-        if not self.is_square():
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        # exact rational Gauss-Jordan, then check integrality
-        a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.data)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            p = a[col][col]
-            a[col] = [v / p for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-        inv = [row[n:] for row in a]
-        if any(v.denominator != 1 for row in inv for v in row):
-            raise ValueError("matrix is not unimodular over Z")
-        return IntMatrix([[int(v) for v in row] for row in inv], ncols=n)
-
     def multiplicative_order(self, cap=10**6):
         """Least k >= 1 with self**k = 1; raises if cap is passed.
 
@@ -270,17 +242,6 @@ def hstack(*mats):
         raise ValueError("row counts differ")
     rows = [sum((list(m.data[i]) for m in mats), []) for i in range(nrows)]
     return IntMatrix(rows, ncols=sum(m.ncols for m in mats))
-
-
-def vstack(*mats):
-    mats = [m for m in mats]
-    if not mats:
-        raise ValueError("nothing to stack")
-    ncols = mats[0].ncols
-    if any(m.ncols != ncols for m in mats):
-        raise ValueError("column counts differ")
-    rows = [row for m in mats for row in m.data]
-    return IntMatrix(rows, ncols=ncols)
 
 
 @dataclass(frozen=True)
@@ -352,8 +313,22 @@ class SmithForm:
     def rank(self):
         return sum(1 for d in self.diagonal if d != 0)
 
-    def triple(self):
-        return (self.U, self.D, self.V)
+    def solve(self, rhs):
+        """One integer solution x of matrix @ x = rhs, or None; one
+        factorization serves every right-hand side."""
+        ncols = self.matrix.ncols
+        c = self.U.apply(tuple(rhs))
+        diag = self.diagonal
+        y = []
+        for i in range(ncols):
+            d = diag[i] if i < len(diag) else 0
+            ci = c[i] if i < len(c) else 0
+            if (ci % d if d else ci) != 0:
+                return None
+            y.append(ci // d if d else 0)
+        if any(c[ncols:]):
+            return None
+        return self.V.apply(tuple(y))
 
 
 def smith_normal_form(matrix):
@@ -502,39 +477,7 @@ def kernel(lm):
 
 def solve(matrix, rhs):
     """One integer solution x of matrix @ x = rhs, or None."""
-    sf = smith_normal_form(matrix)
-    c = sf.U.apply(tuple(rhs))
-    diag = sf.diagonal
-    y = []
-    for i in range(matrix.ncols):
-        d = diag[i] if i < len(diag) else 0
-        ci = c[i] if i < len(c) else 0
-        if d == 0:
-            if i < len(c) and ci != 0:
-                return None
-            y.append(0)
-        else:
-            if ci % d != 0:
-                return None
-            y.append(ci // d)
-    for i in range(matrix.ncols, matrix.nrows):
-        if c[i] != 0:
-            return None
-    return sf.V.apply(tuple(y))
-
-
-def solve_mod(matrix, relations, rhs):
-    """Solve matrix @ x = rhs modulo the column span of `relations`.
-
-    Returns x or None.  `relations` must have the same row count.
-    """
-    if relations.ncols == 0:
-        return solve(matrix, rhs)
-    full = hstack(matrix, relations)
-    sol = solve(full, rhs)
-    if sol is None:
-        return None
-    return tuple(sol[: matrix.ncols])
+    return smith_normal_form(matrix).solve(rhs)
 
 
 def column_span_basis(matrix):

@@ -7,7 +7,7 @@ lists and nested dicts so both renderers stay trivial and stable.
 
 import json
 
-VERSION = "0.1.0"
+from . import __version__
 
 
 def build_report(command, inputs, result):
@@ -15,7 +15,7 @@ def build_report(command, inputs, result):
         "command": command,
         "input": inputs,
         "result": result,
-        "version": VERSION,
+        "version": __version__,
         "exact": True,
     }
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .abelian import cokernel
-from .matrices import IntMatrix, Lattice, LatticeMap, kernel, lattice_map
+from .matrices import (IntMatrix, Lattice, LatticeMap, kernel, lattice_map,
+                       smith_normal_form)
 
 DEFAULT_WEYL_CAP = 10 ** 6
 ROOT_CAP = 10 ** 5
@@ -64,10 +65,6 @@ class BasedRootDatum:
     def rank(self):
         return self.char_lattice.rank
 
-    @property
-    def nroots(self):
-        return len(self.roots)
-
     def pairing(self, x, yv):
         return _dot(x, yv)
 
@@ -100,42 +97,22 @@ class BasedRootDatum:
 
     @cached_property
     def _coefficient_solver(self):
-        """One exact elimination of the simple-root matrix S, kept as
+        """One Smith form U S V = D of the simple-root matrix S, kept as
         integers: (L, den, C) with coefficients L v / den for v in the
         span of S, and C v = 0 exactly when v is in that span.
 
-        Gauss-Jordan on [S | I] gives E with E S in reduced row echelon
-        form; L holds the rows of E at the pivots (zero rows for simple
-        roots that are not pivots), C the rows past the rank."""
-        simples = self.simple_roots()
-        n, k = self.rank, len(simples)
-        rows = [[Fraction(s[i]) for s in simples]
-                + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        pivots = []
-        for c in range(k):
-            r = len(pivots)
-            piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            p = rows[r][c]
-            rows[r] = [v / p for v in rows[r]]
-            for i in range(n):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-            pivots.append(c)
-        left = [[Fraction(0)] * n for _ in range(k)]
-        for r, c in enumerate(pivots):
-            left[c] = rows[r][k:]
-        den = lcm(*(v.denominator for row in left for v in row))
-        left_int = tuple(tuple(int(v * den) for v in row)
-                         for row in left)
-        consistency = []
-        for row in rows[len(pivots):]:
-            d = lcm(*(v.denominator for v in row[k:]))
-            consistency.append(tuple(int(v * d) for v in row[k:]))
-        return left_int, den, tuple(consistency)
+        With d_1 | ... | d_r the nonzero entries of D, den = d_r,
+        L = V[:, :r] diag(den / d_i) U[:r], and C is the rows of U past r
+        (so the rank of S is the lattice rank minus the rows of C)."""
+        sf = smith_normal_form(IntMatrix.from_columns(self.simple_roots(),
+                                                      nrows=self.rank))
+        r = sf.rank
+        diag = sf.diagonal[:r]
+        den = diag[-1] if r else 1
+        v_r = IntMatrix([row[:r] for row in sf.V.data], ncols=r)
+        scaled_u = IntMatrix([[den // d * x for x in sf.U.row(i)]
+                              for i, d in enumerate(diag)], ncols=self.rank)
+        return (v_r @ scaled_u).data, den, sf.U.data[r:]
 
     def _simple_numerators(self, root):
         """Simple coefficients of `root` times the solver's denominator
@@ -227,9 +204,10 @@ def datum_from_simples(simple_roots, simple_coroots, label="", cap=ROOT_CAP):
 def validate(datum):
     """Structural checks; returns a list of violation strings (empty = valid).
 
-    Checked: <alpha, alpha^> = 2 for every pair; each reflection permutes
-    the root set (and dually the coroot set); every root is an integer
-    combination of simple roots with coefficients all of one sign.
+    Checked: <alpha, alpha^> = 2 for every pair; the simple roots are
+    linearly independent; each reflection permutes the root set (and
+    dually the coroot set); every root is an integer combination of simple
+    roots with coefficients all of one sign.
     """
     problems = []
     root_set = set(datum.roots)
@@ -250,6 +228,9 @@ def validate(datum):
             problems.append(f"simple index {i} out of range")
     if problems:
         return problems
+    _, den, consistency = datum._coefficient_solver
+    if datum.rank - len(consistency) < len(datum.simple_indices):
+        return ["simple roots are linearly dependent"]
     for idx in range(len(datum.roots)):
         s = datum.reflection_matrix(idx)
         image = {s.apply(r) for r in datum.roots}
@@ -259,7 +240,6 @@ def validate(datum):
         coimage = {sv.apply(r) for r in datum.coroots}
         if coimage != coroot_set:
             problems.append(f"coreflection in root {idx} does not permute the coroots")
-    den = datum._coefficient_solver[1]
     for idx, r in enumerate(datum.roots):
         nums = datum._simple_numerators(r)
         if nums is None:
@@ -300,6 +280,10 @@ class PinnedAutomorphism:
     def inverse(self):
         return PinnedAutomorphism(self.matrix.power(self.order - 1), self.order)
 
+    def dual(self):
+        """The inverse transpose, which acts on the other side's lattice."""
+        return self.matrix.power(self.order - 1).transpose()
+
 
 def pinned_automorphism(datum, matrix):
     """Build a PinnedAutomorphism, checking it permutes roots, coroots and
@@ -318,10 +302,10 @@ def pinned_automorphism(datum, matrix):
 
 def pinned_violations(datum, aut):
     problems = []
-    if datum.nroots == 0:
+    if not datum.roots:
         return problems
     root_index = {r: i for i, r in enumerate(datum.roots)}
-    dual = aut.matrix.inverse_unimodular().transpose()
+    dual = aut.dual()
     for i, r in enumerate(datum.roots):
         img = aut.matrix.apply(r)
         j = root_index.get(img)
@@ -609,7 +593,7 @@ def restricted_root_data(datum, tau, side_label=""):
     projection = LatticeMap(datum.char_lattice, Lattice(r, "X_tau/tors"),
                             proj_free)
 
-    dual_tau = tau_m.inverse_unimodular().transpose()
+    dual_tau = tau.dual()
     root_index = {rt: i for i, rt in enumerate(datum.roots)}
 
     # orbit partition on the full root set

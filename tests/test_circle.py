@@ -33,7 +33,6 @@ def test_roots_and_orders():
     assert ExactCircle(0, Fraction(1, 2)).order() == 2
     assert ExactCircle(0, Fraction(5, 8)).order() == 8
     assert ExactCircle(1, 0).order() is None
-    assert ExactCircle.root_of_unity(3, 8) == ExactCircle(0, Fraction(3, 8))
 
 
 def test_render_forms():

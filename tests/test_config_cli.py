@@ -181,6 +181,17 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["cocycle", "--preset", "norm-one"]) == 1
     assert main(["kottwitz", "--preset", "norm-one", "--format", "yaml"]) == 1
     capsys.readouterr()
+    # linearly dependent simple roots: SL2 with both roots simple, and A2
+    # with alpha1, alpha2 and alpha1 + alpha2
+    a2 = "[[1,-1,0],[0,1,-1],[1,0,-1],[-1,1,0],[0,-1,1],[-1,0,1]]"
+    for roots, coroots, simple in (("[[2],[-2]]", "[[1],[-1]]", "[0,1]"),
+                                   (a2, a2, "[0,1,2]")):
+        cfg = tmp_path / "dependent.cfg"
+        cfg.write_text(f"roots = {roots}\ncoroots = {coroots}\n"
+                       f"simple = {simple}\n")
+        assert main(["modulus", "--config", str(cfg)]) == 1
+        assert ("simple roots are linearly dependent"
+                in capsys.readouterr().err)
 
 
 def test_oversized_orbits_are_refused_before_enumerating(monkeypatch,

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -30,6 +31,7 @@ from satake.rootdata import (
 )
 from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
+from test_matrices import sympy_inverse
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()
@@ -66,7 +68,7 @@ def assert_matches_brute_force(setting, characters):
     generator BFS finds the orbit under every descended element of it."""
     torus = setting.torus
     char_side = [pinned_automorphism(setting.datum,
-                                     m.inverse_unimodular().transpose())
+                                     sympy_inverse(m).transpose())
                  for m in (torus.tau, torus.sigma)]
     fixed = brute_force_fixed_weyl(setting)
     gens = folded_generators(setting.datum, *char_side, side="cochar")
@@ -209,16 +211,41 @@ def test_twist_relation_is_validated():
                         IntMatrix.identity(2), twist=2)
 
 
-def test_twist_relation_is_checked_without_inverses(monkeypatch):
+@pytest.mark.parametrize("name", ["flip A5", "split GL4", "triality D4",
+                                  "unitary ramified 5"])
+def test_descending_generators_factors_the_inclusion_once(name, monkeypatch):
+    """Every folded generator descends through one Smith form of the
+    inclusion of T/T_0, cached on the inclusion itself."""
+    from satake import matrices
+
+    rg = resolve(preset=name)
+    setting = rg.setting()
+    gens = folded_generators(rg.datum, rg.action.tau, rg.action.sigma,
+                             side="cochar")
+    kg = kottwitz_group(setting.torus)   # a fresh inclusion, not yet factored
+    assert len(gens) >= 2 and kg.group.ngens >= 2
+    calls = []
+    real = matrices.smith_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "smith_normal_form", None) is real:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+    homs = [descend_to_kottwitz(kg, w) for w in gens]
+    assert len(calls) == 1
+    assert [h.matrix for h in homs] == [
+        descend_to_kottwitz(setting.kottwitz, w).matrix for w in gens]
+
+
+def test_twist_relation_is_checked_without_inverses():
     """One validator serves the torus and the Galois action, and checks
     sigma tau = tau^j sigma, so sigma is never inverted."""
-    def refuse(self):
-        raise AssertionError("inverse_unimodular called")
-
     gl4 = split_gl(4)
     flip = pinned_automorphism(gl4, flip_negate(4))
     ident = pinned_automorphism(gl4, IntMatrix.identity(4))
-    monkeypatch.setattr(IntMatrix, "inverse_unimodular", refuse)
     torus = build_induced_torus(8, 8, 3)
     assert torus.sigma @ torus.tau == torus.tau.power(3) @ torus.sigma
     GaloisAction(flip, ident, 1)
@@ -450,7 +477,7 @@ def test_random_equivariant_squares():
             g = IntMatrix.identity(n)
             order = ta.multiplicative_order()
             for _ in range(order):
-                mat = mat + g @ base @ g.inverse_unimodular()
+                mat = mat + g @ base @ sympy_inverse(g)
                 g = g @ ta
         torus_a = TorusWithAction(Lattice(na), ta, sa)
         torus_b = TorusWithAction(Lattice(nb), tb, sb)

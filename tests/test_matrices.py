@@ -9,8 +9,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from satake.matrices import (
     IntMatrix, Lattice, SmithForm, column_span_basis, hstack, kernel_basis,
-    lattice_map, kernel, smith_normal_form, solve, solve_mod, vstack,
+    lattice_map, kernel, smith_normal_form, solve,
 )
+from satake.abelian import FgAbGroup, GroupHom
 
 
 def random_matrix(rng, max_dim=6, bound=9):
@@ -93,15 +94,22 @@ def test_kernel_basis_is_saturated():
             assert all(d == 1 for d in smith_normal_form(ker).diagonal)
 
 
-def test_solve_and_solve_mod():
+def sympy_inverse(m):
+    """The inverse of a unimodular IntMatrix, computed by sympy."""
+    return IntMatrix(Matrix(m.data).inv().tolist())
+
+
+def test_solve_and_preimage_mod_relations():
     mat = IntMatrix([[2, 0], [0, 3]])
     assert solve(mat, (4, 9)) == (2, 3)
     assert solve(mat, (1, 0)) is None
     # 2x = 4 mod 6 has the solution x = 2
-    sol = solve_mod(IntMatrix([[2]]), IntMatrix([[6]]), (4,))
+    sol = GroupHom(FgAbGroup.free(1), FgAbGroup.from_invariants((6,)),
+                   IntMatrix([[2]])).preimage((4,))
     assert sol is not None
     assert (2 * sol[0] - 4) % 6 == 0
-    assert solve_mod(IntMatrix([[2]]), IntMatrix([[4]]), (1,)) is None
+    assert GroupHom(FgAbGroup.free(1), FgAbGroup.from_invariants((4,)),
+                    IntMatrix([[2]])).preimage((1,)) is None
     rng = random.Random(301)
     for _ in range(50):
         mat = random_matrix(rng, max_dim=4, bound=4)
@@ -109,6 +117,12 @@ def test_solve_and_solve_mod():
         found = solve(mat, mat.apply(x))
         assert found is not None
         assert mat.apply(found) == mat.apply(x)
+        # one factorization answers every right-hand side
+        sf = smith_normal_form(mat)
+        for _ in range(3):
+            rhs = tuple(rng.randint(-3, 3) for _ in range(mat.nrows))
+            got = sf.solve(rhs)
+            assert got is None or mat.apply(got) == rhs
 
 
 def test_column_span_basis_keeps_index():
@@ -122,14 +136,15 @@ def test_column_span_basis_keeps_index():
 def test_unimodular_inverse_and_order():
     w = IntMatrix([[0, 1], [1, 0]])
     assert w.is_unimodular()
-    assert w.inverse_unimodular() == w
+    assert sympy_inverse(w) == w
     assert w.multiplicative_order() == 2
     rot = IntMatrix([[0, -1], [1, 0]])
     assert rot.multiplicative_order() == 4
     with pytest.raises(ValueError):
         IntMatrix([[1, 1], [0, 1]]).multiplicative_order(cap=50)
+    assert not IntMatrix([[2]]).is_unimodular()
     with pytest.raises(ValueError):
-        IntMatrix([[2]]).inverse_unimodular()
+        w.power(-1)
 
 
 def test_matrix_arithmetic_and_stacking():
@@ -140,7 +155,6 @@ def test_matrix_arithmetic_and_stacking():
     assert a.power(2) == a @ a
     assert a.transpose().transpose() == a
     assert hstack(a, IntMatrix.identity(2)).shape == (2, 4)
-    assert vstack(a, IntMatrix.identity(2)).shape == (4, 2)
     stacked = hstack(IntMatrix([], ncols=0), IntMatrix([], ncols=0))
     assert stacked.nrows == 0
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from satake.rootdata import (
     restricted_root_data, root_closure, validate, weyl_group,
 )
 from test_acceptance import TWISTED_SUITE
+from test_matrices import sympy_inverse
 
 SL2 = BasedRootDatum(Lattice(1, "X"), ((2,), (-2,)), Lattice(1, "X^"),
                      ((1,), (-1,)), (0,), label="SL2")
@@ -71,6 +72,34 @@ def test_validate_reports_violations():
     problems = validate(broken)
     assert problems, "missing -alpha must be flagged"
     assert any("permute" in p for p in problems)
+
+
+def test_validate_refuses_dependent_simple_roots():
+    doubled = BasedRootDatum(Lattice(1), ((2,), (-2,)), Lattice(1),
+                             ((1,), (-1,)), (0, 1))
+    assert validate(doubled) == ["simple roots are linearly dependent"]
+    gl3 = split_gl(3)
+    a1, a2 = gl3.simple_roots()
+    a12 = gl3.roots.index(tuple(x + y for x, y in zip(a1, a2)))
+    three = BasedRootDatum(gl3.char_lattice, gl3.roots, gl3.cochar_lattice,
+                           gl3.coroots, gl3.simple_indices + (a12,))
+    assert validate(three) == ["simple roots are linearly dependent"]
+
+
+DATUM_PRESETS = (tuple(sorted(TWISTED_SUITE))
+                 + tuple(f"unitary {kind} {n}"
+                         for kind in ("ramified", "unramified")
+                         for n in range(2, 6))
+                 + tuple(f"split {family}{n}"
+                         for family in ("GL", "SL", "PGL") for n in range(2, 6))
+                 + ("split Sp4", "split Sp6", "split SO5", "split SO8"))
+
+
+@pytest.mark.parametrize("name", DATUM_PRESETS)
+def test_dual_is_the_inverse_transpose(name):
+    action = resolve(preset=name).action
+    for aut in (action.tau, action.sigma):
+        assert aut.dual() == sympy_inverse(aut.matrix).transpose()
 
 
 def test_pinned_automorphism_checks():
