@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from .abelian import (FgAbGroup, GroupHom, cokernel, induced_endomorphism,
                       kernel_of_hom)
 from .matrices import IntMatrix, Lattice, LatticeMap
-from .rootdata import (DEFAULT_WEYL_CAP, fixed_weyl_subgroup,
-                       folded_generators, mulclose, weyl_group)
+from .rootdata import (DEFAULT_WEYL_CAP, closure, compose,
+                       fixed_weyl_subgroup, folded_generators,
+                       root_permutation, weyl_group)
 
 
 @dataclass(frozen=True)
@@ -143,10 +144,10 @@ class FoldCheck:
 
 def check_fixed_weyl_is_folded(datum, tau, cap=DEFAULT_WEYL_CAP):
     """Fixed subgroup W^tau vs the group generated by the folded
-    generators: exact element-set equality of matrices."""
-    weyl = weyl_group(datum, side="char", cap=cap)
-    fixed = fixed_weyl_subgroup(weyl, [tau])
-    folded = mulclose(folded_generators(datum, tau), cap=cap)
-    return FoldCheck(match=set(folded) == set(fixed.elements),
-                     fixed_order=fixed.order,
-                     folded_order=len(folded))
+    generators, compared as sets of root permutations: exact, since both
+    lie in W and W acts faithfully on its roots."""
+    fixed = fixed_weyl_subgroup(weyl_group(datum, cap=cap), [tau])
+    gens = [root_permutation(w, datum.roots)
+            for w in folded_generators(datum, tau)]
+    folded = closure(tuple(range(len(datum.roots))), gens, compose, cap)
+    return FoldCheck(folded == fixed.permutations, fixed.order, len(folded))

@@ -17,7 +17,7 @@ from .circle import ExactCircle
 from .kottwitz import TorusWithAction, cochar_torus, setting_for_datum, \
     setting_for_torus
 from .matrices import IntMatrix, Lattice
-from .presets import Preset, resolve_preset
+from .presets import Preset, refuse_large_rank, resolve_preset
 from .rootdata import BasedRootDatum, GaloisAction, galois_action, validate
 
 
@@ -438,6 +438,7 @@ def resolve(config=None, preset=None, q=None):
             raise ConfigError("a torus config needs the rank key")
         if config.rank < 0:
             raise ConfigError("rank must be nonnegative")
+        refuse_large_rank(config.rank)
         rank = config.rank
         tau = _action_matrix(config.tau, rank, "tau")
         sigma = _action_matrix(config.sigma, rank, "sigma")

@@ -21,7 +21,8 @@ from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
 from .circle import ExactCircle
 from .matrices import IntMatrix, Lattice, LatticeMap
 from .rootdata import (BasedRootDatum, CapExceeded, FoldingError,
-                       GaloisAction, check_twist_relation, folded_generators)
+                       GaloisAction, check_twist_relation, folded_generators,
+                       mulclose)
 
 
 @dataclass(frozen=True)
@@ -417,7 +418,6 @@ def induced_envelope(torus, n):
 
     Requires the action group A = <tau, sigma> to have order dividing n.
     """
-    from .rootdata import mulclose
     group_a = sorted(mulclose([torus.tau, torus.sigma], cap=10 ** 4),
                      key=lambda m: m.key())
     if n < 1 or n % len(group_a) != 0:

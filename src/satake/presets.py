@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .kottwitz import TorusWithAction, build_induced_torus
 from .matrices import IntMatrix, Lattice
-from .rootdata import ROOT_CAP, BasedRootDatum, CapExceeded, datum_from_simples
+from .rootdata import (RANK_CAP, ROOT_CAP, BasedRootDatum, CapExceeded,
+                       datum_from_simples)
 
 
 def standard_basis(n, i):
@@ -173,6 +174,14 @@ def _refuse_oversized(name, roots):
                           f" over the cap {ROOT_CAP}")
 
 
+def refuse_large_rank(rank):
+    """Refuse a torus whose lattice rank passes the cap, before any of its
+    matrices is built."""
+    if rank > RANK_CAP:
+        raise CapExceeded(f"torus construction: rank {rank} is over the cap"
+                          f" {RANK_CAP}")
+
+
 def _split_keyvals(tokens):
     plain, kv = [], {}
     for t in tokens:
@@ -226,6 +235,7 @@ def resolve_preset(text, q=None):
         f = _int(kv, "f", required=True)
         if q is None:
             raise ValueError("induced preset needs q=...")
+        refuse_large_rank(max(e, 0) * max(f, 0))
         return Preset(name=text, torus=build_induced_torus(e, f, q), q=q)
 
     if family == "norm-one" and len(plain) == 1:
@@ -235,6 +245,7 @@ def resolve_preset(text, q=None):
         n = _int(kv, "n", required=True)
         if n < 0:
             raise ValueError("torus rank must be nonnegative")
+        refuse_large_rank(n)
         return Preset(name=text, torus=split_torus(n), q=q)
 
     if family == "flip" and len(plain) == 2:

@@ -3,10 +3,11 @@
 Root data are recorded concretely: the character lattice is Z^n with the
 standard dot pairing against the cocharacter side, roots and coroots are
 integer vectors, and a marked subset of the roots is simple.  Relative
-Weyl groups are described by generators (`folded_generators`); the full
-Weyl group is enumerated as a set of integer matrices by breadth-first
-closure over the simple reflections, with a hard element cap, only where
-the enumeration itself is the certificate.
+Weyl groups are described by generators (`folded_generators`).  Only
+where the enumeration itself is the certificate is the full Weyl group
+enumerated, as the permutations its elements induce on the roots: one
+breadth-first `closure` over the simple reflections, refused up front when
+the order of the Cartan type passes the cap, and capped while it runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import factorial, gcd
+from operator import matmul
 
 from .abelian import cokernel
 from .matrices import (IntMatrix, Lattice, LatticeMap, kernel, lattice_map,
@@ -22,6 +24,7 @@ from .matrices import (IntMatrix, Lattice, LatticeMap, kernel, lattice_map,
 
 DEFAULT_WEYL_CAP = 10 ** 6
 ROOT_CAP = 10 ** 5
+RANK_CAP = 256
 
 
 class CapExceeded(RuntimeError):
@@ -355,63 +358,58 @@ def galois_action(datum, tau_matrix, sigma_matrix, twist=1):
     return GaloisAction(tau, sigma, twist)
 
 
+@dataclass(frozen=True)
 class WeylGroup:
-    """A finite set of integer matrices closed under multiplication, each
-    with the permutation it induces on the roots of its side.
+    """A Weyl group on one side of a datum, each element recorded as the
+    permutation it induces on that side's roots (W acts faithfully on them).
 
-    `permutations[k]` lists the indices in `roots` of the images of the
-    roots under `elements[k]`; `coroots` are the paired vectors on the
-    other side.  Elements are sorted by `IntMatrix.key`.
+    A permutation p lists the indices in `roots` of the images of the
+    roots; `coroots` are the paired vectors on the other side.
     """
 
-    __slots__ = ("elements", "permutations", "generators", "roots", "coroots")
-
-    def __init__(self, by_permutation, generators, roots, coroots):
-        items = sorted(by_permutation.items(), key=lambda pw: pw[1].key())
-        self.elements = tuple(w for _, w in items)
-        self.permutations = tuple(p for p, _ in items)
-        self.generators = tuple(generators)
-        self.roots = roots
-        self.coroots = coroots
+    permutations: frozenset
+    roots: tuple
+    coroots: tuple
 
     @property
     def order(self):
-        return len(self.elements)
-
-    def element_set(self):
-        return frozenset(self.elements)
-
-    def __contains__(self, m):
-        return m in self.element_set()
-
-    def __iter__(self):
-        return iter(self.elements)
+        return len(self.permutations)
 
 
-def mulclose(generators, cap=DEFAULT_WEYL_CAP):
-    """Closure of a generator list under multiplication (BFS, deterministic)."""
-    gens = sorted(set(generators), key=lambda m: m.key())
-    if not gens:
-        return [IntMatrix.identity(0)]
-    n = gens[0].nrows
-    seen = {IntMatrix.identity(n)}
-    frontier = [IntMatrix.identity(n)]
+def closure(identity, generators, product, cap=DEFAULT_WEYL_CAP):
+    """The set generated from `identity` by right multiplication with the
+    generators under `product` (breadth-first).  Raises CapExceeded past
+    `cap` elements."""
+    seen = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
-                wg = w @ g
+            for g in generators:
+                wg = product(w, g)
                 if wg not in seen:
                     seen.add(wg)
                     nxt.append(wg)
                     if len(seen) > cap:
                         raise CapExceeded(
                             f"group enumeration exceeded cap {cap}")
-        frontier = sorted(nxt, key=lambda m: m.key())
+        frontier = nxt
     return seen
 
 
-def _root_permutation(matrix, roots):
+def mulclose(generators, cap=DEFAULT_WEYL_CAP):
+    """Closure of a nonempty list of square matrices under multiplication."""
+    return closure(IntMatrix.identity(generators[0].nrows), generators,
+                   matmul, cap)
+
+
+def compose(p, q):
+    """The root permutation of a product w g from p of w and q of g:
+    w g sends r_i to w(r_q[i]) = r_p[q[i]]."""
+    return tuple([p[i] for i in q])
+
+
+def root_permutation(matrix, roots):
     """The indices in `roots` of the images of the roots under `matrix`;
     FoldingError unless the matrix permutes them."""
     index = {r: i for i, r in enumerate(roots)}
@@ -421,44 +419,54 @@ def _root_permutation(matrix, roots):
     return perm
 
 
-def weyl_group(datum, side="char", cap=DEFAULT_WEYL_CAP):
-    """The Weyl group as matrices on the chosen side of the datum.
-
-    side="char" acts on the character lattice, side="cochar" on the
-    cocharacter lattice.  The breadth-first closure over the simple
-    reflections keys each element by the permutation it induces on the
-    roots of that side (W acts faithfully on them), so a product of keys
-    is tuple indexing and a matrix product is formed once per new
-    element.  Raises CapExceeded past `cap` elements.
-    """
+def _side(datum, side):
+    """(reflection builder, roots, coroots, lattice rank) of "char"/"cochar"."""
     if side == "char":
-        refl, roots, coroots = (datum.reflection_matrix, datum.roots,
-                                datum.coroots)
-        n = datum.rank
-    elif side == "cochar":
-        refl, roots, coroots = (datum.coreflection_matrix, datum.coroots,
-                                datum.roots)
-        n = datum.cochar_lattice.rank
-    else:
-        raise ValueError("side must be 'char' or 'cochar'")
-    gens = [refl(i) for i in datum.simple_indices]
-    keyed = [(_root_permutation(g, roots), g) for g in gens]
-    identity = tuple(range(len(roots)))
-    found = {identity: IntMatrix.identity(n)}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q, g in keyed:
-                pq = tuple(map(p.__getitem__, q))   # (wg)(r_i) = w(r_q[i])
-                if pq not in found:
-                    found[pq] = found[p] @ g
-                    nxt.append(pq)
-                    if len(found) > cap:
-                        raise CapExceeded(
-                            f"group enumeration exceeded cap {cap}")
-        frontier = nxt
-    return WeylGroup(found, gens, roots, coroots)
+        return (datum.reflection_matrix, datum.roots, datum.coroots,
+                datum.rank)
+    if side == "cochar":
+        return (datum.coreflection_matrix, datum.coroots, datum.roots,
+                datum.cochar_lattice.rank)
+    raise ValueError("side must be 'char' or 'cochar'")
+
+
+_EXCEPTIONAL_WEYL_ORDERS = {"E6": 51840, "E7": 2903040, "E8": 696729600,
+                            "F4": 1152, "G2": 12}
+
+
+def weyl_order(type_name):
+    """|W| of a Cartan type as `detect_type` names it (a product over the
+    components), or None when a component is unknown."""
+    order = 1
+    for name in type_name.split(" x "):
+        family, n = name[0], int(name[1:]) if name[1:].isdigit() else 0
+        if name in _EXCEPTIONAL_WEYL_ORDERS:
+            order *= _EXCEPTIONAL_WEYL_ORDERS[name]
+        elif family == "A" and n:
+            order *= factorial(n + 1)
+        elif family in "BC" and n:
+            order *= 2 ** n * factorial(n)
+        elif family == "D" and n:
+            order *= 2 ** (n - 1) * factorial(n)
+        elif name != "torus":
+            return None
+    return order
+
+
+def weyl_group(datum, side="char", cap=DEFAULT_WEYL_CAP):
+    """The Weyl group as root permutations on one side of the datum:
+    side="char" permutes the roots, side="cochar" the coroots.  Refused
+    before enumerating when the order of the Cartan type passes `cap`, and
+    CapExceeded is also raised when the closure passes it."""
+    refl, roots, coroots, _ = _side(datum, side)
+    type_name = detect_type(datum)
+    order = weyl_order(type_name)
+    if order is not None and order > cap:
+        raise CapExceeded(f"Weyl group enumeration: {type_name} has"
+                          f" {order} elements, over the cap {cap}")
+    gens = [root_permutation(refl(i), roots) for i in datum.simple_indices]
+    perms = closure(tuple(range(len(roots))), gens, compose, cap)
+    return WeylGroup(frozenset(perms), roots, coroots)
 
 
 def fixed_weyl_subgroup(weyl, commuting_with):
@@ -472,48 +480,48 @@ def fixed_weyl_subgroup(weyl, commuting_with):
     """
     perms = []
     for m in commuting_with:
-        mat = m.matrix if isinstance(m, (PinnedAutomorphism, LatticeMap)) else m
-        perms.append(_root_permutation(mat, weyl.roots))
-        _root_permutation(mat.transpose(), weyl.coroots)
-    kept = {p: w for p, w in zip(weyl.permutations, weyl.elements)
-            if all(tuple(map(p.__getitem__, t)) == tuple(map(t.__getitem__, p))
-                   for t in perms)}
-    return WeylGroup(kept, (), weyl.roots, weyl.coroots)
+        mat = m.matrix if isinstance(m, PinnedAutomorphism) else m
+        perms.append(root_permutation(mat, weyl.roots))
+        root_permutation(mat.transpose(), weyl.coroots)
+    kept = frozenset(p for p in weyl.permutations
+                     if all(compose(p, t) == compose(t, p) for t in perms))
+    return WeylGroup(kept, weyl.roots, weyl.coroots)
 
 
-def _simple_orbit_partition(datum, *automorphisms):
-    """Orbits on the simple indices of the group the pinned automorphisms
-    generate, as index tuples ordered by their first member in
-    `simple_indices`."""
-    simples = list(datum.simple_indices)
-    root_pos = {datum.roots[i]: i for i in simples}
-    images = []
-    for aut in automorphisms:
-        perm = {}
-        for i in simples:
-            j = root_pos.get(aut.matrix.apply(datum.roots[i]))
-            if j is None:
-                raise FoldingError(
-                    "automorphism does not permute the simple roots")
-            perm[i] = j
-        if len(set(perm.values())) != len(simples):
-            raise FoldingError("automorphism does not permute the simple roots")
-        images.append(perm)
+def _orbits(indices, perms):
+    """Orbits on `indices` of the group the maps `perms` generate (each
+    indexable by an index), ordered by their first member in `indices`."""
     seen = set()
     orbits = []
-    for i in simples:
+    for i in indices:
         if i in seen:
             continue
         orbit = [i]
         seen.add(i)
         for cur in orbit:
-            for perm in images:
+            for perm in perms:
                 nxt = perm[cur]
                 if nxt not in seen:
                     seen.add(nxt)
                     orbit.append(nxt)
         orbits.append(tuple(orbit))
     return orbits
+
+
+def _simple_orbit_partition(datum, *automorphisms):
+    """Orbits on the simple indices of the group the pinned automorphisms
+    generate, as index tuples ordered by their first member in
+    `simple_indices`.  Only the simple roots are moved."""
+    simples = datum.simple_indices
+    root_pos = {datum.roots[i]: i for i in simples}
+    images = []
+    for aut in automorphisms:
+        perm = {i: root_pos.get(aut.matrix.apply(datum.roots[i]))
+                for i in simples}
+        if None in perm.values() or len(set(perm.values())) != len(simples):
+            raise FoldingError("automorphism does not permute the simple roots")
+        images.append(perm)
+    return _orbits(simples, images)
 
 
 def folded_generators(datum, *automorphisms, side="char"):
@@ -526,14 +534,7 @@ def folded_generators(datum, *automorphisms, side="char"):
     positive root.  side="cochar" gives the same elements on the
     cocharacter lattice.
     """
-    if side == "char":
-        refl, roots = datum.reflection_matrix, datum.roots
-        n = datum.rank
-    elif side == "cochar":
-        refl, roots = datum.coreflection_matrix, datum.coroots
-        n = datum.cochar_lattice.rank
-    else:
-        raise ValueError("side must be 'char' or 'cochar'")
+    refl, roots, _, n = _side(datum, side)
     positive = {roots[i] for i in datum.positive_indices}
     out = []
     for orbit in _simple_orbit_partition(datum, *automorphisms):
@@ -595,25 +596,9 @@ def restricted_root_data(datum, tau, side_label=""):
 
     dual_tau = tau.dual()
     root_index = {rt: i for i, rt in enumerate(datum.roots)}
-
-    # orbit partition on the full root set
-    seen = set()
-    orbit_list = []
-    for i, rt in enumerate(datum.roots):
-        if i in seen:
-            continue
-        orbit = [i]
-        seen.add(i)
-        cur = tau_m.apply(rt)
-        while root_index[cur] != i:
-            j = root_index[cur]
-            orbit.append(j)
-            seen.add(j)
-            cur = tau_m.apply(cur)
-        orbit_list.append(tuple(orbit))
-
     restricted = {}
-    for orbit in orbit_list:
+    for orbit in _orbits(range(len(datum.roots)),
+                         [root_permutation(tau_m, datum.roots)]):
         members = [datum.roots[i] for i in orbit]
         image = proj_free.apply(members[0])
         a2 = any(tuple(x + y for x, y in zip(members[p], members[q])) in root_index

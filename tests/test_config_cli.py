@@ -267,7 +267,7 @@ def test_commands_never_enumerate_weyl_group(preset, monkeypatch, tmp_path,
 
     for name, module in list(sys.modules.items()):
         if name == "satake" or name.startswith("satake."):
-            for attr in ("weyl_group", "mulclose"):
+            for attr in ("weyl_group", "mulclose", "closure"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     values, values2 = NO_WEYL_VALUES[preset]
@@ -312,6 +312,58 @@ def test_oversized_presets_are_refused_before_building(preset, roots,
     assert main(["kottwitz", "--preset", preset]) == 2
     err = capsys.readouterr().err
     assert "root generation" in err and f"{roots} roots" in err
+
+
+@pytest.mark.parametrize("text, rank", [
+    ("rank = 99999999999999999999", 99999999999999999999),
+    ("rank = 100000", 100000),
+    ("rank = 3000", 3000),
+    ("preset = torus n=100000", 100000),
+    ("preset = induced e=100 f=30 q=7", 3000),
+])
+def test_oversized_tori_are_refused_before_building(text, rank, monkeypatch,
+                                                    tmp_path, capsys):
+    """A torus past the rank cap exits 2 with its rank, fast, without
+    building a matrix (the builders are patched to fail)."""
+    from satake import config, presets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("builder called for an oversized torus")
+
+    for module, attr in ((config, "TorusWithAction"),
+                         (config, "_action_matrix"),
+                         (presets, "split_torus"),
+                         (presets, "build_induced_torus"),
+                         (IntMatrix, "identity")):
+        monkeypatch.setattr(module, attr, refuse)
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text(text + "\n")
+    start = time.perf_counter()
+    assert main(["kottwitz", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 1
+    assert f"rank {rank} is over the cap" in capsys.readouterr().err
+
+
+def test_rank_cap_admits_the_largest_benchmark_torus(capsys):
+    assert main(["kottwitz", "--preset", "induced e=8 f=8 q=3"]) == 0
+    capsys.readouterr()
+
+
+def test_oversized_weyl_group_is_refused_before_enumerating(monkeypatch,
+                                                           capsys):
+    """|W(A9)| = 10! is read off the Cartan type and refused before the
+    closure runs (patched to fail)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Weyl group enumerated")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("satake.") and hasattr(module, "closure"):
+            monkeypatch.setattr(module, "closure", refuse)
+    start = time.perf_counter()
+    assert main(["verify-ks", "--preset", "flip A9"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "3628800 elements, over the cap 1000000" in err
 
 
 def test_split_root_count_matches_closure():

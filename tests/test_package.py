@@ -51,3 +51,29 @@ def test_rootdata_uses_fraction_only_in_simple_coefficients():
                for n in ast.walk(f)
                if isinstance(n, ast.Name) and n.id == "Fraction"}
     assert uses and uses == allowed
+
+
+def _callers(tree, name):
+    """The innermost enclosing function ("" at module level) of every call
+    of `name`, by bare name or as an attribute."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append(owner)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_verify_ks_enumerates_the_weyl_group():
+    """`weyl_group` is called in one place: the brute-force certificate
+    `components.check_fixed_weyl_is_folded`."""
+    callers = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _callers(_tree(path.name), "weyl_group")]
+    assert callers == [("components", "check_fixed_weyl_is_folded")]

@@ -15,7 +15,7 @@ from satake.rootdata import (
     BasedRootDatum, CapExceeded, FoldingError, datum_from_simples,
     detect_type, dual_datum, fixed_weyl_subgroup, folded_generators,
     galois_action, identity_pin, mulclose, pinned_automorphism,
-    restricted_root_data, root_closure, validate, weyl_group,
+    restricted_root_data, root_closure, validate, weyl_group, weyl_order,
 )
 from test_acceptance import TWISTED_SUITE
 from test_matrices import sympy_inverse
@@ -311,42 +311,73 @@ SIDES = {"char": ("reflection_matrix", "roots"),
          "cochar": ("coreflection_matrix", "coroots")}
 
 
+def matrix_weyl(datum, side):
+    """The Weyl group as matrices: the closure of the simple reflections."""
+    refl = getattr(datum, SIDES[side][0])
+    return mulclose([refl(i) for i in datum.simple_indices])
+
+
+def commuting_by_matrices(elements, mats, roots):
+    """Root permutations of the matrices in `elements` that commute with
+    every one of `mats`, the commutation tested on the matrices."""
+    return {tuple(roots.index(w.apply(r)) for r in roots) for w in elements
+            if all(w @ m == m @ w for m in mats)}
+
+
 @pytest.mark.parametrize("name", WEYL_PRESETS)
 @pytest.mark.parametrize("side", sorted(SIDES))
 def test_weyl_group_matches_matrix_closure(name, side):
     datum = resolve(preset=name).datum
-    refl, attr = SIDES[side]
-    roots = getattr(datum, attr)
+    roots = getattr(datum, SIDES[side][1])
     weyl = weyl_group(datum, side=side)
-    gens = [getattr(datum, refl)(i) for i in datum.simple_indices]
-    assert weyl.element_set() == set(mulclose(gens))
-    assert list(weyl.elements) == sorted(weyl.elements, key=IntMatrix.key)
     assert weyl.roots == roots
-    for w, perm in zip(weyl.elements, weyl.permutations):
-        assert tuple(roots[j] for j in perm) == tuple(map(w.apply, roots))
+    assert weyl.permutations == commuting_by_matrices(
+        matrix_weyl(datum, side), [], roots)
 
 
-def commuting_by_matrices(weyl, mats):
-    return {w for w in weyl.elements if all(w @ m == m @ w for m in mats)}
+# every datum preset the suite resolves, and the benchmark's B, C, D types
+ORDER_PRESETS = (
+    tuple(f"flip A{n}" for n in range(2, 8))
+    + tuple(f"split {g}" for g in ("GL2", "GL3", "GL4", "GL8", "SL2", "PGL3",
+                                   "Sp4", "Sp6", "Sp8", "SO5", "SO8", "SO9",
+                                   "SO10"))
+    + tuple(f"unitary {kind} {n}" for kind in ("ramified", "unramified")
+            for n in (2, 3, 4, 5))
+    + ("flip D4", "triality D4"))
+
+
+@pytest.mark.parametrize("name", ORDER_PRESETS)
+def test_weyl_order_of_the_type_matches_enumeration(name):
+    rg = resolve(preset=name)
+    data = [rg.datum]
+    if not rg.action.tau.matrix.is_identity():    # folded types: B, C, G2
+        data.append(restricted_root_data(rg.datum, rg.action.tau).reduced_datum)
+    for datum in data:
+        assert weyl_order(detect_type(datum)) == weyl_group(datum).order
+    assert weyl_order("G2 x A1") == 24 and weyl_order("E8") == 696729600
+    assert weyl_order("torus") == 1 and weyl_order("unknown") is None
 
 
 @pytest.mark.parametrize("name", WEYL_PRESETS)
 def test_fixed_weyl_subgroup_matches_matrix_commutation(name):
     rg = resolve(preset=name)
     tau, sigma = rg.action.tau.matrix, rg.action.sigma.matrix
+    roots = rg.datum.roots
     weyl = weyl_group(rg.datum)
+    elements = sorted(matrix_weyl(rg.datum, "char"), key=IntMatrix.key)
     for mats in ([tau], [sigma], [tau, sigma]):
-        fixed = fixed_weyl_subgroup(weyl, mats)
-        assert fixed.element_set() == commuting_by_matrices(weyl, mats)
+        assert (fixed_weyl_subgroup(weyl, mats).permutations
+                == commuting_by_matrices(elements, mats, roots))
     # centralizers of Weyl elements: no pinned automorphism needed
-    for w in weyl.elements[:: max(1, weyl.order // 12)]:
-        assert (fixed_weyl_subgroup(weyl, [w]).element_set()
-                == commuting_by_matrices(weyl, [w]))
+    for w in elements[:: max(1, len(elements) // 12)]:
+        assert (fixed_weyl_subgroup(weyl, [w]).permutations
+                == commuting_by_matrices(elements, [w], roots))
     # cocharacter side, with the dual matrices
     coweyl = weyl_group(rg.datum, side="cochar")
     duals = [rg.torus.tau, rg.torus.sigma]
-    assert (fixed_weyl_subgroup(coweyl, duals).element_set()
-            == commuting_by_matrices(coweyl, duals))
+    assert (fixed_weyl_subgroup(coweyl, duals).permutations
+            == commuting_by_matrices(matrix_weyl(rg.datum, "cochar"), duals,
+                                     rg.datum.coroots))
 
 
 def test_fixed_weyl_subgroup_refuses_matrices_off_the_roots():
@@ -357,6 +388,7 @@ def test_fixed_weyl_subgroup_refuses_matrices_off_the_roots():
     # fixes both roots but moves (1, 1) off the annihilator of the
     # coroots: s does not commute with it, though it fixes every root
     shear = IntMatrix([[2, 1], [-1, 0]])
-    assert commuting_by_matrices(weyl, [shear]) == {IntMatrix.identity(2)}
+    assert commuting_by_matrices(matrix_weyl(gl2, "char"), [shear],
+                                 gl2.roots) == {(0, 1)}
     with pytest.raises(FoldingError):
         fixed_weyl_subgroup(weyl, [shear])
