@@ -29,9 +29,8 @@ from .kottwitz import Envelope, KottwitzGroup, ParameterClass, \
     kottwitz_hom, maximal_compact_quotient, modulus_character, \
     parameter_from_character, parameters_equal, relative_weyl_action, \
     setting_for_datum, setting_for_torus, weyl_orbit
-from .matrices import IntMatrix, Lattice, LatticeMap, SmithForm, \
-    column_span_basis, kernel, kernel_basis, lattice_map, \
-    smith_normal_form, solve
+from .matrices import IntMatrix, SmithForm, column_span_basis, \
+    kernel_basis, smith_normal_form, solve
 from .rootdata import BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP, \
     FoldingError, GaloisAction, PinnedAutomorphism, RestrictedRootData, \
     WeylGroup, check_twist_relation, datum_from_simples, detect_type, \

@@ -24,8 +24,8 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .circle import ExactCircle
-from .matrices import (IntMatrix, Lattice, LatticeMap, column_span_basis,
-                       hstack, kernel_basis, smith_normal_form)
+from .matrices import (IntMatrix, column_span_basis, hstack, kernel_basis,
+                       smith_normal_form)
 
 
 class FgAbGroup:
@@ -246,23 +246,21 @@ class GroupHom:
 
     def cokernel_group(self):
         """target / image(self) with the quotient projection retained."""
-        stacked = hstack(self.matrix, self.target.relation_matrix())
-        lm = LatticeMap(Lattice(stacked.ncols), Lattice(self.target.ngens), stacked)
-        return cokernel(lm)
+        return cokernel(hstack(self.matrix, self.target.relation_matrix()))
 
     def is_surjective(self):
         return self.cokernel_group().is_trivial()
 
 
-def cokernel(lm):
-    """Cokernel of a lattice map as an FgAbGroup presented over lm.target.
+def cokernel(matrix):
+    """Z^m / (column span of an m-row matrix), as an FgAbGroup presented
+    over Z^m.
 
-    >>> from .matrices import lattice_map
-    >>> cokernel(lattice_map([[-2]])).describe()
+    >>> cokernel(IntMatrix([[-2]])).describe()
     'Z/2'
     """
-    sf = smith_normal_form(lm.matrix)
-    m = lm.target.rank
+    sf = smith_normal_form(matrix)
+    m = matrix.nrows
     diag = sf.diagonal
     torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
     free_rows = [i for i in range(m) if i >= len(diag) or diag[i] == 0]
@@ -273,26 +271,22 @@ def cokernel(lm):
     return FgAbGroup(factors, len(free_rows), proj=proj, lift=lift)
 
 
-def coinvariants(lattice, automorphisms):
-    """Largest quotient of the lattice on which every automorphism acts
+def coinvariants(rank, automorphisms):
+    """Largest quotient of Z^rank on which every automorphism matrix acts
     trivially: the cokernel of the stacked (gamma - 1).
 
-    >>> from .matrices import IntMatrix, Lattice
     >>> swap = IntMatrix([[0, 1], [1, 0]])
-    >>> coinvariants(Lattice(2), [swap]).describe()
+    >>> coinvariants(2, [swap]).describe()
     'Z'
     """
-    n = lattice.rank
     blocks = []
     for g in automorphisms:
-        mat = g.matrix if isinstance(g, LatticeMap) else g
-        if mat.shape != (n, n):
+        if g.shape != (rank, rank):
             raise ValueError("automorphism has the wrong shape")
-        if not mat.is_unimodular():
+        if not g.is_unimodular():
             raise ValueError("not a lattice automorphism (determinant not ±1)")
-        blocks.append(mat - IntMatrix.identity(n))
-    stacked = hstack(*blocks) if blocks else IntMatrix.zeros(n, 0)
-    return cokernel(LatticeMap(Lattice(stacked.ncols), lattice, stacked))
+        blocks.append(g - IntMatrix.identity(rank))
+    return cokernel(hstack(*blocks) if blocks else IntMatrix.zeros(rank, 0))
 
 
 def induced_endomorphism(group, ambient_matrix):
@@ -327,8 +321,7 @@ def kernel_of_hom(hom):
                 raise ValueError("source relation escapes the solution lattice")
             rel_cols.append(c)
     rel_in_basis = IntMatrix.from_columns(rel_cols, nrows=basis.ncols)
-    grp = cokernel(LatticeMap(Lattice(rel_in_basis.ncols),
-                              Lattice(basis.ncols), rel_in_basis))
+    grp = cokernel(rel_in_basis)
     incl_cols = [src.reduce(basis.apply(grp.lift.column(j)))
                  for j in range(grp.ngens)]
     incl = GroupHom(grp, src, IntMatrix.from_columns(incl_cols, nrows=n))

@@ -158,7 +158,7 @@ def _cmd_fold(rg, args):
     result = {
         "type": rrd.type_name,
         "non_reduced": rrd.non_reduced,
-        "invariant_rank": rrd.projection.target.rank,
+        "invariant_rank": rrd.projection.nrows,
         "restricted_root_count": len(rrd.datum.roots),
         "reduced_root_count": len(rrd.reduced_datum.roots),
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .abelian import (FgAbGroup, GroupHom, cokernel, induced_endomorphism,
                       kernel_of_hom)
-from .matrices import IntMatrix, Lattice, LatticeMap
+from .matrices import IntMatrix
 from .rootdata import (DEFAULT_WEYL_CAP, closure, compose,
                        fixed_weyl_subgroup, folded_generators,
                        root_permutation, weyl_group)
@@ -36,7 +36,7 @@ class DiagonalizableGroup:
             raise ValueError("action must be an automorphism")
 
 
-def diagonalizable_from_lattice(matrix, label=""):
+def diagonalizable_from_lattice(matrix):
     """Torus case: character group Z^n with an automorphism matrix."""
     g = FgAbGroup.free(matrix.nrows)
     return DiagonalizableGroup(g, GroupHom(g, g, matrix))
@@ -107,15 +107,14 @@ def check_center_covers_components(datum, tau):
     into the coinvariants of the central quotient (cochars modulo the
     coroot span); checked by enumerating the finite torsion subgroup.
     """
-    n = datum.cochar_lattice.rank
+    n = datum.rank
     dual_tau = tau.dual()
-    ct = cokernel(LatticeMap(datum.cochar_lattice, datum.cochar_lattice,
-                             dual_tau - IntMatrix.identity(n)))
+    ct = cokernel(dual_tau - IntMatrix.identity(n))
     if datum.coroots:
         span = IntMatrix.from_columns([list(c) for c in datum.coroots], nrows=n)
     else:
         span = IntMatrix.zeros(n, 0)
-    central = cokernel(LatticeMap(Lattice(span.ncols), datum.cochar_lattice, span))
+    central = cokernel(span)
     tau_central = induced_endomorphism(central, dual_tau)
     cz = (tau_central - GroupHom.identity(central)).cokernel_group()
     # composed map: coinvariants of X^ -> central quotient -> its coinvariants

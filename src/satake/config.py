@@ -16,7 +16,7 @@ from fractions import Fraction
 from .circle import ExactCircle
 from .kottwitz import TorusWithAction, cochar_torus, setting_for_datum, \
     setting_for_torus
-from .matrices import IntMatrix, Lattice
+from .matrices import IntMatrix
 from .presets import Preset, refuse_large_rank, resolve_preset
 from .rootdata import BasedRootDatum, GaloisAction, galois_action, validate
 
@@ -424,8 +424,7 @@ def resolve(config=None, preset=None, q=None):
             raise ConfigError("roots and coroots must have the same length")
         if any(i < 0 or i >= len(config.roots) for i in config.simple):
             raise ConfigError("simple indices out of range")
-        datum = BasedRootDatum(Lattice(rank, "X"), config.roots,
-                               Lattice(corank, "X^"), config.coroots,
+        datum = BasedRootDatum(rank, config.roots, config.coroots,
                                config.simple, label=name or "custom")
         problems = validate(datum)
         if problems:
@@ -444,8 +443,7 @@ def resolve(config=None, preset=None, q=None):
         sigma = _action_matrix(config.sigma, rank, "sigma")
         twist = config.twist if config.twist is not None else 1
         try:
-            torus = TorusWithAction(Lattice(rank, name or "torus"), tau, sigma,
-                                    twist=twist, label=name or "torus")
+            torus = TorusWithAction(rank, tau, sigma, twist=twist)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return ResolvedGroup(name or "torus", None, None, torus, q,

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
                       induced_endomorphism, invariants_of_induced_action,
                       subgroup_coordinates)
 from .circle import ExactCircle
-from .matrices import IntMatrix, Lattice, LatticeMap
+from .matrices import IntMatrix
 from .rootdata import (BasedRootDatum, CapExceeded, FoldingError,
                        GaloisAction, check_twist_relation, folded_generators,
                        mulclose)
@@ -27,19 +28,18 @@ from .rootdata import (BasedRootDatum, CapExceeded, FoldingError,
 
 @dataclass(frozen=True)
 class TorusWithAction:
-    """Cocharacter lattice of a torus with inertia (tau) and Frobenius
-    (sigma) automorphisms obeying the tame twist relation
+    """Cocharacter lattice Z^rank of a torus with inertia (tau) and
+    Frobenius (sigma) automorphisms obeying the tame twist relation
     sigma tau sigma^-1 = tau^twist."""
 
-    cochar_lattice: Lattice
+    rank: int
     tau: IntMatrix
     sigma: IntMatrix
     twist: int = 1
-    label: str = ""
     induced_params: tuple = None   # (e, f, q) when built by build_induced_torus
 
     def __post_init__(self):
-        n = self.cochar_lattice.rank
+        n = self.rank
         for name, m in (("tau", self.tau), ("sigma", self.sigma)):
             if m.shape != (n, n):
                 raise ValueError(f"{name} does not act on a rank-{n} lattice")
@@ -49,22 +49,15 @@ class TorusWithAction:
         self.sigma.multiplicative_order(cap=10 ** 4)
         check_twist_relation(self.tau, self.sigma, self.twist, tau_order)
 
-    @property
-    def rank(self):
-        return self.cochar_lattice.rank
 
-
-def cochar_torus(datum, action, twist=1, label=""):
+def cochar_torus(datum, action):
     """TorusWithAction on the cocharacter side of a based root datum.
 
     The action is given on the character lattice; the cocharacter side
     carries the dual (inverse-transpose) matrices.
     """
-    return TorusWithAction(datum.cochar_lattice, action.tau.dual(),
-                           action.sigma.dual(),
-                           twist=action.twist,
-                           label=label or (datum.label + " torus" if datum.label
-                                           else ""))
+    return TorusWithAction(datum.rank, action.tau.dual(), action.sigma.dual(),
+                           twist=action.twist)
 
 
 @dataclass(frozen=True)
@@ -89,12 +82,11 @@ class KottwitzGroup:
 def kottwitz_group(torus):
     """Compute T/T_0 for a torus with Galois action.
 
-    >>> t = TorusWithAction(Lattice(1), IntMatrix([[-1]]), IntMatrix([[1]]))
+    >>> t = TorusWithAction(1, IntMatrix([[-1]]), IntMatrix([[1]]))
     >>> kottwitz_group(t).group.describe()
     'Z/2'
     """
-    lat = torus.cochar_lattice
-    coinv = coinvariants(lat, [LatticeMap(lat, lat, torus.tau)])
+    coinv = coinvariants(torus.rank, [torus.tau])
     sigma_bar = induced_endomorphism(coinv, torus.sigma)
     group, inclusion = invariants_of_induced_action(coinv, sigma_bar)
     return KottwitzGroup(torus, coinv, group, inclusion)
@@ -138,10 +130,8 @@ def build_induced_torus(e, f, q):
         return IntMatrix([[1 if cols[j] == i else 0 for j in range(n)]
                           for i in range(n)])
 
-    return TorusWithAction(Lattice(n, f"induced({e},{f})"),
-                           perm_matrix(tau_cols), perm_matrix(sigma_cols),
-                           twist=q, label=f"induced e={e} f={f} q={q}",
-                           induced_params=(e, f, q))
+    return TorusWithAction(n, perm_matrix(tau_cols), perm_matrix(sigma_cols),
+                           twist=q, induced_params=(e, f, q))
 
 
 def induced_torus_cocycle(torus, fval):
@@ -254,44 +244,54 @@ def descend_to_kottwitz(kg, ambient_matrix):
 @dataclass(frozen=True)
 class SphericalSetting:
     """Everything needed to classify parameters for one group: the based
-    root datum (None for a bare torus), the torus action, its Kottwitz
-    group, and the induced action of the relative Weyl group's generators
-    on it (deduplicated, identity left out)."""
+    root datum and its char-side Galois action (both None for a bare
+    torus), the cochar-side torus and its Kottwitz group.  The relative
+    Weyl group's action on T/T_0 is built on first use."""
 
     datum: BasedRootDatum
+    action: GaloisAction
     torus: TorusWithAction
     kottwitz: KottwitzGroup
-    weyl_generators: tuple   # GroupHoms on kottwitz.group
 
     @property
     def group(self):
         return self.kottwitz.group
 
+    @cached_property
+    def weyl_generators(self):
+        """GroupHoms on T/T_0 (deduplicated, identity left out): the
+        relative Weyl group is the tau,sigma-fixed subgroup of the Weyl
+        group, given by its folded generators, acting through
+        coinvariants."""
+        if self.datum is None:
+            return ()
+        torus, kg = self.torus, self.kottwitz
+        identity = _action_key(GroupHom.identity(kg.group))
+        homs = {}
+        for w in folded_generators(self.datum, self.action.tau,
+                                   self.action.sigma, side="cochar"):
+            if (w @ torus.tau != torus.tau @ w
+                    or w @ torus.sigma != torus.sigma @ w):
+                raise FoldingError("folded generator does not centralize the"
+                                   " Galois action")
+            hom = descend_to_kottwitz(kg, w)
+            key = _action_key(hom)
+            if key != identity:
+                homs.setdefault(key, hom)
+        return tuple(homs.values())
+
 
 def setting_for_torus(torus):
-    return SphericalSetting(None, torus, kottwitz_group(torus), ())
+    return SphericalSetting(None, None, torus, kottwitz_group(torus))
 
 
 def setting_for_datum(datum, action, torus=None):
-    """Build the classification setting: the relative Weyl group is the
-    tau,sigma-fixed subgroup of the Weyl group, given by its folded
-    generators, acting on T/T_0 through coinvariants.  `torus` is the
-    cochar-side torus of the action when the caller has already built it."""
+    """The classification setting of a datum with its Galois action.
+    `torus` is the cochar-side torus of the action when the caller has
+    already built it."""
     if torus is None:
         torus = cochar_torus(datum, action)
-    kg = kottwitz_group(torus)
-    identity = _action_key(GroupHom.identity(kg.group))
-    homs = {}
-    for w in folded_generators(datum, action.tau, action.sigma,
-                               side="cochar"):
-        if w @ torus.tau != torus.tau @ w or w @ torus.sigma != torus.sigma @ w:
-            raise FoldingError("folded generator does not centralize the"
-                               " Galois action")
-        hom = descend_to_kottwitz(kg, w)
-        key = _action_key(hom)
-        if key != identity:
-            homs.setdefault(key, hom)
-    return SphericalSetting(datum, torus, kg, tuple(homs.values()))
+    return SphericalSetting(datum, action, torus, kottwitz_group(torus))
 
 
 def relative_weyl_action(setting, w, parameter):
@@ -408,8 +408,8 @@ class Envelope:
 
     torus: TorusWithAction
     prime: TorusWithAction
-    embed: LatticeMap
-    norm: LatticeMap
+    embed: IntMatrix
+    norm: IntMatrix
     degree: int
 
 
@@ -442,29 +442,25 @@ def induced_envelope(torus, n):
 
     tau_g = (torus.tau, 0)
     sigma_g = (torus.sigma, 1 % c)
-    prime = TorusWithAction(Lattice(n * d, "envelope"),
-                            left_mult_matrix(tau_g), left_mult_matrix(sigma_g),
-                            twist=torus.twist,
-                            label=(torus.label + f" envelope deg {n}").strip())
+    prime = TorusWithAction(n * d, left_mult_matrix(tau_g),
+                            left_mult_matrix(sigma_g), twist=torus.twist)
 
     embed_rows = []
     for a, r in gamma:
         inv = a.power(len(group_a) - 1)   # a^|A| = 1
         embed_rows.extend(inv.row(i) for i in range(d))
-    embed = LatticeMap(torus.cochar_lattice, prime.cochar_lattice,
-                       IntMatrix(embed_rows, ncols=d))
+    embed = IntMatrix(embed_rows, ncols=d)
     norm_cols = []
     for a, r in gamma:
         norm_cols.extend(a.column(k) for k in range(d))
-    norm = LatticeMap(prime.cochar_lattice, torus.cochar_lattice,
-                      IntMatrix.from_columns(norm_cols, nrows=d))
+    norm = IntMatrix.from_columns(norm_cols, nrows=d)
 
-    if norm.matrix @ embed.matrix != IntMatrix.diagonal([n] * d):
+    if norm @ embed != IntMatrix.diagonal([n] * d):
         raise RuntimeError("norm o embed is not multiplication by the degree")
-    if (embed.matrix @ torus.tau != prime.tau @ embed.matrix
-            or embed.matrix @ torus.sigma != prime.sigma @ embed.matrix):
+    if (embed @ torus.tau != prime.tau @ embed
+            or embed @ torus.sigma != prime.sigma @ embed):
         raise RuntimeError("embedding is not equivariant")
-    if (torus.tau @ norm.matrix != norm.matrix @ prime.tau
-            or torus.sigma @ norm.matrix != norm.matrix @ prime.sigma):
+    if (torus.tau @ norm != norm @ prime.tau
+            or torus.sigma @ norm != norm @ prime.sigma):
         raise RuntimeError("norm is not equivariant")
     return Envelope(torus, prime, embed, norm, n)

@@ -8,7 +8,6 @@ closure enumerations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul
 
 
@@ -244,49 +243,6 @@ def hstack(*mats):
     return IntMatrix(rows, ncols=sum(m.ncols for m in mats))
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """A free Z-module of finite rank with a distinguished basis."""
-
-    rank: int
-    label: str = ""
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("negative rank")
-
-
-@dataclass(frozen=True)
-class LatticeMap:
-    """A homomorphism of lattices in distinguished bases (matrix acts on columns)."""
-
-    source: Lattice
-    target: Lattice
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.target.rank, self.source.rank):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not map "
-                f"rank {self.source.rank} into rank {self.target.rank}")
-
-    def __call__(self, vector):
-        return self.matrix.apply(vector)
-
-    def compose(self, other):
-        """self after other."""
-        if other.target != self.source and other.target.rank != self.source.rank:
-            raise ValueError("composition mismatch")
-        return LatticeMap(other.source, self.target, self.matrix @ other.matrix)
-
-
-def lattice_map(matrix, source=None, target=None):
-    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    src = source if source is not None else Lattice(m.ncols)
-    tgt = target if target is not None else Lattice(m.nrows)
-    return LatticeMap(src, tgt, m)
-
-
 class SmithForm:
     """Smith normal form data: U @ M @ V == D.
 
@@ -467,12 +423,6 @@ def kernel_basis(matrix):
                  if j >= len(diag) or diag[j] == 0]
     cols = [sf.V.column(j) for j in free_cols]
     return IntMatrix.from_columns(cols, nrows=matrix.ncols)
-
-
-def kernel(lm):
-    """Kernel of a lattice map as an inclusion of a free lattice (saturated)."""
-    basis = kernel_basis(lm.matrix)
-    return LatticeMap(Lattice(basis.ncols, "ker"), lm.source, basis)
 
 
 def solve(matrix, rhs):

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .kottwitz import TorusWithAction, build_induced_torus
-from .matrices import IntMatrix, Lattice
+from .matrices import IntMatrix
 from .rootdata import (RANK_CAP, ROOT_CAP, BasedRootDatum, CapExceeded,
                        datum_from_simples)
 
@@ -127,13 +127,11 @@ def d4_triality_matrix():
 
 def norm_one_ramified_quadratic():
     """Norm-one torus of a ramified quadratic extension: X_* = Z, tau = -1."""
-    return TorusWithAction(Lattice(1, "norm-one"), IntMatrix([[-1]]),
-                           IntMatrix.identity(1), label="norm-one")
+    return TorusWithAction(1, IntMatrix([[-1]]), IntMatrix.identity(1))
 
 
 def split_torus(n):
-    return TorusWithAction(Lattice(n, "split torus"), IntMatrix.identity(n),
-                           IntMatrix.identity(n), label=f"torus n={n}")
+    return TorusWithAction(n, IntMatrix.identity(n), IntMatrix.identity(n))
 
 
 @dataclass(frozen=True)

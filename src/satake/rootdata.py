@@ -19,8 +19,7 @@ from math import factorial, gcd
 from operator import matmul
 
 from .abelian import cokernel
-from .matrices import (IntMatrix, Lattice, LatticeMap, kernel, lattice_map,
-                       smith_normal_form)
+from .matrices import IntMatrix, smith_normal_form
 
 DEFAULT_WEYL_CAP = 10 ** 6
 ROOT_CAP = 10 ** 5
@@ -43,13 +42,12 @@ def _dot(x, y):
 class BasedRootDatum:
     """(X, roots, X^, coroots) with a marked simple system.
 
-    `roots[i]` pairs with `coroots[i]`; the pairing is the standard dot
-    product between the character and cocharacter coordinate vectors.
+    X and X^ are dual lattices Z^rank; `roots[i]` pairs with `coroots[i]`
+    by the standard dot product of their coordinate vectors.
     """
 
-    char_lattice: Lattice
+    rank: int
     roots: tuple
-    cochar_lattice: Lattice
     coroots: tuple
     simple_indices: tuple
     label: str = ""
@@ -64,18 +62,8 @@ class BasedRootDatum:
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots must be in bijection")
 
-    @property
-    def rank(self):
-        return self.char_lattice.rank
-
-    def pairing(self, x, yv):
-        return _dot(x, yv)
-
     def simple_roots(self):
         return [self.roots[i] for i in self.simple_indices]
-
-    def simple_coroots(self):
-        return [self.coroots[i] for i in self.simple_indices]
 
     def cartan_entry(self, i, j):
         """<alpha_i, alpha_j^> over the simple system."""
@@ -94,7 +82,7 @@ class BasedRootDatum:
         """s_alpha on the cocharacter lattice: y - <alpha, y> alpha^."""
         a = self.roots[root_index]
         av = self.coroots[root_index]
-        n = self.cochar_lattice.rank
+        n = self.rank
         return IntMatrix([[int(i == j) - av[i] * a[j] for j in range(n)]
                           for i in range(n)])
 
@@ -164,6 +152,9 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     cosimples = [tuple(int(v) for v in r) for r in simple_coroots]
     if len(simples) != len(cosimples):
         raise ValueError("one coroot per simple root is required")
+    if any(len(v) != len(simples[0]) for v in simples + cosimples):
+        raise ValueError("simple roots and coroots must all have the"
+                         " length of the first simple root")
     for a, av in zip(simples, cosimples):
         if _dot(a, av) != 2:
             raise ValueError("simple pairing <alpha, alpha^> must be 2")
@@ -196,12 +187,10 @@ def datum_from_simples(simple_roots, simple_coroots, label="", cap=ROOT_CAP):
     """Based root datum generated by reflection closure of a simple system."""
     roots, coroots = root_closure(simple_roots, simple_coroots, cap)
     rank = len(simple_roots[0]) if simple_roots else 0
-    corank = len(simple_coroots[0]) if simple_coroots else rank
     simple_idx = tuple(roots.index(tuple(int(v) for v in r))
                        for r in simple_roots)
-    return BasedRootDatum(Lattice(rank, "X"), tuple(roots),
-                          Lattice(corank, "X^"), tuple(coroots),
-                          simple_idx, label=label)
+    return BasedRootDatum(rank, tuple(roots), tuple(coroots), simple_idx,
+                          label=label)
 
 
 def validate(datum):
@@ -218,7 +207,7 @@ def validate(datum):
     if len(root_set) != len(datum.roots):
         problems.append("duplicate roots")
     for idx, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
-        if len(a) != datum.rank or len(av) != datum.cochar_lattice.rank:
+        if len(a) != datum.rank or len(av) != datum.rank:
             problems.append(f"root/coroot {idx} has wrong length")
             continue
         p = _dot(a, av)
@@ -258,13 +247,9 @@ def validate(datum):
 
 def dual_datum(datum):
     """Swap the two sides; applying twice returns the original."""
-    return BasedRootDatum(
-        char_lattice=datum.cochar_lattice,
-        roots=datum.coroots,
-        cochar_lattice=datum.char_lattice,
-        coroots=datum.roots,
-        simple_indices=datum.simple_indices,
-        label=(datum.label + "^") if datum.label else "")
+    return BasedRootDatum(datum.rank, datum.coroots, datum.roots,
+                          datum.simple_indices,
+                          label=(datum.label + "^") if datum.label else "")
 
 
 @dataclass(frozen=True)
@@ -279,9 +264,6 @@ class PinnedAutomorphism:
             raise ValueError("pinned automorphism must be unimodular")
         if self.order < 1 or not self.matrix.power(self.order).is_identity():
             raise ValueError("declared order is wrong")
-
-    def inverse(self):
-        return PinnedAutomorphism(self.matrix.power(self.order - 1), self.order)
 
     def dual(self):
         """The inverse transpose, which acts on the other side's lattice."""
@@ -420,13 +402,11 @@ def root_permutation(matrix, roots):
 
 
 def _side(datum, side):
-    """(reflection builder, roots, coroots, lattice rank) of "char"/"cochar"."""
+    """(reflection builder, roots, coroots) of "char"/"cochar"."""
     if side == "char":
-        return (datum.reflection_matrix, datum.roots, datum.coroots,
-                datum.rank)
+        return datum.reflection_matrix, datum.roots, datum.coroots
     if side == "cochar":
-        return (datum.coreflection_matrix, datum.coroots, datum.roots,
-                datum.cochar_lattice.rank)
+        return datum.coreflection_matrix, datum.coroots, datum.roots
     raise ValueError("side must be 'char' or 'cochar'")
 
 
@@ -458,7 +438,7 @@ def weyl_group(datum, side="char", cap=DEFAULT_WEYL_CAP):
     side="char" permutes the roots, side="cochar" the coroots.  Refused
     before enumerating when the order of the Cartan type passes `cap`, and
     CapExceeded is also raised when the closure passes it."""
-    refl, roots, coroots, _ = _side(datum, side)
+    refl, roots, coroots = _side(datum, side)
     type_name = detect_type(datum)
     order = weyl_order(type_name)
     if order is not None and order > cap:
@@ -534,12 +514,12 @@ def folded_generators(datum, *automorphisms, side="char"):
     positive root.  side="cochar" gives the same elements on the
     cocharacter lattice.
     """
-    refl, roots, _, n = _side(datum, side)
+    refl, roots, _ = _side(datum, side)
     positive = {roots[i] for i in datum.positive_indices}
     out = []
     for orbit in _simple_orbit_partition(datum, *automorphisms):
         members = sorted(orbit)
-        w = IntMatrix.identity(n)
+        w = IntMatrix.identity(datum.rank)
         while True:
             j = next((j for j in members if w.apply(roots[j]) in positive),
                      None)
@@ -554,22 +534,21 @@ def folded_generators(datum, *automorphisms, side="char"):
 class RestrictedRootData:
     """Folded data for a pinned automorphism tau.
 
-    `invariants` includes the saturated fixed lattice X^tau into X.
-    `projection` maps X onto the torsion-free tau-coinvariants, the
-    character lattice of the fixed subtorus; the restricted roots live
-    there.  `datum` may be non-reduced (flagged); `reduced_datum` keeps
-    only indivisible roots.
+    `projection` is the matrix of X onto the torsion-free
+    tau-coinvariants, the character lattice of the fixed subtorus (its
+    row count is that lattice's rank); the restricted roots live there.
+    `datum` may be non-reduced (flagged); `reduced_datum` keeps only
+    indivisible roots.
     """
 
-    invariants: LatticeMap
-    projection: LatticeMap
+    projection: IntMatrix
     datum: BasedRootDatum
     non_reduced: bool
     reduced_datum: BasedRootDatum
     type_name: str
 
 
-def restricted_root_data(datum, tau, side_label=""):
+def restricted_root_data(datum, tau):
     """Restricted (folded) root data of a pinned automorphism.
 
     Restricted roots are the images of the roots in the torsion-free
@@ -580,19 +559,12 @@ def restricted_root_data(datum, tau, side_label=""):
     """
     n = datum.rank
     tau_m = tau.matrix
-    inv = kernel(lattice_map(tau_m - IntMatrix.identity(n),
-                             source=datum.char_lattice,
-                             target=datum.char_lattice))
-    coinv = cokernel(lattice_map(tau_m - IntMatrix.identity(n),
-                                 source=datum.char_lattice,
-                                 target=datum.char_lattice))
+    coinv = cokernel(tau_m - IntMatrix.identity(n))
     k = coinv.torsion_count
     r = coinv.free_rank
     proj_free = IntMatrix([coinv.proj.row(k + i) for i in range(r)], ncols=n)
     lift_free = IntMatrix.from_columns(
         [coinv.lift.column(k + i) for i in range(r)], nrows=n)
-    projection = LatticeMap(datum.char_lattice, Lattice(r, "X_tau/tors"),
-                            proj_free)
 
     dual_tau = tau.dual()
     root_index = {rt: i for i, rt in enumerate(datum.roots)}
@@ -603,7 +575,7 @@ def restricted_root_data(datum, tau, side_label=""):
         image = proj_free.apply(members[0])
         a2 = any(tuple(x + y for x, y in zip(members[p], members[q])) in root_index
                  for p in range(len(members)) for q in range(len(members)) if p != q)
-        cosum = [0] * datum.cochar_lattice.rank
+        cosum = [0] * n
         for i in orbit:
             cosum = [a + b for a, b in zip(cosum, datum.coroots[i])]
         if a2:
@@ -625,10 +597,8 @@ def restricted_root_data(datum, tau, side_label=""):
         img = proj_free.apply(datum.roots[orbit[0]])
         if pos[img] not in simple:
             simple.append(pos[img])
-    full = BasedRootDatum(Lattice(r, "X_tau/tors"), tuple(roots),
-                          Lattice(r, "(X^)^tau"), tuple(coroots),
-                          tuple(simple),
-                          label=side_label or "restricted")
+    full = BasedRootDatum(r, tuple(roots), tuple(coroots), tuple(simple),
+                          label="restricted")
     root_set = set(roots)
     divisible = {rt for rt in roots
                  if all(v % 2 == 0 for v in rt)
@@ -637,9 +607,7 @@ def restricted_root_data(datum, tau, side_label=""):
     if non_reduced:
         keep = [i for i, rt in enumerate(roots) if rt not in divisible]
         remap = {old: new for new, old in enumerate(keep)}
-        reduced = BasedRootDatum(full.char_lattice,
-                                 tuple(roots[i] for i in keep),
-                                 full.cochar_lattice,
+        reduced = BasedRootDatum(r, tuple(roots[i] for i in keep),
                                  tuple(coroots[i] for i in keep),
                                  tuple(remap[i] for i in full.simple_indices),
                                  label=(full.label + " (reduced)"))
@@ -651,9 +619,9 @@ def restricted_root_data(datum, tau, side_label=""):
     name = detect_type(reduced)
     if non_reduced:
         name = f"BC-type (non-reduced), reduced {name}"
-    return RestrictedRootData(invariants=inv, projection=projection,
-                              datum=full, non_reduced=non_reduced,
-                              reduced_datum=reduced, type_name=name)
+    return RestrictedRootData(projection=proj_free, datum=full,
+                              non_reduced=non_reduced, reduced_datum=reduced,
+                              type_name=name)
 
 
 def detect_type(datum):

@@ -26,7 +26,7 @@ from satake.kottwitz import (
     kottwitz_group, kottwitz_hom, maximal_compact_quotient,
     parameter_from_character, setting_for_datum, setting_for_torus,
 )
-from satake.matrices import IntMatrix, Lattice, smith_normal_form
+from satake.matrices import IntMatrix, smith_normal_form
 from satake.presets import resolve_preset, split_gl
 from satake.rootdata import (
     BasedRootDatum, galois_action, mulclose, pinned_automorphism, weyl_group,
@@ -104,8 +104,7 @@ def test_criterion_3_induced_character_round_trip():
 def test_criterion_4_norm_one_torsion_classification():
     """The ramified norm-one torus: T/T_0 = Z/2, trivial T/T_c, and
     exactly two parameter classes by exhaustive enumeration."""
-    torus = TorusWithAction(Lattice(1), IntMatrix([[-1]]),
-                            IntMatrix.identity(1))
+    torus = TorusWithAction(1, IntMatrix([[-1]]), IntMatrix.identity(1))
     kg = kottwitz_group(torus)
     assert kg.group.invariant_factors == (2,) and kg.group.free_rank == 0
     assert maximal_compact_quotient(torus).is_trivial()
@@ -181,8 +180,7 @@ def test_criterion_6_split_group_orbit_enumeration():
     assert sorted(seen.values()) == [1, 1, 1, 3, 3, 3, 3, 3, 3, 6]
 
     # SL2: Z with the reflection acting by inversion
-    sl2 = BasedRootDatum(Lattice(1), ((2,), (-2,)), Lattice(1),
-                         ((1,), (-1,)), (0,), label="SL2")
+    sl2 = BasedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0,), label="SL2")
     setting = unramified_setting(sl2)
     seen = {}
     for v in VALUE_GRID:
@@ -240,16 +238,15 @@ def test_criterion_7_functoriality_squares_and_envelope():
             for _ in range(ta.multiplicative_order()):
                 mat = mat + g @ base @ sympy_inverse(g)
                 g = g @ ta
-        kga = kottwitz_group(TorusWithAction(Lattice(na), ta, sa))
-        kgb = kottwitz_group(TorusWithAction(Lattice(nb), tb, sb))
+        kga = kottwitz_group(TorusWithAction(na, ta, sa))
+        kgb = kottwitz_group(TorusWithAction(nb, tb, sb))
         assert_squares_commute(mat, kga, kgb)
 
-    norm_one = TorusWithAction(Lattice(1), IntMatrix([[-1]]),
-                               IntMatrix.identity(1))
+    norm_one = TorusWithAction(1, IntMatrix([[-1]]), IntMatrix.identity(1))
     env = induced_envelope(norm_one, 2)
     kgp = kottwitz_group(env.prime)
     kgn = kottwitz_group(norm_one)
-    khom, _ = kottwitz_hom(env.norm.matrix, kgp, kgn)
+    khom, _ = kottwitz_hom(env.norm, kgp, kgn)
     assert khom.is_surjective()
     hit = {ch.precompose(khom).key() for ch in all_characters(kgn.group)}
     assert len(hit) == 2

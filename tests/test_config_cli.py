@@ -281,6 +281,25 @@ def test_commands_never_enumerate_weyl_group(preset, monkeypatch, tmp_path,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("preset", ["split GL4", "flip D4"])
+def test_modulus_builds_no_relative_weyl_action(preset, monkeypatch, capsys):
+    """modulus reads only T/T_0 and 2 rho: its setting never folds a
+    Weyl generator nor descends one to T/T_0."""
+    assert main(["modulus", "--preset", preset]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("relative Weyl action built")
+
+    for name, module in list(sys.modules.items()):
+        if name == "satake" or name.startswith("satake."):
+            for attr in ("folded_generators", "descend_to_kottwitz"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert main(["modulus", "--preset", preset]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_modulus_needs_no_weyl_cap(capsys):
     # |W(GL8)| = 40320 is far past the cap; modulus never enumerates W
     assert main(["modulus", "--preset", "split GL8", "--max-orbit",

@@ -22,7 +22,7 @@ from satake.kottwitz import (
     parameters_equal, relative_weyl_action, setting_for_datum,
     setting_for_torus, weyl_orbit,
 )
-from satake.matrices import IntMatrix, Lattice
+from satake.matrices import IntMatrix
 from satake.presets import flip_negate, split_gl
 from satake.rootdata import (
     BasedRootDatum, CapExceeded, GaloisAction, fixed_weyl_subgroup,
@@ -37,10 +37,8 @@ Q = ExactCircle(1, 0)
 QINV = Q.inverse()
 QHALF = ExactCircle(Fraction(1, 2), 0)
 
-SL2 = BasedRootDatum(Lattice(1), ((2,), (-2,)), Lattice(1), ((1,), (-1,)),
-                     (0,), label="SL2")
-NORM_ONE = TorusWithAction(Lattice(1), IntMatrix([[-1]]),
-                           IntMatrix.identity(1))
+SL2 = BasedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0,), label="SL2")
+NORM_ONE = TorusWithAction(1, IntMatrix([[-1]]), IntMatrix.identity(1))
 
 
 def unramified_setting(datum):
@@ -202,8 +200,7 @@ def test_classification_needs_no_circle_arithmetic(preset, monkeypatch,
 
 
 def test_split_torus_group():
-    split3 = TorusWithAction(Lattice(3), IntMatrix.identity(3),
-                             IntMatrix.identity(3))
+    split3 = TorusWithAction(3, IntMatrix.identity(3), IntMatrix.identity(3))
     assert kottwitz_group(split3).group.describe() == "Z^3"
     assert maximal_compact_quotient(split3).describe() == "Z^3"
 
@@ -219,7 +216,7 @@ def test_twist_relation_is_validated():
     with pytest.raises(ValueError):
         build_induced_torus(2, 1, 4)
     with pytest.raises(ValueError):
-        TorusWithAction(Lattice(2), IntMatrix([[0, 1], [1, 0]]),
+        TorusWithAction(2, IntMatrix([[0, 1], [1, 0]]),
                         IntMatrix.identity(2), twist=2)
 
 
@@ -264,7 +261,7 @@ def test_twist_relation_is_checked_without_inverses():
     GaloisAction(ident, flip, 5)
     with pytest.raises(ValueError, match="twist relation"):
         # tau = (1 2) and sigma = (2 3) do not normalise each other
-        TorusWithAction(Lattice(3), IntMatrix([[0, 1, 0], [1, 0, 0],
+        TorusWithAction(3, IntMatrix([[0, 1, 0], [1, 0, 0],
                                                [0, 0, 1]]),
                         IntMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
     with pytest.raises(ValueError, match="twist relation"):
@@ -420,31 +417,29 @@ def test_envelope_of_norm_one():
     kgp = kottwitz_group(env.prime)
     kgn = kottwitz_group(NORM_ONE)
     assert kgp.group.describe() == "Z"
-    khom, _ = check_squares(env.norm.matrix, kgp, kgn)
+    khom, _ = check_squares(env.norm, kgp, kgn)
     assert khom.is_surjective()
     # every character of the target is hit through the norm correspondence
     pulled = {ch.precompose(khom).key() for ch in all_characters(kgn.group)}
     assert len(pulled) == 2
     # the embedding direction collapses: Z/2 has no injection into Z
-    khom_e, _ = kottwitz_hom(env.embed.matrix, kgn, kgp)
+    khom_e, _ = kottwitz_hom(env.embed, kgn, kgp)
     assert khom_e.is_zero()
-    check_squares(env.embed.matrix, kgn, kgp)
+    check_squares(env.embed, kgn, kgp)
 
 
 def test_envelope_degenerate_and_multiplicative():
-    split3 = TorusWithAction(Lattice(3), IntMatrix.identity(3),
-                             IntMatrix.identity(3))
+    split3 = TorusWithAction(3, IntMatrix.identity(3), IntMatrix.identity(3))
     env1 = induced_envelope(split3, 1)
     assert env1.prime.rank == 3
-    assert env1.embed.matrix == IntMatrix.identity(3)
-    gm = TorusWithAction(Lattice(1), IntMatrix.identity(1),
-                         IntMatrix.identity(1))
+    assert env1.embed == IntMatrix.identity(3)
+    gm = TorusWithAction(1, IntMatrix.identity(1), IntMatrix.identity(1))
     env2 = induced_envelope(gm, 2)
     assert env2.prime.rank == 2
-    assert env2.embed.matrix.data == ((1,), (1,))
+    assert env2.embed.data == ((1,), (1,))
     assert env2.prime.sigma == IntMatrix([[0, 1], [1, 0]])
     # norm after diagonal embedding is multiplication by the degree
-    comp = env2.norm.matrix @ env2.embed.matrix
+    comp = env2.norm @ env2.embed
     assert comp == IntMatrix([[2]])
 
 
@@ -491,6 +486,6 @@ def test_random_equivariant_squares():
             for _ in range(order):
                 mat = mat + g @ base @ sympy_inverse(g)
                 g = g @ ta
-        torus_a = TorusWithAction(Lattice(na), ta, sa)
-        torus_b = TorusWithAction(Lattice(nb), tb, sb)
+        torus_a = TorusWithAction(na, ta, sa)
+        torus_b = TorusWithAction(nb, tb, sb)
         check_squares(mat, kottwitz_group(torus_a), kottwitz_group(torus_b))

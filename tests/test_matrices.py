@@ -8,8 +8,8 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from satake.matrices import (
-    IntMatrix, Lattice, SmithForm, column_span_basis, hstack, kernel_basis,
-    lattice_map, kernel, smith_normal_form, solve,
+    IntMatrix, SmithForm, column_span_basis, hstack, kernel_basis,
+    smith_normal_form, solve,
 )
 from satake.abelian import FgAbGroup, GroupHom
 
@@ -83,6 +83,9 @@ def test_kernel_basis_is_saturated():
     assert ker.ncols == 1
     col = ker.column(0)
     assert col in ((2, -1), (-2, 1))
+    # an injective 3x2 map has an empty kernel
+    empty = kernel_basis(IntMatrix([[1, 0], [0, 1], [0, 0]]))
+    assert empty.shape == (2, 0)
     rng = random.Random(7)
     for _ in range(60):
         mat = random_matrix(rng, max_dim=5, bound=5)
@@ -161,16 +164,6 @@ def test_matrix_arithmetic_and_stacking():
         a @ IntMatrix.identity(3)
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
-
-
-def test_lattice_map_shape_checks():
-    src, tgt = Lattice(2, "A"), Lattice(3, "B")
-    lm = lattice_map(IntMatrix([[1, 0], [0, 1], [0, 0]]), source=src, target=tgt)
-    assert lm((5, 7)) == (5, 7, 0)
-    with pytest.raises(ValueError):
-        lattice_map(IntMatrix.identity(2), source=src, target=tgt)
-    k = kernel(lm)
-    assert k.matrix.ncols == 0
 
 
 def test_key_orders_matrices_deterministically():

@@ -1,12 +1,13 @@
 """Based root data, pinned automorphisms, Weyl groups, folding."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from satake.config import resolve
-from satake.matrices import IntMatrix, Lattice
+from satake.matrices import IntMatrix
 from satake.presets import (
     adjoint_d4, d4_flip_matrix, d4_triality_matrix, flip_negate, split_gl,
     split_pgl, split_sl, split_so, split_sp,
@@ -20,8 +21,7 @@ from satake.rootdata import (
 from test_acceptance import TWISTED_SUITE
 from test_matrices import sympy_inverse
 
-SL2 = BasedRootDatum(Lattice(1, "X"), ((2,), (-2,)), Lattice(1, "X^"),
-                     ((1,), (-1,)), (0,), label="SL2")
+SL2 = BasedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0,), label="SL2")
 
 
 def test_sl2_basics():
@@ -65,24 +65,29 @@ def test_root_closure_builds_full_systems():
 def test_root_closure_rejects_mismatched_coroots():
     with pytest.raises(ValueError):
         root_closure([(2,)], [(2,)])    # <a, a^> must be 2
+    # X and X^ have one rank: a coroot longer or shorter than the simple
+    # roots is refused, not truncated by the pairing
+    with pytest.raises(ValueError):
+        datum_from_simples([(1, -1)], [(1, -1, 0)])
+    with pytest.raises(ValueError):
+        datum_from_simples([(1, -1, 0)], [(1, -1)])
 
 
 def test_validate_reports_violations():
-    broken = BasedRootDatum(Lattice(1), ((2,),), Lattice(1), ((1,),), (0,))
+    broken = BasedRootDatum(1, ((2,),), ((1,),), (0,))
     problems = validate(broken)
     assert problems, "missing -alpha must be flagged"
     assert any("permute" in p for p in problems)
 
 
 def test_validate_refuses_dependent_simple_roots():
-    doubled = BasedRootDatum(Lattice(1), ((2,), (-2,)), Lattice(1),
-                             ((1,), (-1,)), (0, 1))
+    doubled = BasedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0, 1))
     assert validate(doubled) == ["simple roots are linearly dependent"]
     gl3 = split_gl(3)
     a1, a2 = gl3.simple_roots()
     a12 = gl3.roots.index(tuple(x + y for x, y in zip(a1, a2)))
-    three = BasedRootDatum(gl3.char_lattice, gl3.roots, gl3.cochar_lattice,
-                           gl3.coroots, gl3.simple_indices + (a12,))
+    three = BasedRootDatum(gl3.rank, gl3.roots, gl3.coroots,
+                           gl3.simple_indices + (a12,))
     assert validate(three) == ["simple roots are linearly dependent"]
 
 
@@ -147,7 +152,7 @@ def test_folding_a3_gives_c2():
     assert res.type_name == "C2"
     assert len(res.datum.roots) == 8
     assert validate(res.datum) == []
-    assert res.datum.char_lattice.rank == 2
+    assert res.datum.rank == 2
     folded = folded_generators(gl4, tau)
     assert len(folded) == 2
     assert len(mulclose(folded)) == 8
@@ -184,12 +189,33 @@ def test_folding_a4_gives_bc2():
 
 
 def test_folding_torus_datum():
-    torus = BasedRootDatum(Lattice(3, "X"), (), Lattice(3, "X^"), (), ())
+    torus = BasedRootDatum(3, (), (), ())
     assert validate(torus) == []
     assert weyl_group(torus).order == 1
     res = restricted_root_data(torus, pinned_automorphism(torus, flip_negate(3)))
     assert res.type_name == "torus"
-    assert res.datum.char_lattice.rank == 1
+    assert res.datum.rank == 1
+
+
+@pytest.mark.parametrize("name", ["flip A5", "flip D4", "triality D4"])
+def test_folding_takes_two_smith_forms(name, monkeypatch):
+    """One Smith form for the tau-coinvariants and one for the simple
+    coefficients of the folded datum; no kernel of tau - 1 is computed."""
+    from satake import matrices
+
+    rg = resolve(preset=name)
+    calls = []
+    real = matrices.smith_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "smith_normal_form", None) is real:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+    restricted_root_data(rg.datum, rg.action.tau)
+    assert len(calls) == 2
 
 
 def test_detect_type_families():
@@ -264,7 +290,7 @@ def simple_coefficients_oracle(datum, root):
 
 
 PRESET_DATA = ([SL2, adjoint_d4(),
-                BasedRootDatum(Lattice(2), (), Lattice(2), (), ())]
+                BasedRootDatum(2, (), (), ())]
                + [build(n) for build in (split_gl, split_sl, split_pgl)
                   for n in range(2, 6)]
                + [split_sp(n) for n in (4, 6, 8)]
