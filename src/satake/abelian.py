@@ -16,8 +16,6 @@ computed by lifting to the presentation and adjoining relation columns
 special casing.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import chain, product as iter_product
 from math import gcd, lcm, prod

@@ -17,8 +17,6 @@ True
 True
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

@@ -248,6 +248,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_orbit < 1:
+            raise ConfigError("--max-orbit must be positive")
         rg = _load(args)
         report = _COMMANDS[args.command](rg, args)
         sys.stdout.write(render_report(report, args.format))

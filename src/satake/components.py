@@ -9,9 +9,7 @@ pi_0(T^tau) dualizes to injectivity of a torsion map checked by direct
 enumeration.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .abelian import (FgAbGroup, GroupHom, cokernel, induced_endomorphism,
                       kernel_of_hom)
@@ -21,19 +19,18 @@ from .rootdata import (DEFAULT_WEYL_CAP, closure, compose,
                        root_permutation, weyl_group)
 
 
-@dataclass(frozen=True)
-class DiagonalizableGroup:
+class DiagonalizableGroup(namedtuple("DiagonalizableGroup", "char_group tau")):
     """A diagonalizable group given by its character group and a tau action."""
 
-    char_group: FgAbGroup
-    tau: GroupHom
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tau.source != self.char_group or self.tau.target != self.char_group:
+    def __new__(cls, char_group, tau):
+        if tau.source != char_group or tau.target != char_group:
             raise ValueError("action must be an endomorphism of the character group")
-        ker, _ = kernel_of_hom(self.tau)
-        if not ker.is_trivial() or not self.tau.is_surjective():
+        ker, _ = kernel_of_hom(tau)
+        if not ker.is_trivial() or not tau.is_surjective():
             raise ValueError("action must be an automorphism")
+        return super().__new__(cls, char_group, tau)
 
 
 def diagonalizable_from_lattice(matrix):
@@ -42,12 +39,12 @@ def diagonalizable_from_lattice(matrix):
     return DiagonalizableGroup(g, GroupHom(g, g, matrix))
 
 
-@dataclass(frozen=True)
-class Pi0Certificate:
-    """pi_0 of a fixed-point group, with the coinvariants as witness."""
+class Pi0Certificate(namedtuple("Pi0Certificate", "group coinvariants")):
+    """pi_0 of a fixed-point group, with the coinvariants as witness:
+    `group` is finite (trivial iff connected), `coinvariants` is M_tau,
+    whose torsion pi_0 dualizes."""
 
-    group: FgAbGroup          # finite; trivial iff connected
-    coinvariants: FgAbGroup   # M_tau, whose torsion pi_0 dualizes
+    __slots__ = ()
 
     def is_connected(self):
         return self.group.is_trivial()
@@ -90,14 +87,13 @@ def check_tad_connected(datum, tau):
     return pi0_fixed(diagonalizable_from_lattice(perm))
 
 
-@dataclass(frozen=True)
-class CenterCoverCheck:
-    """Verdict for pi_0(Z^tau) ->> pi_0(T^tau) with a witness on failure."""
+class CenterCoverCheck(namedtuple("CenterCoverCheck", "surjective pi0_torus"
+                                  " pi0_center kernel_witness")):
+    """Verdict for pi_0(Z^tau) ->> pi_0(T^tau) with a witness on failure:
+    `kernel_witness` is a nonzero torsion class dying in the quotient, if
+    any, else ()."""
 
-    surjective: bool
-    pi0_torus: FgAbGroup
-    pi0_center: FgAbGroup
-    kernel_witness: tuple   # nonzero torsion class dying in the quotient, if any
+    __slots__ = ()
 
 
 def check_center_covers_components(datum, tau):
@@ -132,13 +128,10 @@ def check_center_covers_components(datum, tau):
                             kernel_witness=witness)
 
 
-@dataclass(frozen=True)
-class FoldCheck:
+class FoldCheck(namedtuple("FoldCheck", "match fixed_order folded_order")):
     """Comparison of the tau-fixed Weyl subgroup with the folded group."""
 
-    match: bool
-    fixed_order: int
-    folded_order: int
+    __slots__ = ()
 
 
 def check_fixed_weyl_is_folded(datum, tau, cap=DEFAULT_WEYL_CAP):

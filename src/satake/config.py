@@ -8,17 +8,15 @@ indices ((1 2)(3 4)), `id` is the identity, and circle values are pairs
 offending line number.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .circle import ExactCircle
 from .kottwitz import TorusWithAction, cochar_torus, setting_for_datum, \
     setting_for_torus
 from .matrices import IntMatrix
-from .presets import Preset, refuse_large_rank, resolve_preset
-from .rootdata import BasedRootDatum, GaloisAction, galois_action, validate
+from .presets import refuse_large_rank, resolve_preset
+from .rootdata import BasedRootDatum, galois_action, validate
 
 
 class ConfigError(ValueError):
@@ -33,29 +31,18 @@ _KEYS = ("name", "preset", "rank", "roots", "coroots", "simple",
          "tau", "sigma", "twist", "q", "values", "values2", "value")
 
 
-@dataclass(frozen=True)
-class GroupConfig:
-    """Parsed configuration; structural fields are None when absent.
+class GroupConfig(namedtuple("GroupConfig", _KEYS,
+                             defaults=("",) + (None,) * (len(_KEYS) - 1))):
+    """Parsed configuration, one field per key; `name` is "" and every
+    other field None when absent.
 
     tau/sigma are tagged unions: ("id",), ("perm", cycles) or
     ("matrix", IntMatrix).  For a bare torus the matrices act on the
     cocharacter lattice; with roots present they act on the character
-    lattice.
+    lattice.  `values`/`values2` are tuples of ExactCircle, `value` one.
     """
 
-    name: str = ""
-    preset: str = None
-    rank: int = None
-    roots: tuple = None
-    coroots: tuple = None
-    simple: tuple = None
-    tau: tuple = None
-    sigma: tuple = None
-    twist: int = None
-    q: int = None
-    values: tuple = None
-    values2: tuple = None
-    value: ExactCircle = None
+    __slots__ = ()
 
 
 # --- low-level value parsing -------------------------------------------------
@@ -318,8 +305,9 @@ def serialize_config(config):
 
 # --- resolution ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResolvedGroup:
+class ResolvedGroup(namedtuple("ResolvedGroup", "name datum action torus q"
+                               " values values2 value",
+                               defaults=(None, None, None))):
     """A config or preset turned into live objects.
 
     Exactly one of `datum` (with its validated char-side Galois `action`)
@@ -327,14 +315,7 @@ class ResolvedGroup:
     always the cocharacter-side action feeding the Kottwitz machine.
     """
 
-    name: str
-    datum: BasedRootDatum
-    action: GaloisAction
-    torus: TorusWithAction
-    q: int
-    values: tuple = None
-    values2: tuple = None
-    value: ExactCircle = None
+    __slots__ = ()
 
     def setting(self):
         if self.datum is None:
@@ -388,6 +369,10 @@ def resolve(config=None, preset=None, q=None):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         q = p.q
+    if q is not None and q < 2:
+        raise ConfigError("residue cardinality must be at least 2")
+
+    if preset_name is not None:
         if p.torus is not None:
             if config.tau is not None or config.sigma is not None \
                     or config.twist is not None:

@@ -9,45 +9,40 @@ found by breadth-first search over those images, and classes are compared
 by a canonical minimal orbit representative.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
+from .abelian import (GroupCharacter, GroupHom, coinvariants,
                       induced_endomorphism, invariants_of_induced_action,
                       subgroup_coordinates)
 from .circle import ExactCircle
 from .matrices import IntMatrix
-from .rootdata import (BasedRootDatum, CapExceeded, FoldingError,
-                       GaloisAction, check_twist_relation, folded_generators,
-                       mulclose)
+from .rootdata import (CapExceeded, FoldingError, check_twist_relation,
+                       folded_generators, mulclose)
 
 
-@dataclass(frozen=True)
-class TorusWithAction:
+class TorusWithAction(namedtuple("TorusWithAction", "rank tau sigma twist"
+                                 " induced_params")):
     """Cocharacter lattice Z^rank of a torus with inertia (tau) and
     Frobenius (sigma) automorphisms obeying the tame twist relation
-    sigma tau sigma^-1 = tau^twist."""
+    sigma tau sigma^-1 = tau^twist.  `induced_params` is (e, f, q) when
+    built by build_induced_torus, else None."""
 
-    rank: int
-    tau: IntMatrix
-    sigma: IntMatrix
-    twist: int = 1
-    induced_params: tuple = None   # (e, f, q) when built by build_induced_torus
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.rank
-        for name, m in (("tau", self.tau), ("sigma", self.sigma)):
-            if m.shape != (n, n):
-                raise ValueError(f"{name} does not act on a rank-{n} lattice")
+    def __new__(cls, rank, tau, sigma, twist=1, induced_params=None):
+        for name, m in (("tau", tau), ("sigma", sigma)):
+            if m.shape != (rank, rank):
+                raise ValueError(f"{name} does not act on a rank-{rank}"
+                                 " lattice")
             if not m.is_unimodular():
                 raise ValueError(f"{name} is not a lattice automorphism")
-        tau_order = self.tau.multiplicative_order(cap=10 ** 4)
-        self.sigma.multiplicative_order(cap=10 ** 4)
-        check_twist_relation(self.tau, self.sigma, self.twist, tau_order)
+        tau_order = tau.multiplicative_order(cap=10 ** 4)
+        sigma.multiplicative_order(cap=10 ** 4)
+        check_twist_relation(tau, sigma, twist, tau_order)
+        return super().__new__(cls, rank, tau, sigma, twist, induced_params)
 
 
 def cochar_torus(datum, action):
@@ -60,8 +55,8 @@ def cochar_torus(datum, action):
                            twist=action.twist)
 
 
-@dataclass(frozen=True)
-class KottwitzGroup:
+class KottwitzGroup(namedtuple("KottwitzGroup", "torus coinvariants group"
+                               " inclusion")):
     """T/T_0 = sigma-invariants of the tau-coinvariants of X_*(T).
 
     `coinvariants` is presented over the cocharacter lattice; `group` is
@@ -69,10 +64,7 @@ class KottwitzGroup:
     coinvariants.
     """
 
-    torus: TorusWithAction
-    coinvariants: FgAbGroup
-    group: FgAbGroup
-    inclusion: GroupHom
+    __slots__ = ()
 
     def ambient_lift(self, coords):
         """A cocharacter-lattice representative of an element of T/T_0."""
@@ -185,11 +177,10 @@ def character_from_dual_point(kg, chi, c):
     return GroupCharacter(kg.group, tuple(values))
 
 
-@dataclass(frozen=True)
-class SatakeParameter:
+class SatakeParameter(namedtuple("SatakeParameter", "character")):
     """A character of the Kottwitz group, prior to the Weyl quotient."""
 
-    character: GroupCharacter
+    __slots__ = ()
 
     def key(self):
         return self.character.key()
@@ -201,15 +192,12 @@ def parameter_from_character(kg, character):
     return SatakeParameter(character)
 
 
-@dataclass(frozen=True)
-class ParameterClass:
+class ParameterClass(namedtuple("ParameterClass", "representative orbit_size"
+                                " orbit_keys", defaults=(frozenset(),))):
     """Canonical representative of a W-orbit of parameters plus its size;
     `orbit_keys` holds the `ident()` of every character in the orbit."""
 
-    representative: SatakeParameter
-    orbit_size: int
-    orbit_keys: frozenset = field(default=frozenset(), compare=False,
-                                  repr=False)
+    __slots__ = ()
 
     def key(self):
         return self.representative.key()
@@ -241,17 +229,16 @@ def descend_to_kottwitz(kg, ambient_matrix):
         induced_endomorphism(kg.coinvariants, ambient_matrix), kg, kg)
 
 
-@dataclass(frozen=True)
-class SphericalSetting:
+class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
+                                  " kottwitz")):
     """Everything needed to classify parameters for one group: the based
     root datum and its char-side Galois action (both None for a bare
     torus), the cochar-side torus and its Kottwitz group.  The relative
     Weyl group's action on T/T_0 is built on first use."""
 
-    datum: BasedRootDatum
-    action: GaloisAction
-    torus: TorusWithAction
-    kottwitz: KottwitzGroup
+    def __setattr__(self, name, value):
+        # the instance dict is only for the cached property
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
     @property
     def group(self):
@@ -394,8 +381,7 @@ def kottwitz_hom(matrix, kg_source, kg_target):
     return _restrict_to_kottwitz(chom, kg_source, kg_target), chom
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(namedtuple("Envelope", "torus prime embed norm degree")):
     """Induced envelope T' of a torus T with Galois action.
 
     X_*(T') is the group ring of the finite group Gamma = A x Z/c (A the
@@ -406,11 +392,7 @@ class Envelope:
     degree, and both are equivariant.
     """
 
-    torus: TorusWithAction
-    prime: TorusWithAction
-    embed: IntMatrix
-    norm: IntMatrix
-    degree: int
+    __slots__ = ()
 
 
 def induced_envelope(torus, n):

@@ -6,8 +6,6 @@ and hashable so that group elements can be collected into sets during
 closure enumerations.
 """
 
-from __future__ import annotations
-
 from operator import add, mul
 
 

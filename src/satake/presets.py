@@ -7,15 +7,12 @@ tokens, e.g. "split SL2", "induced e=2 f=1 q=3", "flip A3",
 "triality D4", "unitary ramified 3", "norm-one", "torus n=2".
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .kottwitz import TorusWithAction, build_induced_torus
 from .matrices import IntMatrix
-from .rootdata import (RANK_CAP, ROOT_CAP, BasedRootDatum, CapExceeded,
-                       datum_from_simples)
+from .rootdata import RANK_CAP, ROOT_CAP, CapExceeded, datum_from_simples
 
 
 def standard_basis(n, i):
@@ -134,18 +131,13 @@ def split_torus(n):
     return TorusWithAction(n, IntMatrix.identity(n), IntMatrix.identity(n))
 
 
-@dataclass(frozen=True)
-class Preset:
-    """A resolved preset: either a datum with char-side action matrices,
+class Preset(namedtuple("Preset", "name datum tau sigma twist torus q",
+                        defaults=(None, None, None, 1, None, None))):
+    """A resolved preset: either a datum with char-side action matrices
+    (tau and sigma act on its character lattice; None is the identity),
     or a bare torus with its cocharacter action."""
 
-    name: str
-    datum: BasedRootDatum = None
-    tau: IntMatrix = None       # on the datum's character lattice; None = id
-    sigma: IntMatrix = None
-    twist: int = 1
-    torus: TorusWithAction = None
-    q: int = None
+    __slots__ = ()
 
 
 _SPLIT = {"GL": split_gl, "SL": split_sl, "PGL": split_pgl,

@@ -10,9 +10,7 @@ breadth-first `closure` over the simple reflections, refused up front when
 the order of the Cartan type passes the cap, and capped while it runs.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd
@@ -38,29 +36,25 @@ def _dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-@dataclass(frozen=True)
-class BasedRootDatum:
+class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
+                                " simple_indices label")):
     """(X, roots, X^, coroots) with a marked simple system.
 
     X and X^ are dual lattices Z^rank; `roots[i]` pairs with `coroots[i]`
     by the standard dot product of their coordinate vectors.
     """
 
-    rank: int
-    roots: tuple
-    coroots: tuple
-    simple_indices: tuple
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "roots",
-                           tuple(tuple(int(v) for v in r) for r in self.roots))
-        object.__setattr__(self, "coroots",
-                           tuple(tuple(int(v) for v in r) for r in self.coroots))
-        object.__setattr__(self, "simple_indices",
-                           tuple(int(i) for i in self.simple_indices))
-        if len(self.roots) != len(self.coroots):
+    def __new__(cls, rank, roots, coroots, simple_indices, label=""):
+        roots = tuple(tuple(int(v) for v in r) for r in roots)
+        coroots = tuple(tuple(int(v) for v in r) for r in coroots)
+        if len(roots) != len(coroots):
             raise ValueError("roots and coroots must be in bijection")
+        return super().__new__(cls, rank, roots, coroots,
+                               tuple(int(i) for i in simple_indices), label)
+
+    def __setattr__(self, name, value):
+        # the instance dict is only for the cached properties
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
     def simple_roots(self):
         return [self.roots[i] for i in self.simple_indices]
@@ -252,18 +246,17 @@ def dual_datum(datum):
                           label=(datum.label + "^") if datum.label else "")
 
 
-@dataclass(frozen=True)
-class PinnedAutomorphism:
+class PinnedAutomorphism(namedtuple("PinnedAutomorphism", "matrix order")):
     """Finite-order lattice automorphism preserving the based structure."""
 
-    matrix: IntMatrix
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.matrix.is_unimodular():
+    def __new__(cls, matrix, order):
+        if not matrix.is_unimodular():
             raise ValueError("pinned automorphism must be unimodular")
-        if self.order < 1 or not self.matrix.power(self.order).is_identity():
+        if order < 1 or not matrix.power(order).is_identity():
             raise ValueError("declared order is wrong")
+        return super().__new__(cls, matrix, order)
 
     def dual(self):
         """The inverse transpose, which acts on the other side's lattice."""
@@ -310,18 +303,15 @@ def identity_pin(datum):
     return PinnedAutomorphism(IntMatrix.identity(datum.rank), 1)
 
 
-@dataclass(frozen=True)
-class GaloisAction:
+class GaloisAction(namedtuple("GaloisAction", "tau sigma twist")):
     """A pair of pinned automorphisms with the tame twist relation
     sigma tau sigma^-1 = tau^twist."""
 
-    tau: PinnedAutomorphism
-    sigma: PinnedAutomorphism
-    twist: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_twist_relation(self.tau.matrix, self.sigma.matrix, self.twist,
-                             self.tau.order)
+    def __new__(cls, tau, sigma, twist=1):
+        check_twist_relation(tau.matrix, sigma.matrix, twist, tau.order)
+        return super().__new__(cls, tau, sigma, twist)
 
 
 def check_twist_relation(tau, sigma, twist, tau_order):
@@ -340,18 +330,16 @@ def galois_action(datum, tau_matrix, sigma_matrix, twist=1):
     return GaloisAction(tau, sigma, twist)
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(namedtuple("WeylGroup", "permutations roots coroots")):
     """A Weyl group on one side of a datum, each element recorded as the
     permutation it induces on that side's roots (W acts faithfully on them).
 
-    A permutation p lists the indices in `roots` of the images of the
-    roots; `coroots` are the paired vectors on the other side.
+    A permutation p (in the frozenset `permutations`) lists the indices in
+    `roots` of the images of the roots; `coroots` are the paired vectors
+    on the other side.
     """
 
-    permutations: frozenset
-    roots: tuple
-    coroots: tuple
+    __slots__ = ()
 
     @property
     def order(self):
@@ -530,22 +518,19 @@ def folded_generators(datum, *automorphisms, side="char"):
     return out
 
 
-@dataclass(frozen=True)
-class RestrictedRootData:
+class RestrictedRootData(namedtuple("RestrictedRootData", "projection datum"
+                                    " non_reduced reduced_datum type_name")):
     """Folded data for a pinned automorphism tau.
 
     `projection` is the matrix of X onto the torsion-free
     tau-coinvariants, the character lattice of the fixed subtorus (its
     row count is that lattice's rank); the restricted roots live there.
-    `datum` may be non-reduced (flagged); `reduced_datum` keeps only
-    indivisible roots.
+    `datum` may be non-reduced (flagged by the bool `non_reduced`);
+    `reduced_datum` keeps only indivisible roots, and `type_name` names
+    the Cartan type.
     """
 
-    projection: IntMatrix
-    datum: BasedRootDatum
-    non_reduced: bool
-    reduced_datum: BasedRootDatum
-    type_name: str
+    __slots__ = ()
 
 
 def restricted_root_data(datum, tau):

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.circle import ExactCircle
 from satake.cli import main
@@ -74,6 +75,65 @@ value = (0,1/2)
     # single-element cycles are dropped on the round trip
     resurfaced = parse_config(serialize_config(cfg2))
     assert resurfaced.sigma == cfg2.sigma
+
+
+# --- generated configs: parse_config(serialize_config(c)) == c ---------------
+
+_words = st.text(alphabet="abcDEF019 _-=.", min_size=1, max_size=12).filter(
+    lambda s: s == s.strip())
+_ints = st.integers(-10 ** 6, 10 ** 6)
+_rationals = st.fractions(-100, 100, max_denominator=12)
+_circles = st.builds(ExactCircle, _rationals, _rationals)
+
+
+@st.composite
+def _vectors(draw):
+    n = draw(st.integers(1, 4))
+    return tuple(draw(st.lists(st.tuples(*[_ints] * n), max_size=4)))
+
+
+@st.composite
+def _cycles(draw):
+    points = draw(st.permutations(range(1, 9)))
+    lengths = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    out, i = [], 0
+    for k in lengths:
+        if i + k > len(points):
+            break
+        out.append(tuple(points[i:i + k]))
+        i += k
+    return tuple(out)
+
+
+@st.composite
+def _square(draw):
+    n = draw(st.integers(1, 3))
+    return IntMatrix([list(draw(st.tuples(*[_ints] * n))) for _ in range(n)])
+
+
+_tagged = st.one_of(st.just(("id",)),
+                    st.tuples(st.just("perm"), _cycles()),
+                    st.tuples(st.just("matrix"), _square()))
+
+
+def _maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+_configs = st.builds(
+    GroupConfig, name=st.one_of(st.just(""), _words), preset=_maybe(_words),
+    rank=_maybe(_ints), roots=_maybe(_vectors()), coroots=_maybe(_vectors()),
+    simple=_maybe(st.lists(_ints, max_size=4).map(tuple)),
+    tau=_maybe(_tagged), sigma=_maybe(_tagged), twist=_maybe(_ints),
+    q=_maybe(_ints), values=_maybe(st.lists(_circles, max_size=4).map(tuple)),
+    values2=_maybe(st.lists(_circles, max_size=4).map(tuple)),
+    value=_maybe(_circles))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs)
+def test_serialize_round_trip_on_generated_configs(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_resolve_conflicts():
@@ -181,6 +241,22 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["cocycle", "--preset", "norm-one"]) == 1
     assert main(["kottwitz", "--preset", "norm-one", "--format", "yaml"]) == 1
     capsys.readouterr()
+    # a residue cardinality below 2, from the flag, the config or the preset
+    # name, and a non-positive cap
+    for q in ("0", "-3", "1"):
+        assert main(["modulus", "--preset", "split GL3", "--q", q]) == 1
+        assert ("residue cardinality must be at least 2"
+                in capsys.readouterr().err)
+    cfg = tmp_path / "q1.cfg"
+    cfg.write_text("preset = split GL2\nq = 1\n")
+    assert main(["modulus", "--config", str(cfg)]) == 1
+    assert main(["modulus", "--preset", "split GL2 q=1"]) == 1
+    assert ("residue cardinality must be at least 2"
+            in capsys.readouterr().err)
+    for cap in ("-1", "0"):
+        assert main(["orbits", "--preset", "split GL2", "--torsion", "2",
+                     "--max-orbit", cap]) == 1
+        assert "--max-orbit must be positive" in capsys.readouterr().err
     # linearly dependent simple roots: SL2 with both roots simple, and A2
     # with alpha1, alpha2 and alpha1 + alpha2
     a2 = "[[1,-1,0],[0,1,-1],[1,0,-1],[-1,1,0],[0,-1,1],[-1,0,1]]"

@@ -1,14 +1,27 @@
-"""Package surface: one version string, a module-free `__all__`, and the
-one-exact-solver decision (the Smith form) kept in the source."""
+"""Package surface: one version string, a module-free `__all__`, the
+one-exact-solver decision (the Smith form) kept in the source, a start-up
+that loads no `dataclasses`, and records that stay read-only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import satake
+from satake.abelian import all_characters
+from satake.components import check_center_covers_components, \
+    check_fixed_weyl_is_folded, check_tad_connected, \
+    diagonalizable_from_lattice
+from satake.config import parse_config, resolve
+from satake.kottwitz import SatakeParameter, classify, induced_envelope
+from satake.matrices import IntMatrix
+from satake.presets import norm_one_ramified_quadratic, resolve_preset
 from satake.report import build_report
+from satake.rootdata import restricted_root_data, weyl_group
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "satake"
@@ -77,3 +90,68 @@ def test_only_verify_ks_enumerates_the_weyl_group():
     callers = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
                for owner in _callers(_tree(path.name), "weyl_group")]
     assert callers == [("components", "check_fixed_weyl_is_folded")]
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+            elif isinstance(node, ast.Import):
+                assert all(a.name != "dataclasses" for a in node.names), \
+                    path.name
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """`dataclasses` pulls in `inspect`, `ast` and `dis`; importing the
+    command line loads none of them."""
+    probe = ("import sys, satake.cli; print(sorted({'dataclasses', 'inspect',"
+             " 'ast', 'dis'} & set(sys.modules)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _records():
+    """One real instance of each record type, with the name of a field."""
+    config = parse_config("preset = flip D4\n")
+    rg = resolve(config)
+    setting = rg.setting()
+    character = next(iter(all_characters(setting.group, 2)))
+    parameter = SatakeParameter(character)
+    return [
+        (config, "preset"),
+        (resolve_preset("flip D4"), "datum"),
+        (rg, "q"),
+        (rg.datum, "roots"),
+        (rg.action, "twist"),
+        (rg.action.tau, "order"),
+        (weyl_group(rg.datum), "permutations"),
+        (restricted_root_data(rg.datum, rg.action.tau), "type_name"),
+        (rg.torus, "tau"),
+        (setting, "datum"),
+        (setting.kottwitz, "group"),
+        (parameter, "character"),
+        (classify(setting, parameter), "orbit_size"),
+        (induced_envelope(norm_one_ramified_quadratic(), 2), "degree"),
+        (diagonalizable_from_lattice(IntMatrix([[-1]])), "tau"),
+        (check_tad_connected(rg.datum, rg.action.tau), "group"),
+        (check_center_covers_components(rg.datum, rg.action.tau),
+         "surjective"),
+        (check_fixed_weyl_is_folded(rg.datum, rg.action.tau), "match"),
+    ]
+
+
+def test_records_are_read_only():
+    records = _records()
+    assert len({type(r) for r, _ in records}) == len(records)
+    for record, name in records:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert getattr(record, name) is before
+        with pytest.raises(AttributeError):
+            record.not_a_field = None
