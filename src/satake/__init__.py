@@ -16,10 +16,9 @@ from .abelian import FgAbGroup, GroupCharacter, GroupHom, all_characters, \
     induced_endomorphism, invariants_of_induced_action, kernel_of_hom, \
     subgroup_coordinates
 from .circle import ExactCircle
-from .components import CenterCoverCheck, DiagonalizableGroup, FoldCheck, \
-    Pi0Certificate, check_center_covers_components, \
-    check_fixed_weyl_is_folded, check_tad_connected, \
-    diagonalizable_from_lattice, pi0_fixed
+from .components import CenterCoverCheck, FoldCheck, Pi0Certificate, \
+    check_center_covers_components, check_fixed_weyl_is_folded, \
+    check_tad_connected, pi0_fixed
 from .config import ConfigError, GroupConfig, ResolvedGroup, parse_config, \
     resolve, serialize_config
 from .kottwitz import Envelope, KottwitzGroup, ParameterClass, \
@@ -35,8 +34,8 @@ from .rootdata import BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP, \
     FoldingError, GaloisAction, PinnedAutomorphism, RestrictedRootData, \
     WeylGroup, check_twist_relation, datum_from_simples, detect_type, \
     dual_datum, fixed_weyl_subgroup, folded_generators, galois_action, \
-    identity_pin, mulclose, pinned_automorphism, restricted_root_data, \
-    root_closure, validate, weyl_group
+    mulclose, pinned_automorphism, restricted_root_data, root_closure, \
+    search, validate, weyl_group
 
 __all__ = [name for name, obj in globals().items()
            if not name.startswith("_") and not isinstance(obj, _ModuleType)]

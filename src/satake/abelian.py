@@ -66,10 +66,6 @@ class FgAbGroup:
     def free(cls, rank):
         return cls((), rank)
 
-    @classmethod
-    def trivial(cls):
-        return cls((), 0)
-
     @property
     def ngens(self):
         return len(self.invariant_factors) + self.free_rank
@@ -126,11 +122,6 @@ class FgAbGroup:
         for d in self.invariant_factors:
             n *= d
         return n
-
-    def exponent(self):
-        if not self.is_finite():
-            return None
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def elements(self):
         """All elements of a finite group, in lexicographic coordinate order."""

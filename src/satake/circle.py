@@ -40,9 +40,6 @@ class ExactCircle:
     def inverse(self):
         return ExactCircle(-self.q_exponent, -self.argument)
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def __pow__(self, k):
         k = int(k)
         return ExactCircle(k * self.q_exponent, k * self.argument)

@@ -11,32 +11,11 @@ enumeration.
 
 from collections import namedtuple
 
-from .abelian import (FgAbGroup, GroupHom, cokernel, induced_endomorphism,
-                      kernel_of_hom)
+from .abelian import GroupHom, coinvariants, cokernel, induced_endomorphism
 from .matrices import IntMatrix
 from .rootdata import (DEFAULT_WEYL_CAP, closure, compose,
                        fixed_weyl_subgroup, folded_generators,
                        root_permutation, weyl_group)
-
-
-class DiagonalizableGroup(namedtuple("DiagonalizableGroup", "char_group tau")):
-    """A diagonalizable group given by its character group and a tau action."""
-
-    __slots__ = ()
-
-    def __new__(cls, char_group, tau):
-        if tau.source != char_group or tau.target != char_group:
-            raise ValueError("action must be an endomorphism of the character group")
-        ker, _ = kernel_of_hom(tau)
-        if not ker.is_trivial() or not tau.is_surjective():
-            raise ValueError("action must be an automorphism")
-        return super().__new__(cls, char_group, tau)
-
-
-def diagonalizable_from_lattice(matrix):
-    """Torus case: character group Z^n with an automorphism matrix."""
-    g = FgAbGroup.free(matrix.nrows)
-    return DiagonalizableGroup(g, GroupHom(g, g, matrix))
 
 
 class Pi0Certificate(namedtuple("Pi0Certificate", "group coinvariants")):
@@ -50,41 +29,32 @@ class Pi0Certificate(namedtuple("Pi0Certificate", "group coinvariants")):
         return self.group.is_trivial()
 
 
-def pi0_fixed(dgroup):
-    """pi_0(D^tau) as the dual of torsion of the coinvariants M_tau, which
-    is isomorphic to that torsion group, so the group itself is returned.
+def pi0_fixed(matrix):
+    """pi_0(D^tau) for the diagonalizable group D with character group
+    Z^n on which tau acts by the automorphism `matrix`: the dual of the
+    torsion of the coinvariants M_tau, which is isomorphic to that torsion
+    group, so the group itself is returned.
 
-    >>> from .matrices import IntMatrix
-    >>> pi0_fixed(diagonalizable_from_lattice(IntMatrix([[-1]]))).group.describe()
+    >>> pi0_fixed(IntMatrix([[-1]])).group.describe()
     'Z/2'
     """
-    coinv = (dgroup.tau - GroupHom.identity(dgroup.char_group)).cokernel_group()
+    coinv = coinvariants(matrix.nrows, [matrix])
     torsion, _ = coinv.torsion_subgroup()
     return Pi0Certificate(torsion, coinv)
-
-
-def _simple_coroot_permutation(datum, tau):
-    """tau's permutation of the simple coroots, as a matrix in that basis."""
-    simples = [datum.roots[i] for i in datum.simple_indices]
-    cosimples = [datum.coroots[i] for i in datum.simple_indices]
-    k = len(simples)
-    cols = []
-    for i in range(k):
-        img = tau.matrix.apply(simples[i])
-        j = simples.index(tuple(img))
-        cols.append(tuple(int(t == j) for t in range(k)))
-    return IntMatrix.from_columns(cols, nrows=k)
 
 
 def check_tad_connected(datum, tau):
     """pi_0 of the tau-fixed points of the adjoint-side torus.
 
     Its character group is the span of the coroots, on which a pinned tau
-    permutes the simple-coroot basis; the certificate reports the torsion
-    of those coinvariants (empty = connected).
+    permutes the simple-coroot basis as it permutes the simple roots; the
+    certificate reports the torsion of those coinvariants (empty =
+    connected).
     """
-    perm = _simple_coroot_permutation(datum, tau)
-    return pi0_fixed(diagonalizable_from_lattice(perm))
+    images = root_permutation(tau.matrix, datum.simple_roots())
+    k = len(images)
+    return pi0_fixed(IntMatrix.from_columns(
+        [[int(t == j) for t in range(k)] for j in images], nrows=k))
 
 
 class CenterCoverCheck(namedtuple("CenterCoverCheck", "surjective pi0_torus"

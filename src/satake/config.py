@@ -249,13 +249,27 @@ def parse_config(text):
 
 # --- serialization ------------------------------------------------------------
 
-def _render_matrix(m):
-    return "[" + ",".join("[" + ",".join(str(v) for v in row) + "]"
-                          for row in m.data) + "]"
+def _render_text(text):
+    if (not text or text != text.strip() or "#" in text
+            or text.splitlines() != [text]):
+        raise ValueError(f"{text!r} does not fit on one config line")
+    return text
+
+
+def _render_list(items, render=str):
+    return "[" + ",".join(render(v) for v in items) + "]"
+
+
+def _render_vectors(rows):
+    return _render_list(rows, _render_list)
 
 
 def _render_circle(c):
     return f"({c.q_exponent},{c.argument})"
+
+
+def _render_circles(values):
+    return _render_list(values, _render_circle)
 
 
 def _render_action(tagged):
@@ -264,43 +278,26 @@ def _render_action(tagged):
     if tagged[0] == "perm":
         return "".join("(" + " ".join(str(v) for v in c) + ")"
                        for c in tagged[1])
-    return _render_matrix(tagged[1])
+    return _render_vectors(tagged[1].data)
+
+
+_RENDER = {"name": _render_text, "preset": _render_text, "rank": str,
+           "roots": _render_vectors, "coroots": _render_vectors,
+           "simple": _render_list, "tau": _render_action,
+           "sigma": _render_action, "twist": str, "q": str,
+           "values": _render_circles, "values2": _render_circles,
+           "value": _render_circle}
 
 
 def serialize_config(config):
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    out = []
-    if config.name:
-        out.append(f"name = {config.name}")
-    if config.preset is not None:
-        out.append(f"preset = {config.preset}")
-    if config.rank is not None:
-        out.append(f"rank = {config.rank}")
-    if config.roots is not None:
-        out.append("roots = [" + ",".join(
-            "[" + ",".join(str(v) for v in r) + "]" for r in config.roots) + "]")
-    if config.coroots is not None:
-        out.append("coroots = [" + ",".join(
-            "[" + ",".join(str(v) for v in r) + "]" for r in config.coroots) + "]")
-    if config.simple is not None:
-        out.append("simple = [" + ",".join(str(v) for v in config.simple) + "]")
-    if config.tau is not None:
-        out.append(f"tau = {_render_action(config.tau)}")
-    if config.sigma is not None:
-        out.append(f"sigma = {_render_action(config.sigma)}")
-    if config.twist is not None:
-        out.append(f"twist = {config.twist}")
-    if config.q is not None:
-        out.append(f"q = {config.q}")
-    if config.values is not None:
-        out.append("values = [" + ",".join(_render_circle(c)
-                                           for c in config.values) + "]")
-    if config.values2 is not None:
-        out.append("values2 = [" + ",".join(_render_circle(c)
-                                            for c in config.values2) + "]")
-    if config.value is not None:
-        out.append(f"value = {_render_circle(config.value)}")
-    return "\n".join(out) + "\n"
+    """Canonical text form; parse_config(serialize_config(c)) == c.
+
+    Raises ValueError for a name or preset that one config line cannot
+    hold: one with a `#`, a line break or outer whitespace, and an empty
+    preset (an empty name is an absent one)."""
+    return "".join(f"{key} = {_RENDER[key](value)}\n"
+                   for key, value in zip(_KEYS, config)
+                   if value != GroupConfig._field_defaults[key])
 
 
 # --- resolution ---------------------------------------------------------------

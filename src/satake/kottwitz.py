@@ -19,8 +19,8 @@ from .abelian import (GroupCharacter, GroupHom, coinvariants,
                       subgroup_coordinates)
 from .circle import ExactCircle
 from .matrices import IntMatrix
-from .rootdata import (CapExceeded, FoldingError, check_twist_relation,
-                       folded_generators, mulclose)
+from .rootdata import (FoldingError, check_twist_relation, folded_generators,
+                       mulclose, search)
 
 
 class TorusWithAction(namedtuple("TorusWithAction", "rank tau sigma twist"
@@ -249,14 +249,19 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
         """GroupHoms on T/T_0 (deduplicated, identity left out): the
         relative Weyl group is the tau,sigma-fixed subgroup of the Weyl
         group, given by its folded generators, acting through
-        coinvariants."""
+        coinvariants.
+
+        A Weyl element w of the character lattice acts on the cocharacter
+        lattice by w^-T; each folded generator is the longest element of a
+        parabolic, an involution, so that is its transpose."""
         if self.datum is None:
             return ()
         torus, kg = self.torus, self.kottwitz
         identity = _action_key(GroupHom.identity(kg.group))
         homs = {}
-        for w in folded_generators(self.datum, self.action.tau,
-                                   self.action.sigma, side="cochar"):
+        for w_char in folded_generators(self.datum, self.action.tau,
+                                        self.action.sigma):
+            w = w_char.transpose()
             if (w @ torus.tau != torus.tau @ w
                     or w @ torus.sigma != torus.sigma @ w):
                 raise FoldingError("folded generator does not centralize the"
@@ -301,23 +306,9 @@ def weyl_orbit(setting, character, max_orbit=None):
     """
     if character.domain != setting.group:
         raise ValueError("parameter does not live on this setting's group")
-    orbit = {character.ident(): character}
-    frontier = [character]
-    while frontier:
-        nxt = []
-        for ch in frontier:
-            for hom in setting.weyl_generators:
-                moved = ch.precompose(hom)
-                key = moved.ident()
-                if key in orbit:
-                    continue
-                orbit[key] = moved
-                nxt.append(moved)
-                if max_orbit is not None and len(orbit) > max_orbit:
-                    raise CapExceeded(
-                        f"orbit enumeration exceeded cap {max_orbit}")
-        frontier = nxt
-    return orbit
+    return search([character], setting.weyl_generators,
+                  GroupCharacter.precompose, max_orbit, "orbit enumeration",
+                  key=GroupCharacter.ident)
 
 
 def classify(setting, parameter, max_orbit=None):

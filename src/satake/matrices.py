@@ -149,9 +149,6 @@ class IntMatrix:
     def is_square(self):
         return self.nrows == self.ncols
 
-    def is_zero(self):
-        return all(a == 0 for row in self.data for a in row)
-
     def is_identity(self):
         return (self.is_square()
                 and all(self.data[i][j] == (1 if i == j else 0)

@@ -2,12 +2,14 @@
 
 Root data are recorded concretely: the character lattice is Z^n with the
 standard dot pairing against the cocharacter side, roots and coroots are
-integer vectors, and a marked subset of the roots is simple.  Relative
-Weyl groups are described by generators (`folded_generators`).  Only
-where the enumeration itself is the certificate is the full Weyl group
-enumerated, as the permutations its elements induce on the roots: one
-breadth-first `closure` over the simple reflections, refused up front when
-the order of the Cartan type passes the cap, and capped while it runs.
+integer vectors, and a marked subset of the roots is simple.  The cocharacter
+side of a datum is its `dual_datum`.  Relative Weyl groups are described
+by generators (`folded_generators`).  Only where the enumeration itself is
+the certificate is the full Weyl group enumerated, as the permutations its
+elements induce on the roots, refused up front when the order of the
+Cartan type passes the cap.  That closure, the orbits and Dynkin
+components here, and the orbits of parameters run through one
+breadth-first `search`.
 """
 
 from collections import namedtuple
@@ -34,6 +36,37 @@ class FoldingError(ValueError):
 
 def _dot(x, y):
     return sum(a * b for a, b in zip(x, y))
+
+
+def _reflect(x, a, av):
+    """s_a(x) = x - <x, a^> a; `_reflect(y, av, a)` is s_a on the other
+    side."""
+    p = _dot(x, av)
+    return tuple(v - p * w for v, w in zip(x, a))
+
+
+def search(seeds, generators, product, cap=None, stage="", key=None):
+    """Breadth-first search from `seeds` along x -> product(x, g), one
+    step per generator g: a dict key(x) -> x (key defaults to the element
+    itself) in the order the elements are found.  Raises CapExceeded when
+    more than `cap` elements are found."""
+    found = {}
+    for x in seeds:
+        found.setdefault(x if key is None else key(x), x)
+    frontier = list(found.values())
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = product(x, g)
+                k = y if key is None else key(y)
+                if k not in found:
+                    found[k] = y
+                    nxt.append(y)
+                    if cap is not None and len(found) > cap:
+                        raise CapExceeded(f"{stage} exceeded cap {cap}")
+        frontier = nxt
+    return found
 
 
 class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
@@ -70,14 +103,6 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
         av = self.coroots[root_index]
         n = self.rank
         return IntMatrix([[int(i == j) - a[i] * av[j] for j in range(n)]
-                          for i in range(n)])
-
-    def coreflection_matrix(self, root_index):
-        """s_alpha on the cocharacter lattice: y - <alpha, y> alpha^."""
-        a = self.roots[root_index]
-        av = self.coroots[root_index]
-        n = self.rank
-        return IntMatrix([[int(i == j) - av[i] * a[j] for j in range(n)]
                           for i in range(n)])
 
     @cached_property
@@ -141,7 +166,11 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
 def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     """All (root, coroot) pairs generated from the simple ones by the
     simple reflections, acting on both sides at once.  Deterministic
-    breadth-first order; raises CapExceeded past `cap` pairs."""
+    breadth-first order; raises CapExceeded past `cap` pairs.
+
+    The loop is its own, not `search`: keyed by the root alone it stops
+    at the first root reached with a second coroot, while a search keyed
+    by (root, coroot) pairs would run on to the cap."""
     simples = [tuple(int(v) for v in r) for r in simple_roots]
     cosimples = [tuple(int(v) for v in r) for r in simple_coroots]
     if len(simples) != len(cosimples):
@@ -160,10 +189,7 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
         nxt = []
         for b, bv in frontier:
             for a, av in zip(simples, cosimples):
-                p = _dot(b, av)
-                pv = _dot(a, bv)
-                nb = tuple(x - p * y for x, y in zip(b, a))
-                nbv = tuple(x - pv * y for x, y in zip(bv, av))
+                nb, nbv = _reflect(b, a, av), _reflect(bv, av, a)
                 prev = seen.get(nb)
                 if prev is None:
                     seen[nb] = nbv
@@ -217,14 +243,10 @@ def validate(datum):
     _, den, consistency = datum._coefficient_solver
     if datum.rank - len(consistency) < len(datum.simple_indices):
         return ["simple roots are linearly dependent"]
-    for idx in range(len(datum.roots)):
-        s = datum.reflection_matrix(idx)
-        image = {s.apply(r) for r in datum.roots}
-        if image != root_set:
+    for idx, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
+        if {_reflect(r, a, av) for r in datum.roots} != root_set:
             problems.append(f"reflection in root {idx} does not permute the roots")
-        sv = datum.coreflection_matrix(idx)
-        coimage = {sv.apply(r) for r in datum.coroots}
-        if coimage != coroot_set:
+        if {_reflect(r, av, a) for r in datum.coroots} != coroot_set:
             problems.append(f"coreflection in root {idx} does not permute the coroots")
     for idx, r in enumerate(datum.roots):
         nums = datum._simple_numerators(r)
@@ -299,10 +321,6 @@ def pinned_violations(datum, aut):
     return problems
 
 
-def identity_pin(datum):
-    return PinnedAutomorphism(IntMatrix.identity(datum.rank), 1)
-
-
 class GaloisAction(namedtuple("GaloisAction", "tau sigma twist")):
     """A pair of pinned automorphisms with the tame twist relation
     sigma tau sigma^-1 = tau^twist."""
@@ -331,12 +349,12 @@ def galois_action(datum, tau_matrix, sigma_matrix, twist=1):
 
 
 class WeylGroup(namedtuple("WeylGroup", "permutations roots coroots")):
-    """A Weyl group on one side of a datum, each element recorded as the
-    permutation it induces on that side's roots (W acts faithfully on them).
+    """The Weyl group of a datum, each element recorded as the
+    permutation it induces on the roots (W acts faithfully on them).
 
     A permutation p (in the frozenset `permutations`) lists the indices in
-    `roots` of the images of the roots; `coroots` are the paired vectors
-    on the other side.
+    `roots` of the images of the roots; `coroots` are the paired
+    coroots.
     """
 
     __slots__ = ()
@@ -348,23 +366,9 @@ class WeylGroup(namedtuple("WeylGroup", "permutations roots coroots")):
 
 def closure(identity, generators, product, cap=DEFAULT_WEYL_CAP):
     """The set generated from `identity` by right multiplication with the
-    generators under `product` (breadth-first).  Raises CapExceeded past
-    `cap` elements."""
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in generators:
-                wg = product(w, g)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-                    if len(seen) > cap:
-                        raise CapExceeded(
-                            f"group enumeration exceeded cap {cap}")
-        frontier = nxt
-    return seen
+    generators under `product`.  Raises CapExceeded past `cap` elements."""
+    return set(search([identity], generators, product, cap,
+                      "group enumeration"))
 
 
 def mulclose(generators, cap=DEFAULT_WEYL_CAP):
@@ -387,15 +391,6 @@ def root_permutation(matrix, roots):
     if None in perm or len(set(perm)) != len(perm):
         raise FoldingError("matrix does not permute the roots")
     return perm
-
-
-def _side(datum, side):
-    """(reflection builder, roots, coroots) of "char"/"cochar"."""
-    if side == "char":
-        return datum.reflection_matrix, datum.roots, datum.coroots
-    if side == "cochar":
-        return datum.coreflection_matrix, datum.coroots, datum.roots
-    raise ValueError("side must be 'char' or 'cochar'")
 
 
 _EXCEPTIONAL_WEYL_ORDERS = {"E6": 51840, "E7": 2903040, "E8": 696729600,
@@ -421,20 +416,21 @@ def weyl_order(type_name):
     return order
 
 
-def weyl_group(datum, side="char", cap=DEFAULT_WEYL_CAP):
-    """The Weyl group as root permutations on one side of the datum:
-    side="char" permutes the roots, side="cochar" the coroots.  Refused
-    before enumerating when the order of the Cartan type passes `cap`, and
+def weyl_group(datum, cap=DEFAULT_WEYL_CAP):
+    """The Weyl group as permutations of the roots; the group on the
+    coroots is `weyl_group(dual_datum(datum))`.  Refused before
+    enumerating when the order of the Cartan type passes `cap`, and
     CapExceeded is also raised when the closure passes it."""
-    refl, roots, coroots = _side(datum, side)
     type_name = detect_type(datum)
     order = weyl_order(type_name)
     if order is not None and order > cap:
         raise CapExceeded(f"Weyl group enumeration: {type_name} has"
                           f" {order} elements, over the cap {cap}")
-    gens = [root_permutation(refl(i), roots) for i in datum.simple_indices]
+    roots = datum.roots
+    gens = [root_permutation(datum.reflection_matrix(i), roots)
+            for i in datum.simple_indices]
     perms = closure(tuple(range(len(roots))), gens, compose, cap)
-    return WeylGroup(frozenset(perms), roots, coroots)
+    return WeylGroup(frozenset(perms), roots, datum.coroots)
 
 
 def fixed_weyl_subgroup(weyl, commuting_with):
@@ -456,23 +452,17 @@ def fixed_weyl_subgroup(weyl, commuting_with):
     return WeylGroup(kept, weyl.roots, weyl.coroots)
 
 
-def _orbits(indices, perms):
-    """Orbits on `indices` of the group the maps `perms` generate (each
-    indexable by an index), ordered by their first member in `indices`."""
+def _orbits(indices, generators, step=lambda i, perm: perm[i]):
+    """Orbits on `indices` under the moves i -> step(i, g), by default
+    the maps `generators` (each indexable by an index), in breadth-first
+    order and ordered by their first member in `indices`."""
     seen = set()
     orbits = []
     for i in indices:
-        if i in seen:
-            continue
-        orbit = [i]
-        seen.add(i)
-        for cur in orbit:
-            for perm in perms:
-                nxt = perm[cur]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    orbit.append(nxt)
-        orbits.append(tuple(orbit))
+        if i not in seen:
+            orbit = tuple(search([i], generators, step))
+            seen.update(orbit)
+            orbits.append(orbit)
     return orbits
 
 
@@ -480,29 +470,22 @@ def _simple_orbit_partition(datum, *automorphisms):
     """Orbits on the simple indices of the group the pinned automorphisms
     generate, as index tuples ordered by their first member in
     `simple_indices`.  Only the simple roots are moved."""
-    simples = datum.simple_indices
-    root_pos = {datum.roots[i]: i for i in simples}
-    images = []
-    for aut in automorphisms:
-        perm = {i: root_pos.get(aut.matrix.apply(datum.roots[i]))
-                for i in simples}
-        if None in perm.values() or len(set(perm.values())) != len(simples):
-            raise FoldingError("automorphism does not permute the simple roots")
-        images.append(perm)
-    return _orbits(simples, images)
+    simples = datum.simple_roots()
+    perms = [root_permutation(aut.matrix, simples) for aut in automorphisms]
+    return [tuple(datum.simple_indices[i] for i in orbit)
+            for orbit in _orbits(range(len(simples)), perms)]
 
 
-def folded_generators(datum, *automorphisms, side="char"):
+def folded_generators(datum, *automorphisms):
     """Longest elements of the orbit parabolics: one matrix per orbit of
     the simple roots under the group the automorphisms generate.
 
     By Steinberg these generate the automorphism-fixed Weyl subgroup.  Each
     longest element is built by descent: starting from the identity, keep
     appending a simple reflection s_j of the orbit while w(alpha_j) is a
-    positive root.  side="cochar" gives the same elements on the
-    cocharacter lattice.
+    positive root.
     """
-    refl, roots, _ = _side(datum, side)
+    roots = datum.roots
     positive = {roots[i] for i in datum.positive_indices}
     out = []
     for orbit in _simple_orbit_partition(datum, *automorphisms):
@@ -513,7 +496,7 @@ def folded_generators(datum, *automorphisms, side="char"):
                      None)
             if j is None:
                 break
-            w = w @ refl(j)
+            w = w @ datum.reflection_matrix(j)
         out.append(w)
     return out
 
@@ -619,21 +602,12 @@ def detect_type(datum):
     if k == 0:
         return "torus"
     cartan = [[datum.cartan_entry(i, j) for j in range(k)] for i in range(k)]
-    unvisited = set(range(k))
-    names = []
-    while unvisited:
-        comp = [min(unvisited)]
-        queue = [min(unvisited)]
-        unvisited.discard(comp[0])
-        while queue:
-            i = queue.pop()
-            for j in list(unvisited):
-                if cartan[i][j] != 0:
-                    comp.append(j)
-                    unvisited.discard(j)
-                    queue.append(j)
-        names.append(_component_type(cartan, sorted(comp)))
-    return " x ".join(sorted(names))
+    # the connected components of the Dynkin diagram: a step from i to j
+    # exists when the two nodes are joined
+    components = _orbits(range(k), range(k),
+                         lambda i, j: j if cartan[i][j] else i)
+    return " x ".join(sorted(_component_type(cartan, sorted(comp))
+                             for comp in components))
 
 
 def _component_type(cartan, comp):

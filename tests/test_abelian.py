@@ -20,7 +20,7 @@ def test_canonical_form_and_describe():
     assert FgAbGroup.from_invariants((2, 6), 1).describe() == "Z/2 + Z/6 + Z"
     assert FgAbGroup.free(3).describe() == "Z^3"
     assert FgAbGroup.free(1).describe() == "Z"
-    assert FgAbGroup.trivial().describe() == "0"
+    assert FgAbGroup((), 0).describe() == "0"
     with pytest.raises(ValueError):
         FgAbGroup.from_invariants((3, 2))   # not a divisibility chain
     with pytest.raises(ValueError):
@@ -44,7 +44,7 @@ def test_reduce_and_arithmetic():
     assert g.reduce((9, 3)) == (1, 3)
     assert g.order() is None
     assert FgAbGroup.from_invariants((2, 4)).order() == 8
-    assert FgAbGroup.from_invariants((2, 4)).exponent() == 4
+    assert FgAbGroup.from_invariants((2, 4)).invariant_factors[-1] == 4
     assert list(FgAbGroup.from_invariants((2,)).elements()) == [(0,), (1,)]
 
 

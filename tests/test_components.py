@@ -4,7 +4,7 @@ import pytest
 
 from satake.components import (
     check_center_covers_components, check_fixed_weyl_is_folded,
-    check_tad_connected, diagonalizable_from_lattice, pi0_fixed,
+    check_tad_connected, pi0_fixed,
 )
 from satake.kottwitz import kottwitz_group, setting_for_datum
 from satake.matrices import IntMatrix
@@ -29,14 +29,11 @@ KS_EXPECT = {
 
 
 def test_pi0_of_diagonalizable_groups():
-    assert pi0_fixed(diagonalizable_from_lattice(
-        IntMatrix([[-1]]))).group.describe() == "Z/2"
-    assert pi0_fixed(diagonalizable_from_lattice(
-        IntMatrix([[0, 1], [1, 0]]))).is_connected()
-    assert pi0_fixed(diagonalizable_from_lattice(
-        IntMatrix.identity(2))).is_connected()
+    assert pi0_fixed(IntMatrix([[-1]])).group.describe() == "Z/2"
+    assert pi0_fixed(IntMatrix([[0, 1], [1, 0]])).is_connected()
+    assert pi0_fixed(IntMatrix.identity(2)).is_connected()
     block = IntMatrix([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    assert pi0_fixed(diagonalizable_from_lattice(block)).group.describe() == "Z/2"
+    assert pi0_fixed(block).group.describe() == "Z/2"
 
 
 def test_preset_data_are_valid():

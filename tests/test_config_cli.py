@@ -77,10 +77,30 @@ value = (0,1/2)
     assert resurfaced.sigma == cfg2.sigma
 
 
+@pytest.mark.parametrize("cfg", [
+    GroupConfig(name="a#b"), GroupConfig(name=" x"),
+    GroupConfig(preset="split GL2 # x"), GroupConfig(name="a\nq = 5"),
+    GroupConfig(preset=""), GroupConfig(name="a\u2028b"),
+])
+def test_serialize_refuses_text_one_line_cannot_hold(cfg):
+    with pytest.raises(ValueError):
+        serialize_config(cfg)
+
+
 # --- generated configs: parse_config(serialize_config(c)) == c ---------------
 
 _words = st.text(alphabet="abcDEF019 _-=.", min_size=1, max_size=12).filter(
     lambda s: s == s.strip())
+# names and presets that one config line may or may not hold
+_texts = st.one_of(_words, st.text(alphabet="aB1 \t#=\n\r\x85\u2028",
+                                   max_size=8))
+# the line boundaries of str.splitlines, from the Python documentation
+_LINE_BREAKS = set("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _one_line(text):
+    return (text != "" and text == text.strip() and "#" not in text
+            and not _LINE_BREAKS & set(text))
 _ints = st.integers(-10 ** 6, 10 ** 6)
 _rationals = st.fractions(-100, 100, max_denominator=12)
 _circles = st.builds(ExactCircle, _rationals, _rationals)
@@ -121,7 +141,7 @@ def _maybe(strategy):
 
 
 _configs = st.builds(
-    GroupConfig, name=st.one_of(st.just(""), _words), preset=_maybe(_words),
+    GroupConfig, name=_texts, preset=_maybe(_texts),
     rank=_maybe(_ints), roots=_maybe(_vectors()), coroots=_maybe(_vectors()),
     simple=_maybe(st.lists(_ints, max_size=4).map(tuple)),
     tau=_maybe(_tagged), sigma=_maybe(_tagged), twist=_maybe(_ints),
@@ -133,7 +153,14 @@ _configs = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(_configs)
 def test_serialize_round_trip_on_generated_configs(cfg):
-    assert parse_config(serialize_config(cfg)) == cfg
+    """Configs whose name (when set) and preset (when given) fit on one
+    line come back unchanged; the others are refused."""
+    if ((cfg.name == "" or _one_line(cfg.name))
+            and (cfg.preset is None or _one_line(cfg.preset))):
+        assert parse_config(serialize_config(cfg)) == cfg
+    else:
+        with pytest.raises(ValueError):
+            serialize_config(cfg)
 
 
 def test_resolve_conflicts():
@@ -481,3 +508,93 @@ def test_report_renderers():
     assert text.endswith("\n")
     payload = json.loads(to_json(report))
     assert payload["result"]["n"] == 3
+
+
+# --- caps name their stage ---------------------------------------------------
+
+def test_cli_caps_name_their_stage(tmp_path, capsys):
+    cfg = tmp_path / "pair.cfg"       # a two-element orbit under W of GL2
+    cfg.write_text("preset = split GL2\nvalues = [(1,0),(0,0)]\n")
+    assert main(["classify", "--config", str(cfg), "--max-orbit", "2"]) == 0
+    assert main(["classify", "--config", str(cfg), "--max-orbit", "1"]) == 2
+    assert "orbit enumeration exceeded cap 1" in capsys.readouterr().err
+    assert main(["orbits", "--preset", "split GL4", "--torsion", "100"]) == 2
+    assert "character enumeration" in capsys.readouterr().err
+
+
+# --- fuzzed config text: exit 0, 1 or 2, never a traceback -------------------
+
+_COMMAND_NAMES = ("kottwitz", "compact", "cocycle", "classify", "equal",
+                  "fold", "verify-ks", "modulus", "orbits")
+_A2 = "[[1,-1,0],[0,1,-1],[1,0,-1],[-1,1,0],[0,-1,1],[-1,0,1]]"
+_CIRCLES = ("[(1,0)]", "[(0,1/2)]", "[(1,0),(0,1/2)]", "[(0,0),(-1,1/3)]",
+            "[(1,0),(0,0),(-1,0)]", "[(1,0),(0,0),(-1,0),(0,1/2)]", "[]",
+            "[(1,2,3)]", "[(1/0,0)]")
+_ACTIONS = ("id", "(1 2)", "(1 3)", "(1 2)(3 4)", "(2 1 3)", "(0 1)", "(1 1)",
+            "[[-1]]", "[[0,1],[1,0]]", "[[1,1],[0,1]]", "[[2,1],[1,1]]",
+            "[[0,-1],[1,0]]", "[[0,0,-1],[0,-1,0],[-1,0,0]]")
+# the three kinds of group: a preset, a bare torus, an explicit root datum
+# (roots, coroots, simple: SL2, GL2, GL3 and two broken ones)
+_SHAPES = (
+    [("preset", ("split GL2", "split SL3", "split PGL2", "split Sp4",
+                 "split SO5", "flip A3", "flip D4", "triality D4", "norm-one",
+                 "torus n=2", "induced e=2 f=2 q=3", "induced e=3 f=1",
+                 "unitary ramified 3", "split GL2 q=5", "split XX9", "q=3"))],
+    [("rank", ("0", "1", "2", "3", "-1", "1/2", "300",
+               "99999999999999999999"))],
+    [("roots", ("[[2],[-2]]", "[[1,-1],[-1,1]]", _A2, "[[1,2]]", "[]")),
+     ("coroots", ("[[1],[-1]]", "[[1,-1],[-1,1]]", _A2, "[[2,1]]", "[]")),
+     ("simple", ("[0]", "[0]", "[0,1]", "[0,1]", "[5]"))],
+)
+# keys that may ride along with any kind
+_EXTRAS = {"name": ("G", "a b", "x = y"), "tau": _ACTIONS, "sigma": _ACTIONS,
+           "twist": ("1", "2", "3", "0", "-1"), "q": ("2", "3", "5", "1"),
+           "values": _CIRCLES, "values2": _CIRCLES,
+           "value": ("(1/2,0)", "(1,1/4)", "(1)", "(0,0)")}
+_NOISE = ("", "1/0", "(", "[", "]]", ",", "=", "(a)", "# note", "bogus")
+
+
+@st.composite
+def _fuzz_text(draw):
+    """Config text for one kind of group: a datum's roots, coroots and
+    simple indices mostly from one datum; a few extra keys; now and then a
+    malformed value, an unknown key or a repeated key."""
+    shape = draw(st.sampled_from(_SHAPES))
+    pick = draw(st.integers(0, len(shape[0][1]) - 1))
+    pairs = [(key, pool[pick] if draw(st.integers(0, 3)) else
+              draw(st.sampled_from(pool))) for key, pool in shape]
+    for key in draw(st.lists(st.sampled_from(sorted(_EXTRAS)), unique=True,
+                             max_size=4)):
+        pairs.append((key, draw(st.sampled_from(_EXTRAS[key]))))
+    lines = [f"{key} = {value}" if draw(st.integers(0, 19))
+             else f"{key} = {draw(st.sampled_from(_NOISE))}"
+             for key, value in pairs]
+    if not draw(st.integers(0, 9)):
+        lines.append(draw(st.sampled_from(["bogus = 1", "just text"]
+                                          + lines)))
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=_fuzz_text(), torsion=st.sampled_from([None, "0", "1", "2", "3"]),
+       max_orbit=st.sampled_from([None, "1", "4", "100"]),
+       q=st.sampled_from([None, "1", "2", "5"]))
+def test_fuzzed_config_text_never_ends_in_a_traceback(
+        text, torsion, max_orbit, q, tmp_path_factory):
+    """Every command on random `key = value` text exits 0, 1 or 2."""
+    import contextlib
+    import io
+
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    extra = []
+    for flag, value in (("--torsion", torsion), ("--max-orbit", max_orbit),
+                        ("--q", q)):
+        if value is not None:
+            extra += [flag, value]
+    for command in _COMMAND_NAMES:
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            rc = main([command, "--config", str(cfg), *extra])
+        assert rc in (0, 1, 2), (command, sink.getvalue())

@@ -25,9 +25,9 @@ from satake.kottwitz import (
 from satake.matrices import IntMatrix
 from satake.presets import flip_negate, split_gl
 from satake.rootdata import (
-    BasedRootDatum, CapExceeded, GaloisAction, fixed_weyl_subgroup,
-    folded_generators, galois_action, mulclose, pinned_automorphism,
-    weyl_group,
+    BasedRootDatum, CapExceeded, GaloisAction, dual_datum,
+    fixed_weyl_subgroup, folded_generators, galois_action, mulclose,
+    pinned_automorphism, weyl_group,
 )
 from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
@@ -51,10 +51,10 @@ def unramified_setting(datum):
 
 def brute_force_fixed_weyl(setting):
     """W^Gamma on the cocharacter lattice: every Weyl element commuting
-    with tau and sigma, found by closing the simple coreflections and
-    testing commutation on the matrices."""
-    datum, torus = setting.datum, setting.torus
-    weyl = mulclose([datum.coreflection_matrix(i)
+    with tau and sigma, found by closing the simple reflections of the
+    dual datum and testing commutation on the matrices."""
+    datum, torus = dual_datum(setting.datum), setting.torus
+    weyl = mulclose([datum.reflection_matrix(i)
                      for i in datum.simple_indices])
     return {w for w in weyl
             if w @ torus.tau == torus.tau @ w
@@ -77,8 +77,8 @@ def assert_matches_brute_force(setting, characters):
                                      sympy_inverse(m).transpose())
                  for m in (torus.tau, torus.sigma)]
     fixed = brute_force_fixed_weyl(setting)
-    gens = folded_generators(setting.datum, *char_side, side="cochar")
-    assert mulclose(gens) == fixed
+    gens = folded_generators(setting.datum, *char_side)
+    assert mulclose([w.transpose() for w in gens]) == fixed
     homs = [descend_to_kottwitz(setting.kottwitz, w) for w in fixed]
     for ch in characters:
         assert set(weyl_orbit(setting, ch)) == brute_force_orbit(homs, ch)
@@ -100,11 +100,13 @@ def test_folded_generators_generate_fixed_weyl_subgroup(name):
     assert root_permutations(folded, rg.datum.roots) == fixed.permutations
     # the same elements on the cocharacter side, where settings use them
     setting = rg.setting()
-    cofolded = mulclose(folded_generators(rg.datum, tau, sigma,
-                                          side="cochar"))
+    codatum = dual_datum(rg.datum)
+    cofolded = mulclose(folded_generators(
+        codatum, pinned_automorphism(codatum, setting.torus.tau),
+        pinned_automorphism(codatum, setting.torus.sigma)))
     brute = brute_force_fixed_weyl(setting)
     assert cofolded == brute
-    cofixed = fixed_weyl_subgroup(weyl_group(rg.datum, side="cochar"),
+    cofixed = fixed_weyl_subgroup(weyl_group(codatum),
                                   [setting.torus.tau, setting.torus.sigma])
     assert root_permutations(brute, rg.datum.coroots) == cofixed.permutations
 
@@ -229,8 +231,8 @@ def test_descending_generators_factors_the_inclusion_once(name, monkeypatch):
 
     rg = resolve(preset=name)
     setting = rg.setting()
-    gens = folded_generators(rg.datum, rg.action.tau, rg.action.sigma,
-                             side="cochar")
+    gens = [w.transpose() for w in folded_generators(
+        rg.datum, rg.action.tau, rg.action.sigma)]
     kg = kottwitz_group(setting.torus)   # a fresh inclusion, not yet factored
     assert len(gens) >= 2 and kg.group.ngens >= 2
     calls = []

@@ -14,11 +14,9 @@ import pytest
 import satake
 from satake.abelian import all_characters
 from satake.components import check_center_covers_components, \
-    check_fixed_weyl_is_folded, check_tad_connected, \
-    diagonalizable_from_lattice
+    check_fixed_weyl_is_folded, check_tad_connected
 from satake.config import parse_config, resolve
 from satake.kottwitz import SatakeParameter, classify, induced_envelope
-from satake.matrices import IntMatrix
 from satake.presets import norm_one_ramified_quadratic, resolve_preset
 from satake.report import build_report
 from satake.rootdata import restricted_root_data, weyl_group
@@ -137,7 +135,6 @@ def _records():
         (parameter, "character"),
         (classify(setting, parameter), "orbit_size"),
         (induced_envelope(norm_one_ramified_quadratic(), 2), "degree"),
-        (diagonalizable_from_lattice(IntMatrix([[-1]])), "tau"),
         (check_tad_connected(rg.datum, rg.action.tau), "group"),
         (check_center_covers_components(rg.datum, rg.action.tau),
          "surjective"),

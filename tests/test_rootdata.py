@@ -13,9 +13,9 @@ from satake.presets import (
     split_pgl, split_sl, split_so, split_sp,
 )
 from satake.rootdata import (
-    BasedRootDatum, CapExceeded, FoldingError, datum_from_simples,
+    ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError, datum_from_simples,
     detect_type, dual_datum, fixed_weyl_subgroup, folded_generators,
-    galois_action, identity_pin, mulclose, pinned_automorphism,
+    galois_action, mulclose, pinned_automorphism,
     restricted_root_data, root_closure, validate, weyl_group, weyl_order,
 )
 from test_acceptance import TWISTED_SUITE
@@ -27,7 +27,7 @@ SL2 = BasedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0,), label="SL2")
 def test_sl2_basics():
     assert validate(SL2) == []
     assert SL2.reflection_matrix(0) == IntMatrix([[-1]])
-    assert SL2.coreflection_matrix(0) == IntMatrix([[-1]])
+    assert dual_datum(SL2).reflection_matrix(0) == IntMatrix([[-1]])
     assert weyl_group(SL2).order == 2
     assert SL2.two_rho() == (2,)
     assert SL2.cartan_entry(0, 0) == 2
@@ -47,7 +47,7 @@ def test_gl_weyl_orders():
         datum = split_gl(n)
         assert validate(datum) == []
         assert weyl_group(datum).order == worder
-        assert weyl_group(datum, side="cochar").order == worder
+        assert weyl_group(dual_datum(datum)).order == worder
     assert split_gl(3).two_rho() == (2, 0, -2)
     assert len(split_gl(4).positive_roots()) == 6
 
@@ -111,7 +111,7 @@ def test_pinned_automorphism_checks():
     gl4 = split_gl(4)
     tau = pinned_automorphism(gl4, flip_negate(4))
     assert tau.order == 2
-    assert identity_pin(gl4).order == 1
+    assert pinned_automorphism(gl4, IntMatrix.identity(4)).order == 1
     with pytest.raises(ValueError):
         pinned_automorphism(gl4, IntMatrix.diagonal([1, 1, 1, -1]))
     with pytest.raises(ValueError):
@@ -333,14 +333,16 @@ def test_simple_coefficients_outside_the_span_of_gl(n, data):
 
 WEYL_PRESETS = tuple(sorted(TWISTED_SUITE)) + ("split Sp4", "split SO5",
                                                "unitary ramified 4")
-SIDES = {"char": ("reflection_matrix", "roots"),
-         "cochar": ("coreflection_matrix", "coroots")}
+SIDES = ("char", "cochar")
 
 
 def matrix_weyl(datum, side):
-    """The Weyl group as matrices: the closure of the simple reflections."""
-    refl = getattr(datum, SIDES[side][0])
-    return mulclose([refl(i) for i in datum.simple_indices])
+    """The Weyl group as matrices: the closure of the simple reflections,
+    transposed on the cocharacter side."""
+    refls = [datum.reflection_matrix(i) for i in datum.simple_indices]
+    if side == "cochar":
+        refls = [s.transpose() for s in refls]
+    return mulclose(refls)
 
 
 def commuting_by_matrices(elements, mats, roots):
@@ -351,11 +353,11 @@ def commuting_by_matrices(elements, mats, roots):
 
 
 @pytest.mark.parametrize("name", WEYL_PRESETS)
-@pytest.mark.parametrize("side", sorted(SIDES))
+@pytest.mark.parametrize("side", SIDES)
 def test_weyl_group_matches_matrix_closure(name, side):
     datum = resolve(preset=name).datum
-    roots = getattr(datum, SIDES[side][1])
-    weyl = weyl_group(datum, side=side)
+    roots = datum.roots if side == "char" else datum.coroots
+    weyl = weyl_group(datum if side == "char" else dual_datum(datum))
     assert weyl.roots == roots
     assert weyl.permutations == commuting_by_matrices(
         matrix_weyl(datum, side), [], roots)
@@ -399,7 +401,7 @@ def test_fixed_weyl_subgroup_matches_matrix_commutation(name):
         assert (fixed_weyl_subgroup(weyl, [w]).permutations
                 == commuting_by_matrices(elements, [w], roots))
     # cocharacter side, with the dual matrices
-    coweyl = weyl_group(rg.datum, side="cochar")
+    coweyl = weyl_group(dual_datum(rg.datum))
     duals = [rg.torus.tau, rg.torus.sigma]
     assert (fixed_weyl_subgroup(coweyl, duals).permutations
             == commuting_by_matrices(matrix_weyl(rg.datum, "cochar"), duals,
@@ -418,3 +420,118 @@ def test_fixed_weyl_subgroup_refuses_matrices_off_the_roots():
                                  gl2.roots) == {(0, 1)}
     with pytest.raises(FoldingError):
         fixed_weyl_subgroup(weyl, [shear])
+
+
+# --- validate against reflections as matrices ---------------------------------
+
+def validate_by_matrices(datum):
+    """The reference for `validate`: each reflection built as a matrix and
+    applied to every root, its transpose to every coroot; independence by
+    sympy's rank and root coefficients by exact elimination."""
+    import sympy
+
+    problems = []
+    if len(set(datum.roots)) != len(datum.roots):
+        problems.append("duplicate roots")
+    for idx, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
+        pairing = sum(x * y for x, y in zip(a, av))
+        if len(a) != datum.rank or len(av) != datum.rank:
+            problems.append(f"root/coroot {idx} has wrong length")
+        elif pairing != 2:
+            problems.append(f"<root {idx}, coroot {idx}> = {pairing},"
+                            " expected 2")
+    if problems:
+        return problems
+    problems = [f"simple index {i} out of range" for i in datum.simple_indices
+                if not 0 <= i < len(datum.roots)]
+    if problems:
+        return problems
+    simples = datum.simple_roots()
+    if simples and sympy.Matrix(simples).rank() < len(simples):
+        return ["simple roots are linearly dependent"]
+    for idx in range(len(datum.roots)):
+        s = datum.reflection_matrix(idx)
+        if {s.apply(r) for r in datum.roots} != set(datum.roots):
+            problems.append(f"reflection in root {idx} does not permute"
+                            " the roots")
+        if ({s.transpose().apply(r) for r in datum.coroots}
+                != set(datum.coroots)):
+            problems.append(f"coreflection in root {idx} does not permute"
+                            " the coroots")
+    for idx, r in enumerate(datum.roots):
+        coeffs = simple_coefficients_oracle(datum, r)
+        if coeffs is None:
+            problems.append(f"root {idx} is not in the span of the simple"
+                            " roots")
+        elif any(c.denominator != 1 for c in coeffs):
+            problems.append(f"root {idx} is not an integer combination of"
+                            " simple roots")
+        elif not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+            problems.append(f"root {idx} has mixed-sign simple coefficients")
+    return problems
+
+
+def corrupted_copies(datum):
+    """One non-simple root dropped with its coroot, the first coroot
+    doubled, and the first and last coroots swapped."""
+    n = len(datum.roots)
+    if n < 2:
+        return []
+    roots, coroots = list(datum.roots), list(datum.coroots)
+    drop = max(i for i in range(n) if i not in datum.simple_indices)
+    dropped = BasedRootDatum(
+        datum.rank, roots[:drop] + roots[drop + 1:],
+        coroots[:drop] + coroots[drop + 1:],
+        [i - (i > drop) for i in datum.simple_indices])
+    doubled = [tuple(2 * v for v in coroots[0])] + coroots[1:]
+    swapped = [coroots[-1]] + coroots[1:-1] + [coroots[0]]
+    return [dropped] + [BasedRootDatum(datum.rank, roots, c,
+                                       datum.simple_indices)
+                        for c in (doubled, swapped)]
+
+
+def _validate_cases():
+    data = list(PRESET_DATA)
+    for name in DATUM_PRESETS:
+        rg = resolve(preset=name)
+        data.append(rg.datum)
+        if not rg.action.tau.matrix.is_identity():
+            folded = restricted_root_data(rg.datum, rg.action.tau)
+            data += [folded.datum, folded.reduced_datum]
+    return data + [bad for datum in data for bad in corrupted_copies(datum)]
+
+
+def test_validate_matches_matrix_reflections():
+    cases = _validate_cases()
+    assert sum(bool(validate_by_matrices(d)) for d in cases) > len(cases) // 3
+    for datum in cases:
+        assert validate(datum) == validate_by_matrices(datum), datum.label
+
+
+# --- every cap names its stage ------------------------------------------------
+
+def test_caps_name_their_stage():
+    """A cap of exactly the count found passes; one below names its stage."""
+    a2 = [(1, -1, 0), (0, 1, -1)]
+    assert len(datum_from_simples(a2, a2, cap=6).roots) == 6
+    with pytest.raises(CapExceeded, match="root generation exceeded cap 3"):
+        datum_from_simples(a2, a2, cap=3)
+    gl4 = split_gl(4)
+    reflections = [gl4.reflection_matrix(i) for i in gl4.simple_indices]
+    assert len(mulclose(reflections, cap=24)) == 24
+    with pytest.raises(CapExceeded, match="group enumeration exceeded cap 3"):
+        mulclose(reflections, cap=3)
+    with pytest.raises(CapExceeded, match="over the cap 5"):
+        weyl_group(gl4, cap=5)
+
+
+@pytest.mark.parametrize("simples, cosimples", [
+    ([(-2, -2), (-2, -1)], [(-2, 1), (-2, 2)]),
+    ([(-1, 0), (1, 0)], [(-2, -2), (2, 1)]),
+])
+def test_inconsistent_coroots_are_refused_before_the_cap(simples, cosimples):
+    """Keyed by roots, the closure stops at the first root reached with a
+    second coroot; it does not run on to the cap."""
+    for cap in (200, ROOT_CAP):
+        with pytest.raises(ValueError, match="inconsistent coroots generated"):
+            root_closure(simples, cosimples, cap=cap)
