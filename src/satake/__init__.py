@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .abelian import FgAbGroup, GroupCharacter, GroupHom, all_characters, \
-    character_count, coinvariants, cokernel, divisible_extension, \
-    induced_endomorphism, invariants_of_induced_action, kernel_of_hom, \
-    subgroup_coordinates
+    character_count, coinvariants, cokernel, induced_endomorphism, \
+    invariants_of_induced_action, kernel_of_hom, subgroup_coordinates
 from .circle import ExactCircle
 from .components import CenterCoverCheck, FoldCheck, Pi0Certificate, \
     check_center_covers_components, check_fixed_weyl_is_folded, \
@@ -26,10 +25,10 @@ from .kottwitz import Envelope, KottwitzGroup, ParameterClass, \
     character_from_dual_point, classify, cochar_torus, descend_to_kottwitz, \
     induced_character, induced_envelope, induced_torus_cocycle, kottwitz_group, \
     kottwitz_hom, maximal_compact_quotient, modulus_character, \
-    parameter_from_character, parameters_equal, relative_weyl_action, \
-    setting_for_datum, setting_for_torus, weyl_orbit
+    parameter_from_character, parameters_equal, setting_for_datum, \
+    setting_for_torus, weyl_orbit
 from .matrices import IntMatrix, SmithForm, column_span_basis, \
-    kernel_basis, smith_normal_form, solve
+    kernel_basis, smith_normal_form
 from .rootdata import BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP, \
     FoldingError, GaloisAction, PinnedAutomorphism, RestrictedRootData, \
     WeylGroup, check_twist_relation, datum_from_simples, detect_type, \

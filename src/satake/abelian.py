@@ -10,7 +10,7 @@ Homomorphisms are integer matrices on canonical generators.  Characters
 take values in the exact circle group but are stored as integer
 numerators over one least common denominator, so precomposition is an
 integer vector times matrix product and `ExactCircle` values are built
-only to parse, render or extend them.  Kernels of homomorphisms are
+only to parse or render them.  Kernels of homomorphisms are
 computed by lifting to the presentation and adjoining relation columns
 (a congruence-augmented integer system), so groups with torsion need no
 special casing.
@@ -29,11 +29,11 @@ from .matrices import (IntMatrix, column_span_basis, hstack, kernel_basis,
 class FgAbGroup:
     """(+) Z/d_i (+) Z^free_rank with d_1 | d_2 | ... and every d_i >= 2.
 
-    >>> g = FgAbGroup.from_invariants((2, 4), 1)
+    >>> g = FgAbGroup((2, 4), 1)
     >>> g.describe()
     'Z/2 + Z/4 + Z'
-    >>> g.order() is None
-    True
+    >>> g.is_finite()
+    False
     """
 
     __slots__ = ("invariant_factors", "free_rank", "ambient_rank", "proj", "lift")
@@ -57,14 +57,6 @@ class FgAbGroup:
         self.proj = proj
         self.lift = lift
         self.ambient_rank = proj.ncols
-
-    @classmethod
-    def from_invariants(cls, factors, free_rank=0):
-        return cls(factors, free_rank)
-
-    @classmethod
-    def free(cls, rank):
-        return cls((), rank)
 
     @property
     def ngens(self):
@@ -98,9 +90,6 @@ class FgAbGroup:
     def zero(self):
         return (0,) * self.ngens
 
-    def add(self, x, y):
-        return self.reduce(tuple(a + b for a, b in zip(x, y)))
-
     def project(self, ambient_vector):
         """Class of an ambient lattice vector, in canonical coordinates."""
         return self.reduce(self.proj.apply(ambient_vector))
@@ -114,14 +103,6 @@ class FgAbGroup:
 
     def is_finite(self):
         return self.free_rank == 0
-
-    def order(self):
-        if not self.is_finite():
-            return None
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
 
     def elements(self):
         """All elements of a finite group, in lexicographic coordinate order."""
@@ -137,15 +118,6 @@ class FgAbGroup:
         cols = [tuple(int(i == j) for i in range(self.ngens)) for j in range(k)]
         incl = GroupHom(sub, self, IntMatrix.from_columns(cols, nrows=self.ngens))
         return sub, incl
-
-    def free_quotient(self):
-        """(Z^free_rank, quotient map) killing the torsion subgroup."""
-        quo = FgAbGroup((), self.free_rank)
-        k = self.torsion_count
-        rows = [[int(j == k + i) for j in range(self.ngens)]
-                for i in range(self.free_rank)]
-        qmap = GroupHom(self, quo, IntMatrix(rows, ncols=self.ngens))
-        return quo, qmap
 
     # isomorphism tests compare canonical forms; presentations are ignored
     def __eq__(self, other):
@@ -320,7 +292,7 @@ def kernel_of_hom(hom):
 def invariants_of_induced_action(group, endo):
     """Fixed subgroup of an endomorphism: (subgroup, inclusion).
 
-    >>> g = FgAbGroup.from_invariants((4,))
+    >>> g = FgAbGroup((4,), 0)
     >>> triple = GroupHom(g, g, IntMatrix([[3]]))
     >>> sub, incl = invariants_of_induced_action(g, triple)
     >>> sub.describe(), incl.matrix.data
@@ -388,11 +360,6 @@ class GroupCharacter:
         self.q_nums = tuple(q_nums)
         self.arg_nums = tuple(arg_nums)
 
-    @classmethod
-    def trivial(cls, domain):
-        zeros = (0,) * domain.ngens
-        return cls._from_nums(domain, 1, zeros, zeros)
-
     @property
     def values(self):
         """One ExactCircle per canonical generator."""
@@ -415,11 +382,6 @@ class GroupCharacter:
             [s * x + t * y for x, y in zip(self.q_nums, other.q_nums)],
             [s * x + t * y for x, y in zip(self.arg_nums, other.arg_nums)])
 
-    def inverse(self):
-        return GroupCharacter._from_nums(self.domain, self.den,
-                                         [-q for q in self.q_nums],
-                                         [-a for a in self.arg_nums])
-
     def precompose(self, hom):
         """Character of hom.source obtained by following hom first: the
         numerator vectors times the columns of hom's matrix."""
@@ -432,9 +394,6 @@ class GroupCharacter:
             hom.source, self.den,
             [sum(map(mul, col, qs)) for col in cols],
             [sum(map(mul, col, args)) for col in cols])
-
-    def is_trivial(self):
-        return not any(self.q_nums) and not any(self.arg_nums)
 
     def key(self):
         """Canonical total-order key (basis-dependent, deterministic):
@@ -459,58 +418,6 @@ class GroupCharacter:
 
     def __repr__(self):
         return f"GroupCharacter({self.domain!r}, {self.values!r})"
-
-
-def divisible_extension(character, inclusion):
-    """Extend a character of a subgroup to the whole group.
-
-    `inclusion` must be injective.  Existence follows from divisibility
-    of the value group; the result is one canonical choice (n-th roots
-    are taken with argument representative in [0, 1)), so two runs agree
-    but the extension is unique only up to a character trivial on the
-    subgroup.
-
-    >>> amb = FgAbGroup.free(1)
-    >>> sub = FgAbGroup.free(1)
-    >>> incl = GroupHom(sub, amb, IntMatrix([[2]]))
-    >>> chi = GroupCharacter(sub, (ExactCircle(1),))   # 2 |-> q
-    >>> divisible_extension(chi, incl).values[0]
-    ExactCircle(Fraction(1, 2), Fraction(0, 1))
-    """
-    if character.domain != inclusion.source:
-        raise ValueError("character does not live on the inclusion's source")
-    big = inclusion.target
-    cols = hstack(inclusion.matrix, big.relation_matrix())
-    targets = list(character.values) + [ExactCircle.one()] * big.torsion_count
-    # want w in Hom(Z^ngens, circle) with w(col_l) = targets[l] for all l
-    sf = smith_normal_form(cols.transpose())
-    diag = sf.diagonal
-    # transformed targets s = U * t  (integer combinations in the circle)
-    s = []
-    for i in range(sf.U.nrows):
-        acc = ExactCircle.one()
-        for c, t in zip(sf.U.row(i), targets):
-            acc = acc * (t ** c)
-        s.append(acc)
-    y = []
-    for i in range(big.ngens):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if i < len(s) and not s[i].is_identity():
-                raise ValueError("character does not extend (inclusion not injective?)")
-            y.append(ExactCircle.one())
-        else:
-            y.append(s[i].nth_root(d))
-    for i in range(big.ngens, len(s)):
-        if not s[i].is_identity():
-            raise ValueError("character does not extend (inconsistent system)")
-    w = []
-    for i in range(big.ngens):
-        acc = ExactCircle.one()
-        for c, t in zip(sf.V.row(i), y):
-            acc = acc * (t ** c)
-        w.append(acc)
-    return GroupCharacter(big, tuple(w))
 
 
 def _choice_sizes(group, torsion):

@@ -6,14 +6,12 @@ applications, the residue field cardinality); the group law is
 componentwise addition of exponents.  The group is divisible, which is
 what makes restriction of characters along subgroup inclusions onto.
 
-This is the type in which character values are parsed, rendered and
-extended; characters themselves (`abelian.GroupCharacter`) store integer
-numerators over a common denominator and build these values on demand.
+This is the type in which character values are parsed and rendered;
+characters themselves (`abelian.GroupCharacter`) store integer numerators
+over a common denominator and build these values on demand.
 
 >>> z = ExactCircle(1, Fraction(3, 8))
->>> (z * z.inverse()).is_identity()
-True
->>> z.nth_root(2) ** 2 == z
+>>> z * z.inverse() == ExactCircle.one()
 True
 """
 
@@ -43,22 +41,6 @@ class ExactCircle:
     def __pow__(self, k):
         k = int(k)
         return ExactCircle(k * self.q_exponent, k * self.argument)
-
-    def nth_root(self, n):
-        """The canonical n-th root: divide both exponents, b taken in [0, 1)."""
-        n = int(n)
-        if n <= 0:
-            raise ValueError("root index must be positive")
-        return ExactCircle(self.q_exponent / n, self.argument / n)
-
-    def is_identity(self):
-        return self.q_exponent == 0 and self.argument == 0
-
-    def order(self):
-        """Order in the group, or None when infinite."""
-        if self.q_exponent != 0:
-            return None
-        return self.argument.denominator
 
     def sort_key(self):
         return (self.q_exponent, self.argument)

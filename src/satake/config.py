@@ -395,6 +395,7 @@ def resolve(config=None, preset=None, q=None):
         if not config.roots:
             raise ConfigError("empty roots list; use a torus config instead")
         rank = len(config.roots[0])
+        refuse_large_rank(rank)
         corank = len(config.coroots[0]) if config.coroots else rank
         if corank != rank:
             raise ConfigError("root and coroot vectors must have the same"

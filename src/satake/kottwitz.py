@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .abelian import (GroupCharacter, GroupHom, coinvariants,
+from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
                       induced_endomorphism, invariants_of_induced_action,
                       subgroup_coordinates)
 from .circle import ExactCircle
@@ -86,9 +86,7 @@ def kottwitz_group(torus):
 
 def maximal_compact_quotient(torus):
     """T/T_c: the Kottwitz group modulo its torsion subgroup."""
-    kg = torus if isinstance(torus, KottwitzGroup) else kottwitz_group(torus)
-    quo, _ = kg.group.free_quotient()
-    return quo
+    return FgAbGroup((), kottwitz_group(torus).group.free_rank)
 
 
 def build_induced_torus(e, f, q):
@@ -284,16 +282,6 @@ def setting_for_datum(datum, action, torus=None):
     if torus is None:
         torus = cochar_torus(datum, action)
     return SphericalSetting(datum, action, torus, kottwitz_group(torus))
-
-
-def relative_weyl_action(setting, w, parameter):
-    """Act by an element of the relative Weyl group (a cochar-side matrix
-    commuting with tau and sigma) on a parameter, by precomposition."""
-    torus = setting.torus
-    if w @ torus.tau != torus.tau @ w or w @ torus.sigma != torus.sigma @ w:
-        raise ValueError("matrix does not centralize the Galois action")
-    hom = descend_to_kottwitz(setting.kottwitz, w)
-    return SatakeParameter(parameter.character.precompose(hom))
 
 
 def weyl_orbit(setting, character, max_orbit=None):

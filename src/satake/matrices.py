@@ -55,13 +55,10 @@ class IntMatrix:
         return cls([[0] * n for _ in range(m)], ncols=n)
 
     @classmethod
-    def diagonal(cls, entries, nrows=None, ncols=None):
+    def diagonal(cls, entries):
         k = len(entries)
-        m = k if nrows is None else nrows
-        n = k if ncols is None else ncols
-        rows = [[entries[i] if (i == j and i < k) else 0 for j in range(n)]
-                for i in range(m)]
-        return cls(rows, ncols=n)
+        return cls([[entries[i] if i == j else 0 for j in range(k)]
+                    for i in range(k)], ncols=k)
 
     @classmethod
     def from_columns(cls, columns, nrows=None):
@@ -418,11 +415,6 @@ def kernel_basis(matrix):
                  if j >= len(diag) or diag[j] == 0]
     cols = [sf.V.column(j) for j in free_cols]
     return IntMatrix.from_columns(cols, nrows=matrix.ncols)
-
-
-def solve(matrix, rhs):
-    """One integer solution x of matrix @ x = rhs, or None."""
-    return smith_normal_form(matrix).solve(rhs)
 
 
 def column_span_basis(matrix):

@@ -436,17 +436,27 @@ def test_oversized_presets_are_refused_before_building(preset, roots,
     assert "root generation" in err and f"{roots} roots" in err
 
 
+# the root and coroot of SL2 padded with zeros to length 257
+_LONG_ROOT = "[2" + ",0" * 256 + "]"
+_LONG_COROOT = "[1" + ",0" * 256 + "]"
+
+
 @pytest.mark.parametrize("text, rank", [
     ("rank = 99999999999999999999", 99999999999999999999),
     ("rank = 100000", 100000),
     ("rank = 3000", 3000),
     ("preset = torus n=100000", 100000),
     ("preset = induced e=100 f=30 q=7", 3000),
+    pytest.param(f"roots = [{_LONG_ROOT},{_LONG_ROOT.replace('2', '-2')}]\n"
+                 f"coroots = [{_LONG_COROOT},"
+                 f"{_LONG_COROOT.replace('1', '-1')}]\nsimple = [0]", 257,
+                 id="root datum of rank 257"),
 ])
 def test_oversized_tori_are_refused_before_building(text, rank, monkeypatch,
                                                     tmp_path, capsys):
-    """A torus past the rank cap exits 2 with its rank, fast, without
-    building a matrix (the builders are patched to fail)."""
+    """A torus or root datum past the rank cap exits 2 with its rank,
+    fast, without building a matrix or a datum (the builders are patched
+    to fail)."""
     from satake import config, presets
 
     def refuse(*args, **kwargs):
@@ -454,6 +464,8 @@ def test_oversized_tori_are_refused_before_building(text, rank, monkeypatch,
 
     for module, attr in ((config, "TorusWithAction"),
                          (config, "_action_matrix"),
+                         (config, "BasedRootDatum"),
+                         (config, "validate"),
                          (presets, "split_torus"),
                          (presets, "build_induced_torus"),
                          (IntMatrix, "identity")):

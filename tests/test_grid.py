@@ -129,6 +129,9 @@ CAP_CASES = [
     *[["kottwitz", "--config", text] for text in (
         "rank = 99999999999999999999\n", "rank = 100000\n",
         "rank = 3000\n")],
+    ["kottwitz", "--config", "roots = [[2" + ",0" * 256 + "],[-2" + ",0" * 256
+     + "]]\ncoroots = [[1" + ",0" * 256 + "],[-1" + ",0" * 256
+     + "]]\nsimple = [0]\n"],
 ]
 
 _A2 = "[[1,-1,0],[0,1,-1],[1,0,-1],[-1,1,0],[0,-1,1],[-1,0,1]]"

@@ -19,8 +19,7 @@ from satake.kottwitz import (
     cochar_torus, descend_to_kottwitz, induced_character, induced_envelope,
     induced_torus_cocycle, kottwitz_group, kottwitz_hom,
     maximal_compact_quotient, modulus_character, parameter_from_character,
-    parameters_equal, relative_weyl_action, setting_for_datum,
-    setting_for_torus, weyl_orbit,
+    parameters_equal, setting_for_datum, setting_for_torus, weyl_orbit,
 )
 from satake.matrices import IntMatrix
 from satake.presets import flip_negate, split_gl
@@ -326,17 +325,8 @@ def test_sl2_classification():
     assert cls.orbit_size == 2
     assert cls.representative.character.values[0] == QINV
     assert classify(setting, par(ONE)).orbit_size == 1
-    moved = relative_weyl_action(setting, IntMatrix([[-1]]), par(Q))
-    assert moved.character.values[0] == QINV
-
-
-def test_relative_weyl_action_checks_centralizing():
-    torus = build_induced_torus(2, 1, 3)
-    setting = setting_for_torus(torus)
-    ch = GroupCharacter(setting.group, (Q,))
-    par = parameter_from_character(setting.kottwitz, ch)
-    with pytest.raises(ValueError):
-        relative_weyl_action(setting, IntMatrix.diagonal([1, -1]), par)
+    reflection = descend_to_kottwitz(setting.kottwitz, IntMatrix([[-1]]))
+    assert par(Q).character.precompose(reflection).values[0] == QINV
 
 
 def test_gl2_classification_and_modulus():

@@ -9,7 +9,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from satake.matrices import (
     IntMatrix, SmithForm, column_span_basis, hstack, kernel_basis,
-    smith_normal_form, solve,
+    smith_normal_form,
 )
 from satake.abelian import FgAbGroup, GroupHom
 
@@ -104,20 +104,20 @@ def sympy_inverse(m):
 
 def test_solve_and_preimage_mod_relations():
     mat = IntMatrix([[2, 0], [0, 3]])
-    assert solve(mat, (4, 9)) == (2, 3)
-    assert solve(mat, (1, 0)) is None
+    assert smith_normal_form(mat).solve((4, 9)) == (2, 3)
+    assert smith_normal_form(mat).solve((1, 0)) is None
     # 2x = 4 mod 6 has the solution x = 2
-    sol = GroupHom(FgAbGroup.free(1), FgAbGroup.from_invariants((6,)),
+    sol = GroupHom(FgAbGroup((), 1), FgAbGroup((6,), 0),
                    IntMatrix([[2]])).preimage((4,))
     assert sol is not None
     assert (2 * sol[0] - 4) % 6 == 0
-    assert GroupHom(FgAbGroup.free(1), FgAbGroup.from_invariants((4,)),
+    assert GroupHom(FgAbGroup((), 1), FgAbGroup((4,), 0),
                     IntMatrix([[2]])).preimage((1,)) is None
     rng = random.Random(301)
     for _ in range(50):
         mat = random_matrix(rng, max_dim=4, bound=4)
         x = tuple(rng.randint(-3, 3) for _ in range(mat.ncols))
-        found = solve(mat, mat.apply(x))
+        found = smith_normal_form(mat).solve(mat.apply(x))
         assert found is not None
         assert mat.apply(found) == mat.apply(x)
         # one factorization answers every right-hand side

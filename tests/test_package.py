@@ -152,3 +152,43 @@ def test_records_are_read_only():
         assert getattr(record, name) is before
         with pytest.raises(AttributeError):
             record.not_a_field = None
+
+
+# defined but referenced neither in src/ nor by the acceptance suite, each
+# on purpose
+UNREFERENCED = {
+    "error": "argparse calls this hook of satake.cli._Parser by name",
+    "dual_datum": "the documented way to the cocharacter side of a datum",
+    "simple_coefficients": "the public view the coefficient-solver oracle"
+                           " tests check",
+    "serialize_config": "the one writer of the config grammar; its round"
+                        " trip is the parser's property test",
+}
+
+
+def _referenced(tree):
+    """Every name a tree uses: bare names, attributes and import aliases."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_every_definition_is_used_by_the_program_or_the_acceptance_suite():
+    """A function or class that only other tests call is dead code."""
+    used = _referenced(ast.parse(
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        if path.name != "__init__.py":
+            used |= _referenced(tree)
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")}
+    assert sorted(defined - used) == sorted(UNREFERENCED)
