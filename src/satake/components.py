@@ -51,10 +51,8 @@ def check_tad_connected(datum, tau):
     certificate reports the torsion of those coinvariants (empty =
     connected).
     """
-    images = root_permutation(tau.matrix, datum.simple_roots())
-    k = len(images)
-    return pi0_fixed(IntMatrix.from_columns(
-        [[int(t == j) for t in range(k)] for j in images], nrows=k))
+    return pi0_fixed(IntMatrix.permutation(
+        root_permutation(tau.matrix, datum.simple_roots())))
 
 
 class CenterCoverCheck(namedtuple("CenterCoverCheck", "surjective pi0_torus"

@@ -195,8 +195,6 @@ def _parse_perm_or_matrix(text, line, what):
                 raise ConfigError(f"{what}: bad cycle {text[i:j + 1]}", line)
             cycles.append(cyc)
             i = j + 1
-        if not cycles:
-            raise ConfigError(f"{what}: empty permutation", line)
         flat = [v for c in cycles for v in c]
         if len(set(flat)) != len(flat):
             raise ConfigError(f"{what}: cycles are not disjoint", line)
@@ -317,7 +315,7 @@ class ResolvedGroup(namedtuple("ResolvedGroup", "name datum action torus q"
     def setting(self):
         if self.datum is None:
             return setting_for_torus(self.torus)
-        return setting_for_datum(self.datum, self.action, torus=self.torus)
+        return setting_for_datum(self.datum, self.action)
 
 
 def _action_matrix(tagged, rank, what):
@@ -337,8 +335,7 @@ def _action_matrix(tagged, rank, what):
                               f" lattice has rank {rank}")
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             image[a - 1] = b - 1
-    return IntMatrix.from_columns([tuple(int(r == image[j]) for r in range(rank))
-                                   for j in range(rank)], nrows=rank)
+    return IntMatrix.permutation(image)
 
 
 _STRUCTURAL = ("rank", "roots", "coroots", "simple")
@@ -349,13 +346,15 @@ def resolve(config=None, preset=None, q=None):
 
     `preset` and `q` (CLI flags) override the corresponding config keys;
     a config that names a preset may adjust tau/sigma/twist on a datum
-    preset but cannot restate the structural keys.
+    preset but cannot restate the structural keys.  Datum presets,
+    roots configs and torus configs share the resolution of the action.
     """
     config = config or GroupConfig()
     preset_name = preset or config.preset
     if q is None:
         q = config.q
     name = config.name
+    tau, sigma = config.tau, config.sigma
 
     if preset_name is not None:
         if any(getattr(config, k) is not None for k in _STRUCTURAL):
@@ -371,7 +370,7 @@ def resolve(config=None, preset=None, q=None):
 
     if preset_name is not None:
         if p.torus is not None:
-            if config.tau is not None or config.sigma is not None \
+            if tau is not None or sigma is not None \
                     or config.twist is not None:
                 raise ConfigError("torus presets do not accept tau/sigma/twist"
                                   " overrides")
@@ -379,14 +378,11 @@ def resolve(config=None, preset=None, q=None):
                                  config.values, config.values2, config.value)
         datum = p.datum
         name = name or p.name
-        rank = datum.rank
-        tau = (_action_matrix(config.tau, rank, "tau") if config.tau is not None
-               else (p.tau if p.tau is not None else IntMatrix.identity(rank)))
-        sigma = (_action_matrix(config.sigma, rank, "sigma")
-                 if config.sigma is not None
-                 else (p.sigma if p.sigma is not None
-                       else IntMatrix.identity(rank)))
-        twist = config.twist if config.twist is not None else p.twist
+        # the preset's own action, where the config does not override it
+        if tau is None and p.tau is not None:
+            tau = ("matrix", p.tau)
+        if sigma is None and p.sigma is not None:
+            sigma = ("matrix", p.sigma)
     elif config.roots is not None or config.coroots is not None:
         if config.roots is None or config.coroots is None:
             raise ConfigError("roots and coroots must be given together")
@@ -407,35 +403,33 @@ def resolve(config=None, preset=None, q=None):
             raise ConfigError("roots and coroots must have the same length")
         if any(i < 0 or i >= len(config.roots) for i in config.simple):
             raise ConfigError("simple indices out of range")
+        name = name or "custom"
         datum = BasedRootDatum(rank, config.roots, config.coroots,
-                               config.simple, label=name or "custom")
+                               config.simple, label=name)
         problems = validate(datum)
         if problems:
             raise ConfigError("invalid root datum: " + "; ".join(problems))
-        tau = _action_matrix(config.tau, rank, "tau")
-        sigma = _action_matrix(config.sigma, rank, "sigma")
-        twist = config.twist if config.twist is not None else 1
     else:
         if config.rank is None:
             raise ConfigError("a torus config needs the rank key")
         if config.rank < 0:
             raise ConfigError("rank must be nonnegative")
         refuse_large_rank(config.rank)
-        rank = config.rank
-        tau = _action_matrix(config.tau, rank, "tau")
-        sigma = _action_matrix(config.sigma, rank, "sigma")
-        twist = config.twist if config.twist is not None else 1
-        try:
-            torus = TorusWithAction(rank, tau, sigma, twist=twist)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return ResolvedGroup(name or "torus", None, None, torus, q,
-                             config.values, config.values2, config.value)
+        name = name or "torus"
+        datum = None
 
+    rank = config.rank if datum is None else datum.rank
+    tau = _action_matrix(tau, rank, "tau")
+    sigma = _action_matrix(sigma, rank, "sigma")
+    twist = config.twist if config.twist is not None else 1
     try:
-        action = galois_action(datum, tau, sigma, twist)
-        torus = cochar_torus(datum, action)
+        if datum is None:
+            action = None
+            torus = TorusWithAction(rank, tau, sigma, twist=twist)
+        else:
+            action = galois_action(datum, tau, sigma, twist)
+            torus = cochar_torus(datum, action)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return ResolvedGroup(name or (datum.label or "group"), datum, action,
-                         torus, q, config.values, config.values2, config.value)
+    return ResolvedGroup(name, datum, action, torus, q,
+                         config.values, config.values2, config.value)

@@ -19,8 +19,8 @@ from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
                       subgroup_coordinates)
 from .circle import ExactCircle
 from .matrices import IntMatrix
-from .rootdata import (FoldingError, check_twist_relation, folded_generators,
-                       mulclose, search)
+from .rootdata import (FoldingError, automorphism_order, check_twist_relation,
+                       folded_generators, mulclose, search)
 
 
 class TorusWithAction(namedtuple("TorusWithAction", "rank tau sigma twist"
@@ -33,14 +33,8 @@ class TorusWithAction(namedtuple("TorusWithAction", "rank tau sigma twist"
     __slots__ = ()
 
     def __new__(cls, rank, tau, sigma, twist=1, induced_params=None):
-        for name, m in (("tau", tau), ("sigma", sigma)):
-            if m.shape != (rank, rank):
-                raise ValueError(f"{name} does not act on a rank-{rank}"
-                                 " lattice")
-            if not m.is_unimodular():
-                raise ValueError(f"{name} is not a lattice automorphism")
-        tau_order = tau.multiplicative_order(cap=10 ** 4)
-        sigma.multiplicative_order(cap=10 ** 4)
+        tau_order = automorphism_order(tau, rank, "tau")
+        automorphism_order(sigma, rank, "sigma")
         check_twist_relation(tau, sigma, twist, tau_order)
         return super().__new__(cls, rank, tau, sigma, twist, induced_params)
 
@@ -49,10 +43,13 @@ def cochar_torus(datum, action):
     """TorusWithAction on the cocharacter side of a based root datum.
 
     The action is given on the character lattice; the cocharacter side
-    carries the dual (inverse-transpose) matrices.
+    carries the dual (inverse-transpose) matrices.  The torus is built
+    without a second check: X -> (X^-1)^T is a group homomorphism, so the
+    duals are automorphisms of the same orders and keep the twist
+    relation that `galois_action` checked on the character side.
     """
-    return TorusWithAction(datum.rank, action.tau.dual(), action.sigma.dual(),
-                           twist=action.twist)
+    return TorusWithAction._make((datum.rank, action.tau.dual(),
+                                  action.sigma.dual(), action.twist, None))
 
 
 class KottwitzGroup(namedtuple("KottwitzGroup", "torus coinvariants group"
@@ -103,25 +100,16 @@ def build_induced_torus(e, f, q):
         raise ValueError("residue cardinality must be at least 2")
     if gcd(q, e) != 1:
         raise ValueError("gcd(q, e) must be 1 (tameness)")
-    n = e * f
 
     def idx(i, j):
         return (i % e) + e * (j % f)
 
-    tau_cols = [None] * n
-    sigma_cols = [None] * n
-    for i in range(e):
-        for j in range(f):
-            src = idx(i, j)
-            tau_cols[src] = idx(i + 1, j)
-            sigma_cols[src] = idx(q * i, j + 1)
-
-    def perm_matrix(cols):
-        return IntMatrix([[1 if cols[j] == i else 0 for j in range(n)]
-                          for i in range(n)])
-
-    return TorusWithAction(n, perm_matrix(tau_cols), perm_matrix(sigma_cols),
-                           twist=q, induced_params=(e, f, q))
+    # the pair at each position, in position order
+    pairs = [(i, j) for j in range(f) for i in range(e)]
+    tau = IntMatrix.permutation([idx(i + 1, j) for i, j in pairs])
+    sigma = IntMatrix.permutation([idx(q * i, j + 1) for i, j in pairs])
+    return TorusWithAction(e * f, tau, sigma, twist=q,
+                           induced_params=(e, f, q))
 
 
 def induced_torus_cocycle(torus, fval):
@@ -275,12 +263,9 @@ def setting_for_torus(torus):
     return SphericalSetting(None, None, torus, kottwitz_group(torus))
 
 
-def setting_for_datum(datum, action, torus=None):
-    """The classification setting of a datum with its Galois action.
-    `torus` is the cochar-side torus of the action when the caller has
-    already built it."""
-    if torus is None:
-        torus = cochar_torus(datum, action)
+def setting_for_datum(datum, action):
+    """The classification setting of a datum with its Galois action."""
+    torus = cochar_torus(datum, action)
     return SphericalSetting(datum, action, torus, kottwitz_group(torus))
 
 
@@ -393,13 +378,9 @@ def induced_envelope(torus, n):
         return ((x[0] @ y[0]), (x[1] + y[1]) % c)
 
     def left_mult_matrix(g):
-        cols = [None] * (n * d)
-        for gi, h in enumerate(gamma):
-            target = index[(gmul(g, h)[0].key(), gmul(g, h)[1])]
-            for k in range(d):
-                cols[gi * d + k] = target * d + k
-        return IntMatrix([[1 if cols[j] == i else 0 for j in range(n * d)]
-                          for i in range(n * d)])
+        products = [gmul(g, h) for h in gamma]
+        return IntMatrix.permutation([index[(a.key(), r)] * d + k
+                                      for a, r in products for k in range(d)])
 
     tau_g = (torus.tau, 0)
     sigma_g = (torus.sigma, 1 % c)

@@ -51,6 +51,16 @@ class IntMatrix:
                                   for i in range(n)), n)
 
     @classmethod
+    def permutation(cls, images):
+        """The permutation matrix sending e_j to e_{images[j]}: column j
+        is the basis vector images[j]."""
+        n = len(images)
+        rows = [[0] * n for _ in range(n)]
+        for j, i in enumerate(images):
+            rows[i][j] = 1
+        return cls._trusted(tuple(map(tuple, rows)), n)
+
+    @classmethod
     def zeros(cls, m, n):
         return cls([[0] * n for _ in range(m)], ncols=n)
 
@@ -145,11 +155,6 @@ class IntMatrix:
 
     def is_square(self):
         return self.nrows == self.ncols
-
-    def is_identity(self):
-        return (self.is_square()
-                and all(self.data[i][j] == (1 if i == j else 0)
-                        for i in range(self.nrows) for j in range(self.ncols)))
 
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination.

@@ -131,8 +131,8 @@ def split_torus(n):
     return TorusWithAction(n, IntMatrix.identity(n), IntMatrix.identity(n))
 
 
-class Preset(namedtuple("Preset", "name datum tau sigma twist torus q",
-                        defaults=(None, None, None, 1, None, None))):
+class Preset(namedtuple("Preset", "name datum tau sigma torus q",
+                        defaults=(None,) * 5)):
     """A resolved preset: either a datum with char-side action matrices
     (tau and sigma act on its character lattice; None is the identity),
     or a bare torus with its cocharacter action."""

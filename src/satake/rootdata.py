@@ -268,17 +268,22 @@ def dual_datum(datum):
                           label=(datum.label + "^") if datum.label else "")
 
 
+def automorphism_order(matrix, rank, name):
+    """The order of `matrix` as an automorphism of Z^rank, the one check
+    of an action's matrices; ValueError, naming it `name`, unless it is
+    rank x rank, unimodular (tested first) and of finite order."""
+    if matrix.shape != (rank, rank):
+        raise ValueError(f"{name} does not act on a rank-{rank} lattice")
+    if not matrix.is_unimodular():
+        raise ValueError(f"{name} is not a lattice automorphism")
+    return matrix.multiplicative_order(cap=10 ** 4)
+
+
 class PinnedAutomorphism(namedtuple("PinnedAutomorphism", "matrix order")):
-    """Finite-order lattice automorphism preserving the based structure."""
+    """Finite-order lattice automorphism preserving the based structure;
+    `pinned_automorphism` checks it."""
 
     __slots__ = ()
-
-    def __new__(cls, matrix, order):
-        if not matrix.is_unimodular():
-            raise ValueError("pinned automorphism must be unimodular")
-        if order < 1 or not matrix.power(order).is_identity():
-            raise ValueError("declared order is wrong")
-        return super().__new__(cls, matrix, order)
 
     def dual(self):
         """The inverse transpose, which acts on the other side's lattice."""
@@ -290,10 +295,8 @@ def pinned_automorphism(datum, matrix):
     the simple set; for a torus datum (no roots) only finite order is checked."""
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
-    if matrix.shape != (datum.rank, datum.rank):
-        raise ValueError("automorphism shape does not match the lattice")
-    order = matrix.multiplicative_order(cap=10 ** 4)
-    aut = PinnedAutomorphism(matrix, order)
+    aut = PinnedAutomorphism(matrix, automorphism_order(
+        matrix, datum.rank, "pinned automorphism"))
     problems = pinned_violations(datum, aut)
     if problems:
         raise ValueError("; ".join(problems))

@@ -33,7 +33,7 @@ def test_equality_ignores_presentation():
     assert quo.describe() == "Z/2"
     # projection and lift stay consistent: proj o lift = identity
     comp = quo.proj @ quo.lift
-    assert comp.is_identity()
+    assert comp == IntMatrix.identity(comp.nrows)
 
 
 def test_reduce_and_arithmetic():

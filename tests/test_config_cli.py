@@ -182,7 +182,7 @@ simple = [0]
 """))
     assert rg.datum is not None
     assert rg.name == "my-sl2"
-    assert rg.torus.tau.is_identity()
+    assert rg.torus.tau == IntMatrix.identity(1)
 
 
 def test_resolve_rejects_invalid_datum():
@@ -344,6 +344,22 @@ def test_infinite_order_actions_exit_1_fast(tau, tmp_path, capsys):
     assert main(["kottwitz", "--config", str(cfg)]) == 1
     assert time.perf_counter() - start < 1
     assert "infinite order" in capsys.readouterr().err
+
+
+def test_singular_datum_action_exits_1_fast(tmp_path, capsys):
+    """A singular tau on a datum is refused by its determinant before any
+    power of it is taken, not by the order cap."""
+    n = 120
+    e1 = [1] + [0] * (n - 1)
+    shift = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    cfg = tmp_path / "datum.cfg"
+    cfg.write_text(f"roots = {[[2 * v for v in e1], [-2 * v for v in e1]]}\n"
+                   f"coroots = {[e1, [-v for v in e1]]}\nsimple = [0]\n"
+                   f"tau = {shift}\n".replace(" ", ""))
+    start = time.perf_counter()
+    assert main(["kottwitz", "--config", str(cfg)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "not a lattice automorphism" in capsys.readouterr().err
 
 
 def test_cli_modulus(capsys):

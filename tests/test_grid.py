@@ -181,6 +181,8 @@ CONFIG_ERRORS = [
     "name = lonely",                                # torus needs rank
     "rank = -1",                                    # negative rank
     "rank = 1\ntau = [[2]]",                        # not an automorphism
+    "roots = [[2,0],[-2,0]]\ncoroots = [[1,0],[-1,0]]\nsimple = [0]\n"
+    "tau = [[0,0],[1,0]]",                          # singular datum action
     "preset = split GL2\ntau = (1 2)",              # not a pinned action
 ]
 

@@ -16,7 +16,7 @@ from satake.cli import main
 from satake.config import resolve
 from satake.kottwitz import (
     TorusWithAction, build_induced_torus, character_from_dual_point, classify,
-    cochar_torus, descend_to_kottwitz, induced_character, induced_envelope,
+    descend_to_kottwitz, induced_character, induced_envelope,
     induced_torus_cocycle, kottwitz_group, kottwitz_hom,
     maximal_compact_quotient, modulus_character, parameter_from_character,
     parameters_equal, setting_for_datum, setting_for_torus, weyl_orbit,

@@ -179,6 +179,29 @@ def _referenced(tree):
     return names
 
 
+def _unused_imports(path):
+    """The names a file's top-level imports bind that it never loads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in loaded:
+                    unused.append(f"{path.name}: {bound}")
+    return unused
+
+
+def test_every_top_level_import_is_used():
+    """`__init__.py` imports to re-export; every other module and test
+    file uses each name it imports."""
+    paths = [path for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    assert [name for path in paths for name in _unused_imports(path)] == []
+
+
 def test_every_definition_is_used_by_the_program_or_the_acceptance_suite():
     """A function or class that only other tests call is dead code."""
     used = _referenced(ast.parse(

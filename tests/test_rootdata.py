@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satake.config import resolve
+from satake.kottwitz import TorusWithAction, cochar_torus
 from satake.matrices import IntMatrix
 from satake.presets import (
     adjoint_d4, d4_flip_matrix, d4_triality_matrix, flip_negate, split_gl,
@@ -105,6 +106,32 @@ def test_dual_is_the_inverse_transpose(name):
     action = resolve(preset=name).action
     for aut in (action.tau, action.sigma):
         assert aut.dual() == sympy_inverse(aut.matrix).transpose()
+
+
+@pytest.mark.parametrize("name", DATUM_PRESETS)
+def test_unchecked_cochar_torus_passes_the_torus_checks(name):
+    """cochar_torus skips the torus checks; building the same torus
+    through them gives it back."""
+    rg = resolve(preset=name)
+    torus = cochar_torus(rg.datum, rg.action)
+    assert TorusWithAction(*torus) == torus
+
+
+@pytest.mark.parametrize("name", DATUM_PRESETS)
+def test_resolving_a_datum_preset_checks_each_matrix_once(name, monkeypatch):
+    """One determinant and one order search for tau and for sigma each,
+    on the character side only."""
+    calls = {"det": 0, "multiplicative_order": 0}
+    for method in calls:
+        original = getattr(IntMatrix, method)
+
+        def counted(self, *args, _original=original, _method=method,
+                    **kwargs):
+            calls[_method] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(IntMatrix, method, counted)
+    resolve(preset=name)
+    assert calls == {"det": 2, "multiplicative_order": 2}
 
 
 def test_pinned_automorphism_checks():
@@ -378,7 +405,8 @@ ORDER_PRESETS = (
 def test_weyl_order_of_the_type_matches_enumeration(name):
     rg = resolve(preset=name)
     data = [rg.datum]
-    if not rg.action.tau.matrix.is_identity():    # folded types: B, C, G2
+    # folded types: B, C, G2
+    if rg.action.tau.matrix != IntMatrix.identity(rg.datum.rank):
         data.append(restricted_root_data(rg.datum, rg.action.tau).reduced_datum)
     for datum in data:
         assert weyl_order(detect_type(datum)) == weyl_group(datum).order
@@ -495,7 +523,7 @@ def _validate_cases():
     for name in DATUM_PRESETS:
         rg = resolve(preset=name)
         data.append(rg.datum)
-        if not rg.action.tau.matrix.is_identity():
+        if rg.action.tau.matrix != IntMatrix.identity(rg.datum.rank):
             folded = restricted_root_data(rg.datum, rg.action.tau)
             data += [folded.datum, folded.reduced_datum]
     return data + [bad for datum in data for bad in corrupted_copies(datum)]
