@@ -24,8 +24,15 @@ class ExactCircle:
     __slots__ = ("q_exponent", "argument")
 
     def __init__(self, q_exponent=0, argument=0):
-        self.q_exponent = Fraction(q_exponent)
-        self.argument = Fraction(argument) % 1
+        # `GroupCharacter.values` passes canonical Fractions: keep them,
+        # and reduce an argument only when it is outside [0, 1)
+        self.q_exponent = (q_exponent if type(q_exponent) is Fraction
+                           else Fraction(q_exponent))
+        if type(argument) is not Fraction:
+            argument = Fraction(argument)
+        if not 0 <= argument.numerator < argument.denominator:
+            argument %= 1
+        self.argument = argument
 
     @classmethod
     def one(cls):

@@ -18,16 +18,17 @@ exceeded.
 
 import argparse
 import sys
+from math import lcm
 
 from .abelian import GroupCharacter, all_characters, character_count
 from .circle import ExactCircle
 from .components import check_center_covers_components, \
     check_fixed_weyl_is_folded, check_tad_connected
 from .config import ConfigError, GroupConfig, parse_config, resolve
-from .kottwitz import ParameterClass, SatakeParameter, \
-    character_from_dual_point, classify, induced_character, \
-    induced_torus_cocycle, kottwitz_group, maximal_compact_quotient, \
-    modulus_character, parameter_from_character, parameters_equal
+from .kottwitz import SatakeParameter, character_from_dual_point, \
+    classify, induced_character, induced_torus_cocycle, kottwitz_group, \
+    maximal_compact_quotient, modulus_character, parameter_from_character, \
+    parameters_equal
 from .report import build_report, render_report
 from .rootdata import CapExceeded, DEFAULT_WEYL_CAP, restricted_root_data
 
@@ -215,8 +216,18 @@ def _cmd_orbits(rg, args):
                        max_orbit=args.max_orbit)
         visited |= cls.orbit_keys
         classes.append(cls)
+    # the order of ParameterClass.key in integers: each representative's
+    # interleaved (q, arg) numerators, scaled to the classes' common
+    # denominator
+    common = lcm(*(cls.representative.character.den for cls in classes))
+
+    def order(cls):
+        character = cls.representative.character
+        scale = common // character.den
+        return [scale * x for x in character.ident()[1:]]
+
     listed = []
-    for cls in sorted(classes, key=ParameterClass.key):
+    for cls in sorted(classes, key=order):
         listed.append({
             "values": [v.render() for v in cls.representative.character.values],
             "orbit_size": cls.orbit_size,

@@ -12,8 +12,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .circle import ExactCircle
-from .kottwitz import TorusWithAction, cochar_torus, setting_for_datum, \
-    setting_for_torus
+from .kottwitz import SphericalSetting, TorusWithAction, cochar_torus, \
+    kottwitz_group
 from .matrices import IntMatrix
 from .presets import refuse_large_rank, resolve_preset
 from .rootdata import BasedRootDatum, galois_action, validate
@@ -313,9 +313,8 @@ class ResolvedGroup(namedtuple("ResolvedGroup", "name datum action torus q"
     __slots__ = ()
 
     def setting(self):
-        if self.datum is None:
-            return setting_for_torus(self.torus)
-        return setting_for_datum(self.datum, self.action)
+        return SphericalSetting(self.datum, self.action, self.torus,
+                                kottwitz_group(self.torus))
 
 
 def _action_matrix(tagged, rank, what):

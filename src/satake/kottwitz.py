@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
-                      induced_endomorphism, invariants_of_induced_action,
-                      subgroup_coordinates)
+from .abelian import (Automorphism, FgAbGroup, GroupCharacter, GroupHom,
+                      coinvariants, induced_endomorphism,
+                      invariants_of_induced_action, subgroup_coordinates)
 from .circle import ExactCircle
 from .matrices import IntMatrix
 from .rootdata import (FoldingError, automorphism_order, check_twist_relation,
@@ -232,14 +232,17 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
 
     @cached_property
     def weyl_generators(self):
-        """GroupHoms on T/T_0 (deduplicated, identity left out): the
+        """Automorphisms of T/T_0 (deduplicated, identity left out): the
         relative Weyl group is the tau,sigma-fixed subgroup of the Weyl
         group, given by its folded generators, acting through
         coinvariants.
 
         A Weyl element w of the character lattice acts on the cocharacter
         lattice by w^-T; each folded generator is the longest element of a
-        parabolic, an involution, so that is its transpose."""
+        parabolic, an involution, so that is its transpose.  Each
+        descended generator is checked to square to the identity on
+        T/T_0, which certifies it an `Automorphism` (FoldingError
+        otherwise)."""
         if self.datum is None:
             return ()
         torus, kg = self.torus, self.kottwitz
@@ -254,8 +257,13 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
                                    " Galois action")
             hom = descend_to_kottwitz(kg, w)
             key = _action_key(hom)
-            if key != identity:
-                homs.setdefault(key, hom)
+            if key == identity or key in homs:
+                continue
+            if tuple(map(hom, key)) != identity:      # hom o hom = 1
+                raise FoldingError("folded generator does not act on T/T_0"
+                                   " as an involution")
+            homs[key] = Automorphism(kg.group, kg.group, hom.matrix,
+                                     _unchecked=True)
         return tuple(homs.values())
 
 

@@ -6,6 +6,7 @@ and hashable so that group elements can be collected into sets during
 closure enumerations.
 """
 
+from math import lcm
 from operator import add, mul
 
 
@@ -197,10 +198,16 @@ class IntMatrix:
 
         The eigenvalues of a finite-order matrix are roots of unity, so
         every power has |trace| <= n; a power past that bound proves the
-        order infinite and is refused at once."""
+        order infinite and is refused at once.  A permutation matrix
+        takes no product: its order is the lcm of its cycle lengths."""
         if not self.is_square():
             raise ValueError("order of a non-square matrix")
         n = self.nrows
+        order = _permutation_order(self.data)
+        if order is not None:
+            if order > cap:
+                raise ValueError("matrix order exceeds cap; not finite order?")
+            return order
         acc = self
         k = 1
         ident = IntMatrix.identity(n)
@@ -227,6 +234,27 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"
+
+
+def _permutation_order(data):
+    """The lcm of the cycle lengths when every row and every column holds
+    exactly one 1 and zeros elsewhere; None for any other matrix."""
+    images = [None] * len(data)
+    for i, row in enumerate(data):
+        support = [j for j, x in enumerate(row) if x]
+        if (len(support) != 1 or row[support[0]] != 1
+                or images[support[0]] is not None):
+            return None
+        images[support[0]] = i
+    order = 1
+    for start in range(len(images)):
+        length, j = 0, start
+        while images[j] is not None:
+            images[j], j = None, images[j]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
 
 
 def hstack(*mats):

@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from satake.abelian import (
-    FgAbGroup, GroupCharacter, GroupHom, all_characters, character_count,
-    coinvariants, cokernel, induced_endomorphism,
+    Automorphism, FgAbGroup, GroupCharacter, GroupHom, all_characters,
+    character_count, coinvariants, cokernel, induced_endomorphism,
     invariants_of_induced_action, kernel_of_hom, subgroup_coordinates,
 )
 from satake.circle import ExactCircle, ONE
@@ -282,3 +283,61 @@ def test_equal_characters_from_different_denominators():
     triple = GroupHom(z6, z6, IntMatrix([[3, 0], [0, 3]]))
     assert c.precompose(triple) == GroupCharacter(z6, (ONE, ONE))
     assert c.precompose(triple).den == 1
+
+
+# --- the trusted path for automorphisms against the checked one --------------
+
+@st.composite
+def automorphisms(draw, group):
+    """A product of elementary automorphisms: e_j -> u e_j for a unit u
+    (mod d_j on a Z/d_j), and e_j -> e_j + c e_i where d_j c e_i = 0, whose
+    inverse e_j -> e_j - c e_i is of the same kind."""
+    orders = group.generator_orders()
+    n = group.ngens
+    mat = IntMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 5)) if n else 0):
+        j = draw(st.integers(0, n - 1))
+        cols = [list(col) for col in IntMatrix.identity(n).columns()]
+        i = draw(st.integers(0, n - 1))
+        d_i, d_j = orders[i], orders[j]
+        if i == j:
+            units = [u for u in range(-d_j + 1, d_j) if gcd(u, d_j) == 1]
+            cols[j][j] = draw(st.sampled_from(units or [-1]))
+        elif d_j == 0:
+            cols[j][i] = draw(st.integers(-3, 3))
+        elif d_i != 0:
+            cols[j][i] = d_i // gcd(d_i, d_j) * draw(st.integers(-3, 3))
+        mat = mat @ IntMatrix.from_columns(cols, nrows=n)
+    return Automorphism(group, group, mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_automorphism_precompose_equals_the_checked_path(data):
+    """The trusted precompose stores the numerators over the old
+    denominator; `_from_nums` on the same numerators renormalises and
+    checks torsion, and must find nothing to change."""
+    group = data.draw(small_groups())
+    chi = data.draw(characters(group))
+    auto = data.draw(automorphisms(group))
+    assert auto.is_surjective()      # so bijective: Z-modules are Hopfian
+    cols = auto.matrix.columns()
+    checked = GroupCharacter._from_nums(
+        group, chi.den, [sum(map(mul, col, chi.q_nums)) for col in cols],
+        [sum(map(mul, col, chi.arg_nums)) for col in cols])
+    trusted = chi.precompose(auto)
+    assert (trusted.domain, trusted.den, trusted.q_nums, trusted.arg_nums) \
+        == (checked.domain, checked.den, checked.q_nums, checked.arg_nums)
+    assert type(trusted.q_nums) is tuple and type(trusted.arg_nums) is tuple
+    assert trusted == chi.precompose(GroupHom(group, group, auto.matrix))
+
+
+def test_only_an_automorphism_skips_the_renormalisation():
+    """Doubling on Z is no automorphism: the checked path lowers the
+    denominator of e(1/2) o 2 to 1."""
+    z = FgAbGroup((), 1)
+    chi = GroupCharacter(z, (ExactCircle(0, Fraction(1, 2)),))
+    doubled = chi.precompose(GroupHom(z, z, IntMatrix([[2]])))
+    assert (doubled.den, doubled.arg_nums) == (1, (0,))
+    negated = chi.precompose(Automorphism(z, z, IntMatrix([[-1]])))
+    assert (negated.den, negated.arg_nums) == (2, (1,))

@@ -185,6 +185,24 @@ simple = [0]
     assert rg.torus.tau == IntMatrix.identity(1)
 
 
+@pytest.mark.parametrize("preset", ["flip A5", "split GL3", "norm-one",
+                                    "induced e=2 f=2 q=3"])
+def test_setting_reuses_the_resolved_torus(preset, monkeypatch):
+    """The setting is built on `rg.torus`, with no matrix power."""
+    rg = resolve(preset=preset)
+    powers = []
+    original = IntMatrix.power
+
+    def counted(self, k):
+        powers.append(k)
+        return original(self, k)
+    monkeypatch.setattr(IntMatrix, "power", counted)
+    setting = rg.setting()
+    assert setting.torus is rg.torus
+    assert (setting.datum, setting.action) == (rg.datum, rg.action)
+    assert powers == []
+
+
 def test_resolve_rejects_invalid_datum():
     with pytest.raises(ConfigError):
         resolve(parse_config("roots = [[2]]\ncoroots = [[1]]\nsimple = [0]"))

@@ -111,6 +111,19 @@ def _grid_cases():
     yield ["modulus", "--preset", "split GL3", "--q", "7", "--format", "json"]
 
 
+# the orbits commands of the benchmark workload, and one larger split case:
+# their classes mix denominators, which pins the order of the class list
+ORBIT_ORDER_CASES = [
+    *[["orbits", "--preset", preset, "--format", "json", "--torsion", str(t)]
+      for preset, t in (
+          ("split GL3", 6), ("split GL4", 3), ("split Sp6", 4),
+          ("unitary ramified 3", 12), ("unitary ramified 4", 8),
+          ("unitary unramified 4", 6), ("triality D4", 6),
+          ("induced e=2 f=3 q=5", 12))],
+    ["orbits", "--preset", "split GL3", "--torsion", "12"],
+]
+
+
 # the refusals of tests/test_config_cli.py, each with its own argv
 CAP_CASES = [
     ["orbits", "--preset", "split GL4", "--torsion", "100", "--max-orbit",
@@ -189,6 +202,7 @@ CONFIG_ERRORS = [
 
 def _cases():
     yield from _grid_cases()
+    yield from ORBIT_ORDER_CASES
     yield from CAP_CASES
     for text in CONFIG_ERRORS:
         yield ["kottwitz", "--config", text + "\n"]

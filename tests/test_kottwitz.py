@@ -10,13 +10,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satake.abelian import GroupCharacter, all_characters
+from satake.abelian import (Automorphism, GroupCharacter, GroupHom,
+                            all_characters, character_count)
 from satake.circle import ExactCircle, ONE
 from satake.cli import main
 from satake.config import resolve
 from satake.kottwitz import (
-    TorusWithAction, build_induced_torus, character_from_dual_point, classify,
-    descend_to_kottwitz, induced_character, induced_envelope,
+    TorusWithAction, _action_key, build_induced_torus,
+    character_from_dual_point, classify, descend_to_kottwitz,
+    induced_character, induced_envelope,
     induced_torus_cocycle, kottwitz_group, kottwitz_hom,
     maximal_compact_quotient, modulus_character, parameter_from_character,
     parameters_equal, setting_for_datum, setting_for_torus, weyl_orbit,
@@ -24,12 +26,13 @@ from satake.kottwitz import (
 from satake.matrices import IntMatrix
 from satake.presets import flip_negate, split_gl
 from satake.rootdata import (
-    BasedRootDatum, CapExceeded, GaloisAction, dual_datum,
+    BasedRootDatum, CapExceeded, FoldingError, GaloisAction, dual_datum,
     fixed_weyl_subgroup, folded_generators, galois_action, mulclose,
-    pinned_automorphism, weyl_group,
+    pinned_automorphism, search, weyl_group,
 )
 from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
+from test_grid import GRID
 from test_matrices import sympy_inverse
 
 Q = ExactCircle(1, 0)
@@ -168,6 +171,44 @@ def test_orbits_class_count_is_burnside(name, torsion, capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["character_count"] == len(chars)
     assert result["class_count"] == fixed // len(homs)
+
+
+def burnside_class_count(setting, torsion):
+    """(1/|Gamma|) sum_h #Hom(coker(h - 1), Z/t) over the image Gamma of
+    W^Gamma in Aut(T/T_0): the generators' closure under composition.
+    A character is fixed by h iff it factors through coker(h - 1), so
+    this counts the orbits of t-torsion characters without listing one."""
+    identity = GroupHom.identity(setting.group)
+    gamma = search([identity], setting.weyl_generators, GroupHom.compose,
+                   key=_action_key)
+    fixed = sum(character_count((h - identity).cokernel_group(), torsion)
+                for h in gamma.values())
+    assert fixed % len(gamma) == 0
+    return fixed // len(gamma)
+
+
+@pytest.mark.parametrize("preset", sorted(GRID))
+def test_orbits_class_count_is_burnside_without_enumeration(preset, capsys):
+    setting = resolve(preset=preset).setting()
+    assert all(type(h) is Automorphism for h in setting.weyl_generators)
+    for torsion in (2, 3, 4):
+        assert main(["orbits", "--preset", preset, "--torsion", str(torsion),
+                     "--format", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["class_count"] == burnside_class_count(setting, torsion)
+
+
+def test_a_generator_that_is_not_an_involution_is_refused(monkeypatch):
+    """Only generators that square to the identity on T/T_0 are certified
+    automorphisms; doubling on Z fails, so it never reaches the trusted
+    precompose."""
+    setting = resolve(preset="unitary unramified 3").setting()
+    assert setting.group.describe() == "Z"
+    doubling = GroupHom(setting.group, setting.group, IntMatrix([[2]]))
+    monkeypatch.setattr("satake.kottwitz.descend_to_kottwitz",
+                        lambda kg, w: doubling)
+    with pytest.raises(FoldingError, match="involution"):
+        setting.weyl_generators
 
 
 @pytest.mark.parametrize("preset", sorted(NO_WEYL_VALUES))

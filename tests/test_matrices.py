@@ -374,3 +374,46 @@ def test_finite_orders_pass_the_trace_bound():
                                    [0, 0, 0, 1, 0]]), 12),
                        (IntMatrix([[1, -1], [1, 0]]), 6)):
         assert mat.multiplicative_order() == order
+
+
+def order_by_products(mat):
+    """The order as the least k with mat^k = 1, by repeated products."""
+    ident = IntMatrix.identity(mat.nrows)
+    acc, k = mat, 1
+    while acc != ident:
+        acc, k = acc @ mat, k + 1
+    return k
+
+
+def test_permutation_order_is_read_off_the_cycles(monkeypatch):
+    """A permutation matrix's order takes no product; a signed permutation
+    with a -1 still takes the product path.  Both agree with repeated
+    products."""
+    rng = random.Random(17)
+    cases = []
+    for n in (1, 2, 5, 9, 16):
+        for _ in range(6):
+            images = list(range(n))
+            rng.shuffle(images)
+            perm = IntMatrix.permutation(images)
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            signs[rng.randrange(n)] = -1
+            signed = IntMatrix([[s * x for x in row]
+                                for s, row in zip(signs, perm.data)])
+            cases.append((perm, order_by_products(perm)))
+            cases.append((signed, order_by_products(signed)))
+    products = []
+    original = IntMatrix.__matmul__
+
+    def counted(a, b):
+        products.append(None)
+        return original(a, b)
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    for mat, order in cases:
+        products.clear()
+        assert mat.multiplicative_order() == order
+        assert bool(products) == any(-1 in row for row in mat.data)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        IntMatrix.permutation([1, 2, 3, 4, 0]).multiplicative_order(cap=4)
+    assert IntMatrix.permutation([1, 2, 3, 4, 0]).multiplicative_order(
+        cap=5) == 5
