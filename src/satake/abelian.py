@@ -145,11 +145,10 @@ class GroupHom:
 
     Construction checks well-definedness: each source relation d_i * e_i
     must land in the target's relation lattice.  `preimage` factors
-    [matrix | target relations] once, on first use, for every later call;
-    `GroupCharacter.precompose` keeps the matrix columns the same way.
+    [matrix | target relations] once, on first use, for every later call.
     """
 
-    __slots__ = ("source", "target", "matrix", "_solver", "_cols")
+    __slots__ = ("source", "target", "matrix", "_solver")
 
     def __init__(self, source, target, matrix, _unchecked=False):
         if matrix.shape != (target.ngens, source.ngens):
@@ -158,7 +157,6 @@ class GroupHom:
         self.target = target
         self.matrix = matrix
         self._solver = None
-        self._cols = None
         if not _unchecked:
             t_orders = target.generator_orders()
             for j, d in enumerate(source.generator_orders()):
@@ -215,18 +213,6 @@ class GroupHom:
         return self.cokernel_group().is_trivial()
 
 
-class Automorphism(GroupHom):
-    """An endomorphism whose maker has checked that it is bijective.
-
-    `GroupCharacter.precompose` trusts the check: following an
-    automorphism keeps a character's image, hence its least denominator
-    and its torsion conditions, so the result needs no renormalisation.
-    Build one only from a hom shown to be invertible.
-    """
-
-    __slots__ = ()
-
-
 def cokernel(matrix):
     """Z^m / (column span of an m-row matrix), as an FgAbGroup presented
     over Z^m.
@@ -248,7 +234,8 @@ def cokernel(matrix):
 
 def coinvariants(rank, automorphisms):
     """Largest quotient of Z^rank on which every automorphism matrix acts
-    trivially: the cokernel of the stacked (gamma - 1).
+    trivially: the cokernel of the stacked (gamma - 1).  Only the shapes
+    are checked here; `rootdata.automorphism_order` checks the rest.
 
     >>> swap = IntMatrix([[0, 1], [1, 0]])
     >>> coinvariants(2, [swap]).describe()
@@ -258,8 +245,6 @@ def coinvariants(rank, automorphisms):
     for g in automorphisms:
         if g.shape != (rank, rank):
             raise ValueError("automorphism has the wrong shape")
-        if not g.is_unimodular():
-            raise ValueError("not a lattice automorphism (determinant not ±1)")
         blocks.append(g - IntMatrix.identity(rank))
     return cokernel(hstack(*blocks) if blocks else IntMatrix.zeros(rank, 0))
 
@@ -398,32 +383,15 @@ class GroupCharacter:
 
     def precompose(self, hom):
         """Character of hom.source obtained by following hom first: the
-        numerator vectors times the columns of hom's matrix.
-
-        For an `Automorphism` the numerators are stored over the same
-        denominator with the arguments reduced, and nothing else: the
-        image, hence the least denominator, and the torsion conditions
-        are unchanged.  Any other hom goes through `_store`."""
-        if hom.target is not self.domain and hom.target != self.domain:
+        numerator vectors times the columns of hom's matrix, renormalised
+        and torsion-checked by `_from_nums`."""
+        if hom.target != self.domain:
             raise ValueError("homomorphism does not land in the character's domain")
-        cols = hom._cols
-        if cols is None:
-            data = hom.matrix.data
-            cols = hom._cols = (tuple(zip(*data)) if data
-                                else ((),) * hom.source.ngens)
-        den, qs, args = self.den, self.q_nums, self.arg_nums
-        if type(hom) is not Automorphism:
-            return GroupCharacter._from_nums(
-                hom.source, den,
-                [sum(map(mul, col, qs)) for col in cols],
-                [sum(map(mul, col, args)) for col in cols])
-        out = object.__new__(GroupCharacter)
-        out.domain = hom.source
-        out.den = den
-        out.q_nums = (tuple([sum(map(mul, col, qs)) for col in cols])
-                      if any(qs) else qs)
-        out.arg_nums = tuple([sum(map(mul, col, args)) % den for col in cols])
-        return out
+        cols = hom.matrix.columns()
+        return GroupCharacter._from_nums(
+            hom.source, self.den,
+            [sum(map(mul, col, self.q_nums)) for col in cols],
+            [sum(map(mul, col, self.arg_nums)) for col in cols])
 
     def key(self):
         """Canonical total-order key (basis-dependent, deterministic):

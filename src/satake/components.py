@@ -106,7 +106,7 @@ def check_fixed_weyl_is_folded(datum, tau, cap=DEFAULT_WEYL_CAP):
     """Fixed subgroup W^tau vs the group generated by the folded
     generators, compared as sets of root permutations: exact, since both
     lie in W and W acts faithfully on its roots."""
-    fixed = fixed_weyl_subgroup(weyl_group(datum, cap=cap), [tau])
+    fixed = fixed_weyl_subgroup(weyl_group(datum, cap=cap), [tau.matrix])
     gens = [root_permutation(w, datum.roots)
             for w in folded_generators(datum, tau)]
     folded = closure(tuple(range(len(datum.roots))), gens, compose, cap)

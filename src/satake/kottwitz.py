@@ -13,10 +13,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 
-from .abelian import (Automorphism, FgAbGroup, GroupCharacter, GroupHom,
-                      coinvariants, induced_endomorphism,
-                      invariants_of_induced_action, subgroup_coordinates)
+from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
+                      induced_endomorphism, invariants_of_induced_action,
+                      subgroup_coordinates)
 from .circle import ExactCircle
 from .matrices import IntMatrix
 from .rootdata import (FoldingError, automorphism_order, check_twist_relation,
@@ -179,7 +180,7 @@ def parameter_from_character(kg, character):
 
 
 class ParameterClass(namedtuple("ParameterClass", "representative orbit_size"
-                                " orbit_keys", defaults=(frozenset(),))):
+                                " orbit_keys")):
     """Canonical representative of a W-orbit of parameters plus its size;
     `orbit_keys` holds the `ident()` of every character in the orbit."""
 
@@ -241,8 +242,8 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
         lattice by w^-T; each folded generator is the longest element of a
         parabolic, an involution, so that is its transpose.  Each
         descended generator is checked to square to the identity on
-        T/T_0, which certifies it an `Automorphism` (FoldingError
-        otherwise)."""
+        T/T_0 (FoldingError otherwise), so it is an automorphism, which
+        `weyl_orbit` relies on."""
         if self.datum is None:
             return ()
         torus, kg = self.torus, self.kottwitz
@@ -262,8 +263,7 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
             if tuple(map(hom, key)) != identity:      # hom o hom = 1
                 raise FoldingError("folded generator does not act on T/T_0"
                                    " as an involution")
-            homs[key] = Automorphism(kg.group, kg.group, hom.matrix,
-                                     _unchecked=True)
+            homs[key] = hom
         return tuple(homs.values())
 
 
@@ -277,9 +277,24 @@ def setting_for_datum(datum, action):
     return SphericalSetting(datum, action, torus, kottwitz_group(torus))
 
 
+def _follow(ident, cols):
+    """The ident of a character precomposed with an automorphism, given by
+    the columns of its matrix: the q-sums and the arg-sums over each
+    column, the arguments reduced mod den.  den stays as it is, since an
+    automorphism keeps the character's image, hence its least
+    denominator (see `GroupCharacter.ident`)."""
+    den = ident[0]
+    qs, args = ident[1::2], ident[2::2]
+    out = [den]
+    for col in cols:
+        out.append(sum(map(mul, col, qs)))
+        out.append(sum(map(mul, col, args)) % den)
+    return tuple(out)
+
+
 def weyl_orbit(setting, character, max_orbit=None):
-    """The relative-Weyl orbit of a character as a dict ident -> character
-    (see `GroupCharacter.ident`).
+    """The idents of the relative-Weyl orbit of a character (see
+    `GroupCharacter.ident`), in the order found.
 
     Breadth-first search over the generator images; a finite group's
     orbit is closed under its generators alone.  `max_orbit` caps the
@@ -287,9 +302,9 @@ def weyl_orbit(setting, character, max_orbit=None):
     """
     if character.domain != setting.group:
         raise ValueError("parameter does not live on this setting's group")
-    return search([character], setting.weyl_generators,
-                  GroupCharacter.precompose, max_orbit, "orbit enumeration",
-                  key=GroupCharacter.ident)
+    gens = [tuple(zip(*hom.matrix.data)) for hom in setting.weyl_generators]
+    return search([character.ident()], gens, _follow, max_orbit,
+                  "orbit enumeration")
 
 
 def classify(setting, parameter, max_orbit=None):
@@ -305,8 +320,10 @@ def classify(setting, parameter, max_orbit=None):
     the least `key()`.
     """
     orbit = weyl_orbit(setting, parameter.character, max_orbit)
-    best = orbit[min(orbit)]
-    return ParameterClass(SatakeParameter(best), len(orbit),
+    best = min(orbit)
+    character = GroupCharacter._from_nums(setting.group, best[0], best[1::2],
+                                          best[2::2])
+    return ParameterClass(SatakeParameter(character), len(orbit),
                           frozenset(orbit))
 
 

@@ -45,28 +45,25 @@ def _reflect(x, a, av):
     return tuple(v - p * w for v, w in zip(x, a))
 
 
-def search(seeds, generators, product, cap=None, stage="", key=None):
+def search(seeds, generators, product, cap=None, stage=""):
     """Breadth-first search from `seeds` along x -> product(x, g), one
-    step per generator g: a dict key(x) -> x (key defaults to the element
-    itself) in the order the elements are found.  Raises CapExceeded when
-    more than `cap` elements are found."""
-    found = {}
-    for x in seeds:
-        found.setdefault(x if key is None else key(x), x)
-    frontier = list(found.values())
+    step per generator g: the elements found, in the order found, as the
+    keys of a dict.  Raises CapExceeded when more than `cap` elements are
+    found."""
+    found = dict.fromkeys(seeds)
+    frontier = list(found)
     while frontier:
         nxt = []
         for x in frontier:
             for g in generators:
                 y = product(x, g)
-                k = y if key is None else key(y)
-                if k not in found:
-                    found[k] = y
+                if y not in found:
+                    found[y] = None
                     nxt.append(y)
                     if cap is not None and len(found) > cap:
                         raise CapExceeded(f"{stage} exceeded cap {cap}")
         frontier = nxt
-    return found
+    return found.keys()
 
 
 class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
@@ -447,9 +444,8 @@ def fixed_weyl_subgroup(weyl, commuting_with):
     """
     perms = []
     for m in commuting_with:
-        mat = m.matrix if isinstance(m, PinnedAutomorphism) else m
-        perms.append(root_permutation(mat, weyl.roots))
-        root_permutation(mat.transpose(), weyl.coroots)
+        perms.append(root_permutation(m, weyl.roots))
+        root_permutation(m.transpose(), weyl.coroots)
     kept = frozenset(p for p in weyl.permutations
                      if all(compose(p, t) == compose(t, p) for t in perms))
     return WeylGroup(kept, weyl.roots, weyl.coroots)

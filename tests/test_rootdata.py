@@ -120,7 +120,7 @@ def test_unchecked_cochar_torus_passes_the_torus_checks(name):
 @pytest.mark.parametrize("name", DATUM_PRESETS)
 def test_resolving_a_datum_preset_checks_each_matrix_once(name, monkeypatch):
     """One determinant and one order search for tau and for sigma each,
-    on the character side only."""
+    on the character side only; building the setting adds none."""
     calls = {"det": 0, "multiplicative_order": 0}
     for method in calls:
         original = getattr(IntMatrix, method)
@@ -130,7 +130,9 @@ def test_resolving_a_datum_preset_checks_each_matrix_once(name, monkeypatch):
             calls[_method] += 1
             return _original(self, *args, **kwargs)
         monkeypatch.setattr(IntMatrix, method, counted)
-    resolve(preset=name)
+    rg = resolve(preset=name)
+    assert calls == {"det": 2, "multiplicative_order": 2}
+    rg.setting()
     assert calls == {"det": 2, "multiplicative_order": 2}
 
 
@@ -167,7 +169,7 @@ def test_weyl_cap_is_enforced():
 def test_fixed_subgroup_a3_flip():
     gl4 = split_gl(4)
     tau = pinned_automorphism(gl4, flip_negate(4))
-    fixed = fixed_weyl_subgroup(weyl_group(gl4), [tau])
+    fixed = fixed_weyl_subgroup(weyl_group(gl4), [tau.matrix])
     assert fixed.order == 8
 
 
