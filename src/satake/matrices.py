@@ -7,7 +7,7 @@ closure enumerations.
 """
 
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 
 class IntMatrix:
@@ -23,7 +23,10 @@ class IntMatrix:
     __slots__ = ("data", "nrows", "ncols")
 
     def __init__(self, entries, ncols=None):
-        data = tuple(tuple(int(v) for v in row) for row in entries)
+        rows = tuple(map(tuple, entries))
+        data = tuple(tuple(map(int, row)) for row in rows)
+        if data != rows:
+            raise ValueError("matrix entries must be integers")
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data[1:]):
@@ -134,7 +137,11 @@ class IntMatrix:
                                   self.ncols)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        return IntMatrix._trusted(tuple(tuple(map(sub, r1, r2)) for r1, r2
+                                        in zip(self.data, other.data)),
+                                  self.ncols)
 
     def __neg__(self):
         return IntMatrix._trusted(tuple(tuple(-a for a in row)
@@ -154,16 +161,13 @@ class IntMatrix:
             k >>= 1
         return out
 
-    def is_square(self):
-        return self.nrows == self.ncols
-
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination.
 
         A row with a zero in the pivot column is left alone when the
         pivot equals the previous one, since the update would return it
         unchanged; a permutation matrix then costs O(n^2)."""
-        if not self.is_square():
+        if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
         if n == 0:
@@ -191,7 +195,7 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def is_unimodular(self):
-        return self.is_square() and self.det() in (1, -1)
+        return self.nrows == self.ncols and self.det() in (1, -1)
 
     def multiplicative_order(self, cap=10**6):
         """Least k >= 1 with self**k = 1; raises if cap is passed.
@@ -200,7 +204,7 @@ class IntMatrix:
         every power has |trace| <= n; a power past that bound proves the
         order infinite and is refused at once.  A permutation matrix
         takes no product: its order is the lcm of its cycle lengths."""
-        if not self.is_square():
+        if self.nrows != self.ncols:
             raise ValueError("order of a non-square matrix")
         n = self.nrows
         order = _permutation_order(self.data)
@@ -258,14 +262,13 @@ def _permutation_order(data):
 
 
 def hstack(*mats):
-    mats = [m for m in mats]
     if not mats:
         raise ValueError("nothing to stack")
     nrows = mats[0].nrows
     if any(m.nrows != nrows for m in mats):
         raise ValueError("row counts differ")
-    rows = [sum((list(m.data[i]) for m in mats), []) for i in range(nrows)]
-    return IntMatrix(rows, ncols=sum(m.ncols for m in mats))
+    rows = tuple(sum(parts, ()) for parts in zip(*(m.data for m in mats)))
+    return IntMatrix._trusted(rows, sum(m.ncols for m in mats))
 
 
 class SmithForm:
@@ -319,6 +322,10 @@ def smith_normal_form(matrix):
     block, ties broken by (row, column) position; the row-major scan
     stops at the first entry of absolute value 1.
 
+    U and V_inv are held as lists of rows, U_inv and V as lists of their
+    columns: one list update per operation.  A column operation changes
+    only row s, since column s is already zero off the pivot.
+
     >>> sf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> sf.diagonal
     (2, 4)
@@ -329,44 +336,40 @@ def smith_normal_form(matrix):
         matrix = IntMatrix(matrix)
     m, n = matrix.nrows, matrix.ncols
     a = [list(row) for row in matrix.data]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    ui = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    vi = [[int(i == j) for j in range(n)] for i in range(n)]
+    eye_m, eye_n = IntMatrix.identity(m).data, IntMatrix.identity(n).data
+    u = [list(row) for row in eye_m]
+    uic = [list(col) for col in eye_m]  # the columns of U_inv
+    vc = [list(col) for col in eye_n]   # the columns of V
+    vi = [list(row) for row in eye_n]
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
         u[i], u[k] = u[k], u[i]
-        for r in range(m):  # U_inv: swap columns i, k
-            ui[r][i], ui[r][k] = ui[r][k], ui[r][i]
+        uic[i], uic[k] = uic[k], uic[i]
 
     def swap_cols(j, k):
-        for r in range(m):
-            a[r][j], a[r][k] = a[r][k], a[r][j]
-        for r in range(n):
-            v[r][j], v[r][k] = v[r][k], v[r][j]
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+        vc[j], vc[k] = vc[k], vc[j]
         vi[j], vi[k] = vi[k], vi[j]
 
     def row_op(i, k, q):
-        # row i -= q * row k
+        # row i -= q * row k; U_inv: col k += q * col i
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-        for r in range(m):  # U_inv: col k += q * col i
-            ui[r][k] += q * ui[r][i]
+        uic[k] = [x + q * y for x, y in zip(uic[k], uic[i])]
 
     def col_op(j, k, q):
-        # col j -= q * col k
-        for r in range(m):
-            a[r][j] -= q * a[r][k]
-        for r in range(n):
-            v[r][j] -= q * v[r][k]
+        # col j -= q * col k, where col k of `a` is zero off row k;
+        # V_inv: row k += q * row j
+        a[k][j] -= q * a[k][k]
+        vc[j] = [x - q * y for x, y in zip(vc[j], vc[k])]
         vi[k] = [x + q * y for x, y in zip(vi[k], vi[j])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in range(m):
-            ui[r][i] = -ui[r][i]
+        uic[i] = [-x for x in uic[i]]
 
     s = 0
     while s < min(m, n):
@@ -415,7 +418,6 @@ def smith_normal_form(matrix):
             if dirty:
                 continue
             # pivot must divide the whole trailing block for the chain
-            p = a[s][s]
             if p in (1, -1):
                 break
             offender = None
@@ -436,8 +438,8 @@ def smith_normal_form(matrix):
     def frozen(rows, width):
         return IntMatrix._trusted(tuple(map(tuple, rows)), width)
 
-    return SmithForm(matrix, frozen(u, m), frozen(a, n), frozen(v, n),
-                     frozen(ui, m), frozen(vi, n))
+    return SmithForm(matrix, frozen(u, m), frozen(a, n), frozen(zip(*vc), n),
+                     frozen(zip(*uic), m), frozen(vi, n))
 
 
 def kernel_basis(matrix):

@@ -1,6 +1,7 @@
 """Exact integer matrix layer: Smith forms, kernels, solvers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from satake.matrices import (
     smith_normal_form,
 )
 from satake.abelian import FgAbGroup, GroupHom
+from satake.kottwitz import build_induced_torus
 
 
 def random_matrix(rng, max_dim=6, bound=9):
@@ -332,6 +334,34 @@ def test_smith_transforms_match_reference_on_a_sweep():
             assert as_tuples(smith_normal_form(mat)) == reference_smith(mat)
 
 
+@pytest.mark.parametrize("e,f,q", [(2, 3, 5), (4, 4, 3), (3, 5, 2),
+                                   (6, 6, 5), (8, 8, 3)])
+def test_smith_transforms_match_reference_on_induced_tori(e, f, q):
+    """The sizes the kernel is tuned for: tau - 1, sigma - 1 and both side
+    by side on the induced tori of the structure workload."""
+    torus = build_induced_torus(e, f, q)
+    one = IntMatrix.identity(torus.rank)
+    tau, sigma = torus.tau - one, torus.sigma - one
+    for mat in (tau, sigma, hstack(tau, sigma)):
+        assert as_tuples(smith_normal_form(mat)) == reference_smith(mat)
+
+
+@st.composite
+def dense_matrices(draw, max_dim=12, bound=40):
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    entries = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return IntMatrix(draw(st.lists(entries, min_size=m, max_size=m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mat=dense_matrices())
+def test_smith_restart_paths_match_reference(mat):
+    """Dense entries up to 40 reach non-unit pivots, a column swap after a
+    remainder in a column operation, and the divisibility sweep."""
+    assert as_tuples(smith_normal_form(mat)) == reference_smith(mat)
+
+
 def test_permutation_matrix_det_and_products():
     n = 64
     cols = [(7 * j + 3) % n for j in range(n)]
@@ -343,12 +373,17 @@ def test_permutation_matrix_det_and_products():
 
 def test_trusted_results_are_plain_int_tuples():
     a = IntMatrix([[1, -2], [0, 3]])
-    for m in (a @ a, a.transpose(), a + a, -a, IntMatrix.identity(3),
-              *as_tuples(smith_normal_form(a))):
+    b = IntMatrix([[4, 0], [-5, 7]])
+    for m in (a @ a, a.transpose(), a + a, -a, a - b, hstack(a, b),
+              IntMatrix.identity(3), *as_tuples(smith_normal_form(a))):
         data = m if isinstance(m, tuple) else m.data
         assert isinstance(data, tuple)
         assert all(isinstance(row, tuple) for row in data)
         assert all(type(x) is int for row in data for x in row)
+    assert a - b == a + (-b)
+    assert hstack(a, b).data == ((1, -2, 4, 0), (0, 3, -5, 7))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a - IntMatrix.identity(3)
     assert IntMatrix.identity(0).shape == (0, 0)
     assert IntMatrix([], ncols=3).transpose().shape == (3, 0)
     assert IntMatrix([[], []]).transpose().shape == (0, 2)
@@ -417,3 +452,12 @@ def test_permutation_order_is_read_off_the_cycles(monkeypatch):
         IntMatrix.permutation([1, 2, 3, 4, 0]).multiplicative_order(cap=4)
     assert IntMatrix.permutation([1, 2, 3, 4, 0]).multiplicative_order(
         cap=5) == 5
+
+
+def test_non_integer_entries_are_refused():
+    for rows in ([[1.5, Fraction(7, 2)]], [["3"]], [[1, 2], [3, 0.5]]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            IntMatrix(rows)
+    exact = IntMatrix([[Fraction(2), 2.0, True]])
+    assert exact.data == ((2, 2, 1),)
+    assert all(type(x) is int for x in exact.data[0])
