@@ -61,7 +61,7 @@ def _build_parser():
                         dest="max_orbit", metavar="N",
                         help="cap on the orbit size and on the number of"
                              " characters orbits enumerates, and on the Weyl"
-                             " closure of verify-ks (default %(default)s)")
+                             " group walk of verify-ks (default %(default)s)")
     return parser
 
 

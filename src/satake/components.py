@@ -14,8 +14,7 @@ from collections import namedtuple
 from .abelian import GroupHom, coinvariants, cokernel, induced_endomorphism
 from .matrices import IntMatrix
 from .rootdata import (DEFAULT_WEYL_CAP, closure, compose,
-                       fixed_weyl_subgroup, folded_generators,
-                       root_permutation, weyl_group)
+                       folded_generators, root_permutation, weyl_walk)
 
 
 class Pi0Certificate(namedtuple("Pi0Certificate", "group coinvariants")):
@@ -105,9 +104,14 @@ class FoldCheck(namedtuple("FoldCheck", "match fixed_order folded_order")):
 def check_fixed_weyl_is_folded(datum, tau, cap=DEFAULT_WEYL_CAP):
     """Fixed subgroup W^tau vs the group generated by the folded
     generators, compared as sets of root permutations: exact, since both
-    lie in W and W acts faithfully on its roots."""
-    fixed = fixed_weyl_subgroup(weyl_group(datum, cap=cap), [tau.matrix])
+    lie in W and W acts faithfully on its roots.  Only W^tau is kept: w
+    commutes with the pinned tau iff w(tau alpha_j) = tau(w alpha_j) for
+    each simple alpha_j, as tau w tau^-1 is in W, and an element of W is
+    determined by its images of the simple roots."""
+    t = root_permutation(tau.matrix, datum.roots)
+    fixed = {p for p in weyl_walk(datum, cap)
+             if all(p[t[k]] == t[p[k]] for k in datum.simple_indices)}
     gens = [root_permutation(w, datum.roots)
             for w in folded_generators(datum, tau)]
     folded = closure(tuple(range(len(datum.roots))), gens, compose, cap)
-    return FoldCheck(folded == fixed.permutations, fixed.order, len(folded))
+    return FoldCheck(folded == fixed, len(fixed), len(folded))

@@ -93,7 +93,7 @@ def build_induced_torus(e, f, q):
 
     Basis indexed by pairs (i mod e, j mod f) at position i + e*j; tau is
     i -> i+1 within each block, sigma is (i, j) -> (q i, j+1); the tame
-    twist relation holds with exponent q.
+    twist relation, exponent q, holds by construction and is not re-checked.
     """
     if e < 1 or f < 1:
         raise ValueError("e and f must be positive")
@@ -109,8 +109,7 @@ def build_induced_torus(e, f, q):
     pairs = [(i, j) for j in range(f) for i in range(e)]
     tau = IntMatrix.permutation([idx(i + 1, j) for i, j in pairs])
     sigma = IntMatrix.permutation([idx(q * i, j + 1) for i, j in pairs])
-    return TorusWithAction(e * f, tau, sigma, twist=q,
-                           induced_params=(e, f, q))
+    return TorusWithAction._make((e * f, tau, sigma, q, (e, f, q)))
 
 
 def induced_torus_cocycle(torus, fval):

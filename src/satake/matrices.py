@@ -274,19 +274,18 @@ def hstack(*mats):
 class SmithForm:
     """Smith normal form data: U @ M @ V == D.
 
-    U, V are unimodular with tracked inverses, D is diagonal with
-    nonnegative entries in a divisibility chain d1 | d2 | ... .
+    U, V are unimodular and U_inv is the inverse of U; D is diagonal
+    with nonnegative entries in a divisibility chain d1 | d2 | ... .
     """
 
-    __slots__ = ("matrix", "U", "D", "V", "U_inv", "V_inv")
+    __slots__ = ("matrix", "U", "D", "V", "U_inv")
 
-    def __init__(self, matrix, U, D, V, U_inv, V_inv):
+    def __init__(self, matrix, U, D, V, U_inv):
         self.matrix = matrix
         self.U = U
         self.D = D
         self.V = V
         self.U_inv = U_inv
-        self.V_inv = V_inv
 
     @property
     def diagonal(self):
@@ -316,15 +315,15 @@ class SmithForm:
 
 
 def smith_normal_form(matrix):
-    """Smith normal form with unimodular transforms and their inverses.
+    """Smith normal form with unimodular transforms U, V and U_inv.
 
     Pivot selection: smallest nonzero absolute value in the trailing
     block, ties broken by (row, column) position; the row-major scan
     stops at the first entry of absolute value 1.
 
-    U and V_inv are held as lists of rows, U_inv and V as lists of their
-    columns: one list update per operation.  A column operation changes
-    only row s, since column s is already zero off the pivot.
+    U is held as a list of rows, U_inv and V as lists of their columns:
+    one list update per operation.  A column operation changes only row
+    s, since column s is already zero off the pivot.
 
     >>> sf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> sf.diagonal
@@ -340,7 +339,6 @@ def smith_normal_form(matrix):
     u = [list(row) for row in eye_m]
     uic = [list(col) for col in eye_m]  # the columns of U_inv
     vc = [list(col) for col in eye_n]   # the columns of V
-    vi = [list(row) for row in eye_n]
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
@@ -351,7 +349,6 @@ def smith_normal_form(matrix):
         for row in a:
             row[j], row[k] = row[k], row[j]
         vc[j], vc[k] = vc[k], vc[j]
-        vi[j], vi[k] = vi[k], vi[j]
 
     def row_op(i, k, q):
         # row i -= q * row k; U_inv: col k += q * col i
@@ -360,11 +357,9 @@ def smith_normal_form(matrix):
         uic[k] = [x + q * y for x, y in zip(uic[k], uic[i])]
 
     def col_op(j, k, q):
-        # col j -= q * col k, where col k of `a` is zero off row k;
-        # V_inv: row k += q * row j
+        # col j -= q * col k, where col k of `a` is zero off row k
         a[k][j] -= q * a[k][k]
         vc[j] = [x - q * y for x, y in zip(vc[j], vc[k])]
-        vi[k] = [x + q * y for x, y in zip(vi[k], vi[j])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -439,7 +434,7 @@ def smith_normal_form(matrix):
         return IntMatrix._trusted(tuple(map(tuple, rows)), width)
 
     return SmithForm(matrix, frozen(u, m), frozen(a, n), frozen(zip(*vc), n),
-                     frozen(zip(*uic), m), frozen(vi, n))
+                     frozen(zip(*uic), m))
 
 
 def kernel_basis(matrix):

@@ -5,11 +5,10 @@ standard dot pairing against the cocharacter side, roots and coroots are
 integer vectors, and a marked subset of the roots is simple.  The cocharacter
 side of a datum is its `dual_datum`.  Relative Weyl groups are described
 by generators (`folded_generators`).  Only where the enumeration itself is
-the certificate is the full Weyl group enumerated, as the permutations its
-elements induce on the roots, refused up front when the order of the
-Cartan type passes the cap.  That closure, the orbits and Dynkin
-components here, and the orbits of parameters run through one
-breadth-first `search`.
+the certificate is the full Weyl group enumerated, by one descent walk
+over root permutations (`weyl_walk`), refused up front when the order of
+the Cartan type passes the cap.  The orbits and Dynkin components here,
+and the orbits of parameters, run through one breadth-first `search`.
 """
 
 from collections import namedtuple
@@ -416,39 +415,42 @@ def weyl_order(type_name):
     return order
 
 
-def weyl_group(datum, cap=DEFAULT_WEYL_CAP):
-    """The Weyl group as permutations of the roots; the group on the
-    coroots is `weyl_group(dual_datum(datum))`.  Refused before
-    enumerating when the order of the Cartan type passes `cap`, and
-    CapExceeded is also raised when the closure passes it."""
+def weyl_walk(datum, cap=DEFAULT_WEYL_CAP):
+    """Each element of W once, as its permutation of the roots: a
+    depth-first walk from 1 that keeps nothing it has yielded
+    (Bjorner-Brenti, GTM 231, 3.4).  The child w s_i is taken only when
+    i is its least right descent: w(alpha_i) > 0 and w(s_i alpha_j) > 0
+    for j < i.  Refused up front when the order of the Cartan type passes
+    `cap`; CapExceeded names the count reached when the walk passes it."""
     type_name = detect_type(datum)
     order = weyl_order(type_name)
     if order is not None and order > cap:
         raise CapExceeded(f"Weyl group enumeration: {type_name} has"
                           f" {order} elements, over the cap {cap}")
-    roots = datum.roots
+    roots, simples = datum.roots, datum.simple_indices
+    negative = set(range(len(roots))).difference(datum.positive_indices)
     gens = [root_permutation(datum.reflection_matrix(i), roots)
-            for i in datum.simple_indices]
-    perms = closure(tuple(range(len(roots))), gens, compose, cap)
-    return WeylGroup(frozenset(perms), roots, datum.coroots)
+            for i in simples]
+    # the roots alpha_i and s_i alpha_j (j < i) that w must keep positive
+    guards = [(simples[i],) + tuple(s[k] for k in simples[:i])
+              for i, s in enumerate(gens)]
+    stack = [tuple(range(len(roots)))]
+    count = 0
+    while stack:
+        p = stack.pop()
+        count += 1
+        if count > cap:
+            raise CapExceeded(f"Weyl group enumeration: reached {count}"
+                              f" elements, over the cap {cap}")
+        yield p
+        stack.extend(compose(p, s) for s, guard in zip(gens, guards)
+                     if negative.isdisjoint(map(p.__getitem__, guard)))
 
 
-def fixed_weyl_subgroup(weyl, commuting_with):
-    """Subgroup of elements commuting with every given matrix, tested on
-    the root permutations.
-
-    Each matrix must permute the roots of the group's side and its
-    transpose the coroots (FoldingError otherwise).  It then preserves
-    the annihilator of the coroots, on which W acts trivially, so it
-    commutes with w exactly when their permutations of the roots commute.
-    """
-    perms = []
-    for m in commuting_with:
-        perms.append(root_permutation(m, weyl.roots))
-        root_permutation(m.transpose(), weyl.coroots)
-    kept = frozenset(p for p in weyl.permutations
-                     if all(compose(p, t) == compose(t, p) for t in perms))
-    return WeylGroup(kept, weyl.roots, weyl.coroots)
+def weyl_group(datum, cap=DEFAULT_WEYL_CAP):
+    """`weyl_walk` collected; `dual_datum(datum)` gives the coroot side."""
+    return WeylGroup(frozenset(weyl_walk(datum, cap)), datum.roots,
+                     datum.coroots)
 
 
 def _orbits(indices, generators, step=lambda i, perm: perm[i]):

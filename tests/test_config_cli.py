@@ -404,7 +404,7 @@ def test_commands_never_enumerate_weyl_group(preset, monkeypatch, tmp_path,
 
     for name, module in list(sys.modules.items()):
         if name == "satake" or name.startswith("satake."):
-            for attr in ("weyl_group", "mulclose", "closure"):
+            for attr in ("weyl_walk", "weyl_group", "mulclose", "closure"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     values, values2 = NO_WEYL_VALUES[preset]
@@ -520,13 +520,14 @@ def test_rank_cap_admits_the_largest_benchmark_torus(capsys):
 def test_oversized_weyl_group_is_refused_before_enumerating(monkeypatch,
                                                            capsys):
     """|W(A9)| = 10! is read off the Cartan type and refused before the
-    closure runs (patched to fail)."""
+    walk builds an element (`compose`, which builds each one, is patched
+    to fail)."""
     def refuse(*args, **kwargs):
         raise AssertionError("Weyl group enumerated")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("satake.") and hasattr(module, "closure"):
-            monkeypatch.setattr(module, "closure", refuse)
+        if name.startswith("satake.") and hasattr(module, "compose"):
+            monkeypatch.setattr(module, "compose", refuse)
     start = time.perf_counter()
     assert main(["verify-ks", "--preset", "flip A9"]) == 2
     assert time.perf_counter() - start < 1

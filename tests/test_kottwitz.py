@@ -26,14 +26,15 @@ from satake.kottwitz import (
 from satake.matrices import IntMatrix
 from satake.presets import flip_negate, split_gl
 from satake.rootdata import (
-    BasedRootDatum, CapExceeded, FoldingError, GaloisAction, dual_datum,
-    fixed_weyl_subgroup, folded_generators, galois_action, mulclose,
-    pinned_automorphism, weyl_group,
+    BasedRootDatum, CapExceeded, FoldingError, GaloisAction,
+    automorphism_order, check_twist_relation, dual_datum, folded_generators,
+    galois_action, mulclose, pinned_automorphism, weyl_group,
 )
 from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
 from test_grid import GRID
-from test_matrices import sympy_inverse
+from test_matrices import INDUCED_TORI, sympy_inverse
+from test_rootdata import fixed_weyl_subgroup
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()
@@ -319,6 +320,39 @@ def test_twist_relation_is_checked_without_inverses():
                         IntMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
     with pytest.raises(ValueError, match="twist relation"):
         GaloisAction(flip, ident, 2)
+
+
+INDUCED_PRESETS = sorted({name for name in GRID if name.startswith("induced")}
+                         | {f"induced e={e} f={f} q={q}"
+                            for e, f, q in INDUCED_TORI})
+
+
+def assert_induced_torus_is_valid(torus):
+    """`build_induced_torus` builds its record unchecked; here both
+    matrices pass the automorphism check, tau has order e, and the twist
+    relation holds with exponent q."""
+    e, f, q = torus.induced_params
+    assert torus.rank == e * f and torus.twist == q
+    tau_order = automorphism_order(torus.tau, torus.rank, "tau")
+    assert tau_order == e
+    assert automorphism_order(torus.sigma, torus.rank, "sigma") >= f
+    check_twist_relation(torus.tau, torus.sigma, q, tau_order)
+    assert TorusWithAction(*torus) == torus
+
+
+@pytest.mark.parametrize("name", INDUCED_PRESETS)
+def test_induced_presets_pass_the_torus_checks(name):
+    assert_induced_torus_is_valid(resolve(preset=name).torus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(2, 11))
+def test_induced_tori_pass_the_torus_checks(e, f, q):
+    if gcd(q, e) != 1:
+        with pytest.raises(ValueError, match="tameness"):
+            build_induced_torus(e, f, q)
+        return
+    assert_induced_torus_is_valid(build_induced_torus(e, f, q))
 
 
 def test_induced_grid_is_infinite_cyclic():

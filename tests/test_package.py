@@ -83,11 +83,17 @@ def _callers(tree, name):
 
 
 def test_only_verify_ks_enumerates_the_weyl_group():
-    """`weyl_group` is called in one place: the brute-force certificate
-    `components.check_fixed_weyl_is_folded`."""
-    callers = [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
-               for owner in _callers(_tree(path.name), "weyl_group")]
-    assert callers == [("components", "check_fixed_weyl_is_folded")]
+    """`weyl_walk` enumerates W, and only two functions call it: the
+    brute-force certificate `components.check_fixed_weyl_is_folded`, and
+    `weyl_group`, which nothing in the package calls."""
+    def callers(name):
+        return [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+                for owner in _callers(_tree(path.name), name)]
+
+    assert callers("weyl_walk") == [
+        ("components", "check_fixed_weyl_is_folded"),
+        ("rootdata", "weyl_group")]
+    assert callers("weyl_group") == []
 
 
 def test_no_module_imports_dataclasses():

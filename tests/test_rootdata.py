@@ -13,11 +13,14 @@ from satake.presets import (
     adjoint_d4, d4_flip_matrix, d4_triality_matrix, flip_negate, split_gl,
     split_pgl, split_sl, split_so, split_sp,
 )
+from satake import rootdata
+from satake.components import check_fixed_weyl_is_folded
 from satake.rootdata import (
-    ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError, datum_from_simples,
-    detect_type, dual_datum, fixed_weyl_subgroup, folded_generators,
-    galois_action, mulclose, pinned_automorphism,
-    restricted_root_data, root_closure, validate, weyl_group, weyl_order,
+    ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError, WeylGroup, compose,
+    datum_from_simples, detect_type, dual_datum, folded_generators,
+    galois_action, mulclose, pinned_automorphism, restricted_root_data,
+    root_closure, root_permutation, search, validate, weyl_group, weyl_order,
+    weyl_walk,
 )
 from test_acceptance import TWISTED_SUITE
 from test_matrices import sympy_inverse
@@ -358,7 +361,36 @@ def test_simple_coefficients_outside_the_span_of_gl(n, data):
     assert gl.simple_coefficients(vec) == expected
 
 
-# --- Weyl closure keyed by root permutations vs matrix closure ---------------
+# --- oracles: the breadth-first Weyl closure and its commuting filter --------
+
+def bfs_weyl_group(datum):
+    """W as root permutations by the breadth-first closure of the simple
+    reflections under `compose`, the enumeration `weyl_walk` replaced."""
+    gens = [root_permutation(datum.reflection_matrix(i), datum.roots)
+            for i in datum.simple_indices]
+    perms = search([tuple(range(len(datum.roots)))], gens, compose)
+    return WeylGroup(frozenset(perms), datum.roots, datum.coroots)
+
+
+def fixed_weyl_subgroup(weyl, commuting_with):
+    """Subgroup of elements commuting with every given matrix, tested on
+    the root permutations.
+
+    Each matrix must permute the roots of the group's side and its
+    transpose the coroots (FoldingError otherwise).  It then preserves
+    the annihilator of the coroots, on which W acts trivially, so it
+    commutes with w exactly when their permutations of the roots commute.
+    """
+    perms = []
+    for m in commuting_with:
+        perms.append(root_permutation(m, weyl.roots))
+        root_permutation(m.transpose(), weyl.coroots)
+    kept = frozenset(p for p in weyl.permutations
+                     if all(compose(p, t) == compose(t, p) for t in perms))
+    return WeylGroup(kept, weyl.roots, weyl.coroots)
+
+
+# --- Weyl group keyed by root permutations vs matrix closure -----------------
 
 WEYL_PRESETS = tuple(sorted(TWISTED_SUITE)) + ("split Sp4", "split SO5",
                                                "unitary ramified 4")
@@ -414,6 +446,45 @@ def test_weyl_order_of_the_type_matches_enumeration(name):
         assert weyl_order(detect_type(datum)) == weyl_group(datum).order
     assert weyl_order("G2 x A1") == 24 and weyl_order("E8") == 696729600
     assert weyl_order("torus") == 1 and weyl_order("unknown") is None
+
+
+@pytest.mark.parametrize("name", ORDER_PRESETS)
+def test_weyl_walk_matches_breadth_first_closure(name):
+    """On both sides the walk yields each element of W once, and the
+    elements are those of the breadth-first closure."""
+    datum = resolve(preset=name).datum
+    for side in (datum, dual_datum(datum)):
+        walked = list(weyl_walk(side))
+        assert len(walked) == len(set(walked))
+        assert set(walked) == bfs_weyl_group(side).permutations
+
+
+@pytest.mark.parametrize("name", ORDER_PRESETS)
+def test_fixed_weyl_filter_matches_commuting_oracle(name):
+    """verify-ks keeps the walked elements commuting with tau on the
+    simple roots; they are the oracle's W^tau, found by commuting on
+    every root: its order, and the folded group it must equal."""
+    rg = resolve(preset=name)
+    datum, tau = rg.datum, rg.action.tau
+    fixed = fixed_weyl_subgroup(bfs_weyl_group(datum), [tau.matrix])
+    check = check_fixed_weyl_is_folded(datum, tau)
+    assert check.match and check.fixed_order == fixed.order
+    gens = [root_permutation(w, datum.roots)
+            for w in folded_generators(datum, tau)]
+    folded = search([tuple(range(len(datum.roots)))], gens, compose)
+    assert set(folded) == fixed.permutations
+
+
+def test_walk_without_a_known_order_stops_at_the_cap(monkeypatch):
+    """For a type whose order is unknown the walk itself counts: a cap of
+    exactly |W| passes, a smaller one names the stage and the count
+    reached."""
+    monkeypatch.setattr(rootdata, "weyl_order", lambda type_name: None)
+    gl4 = split_gl(4)
+    assert len(list(weyl_walk(gl4, cap=24))) == 24
+    with pytest.raises(CapExceeded, match="Weyl group enumeration: reached"
+                       " 6 elements, over the cap 5"):
+        weyl_group(gl4, cap=5)
 
 
 @pytest.mark.parametrize("name", WEYL_PRESETS)
