@@ -215,12 +215,12 @@ class GroupHom:
 
 def cokernel(matrix):
     """Z^m / (column span of an m-row matrix), as an FgAbGroup presented
-    over Z^m.
+    over Z^m, read off a Smith form taken without V.
 
     >>> cokernel(IntMatrix([[-2]])).describe()
     'Z/2'
     """
-    sf = smith_normal_form(matrix)
+    sf = smith_normal_form(matrix, with_v=False)
     m = matrix.nrows
     diag = sf.diagonal
     torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
@@ -282,8 +282,7 @@ def kernel_of_hom(hom):
             rel_cols.append(c)
     rel_in_basis = IntMatrix.from_columns(rel_cols, nrows=basis.ncols)
     grp = cokernel(rel_in_basis)
-    incl_cols = [src.reduce(basis.apply(grp.lift.column(j)))
-                 for j in range(grp.ngens)]
+    incl_cols = list(map(src.reduce, (basis @ grp.lift).columns()))
     incl = GroupHom(grp, src, IntMatrix.from_columns(incl_cols, nrows=n))
     return grp, incl
 

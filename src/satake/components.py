@@ -73,11 +73,7 @@ def check_center_covers_components(datum, tau):
     n = datum.rank
     dual_tau = tau.dual()
     ct = cokernel(dual_tau - IntMatrix.identity(n))
-    if datum.coroots:
-        span = IntMatrix.from_columns([list(c) for c in datum.coroots], nrows=n)
-    else:
-        span = IntMatrix.zeros(n, 0)
-    central = cokernel(span)
+    central = cokernel(IntMatrix.from_columns(datum.coroots, nrows=n))
     tau_central = induced_endomorphism(central, dual_tau)
     cz = (tau_central - GroupHom.identity(central)).cokernel_group()
     # composed map: coinvariants of X^ -> central quotient -> its coinvariants

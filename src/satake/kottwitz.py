@@ -149,18 +149,14 @@ def character_from_dual_point(kg, chi, c):
 
     chi must be an inertia-invariant functional on the cocharacter
     lattice (tau-transpose fixed), which makes the pairing independent of
-    the chosen lifts.
+    the chosen lifts, so one unreduced product chi lift incl pairs it with
+    every generator.
     """
     tau = kg.torus.tau
     if tuple(tau.transpose().apply(chi)) != tuple(chi):
         raise ValueError("dual point is not inertia-invariant")
-    values = []
-    for j in range(kg.group.ngens):
-        unit = tuple(int(i == j) for i in range(kg.group.ngens))
-        amb = kg.ambient_lift(unit)
-        t = sum(a * b for a, b in zip(chi, amb))
-        values.append(c ** t)
-    return GroupCharacter(kg.group, tuple(values))
+    pairings = IntMatrix([chi]) @ kg.coinvariants.lift @ kg.inclusion.matrix
+    return GroupCharacter(kg.group, tuple(c ** t for t in pairings.row(0)))
 
 
 class SatakeParameter(namedtuple("SatakeParameter", "character")):
@@ -190,19 +186,20 @@ class ParameterClass(namedtuple("ParameterClass", "representative orbit_size"
 
 
 def _action_key(hom):
-    return tuple(hom(tuple(int(i == j) for i in range(hom.source.ngens)))
-                 for j in range(hom.source.ngens))
+    """The images of the canonical generators, which determine `hom`:
+    the columns of its matrix, reduced in the target."""
+    return tuple(map(hom.target.reduce, hom.matrix.columns()))
 
 
 def _restrict_to_kottwitz(chom, kg_source, kg_target):
     """The map T/T_0 -> T'/T'_0 that a map of coinvariants carrying the
-    source's invariant subgroup into the target's restricts to."""
-    k = kg_source.group.ngens
-    cols = []
-    for j in range(k):
-        unit = tuple(int(i == j) for i in range(k))
-        img = chom(kg_source.inclusion(unit))
-        cols.append(subgroup_coordinates(kg_target.inclusion, img))
+    source's invariant subgroup into the target's restricts to: the
+    columns of chom.matrix @ inclusion.matrix, each solved in T'/T'_0,
+    which reduces it.  Not reducing between the factors is exact, since
+    chom is a checked GroupHom: it carries relations to relations."""
+    product = chom.matrix @ kg_source.inclusion.matrix
+    cols = [subgroup_coordinates(kg_target.inclusion, col)
+            for col in product.columns()]
     return GroupHom(kg_source.group, kg_target.group,
                     IntMatrix.from_columns(cols, nrows=kg_target.group.ngens))
 
@@ -242,7 +239,8 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
         parabolic, an involution, so that is its transpose.  Each
         descended generator is checked to square to the identity on
         T/T_0 (FoldingError otherwise), so it is an automorphism, which
-        `weyl_orbit` relies on."""
+        `weyl_orbit` relies on.  The square is M @ M reduced once, exact
+        as the descended map is a checked GroupHom."""
         if self.datum is None:
             return ()
         torus, kg = self.torus, self.kottwitz
@@ -259,7 +257,7 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
             key = _action_key(hom)
             if key == identity or key in homs:
                 continue
-            if tuple(map(hom, key)) != identity:      # hom o hom = 1
+            if _action_key(hom.compose(hom)) != identity:
                 raise FoldingError("folded generator does not act on T/T_0"
                                    " as an involution")
             homs[key] = hom
@@ -352,7 +350,7 @@ def modulus_character(setting, coords):
         return ExactCircle.one()
     two_rho = setting.datum.two_rho()
     amb = setting.kottwitz.ambient_lift(coords)
-    pair = sum(a * b for a, b in zip(two_rho, amb))
+    pair = sum(map(mul, two_rho, amb))
     return ExactCircle(Fraction(pair, 2), Fraction(0))
 
 

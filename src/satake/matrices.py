@@ -108,19 +108,20 @@ class IntMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         # each output row is a combination of the rows of `other`, taken
         # only over the nonzero entries of the left row (sparse factors
-        # such as permutation matrices then cost O(n^2), not O(n^3))
+        # such as permutation matrices then cost O(n^2), not O(n^3)); a
+        # coefficient of 1 or -1 adds or subtracts the row as it is
         zero = (0,) * other.ncols
         rows = []
         for row in self.data:
-            acc = None
+            acc = zero
             for a, brow in zip(row, other.data):
-                if not a:
-                    continue
-                if acc is None:
-                    acc = brow if a == 1 else tuple(a * b for b in brow)
-                else:
-                    acc = tuple(x + a * b for x, b in zip(acc, brow))
-            rows.append(zero if acc is None else acc)
+                if a == 1:
+                    acc = tuple(map(add, acc, brow))
+                elif a == -1:
+                    acc = tuple(map(sub, acc, brow))
+                elif a:
+                    acc = tuple(map(add, acc, map(a.__mul__, brow)))
+            rows.append(acc)
         return IntMatrix._trusted(tuple(rows), other.ncols)
 
     def apply(self, vector):
@@ -314,8 +315,9 @@ class SmithForm:
         return self.V.apply(tuple(y))
 
 
-def smith_normal_form(matrix):
-    """Smith normal form with unimodular transforms U, V and U_inv.
+def smith_normal_form(matrix, with_v=True):
+    """Smith normal form with unimodular transforms U, V and U_inv; with
+    `with_v` false, empty columns stand in for V, which comes back None.
 
     Pivot selection: smallest nonzero absolute value in the trailing
     block, ties broken by (row, column) position; the row-major scan
@@ -338,7 +340,7 @@ def smith_normal_form(matrix):
     eye_m, eye_n = IntMatrix.identity(m).data, IntMatrix.identity(n).data
     u = [list(row) for row in eye_m]
     uic = [list(col) for col in eye_m]  # the columns of U_inv
-    vc = [list(col) for col in eye_n]   # the columns of V
+    vc = [list(col) if with_v else [] for col in eye_n]  # V's columns
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
@@ -433,7 +435,8 @@ def smith_normal_form(matrix):
     def frozen(rows, width):
         return IntMatrix._trusted(tuple(map(tuple, rows)), width)
 
-    return SmithForm(matrix, frozen(u, m), frozen(a, n), frozen(zip(*vc), n),
+    return SmithForm(matrix, frozen(u, m), frozen(a, n),
+                     frozen(zip(*vc), n) if with_v else None,
                      frozen(zip(*uic), m))
 
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd
-from operator import matmul
+from operator import matmul, mul
 
 from .abelian import cokernel
 from .matrices import IntMatrix, smith_normal_form
@@ -34,14 +34,23 @@ class FoldingError(ValueError):
 
 
 def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def _reflect(x, a, av):
-    """s_a(x) = x - <x, a^> a; `_reflect(y, av, a)` is s_a on the other
-    side."""
+    """s_a(x) = x - <x, a^> a, and x itself when the pairing is 0;
+    `_reflect(y, av, a)` is s_a on the other side."""
     p = _dot(x, av)
-    return tuple(v - p * w for v, w in zip(x, a))
+    return tuple([v - p * w for v, w in zip(x, a)]) if p else x
+
+
+def _images(matrix, vectors):
+    """matrix @ v for each of the int tuples v: the rows of one product,
+    the vectors as rows times the transpose."""
+    if any(len(v) != matrix.ncols for v in vectors):
+        raise ValueError("vector length does not match column count")
+    vectors = IntMatrix._trusted(tuple(vectors), matrix.ncols)
+    return (vectors @ matrix.transpose()).data
 
 
 def search(seeds, generators, product, cap=None, stage=""):
@@ -118,19 +127,18 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
         v_r = IntMatrix([row[:r] for row in sf.V.data], ncols=r)
         scaled_u = IntMatrix([[den // d * x for x in sf.U.row(i)]
                               for i, d in enumerate(diag)], ncols=self.rank)
-        return (v_r @ scaled_u).data, den, sf.U.data[r:]
+        return v_r @ scaled_u, den, IntMatrix(sf.U.data[r:], ncols=self.rank)
 
-    def _simple_numerators(self, root):
-        """Simple coefficients of `root` times the solver's denominator
-        (integers), or None when it lies outside the span."""
+    def _simple_numerators(self, vectors):
+        """Per vector, its simple coefficients times the solver's
+        denominator, or None outside the span: one product with L, one C."""
         left, _, consistency = self._coefficient_solver
-        if any(_dot(row, root) for row in consistency):
-            return None
-        return tuple(_dot(row, root) for row in left)
+        return [None if any(off) else nums for nums, off
+                in zip(_images(left, vectors), _images(consistency, vectors))]
 
     def simple_coefficients(self, root):
         """Rational coefficients of a root over the simple roots, or None."""
-        nums = self._simple_numerators(root)
+        nums = self._simple_numerators([root])[0]
         if nums is None:
             return None
         den = self._coefficient_solver[1]
@@ -140,12 +148,9 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
     def positive_indices(self):
         """Indices of the roots whose simple coefficients are all >= 0,
         computed once per datum."""
-        out = []
-        for i, r in enumerate(self.roots):
-            nums = self._simple_numerators(r)
-            if nums is not None and all(c >= 0 for c in nums):
-                out.append(i)
-        return tuple(out)
+        return tuple(i for i, nums in
+                     enumerate(self._simple_numerators(self.roots))
+                     if nums is not None and all(c >= 0 for c in nums))
 
     def positive_roots(self):
         """Roots whose simple coefficients are all >= 0."""
@@ -237,15 +242,16 @@ def validate(datum):
     if problems:
         return problems
     _, den, consistency = datum._coefficient_solver
-    if datum.rank - len(consistency) < len(datum.simple_indices):
+    if datum.rank - consistency.nrows < len(datum.simple_indices):
         return ["simple roots are linearly dependent"]
+    roots = IntMatrix(datum.roots, ncols=datum.rank)
+    coroots = IntMatrix(datum.coroots, ncols=datum.rank)
     for idx, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
-        if {_reflect(r, a, av) for r in datum.roots} != root_set:
+        if not _maps_into(datum.roots, roots.apply(av), a, root_set):
             problems.append(f"reflection in root {idx} does not permute the roots")
-        if {_reflect(r, av, a) for r in datum.coroots} != coroot_set:
+        if not _maps_into(datum.coroots, coroots.apply(a), av, coroot_set):
             problems.append(f"coreflection in root {idx} does not permute the coroots")
-    for idx, r in enumerate(datum.roots):
-        nums = datum._simple_numerators(r)
+    for idx, nums in enumerate(datum._simple_numerators(datum.roots)):
         if nums is None:
             problems.append(f"root {idx} is not in the span of the simple roots")
             continue
@@ -255,6 +261,14 @@ def validate(datum):
         if not (all(c >= 0 for c in nums) or all(c <= 0 for c in nums)):
             problems.append(f"root {idx} has mixed-sign simple coefficients")
     return problems
+
+
+def _maps_into(vectors, pairings, a, target):
+    """Whether x -> x - p a (p the pairing of x) maps the vectors into
+    `target`, reflecting only those with p != 0: for a finite set and
+    <a, a^> = 2, whether the involution, being injective, permutes it."""
+    return all(tuple([v - p * w for v, w in zip(x, a)]) in target
+               for x, p in zip(vectors, pairings) if p)
 
 
 def dual_datum(datum):
@@ -300,22 +314,24 @@ def pinned_automorphism(datum, matrix):
 
 
 def pinned_violations(datum, aut):
+    """Why `aut` fails to preserve the based datum (empty when it does):
+    one product maps the roots, and one the coroots under the dual."""
     problems = []
     if not datum.roots:
         return problems
     root_index = {r: i for i, r in enumerate(datum.roots)}
-    dual = aut.dual()
-    for i, r in enumerate(datum.roots):
-        img = aut.matrix.apply(r)
+    images = _images(aut.matrix, datum.roots)
+    co_images = _images(aut.dual(), datum.coroots)
+    for i, img in enumerate(images):
         j = root_index.get(img)
         if j is None:
             problems.append(f"image of root {i} is not a root")
             continue
-        if dual.apply(datum.coroots[i]) != datum.coroots[j]:
+        if co_images[i] != datum.coroots[j]:
             problems.append(f"coroot of root {i} is not carried to the matching coroot")
     simple_set = {datum.roots[i] for i in datum.simple_indices}
     for i in datum.simple_indices:
-        if aut.matrix.apply(datum.roots[i]) not in simple_set:
+        if images[i] not in simple_set:
             problems.append(f"simple root {i} is not carried to a simple root")
     return problems
 
@@ -386,7 +402,7 @@ def root_permutation(matrix, roots):
     """The indices in `roots` of the images of the roots under `matrix`;
     FoldingError unless the matrix permutes them."""
     index = {r: i for i, r in enumerate(roots)}
-    perm = tuple(index.get(matrix.apply(r)) for r in roots)
+    perm = tuple(map(index.get, _images(matrix, roots)))
     if None in perm or len(set(perm)) != len(perm):
         raise FoldingError("matrix does not permute the roots")
     return perm
@@ -531,9 +547,8 @@ def restricted_root_data(datum, tau):
     coinv = cokernel(tau_m - IntMatrix.identity(n))
     k = coinv.torsion_count
     r = coinv.free_rank
-    proj_free = IntMatrix([coinv.proj.row(k + i) for i in range(r)], ncols=n)
-    lift_free = IntMatrix.from_columns(
-        [coinv.lift.column(k + i) for i in range(r)], nrows=n)
+    proj_free = IntMatrix(coinv.proj.data[k:], ncols=n)
+    lift_free_t = IntMatrix(coinv.lift.transpose().data[k:], ncols=n)
 
     dual_tau = tau.dual()
     root_index = {rt: i for i, rt in enumerate(datum.roots)}
@@ -552,7 +567,7 @@ def restricted_root_data(datum, tau):
         if dual_tau.apply(cosum) != tuple(cosum):
             raise FoldingError("restricted coroot is not tau-invariant")
         # coroot as a functional on the coinvariant lattice
-        cofun = tuple(_dot(cosum, lift_free.column(j)) for j in range(r))
+        cofun = lift_free_t.apply(cosum)
         prev = restricted.get(image)
         if prev is not None and prev != cofun:
             raise FoldingError("inconsistent coroots for one restricted root")

@@ -10,8 +10,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satake.abelian import (GroupCharacter, GroupHom, all_characters,
-                            character_count)
+from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom,
+                            all_characters, character_count,
+                            induced_endomorphism, subgroup_coordinates)
 from satake.circle import ExactCircle, ONE
 from satake.cli import main
 from satake.config import resolve
@@ -221,6 +222,135 @@ def test_a_generator_that_is_not_an_involution_is_refused(monkeypatch):
         setting.weyl_generators
 
 
+def test_an_involution_modulo_torsion_is_kept(monkeypatch):
+    """M @ M differs from the identity only in the Z/2 row, so the square
+    is compared after reducing it in T/T_0."""
+    setting = resolve(preset="unitary ramified 3").setting()
+    assert setting.group.describe() == "Z/2 + Z"
+    flip = GroupHom(setting.group, setting.group, IntMatrix([[3, 1],
+                                                             [0, -1]]))
+    assert (flip.matrix @ flip.matrix).data == ((9, 2), (0, 1))
+    monkeypatch.setattr("satake.kottwitz.descend_to_kottwitz",
+                        lambda kg, w: flip)
+    assert setting.weyl_generators == (flip,)
+
+
+# --- the matrix-level descent against one unit vector at a time -------------
+
+def action_key_by_unit(hom):
+    """The reference for `_action_key`: the hom applied to each unit
+    vector, reducing on both sides."""
+    n = hom.source.ngens
+    return tuple(hom(tuple(int(i == j) for i in range(n))) for j in range(n))
+
+
+def restrict_by_unit(chom, kg_source, kg_target):
+    """The reference for `_restrict_to_kottwitz`: each generator of T/T_0
+    included, mapped by chom and solved in T'/T'_0, one at a time."""
+    k = kg_source.group.ngens
+    cols = []
+    for j in range(k):
+        unit = tuple(int(i == j) for i in range(k))
+        img = chom(kg_source.inclusion(unit))
+        cols.append(subgroup_coordinates(kg_target.inclusion, img))
+    return GroupHom(kg_source.group, kg_target.group,
+                    IntMatrix.from_columns(cols, nrows=kg_target.group.ngens))
+
+
+def weyl_generator_matrices_by_unit(setting):
+    """The reference for `SphericalSetting.weyl_generators`: descended
+    one unit vector at a time, each squared by applying it to its own
+    images."""
+    kg = setting.kottwitz
+    identity = action_key_by_unit(GroupHom.identity(kg.group))
+    homs = {}
+    for w in folded_generators(setting.datum, setting.action.tau,
+                               setting.action.sigma):
+        hom = restrict_by_unit(
+            induced_endomorphism(kg.coinvariants, w.transpose()), kg, kg)
+        key = action_key_by_unit(hom)
+        if key == identity or key in homs:
+            continue
+        if tuple(map(hom, key)) != identity:
+            raise FoldingError("folded generator does not act on T/T_0"
+                               " as an involution")
+        homs[key] = hom
+    return [hom.matrix for hom in homs.values()]
+
+
+GRID_SETTINGS = {name: resolve(preset=name).setting() for name in GRID
+                 if resolve(preset=name).datum is not None}
+
+
+def test_the_grid_descends_onto_torsion_groups():
+    torsion = {name for name, setting in GRID_SETTINGS.items()
+               if setting.group.torsion_count}
+    assert {"flip D4", "unitary ramified 3",
+            "unitary ramified 5"} <= torsion
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SETTINGS))
+def test_weyl_descent_matches_unit_vectors_on_the_grid(name):
+    """weyl_generators, and kottwitz_hom on -1 and on every folded
+    generator, give the matrices of the unit-vector descent."""
+    setting = GRID_SETTINGS[name]
+    assert ([hom.matrix for hom in setting.weyl_generators]
+            == weyl_generator_matrices_by_unit(setting))
+    kg = setting.kottwitz
+    maps = [-IntMatrix.identity(setting.torus.rank)] + [
+        w.transpose() for w in folded_generators(
+            setting.datum, setting.action.tau, setting.action.sigma)]
+    for matrix in maps:
+        khom, chom = kottwitz_hom(matrix, kg, kg)
+        assert khom.matrix == restrict_by_unit(chom, kg, kg).matrix
+        for hom in (khom, chom):
+            assert _action_key(hom) == action_key_by_unit(hom)
+            assert (_action_key(hom.compose(hom))
+                    == tuple(map(hom, action_key_by_unit(hom))))
+
+
+@st.composite
+def endomorphisms(draw):
+    """An endomorphism of Z/2 + Z/4 + Z: a column of an order-d generator
+    holds multiples of t / gcd(d, t) in a row of order t, and zero in a
+    free row."""
+    group = FgAbGroup((2, 4), 1)
+    orders = group.generator_orders()
+    cols = []
+    for d in orders:
+        steps = [1 if not d else (t // gcd(d, t) if t else 0) for t in orders]
+        cols.append([step * draw(st.integers(-6, 6)) for step in steps])
+    return GroupHom(group, group, IntMatrix.from_columns(cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hom=endomorphisms())
+def test_action_key_and_square_match_unit_vectors_on_torsion(hom):
+    """Most draws are not involutions; the matrix-level square sees each
+    of them as applying the hom to its own images does."""
+    assert _action_key(hom) == action_key_by_unit(hom)
+    assert (_action_key(hom.compose(hom))
+            == tuple(map(hom, action_key_by_unit(hom))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(na=st.integers(1, 4), nb=st.integers(1, 4),
+       eps=st.sampled_from((1, -1)), data=st.data())
+def test_kottwitz_hom_matches_unit_vectors_between_sign_tori(na, nb, eps,
+                                                              data):
+    """tau = eps on both sides, so with eps = -1 both groups are
+    (Z/2)^n and every map needs the reduction mod 2."""
+    def torus(n):
+        return TorusWithAction(n, IntMatrix.diagonal([eps] * n),
+                               IntMatrix.identity(n))
+
+    kga, kgb = kottwitz_group(torus(na)), kottwitz_group(torus(nb))
+    matrix = IntMatrix([[data.draw(st.integers(-3, 3)) for _ in range(na)]
+                        for _ in range(nb)])
+    khom, chom = kottwitz_hom(matrix, kga, kgb)
+    assert khom.matrix == restrict_by_unit(chom, kga, kgb).matrix
+
+
 @pytest.mark.parametrize("preset", sorted(NO_WEYL_VALUES))
 def test_classification_needs_no_circle_arithmetic(preset, monkeypatch,
                                                    tmp_path, capsys):
@@ -290,9 +420,9 @@ def test_descending_generators_factors_the_inclusion_once(name, monkeypatch):
     calls = []
     real = matrices.smith_normal_form
 
-    def counting(matrix):
+    def counting(matrix, **kwargs):
         calls.append(matrix)
-        return real(matrix)
+        return real(matrix, **kwargs)
 
     for module in list(sys.modules.values()):
         if getattr(module, "smith_normal_form", None) is real:

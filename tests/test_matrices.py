@@ -361,6 +361,48 @@ def test_smith_restart_paths_match_reference(mat):
     assert as_tuples(smith_normal_form(mat)) == reference_smith(mat)
 
 
+@settings(max_examples=100, deadline=None)
+@given(mat=st.one_of(sparse_matrices(), dense_matrices(),
+                     signed_permutations()))
+def test_smith_without_v_keeps_the_other_transforms(mat):
+    """with_v=False drops V and changes nothing else."""
+    full = smith_normal_form(mat)
+    lean = smith_normal_form(mat, with_v=False)
+    assert lean.V is None
+    assert (lean.U, lean.D, lean.U_inv) == (full.U, full.D, full.U_inv)
+
+
+@st.composite
+def factor_pairs(draw, max_dim=6):
+    """Two factors of compatible shapes, any dimension 0 included, with
+    entries that are often 0, 1 or -1."""
+    m, k, n = (draw(st.integers(0, max_dim)) for _ in range(3))
+    entries = st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-9, 9))
+
+    def factor(rows, cols):
+        return IntMatrix([[draw(entries) for _ in range(cols)]
+                          for _ in range(rows)], ncols=cols)
+
+    return factor(m, k), factor(k, n)
+
+
+def as_sympy(mat):
+    return Matrix(mat.nrows, mat.ncols, [x for row in mat.data for x in row])
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=factor_pairs())
+def test_products_match_sympy(pair):
+    """The row combinations of `@` (a coefficient 1, -1 or other, and
+    rows with no nonzero entry) give sympy's product."""
+    left, right = pair
+    product = left @ right
+    assert product.shape == (left.nrows, right.ncols)
+    expected = (as_sympy(left) * as_sympy(right)).tolist()
+    assert product == IntMatrix(expected, ncols=right.ncols)
+    assert all(type(x) is int for row in product.data for x in row)
+
+
 def test_permutation_matrix_det_and_products():
     n = 64
     cols = [(7 * j + 3) % n for j in range(n)]

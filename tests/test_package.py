@@ -96,6 +96,34 @@ def test_only_verify_ks_enumerates_the_weyl_group():
     assert callers("weyl_group") == []
 
 
+def _is_zip_product_sum(node):
+    """sum(x * y for ... in zip(...)): a dot product written as a
+    generator expression."""
+    if not (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "sum" and node.args
+            and isinstance(node.args[0], ast.GeneratorExp)):
+        return False
+    gen = node.args[0]
+    return (isinstance(gen.elt, ast.BinOp) and isinstance(gen.elt.op, ast.Mult)
+            and any(isinstance(comp.iter, ast.Call)
+                    and getattr(comp.iter.func, "id", None) == "zip"
+                    for comp in gen.generators))
+
+
+def test_dot_products_go_through_map():
+    """Dot products are sum(map(mul, x, y)), not a generator of products
+    over zip."""
+    found = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(_tree(path.name))
+             if _is_zip_product_sum(node)]
+    assert found == []
+    probe = ast.parse("sum(a * b for a, b in zip(x, y))").body[0].value
+    assert _is_zip_product_sum(probe)
+    for ok in ("sum(map(mul, x, y))", "sum(a for a in zip(x, y))",
+               "sum(a * b for a, b in pairs)"):
+        assert not _is_zip_product_sum(ast.parse(ok).body[0].value)
+
+
 def test_no_module_imports_dataclasses():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(_tree(path.name)):

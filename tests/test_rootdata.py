@@ -16,13 +16,14 @@ from satake.presets import (
 from satake import rootdata
 from satake.components import check_fixed_weyl_is_folded
 from satake.rootdata import (
-    ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError, WeylGroup, compose,
-    datum_from_simples, detect_type, dual_datum, folded_generators,
-    galois_action, mulclose, pinned_automorphism, restricted_root_data,
-    root_closure, root_permutation, search, validate, weyl_group, weyl_order,
-    weyl_walk,
+    ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError, PinnedAutomorphism,
+    WeylGroup, compose, datum_from_simples, detect_type, dual_datum,
+    folded_generators, galois_action, mulclose, pinned_automorphism,
+    pinned_violations, restricted_root_data, root_closure, root_permutation,
+    search, validate, weyl_group, weyl_order, weyl_walk,
 )
 from test_acceptance import TWISTED_SUITE
+from test_grid import GRID
 from test_matrices import sympy_inverse
 
 SL2 = BasedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0,), label="SL2")
@@ -239,9 +240,9 @@ def test_folding_takes_two_smith_forms(name, monkeypatch):
     calls = []
     real = matrices.smith_normal_form
 
-    def counting(matrix):
+    def counting(matrix, **kwargs):
         calls.append(matrix)
-        return real(matrix)
+        return real(matrix, **kwargs)
 
     for module in list(sys.modules.values()):
         if getattr(module, "smith_normal_form", None) is real:
@@ -607,6 +608,119 @@ def test_validate_matches_matrix_reflections():
     assert sum(bool(validate_by_matrices(d)) for d in cases) > len(cases) // 3
     for datum in cases:
         assert validate(datum) == validate_by_matrices(datum), datum.label
+
+
+# --- the root-set products against one root at a time ------------------------
+
+def pinned_violations_by_root(datum, aut):
+    """The reference for `pinned_violations`: each root, and its coroot
+    under the dual, mapped by its own matrix-vector product."""
+    problems = []
+    if not datum.roots:
+        return problems
+    root_index = {r: i for i, r in enumerate(datum.roots)}
+    dual = aut.dual()
+    for i, r in enumerate(datum.roots):
+        j = root_index.get(aut.matrix.apply(r))
+        if j is None:
+            problems.append(f"image of root {i} is not a root")
+            continue
+        if dual.apply(datum.coroots[i]) != datum.coroots[j]:
+            problems.append(f"coroot of root {i} is not carried to the"
+                            " matching coroot")
+    simple_set = {datum.roots[i] for i in datum.simple_indices}
+    for i in datum.simple_indices:
+        if aut.matrix.apply(datum.roots[i]) not in simple_set:
+            problems.append(f"simple root {i} is not carried to a simple"
+                            " root")
+    return problems
+
+
+def root_permutation_by_root(matrix, roots):
+    """The reference for `root_permutation`, one image at a time."""
+    index = {r: i for i, r in enumerate(roots)}
+    perm = tuple(index.get(matrix.apply(r)) for r in roots)
+    if None in perm or len(set(perm)) != len(perm):
+        raise FoldingError("matrix does not permute the roots")
+    return perm
+
+
+def permutation_outcome(permutation, matrix, roots):
+    """The permutation, or the FoldingError message."""
+    try:
+        return permutation(matrix, roots)
+    except FoldingError as exc:
+        return f"FoldingError: {exc}"
+
+
+def assert_products_match_one_root_at_a_time(datum, aut):
+    assert (pinned_violations(datum, aut)
+            == pinned_violations_by_root(datum, aut))
+    for matrix, roots in ((aut.matrix, datum.roots),
+                          (aut.dual(), datum.coroots),
+                          (aut.matrix, datum.simple_roots())):
+        assert (permutation_outcome(root_permutation, matrix, roots)
+                == permutation_outcome(root_permutation_by_root, matrix,
+                                       roots))
+
+
+GRID_DATA = {name: resolve(preset=name) for name in GRID
+             if resolve(preset=name).datum is not None}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_DATA))
+def test_root_set_products_match_on_the_grid(name):
+    rg = GRID_DATA[name]
+    for aut in (rg.action.tau, rg.action.sigma):
+        assert pinned_violations(rg.datum, aut) == []
+        assert_products_match_one_root_at_a_time(rg.datum, aut)
+    for i in rg.datum.simple_indices:
+        reflection = rg.datum.reflection_matrix(i)
+        assert (root_permutation(reflection, rg.datum.roots)
+                == root_permutation_by_root(reflection, rg.datum.roots))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_root_set_products_match_on_signed_permutations(data):
+    """Most signed permutations of the lattice are not pinned, so both
+    sides report problems and raise FoldingError, in the same order."""
+    datum = GRID_DATA[data.draw(st.sampled_from(sorted(GRID_DATA)))].datum
+    n = datum.rank
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n,
+                               max_size=n))
+    matrix = IntMatrix([[signs[i] if perm[i] == j else 0 for j in range(n)]
+                        for i in range(n)])
+    aut = PinnedAutomorphism(matrix, matrix.multiplicative_order())
+    assert_products_match_one_root_at_a_time(datum, aut)
+
+
+def test_each_pinned_problem_is_reached_by_both_sides():
+    """Each check fails somewhere, and both sides agree there: -1 sends
+    the simple roots of GL3 to negative roots, a coordinate sign change
+    sends roots off the root set, and -1 on GL3 with one coroot doubled
+    breaks the coroot matching."""
+    gl3 = split_gl(3)
+    minus = PinnedAutomorphism(IntMatrix.diagonal([-1, -1, -1]), 2)
+    flip = PinnedAutomorphism(IntMatrix.diagonal([-1, 1, 1]), 2)
+    doubled = BasedRootDatum(
+        3, gl3.roots, (tuple(2 * v for v in gl3.coroots[0]),)
+        + gl3.coroots[1:], gl3.simple_indices)
+    for datum, aut, problem in ((gl3, minus, "simple root"),
+                                (gl3, flip, "image of root"),
+                                (doubled, minus, "coroot of root")):
+        assert any(p.startswith(problem)
+                   for p in pinned_violations(datum, aut))
+        assert_products_match_one_root_at_a_time(datum, aut)
+    assert (permutation_outcome(root_permutation, flip.matrix, gl3.roots)
+            == "FoldingError: matrix does not permute the roots")
+    # a root of the wrong length is refused as a matrix-vector product is
+    short = BasedRootDatum(3, gl3.roots[:-1] + ((1, -1),), gl3.coroots,
+                           gl3.simple_indices)
+    for check in (pinned_violations, pinned_violations_by_root):
+        with pytest.raises(ValueError, match="vector length does not match"):
+            check(short, minus)
 
 
 # --- every cap names its stage ------------------------------------------------
