@@ -12,8 +12,9 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .abelian import FgAbGroup, GroupCharacter, GroupHom, all_characters, \
-    character_count, coinvariants, cokernel, induced_endomorphism, \
-    invariants_of_induced_action, kernel_of_hom, subgroup_coordinates
+    character_count, character_idents, coinvariants, cokernel, \
+    induced_endomorphism, invariants_of_induced_action, kernel_of_hom, \
+    subgroup_coordinates
 from .circle import ExactCircle
 from .components import CenterCoverCheck, FoldCheck, Pi0Certificate, \
     check_center_covers_components, check_fixed_weyl_is_folded, \
@@ -24,7 +25,7 @@ from .kottwitz import Envelope, KottwitzGroup, ParameterClass, \
     SatakeParameter, SphericalSetting, TorusWithAction, build_induced_torus, \
     character_from_dual_point, classify, cochar_torus, descend_to_kottwitz, \
     induced_character, induced_envelope, induced_torus_cocycle, kottwitz_group, \
-    kottwitz_hom, maximal_compact_quotient, modulus_character, \
+    kottwitz_hom, maximal_compact_quotient, modulus_character, orbit_class, \
     parameter_from_character, parameters_equal, setting_for_datum, \
     setting_for_torus, weyl_orbit
 from .matrices import IntMatrix, SmithForm, column_span_basis, \

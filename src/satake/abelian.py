@@ -94,10 +94,6 @@ class FgAbGroup:
         """Class of an ambient lattice vector, in canonical coordinates."""
         return self.reduce(self.proj.apply(ambient_vector))
 
-    def lift_element(self, coords):
-        """Some ambient vector mapping onto the given class."""
-        return self.lift.apply(tuple(coords))
-
     def is_trivial(self):
         return self.ngens == 0
 
@@ -437,15 +433,27 @@ def character_count(group, torsion=None):
     return prod(_choice_sizes(group, torsion))
 
 
+def character_idents(group, torsion=None):
+    """The `ident()`s of `all_characters`, in its order, over their common
+    denominator (the lcm of the choice sizes) rather than each one's
+    least, so that they order as the characters' `key()`s do.
+
+    >>> list(character_idents(FgAbGroup((2,), 1), torsion=2))
+    [(2, 0, 0, 0, 0), (2, 0, 0, 0, 1), (2, 0, 1, 0, 0), (2, 0, 1, 0, 1)]
+    """
+    sizes = _choice_sizes(group, torsion)
+    # generator i takes the arguments k/sizes[i], as numerators over den
+    den = lcm(*sizes)
+    for combo in iter_product(*(range(0, den, den // g) for g in sizes)):
+        yield (den, *chain.from_iterable((0, a) for a in combo))
+
+
 def all_characters(group, torsion=None):
     """All characters with values in the given torsion of the circle.
 
     For a finite group with `torsion=None` this enumerates the full dual.
     Free generators require an explicit positive `torsion` bound.
     """
-    sizes = _choice_sizes(group, torsion)
-    # generator i takes the arguments k/sizes[i], as numerators over den
-    den = lcm(*sizes)
-    zeros = (0,) * len(sizes)
-    for combo in iter_product(*(range(0, den, den // g) for g in sizes)):
-        yield GroupCharacter._from_nums(group, den, zeros, combo)
+    for ident in character_idents(group, torsion):
+        yield GroupCharacter._from_nums(group, ident[0], ident[1::2],
+                                        ident[2::2])

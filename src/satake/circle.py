@@ -11,7 +11,7 @@ characters themselves (`abelian.GroupCharacter`) store integer numerators
 over a common denominator and build these values on demand.
 
 >>> z = ExactCircle(1, Fraction(3, 8))
->>> z * z.inverse() == ExactCircle.one()
+>>> z * z.inverse() == ONE
 True
 """
 
@@ -33,10 +33,6 @@ class ExactCircle:
         if not 0 <= argument.numerator < argument.denominator:
             argument %= 1
         self.argument = argument
-
-    @classmethod
-    def one(cls):
-        return cls(0, 0)
 
     def __mul__(self, other):
         return ExactCircle(self.q_exponent + other.q_exponent,

@@ -18,17 +18,16 @@ exceeded.
 
 import argparse
 import sys
-from math import lcm
 
-from .abelian import GroupCharacter, all_characters, character_count
+from .abelian import GroupCharacter, character_count, character_idents
 from .circle import ExactCircle
 from .components import check_center_covers_components, \
     check_fixed_weyl_is_folded, check_tad_connected
 from .config import ConfigError, GroupConfig, parse_config, resolve
 from .kottwitz import SatakeParameter, character_from_dual_point, \
     classify, induced_character, induced_torus_cocycle, kottwitz_group, \
-    maximal_compact_quotient, modulus_character, parameter_from_character, \
-    parameters_equal
+    maximal_compact_quotient, modulus_character, orbit_class, \
+    parameter_from_character, parameters_equal, weyl_orbit
 from .report import build_report, render_report
 from .rootdata import CapExceeded, DEFAULT_WEYL_CAP, restricted_root_data
 
@@ -80,10 +79,6 @@ def _inputs(rg):
     if rg.q is not None:
         inputs["q"] = rg.q
     return inputs
-
-
-def _unit(n, j):
-    return tuple(int(i == j) for i in range(n))
 
 
 def _cmd_kottwitz(rg, args):
@@ -187,9 +182,7 @@ def _cmd_verify_ks(rg, args):
 
 def _cmd_modulus(rg, args):
     setting = rg.setting()
-    n = setting.group.ngens
-    values = [modulus_character(setting, _unit(n, j)).render()
-              for j in range(n)]
+    values = [v.render() for v in modulus_character(setting).values]
     result = {"group": setting.group.describe(), "values": values}
     return build_report("modulus", _inputs(rg), result)
 
@@ -206,28 +199,18 @@ def _cmd_orbits(rg, args):
             f"character enumeration: {count} characters of "
             f"{setting.group.describe()} with torsion {args.torsion}, "
             f"over the cap {args.max_orbit}")
-    # each orbit is searched once, from its first enumerated member
-    classes = []
+    # each orbit is searched once, from its first ident; all share one
+    # denominator, so the least idents order the classes by their key()
+    orbits = []
     visited = set()
-    for character in all_characters(setting.group, args.torsion):
-        if character.ident() in visited:
-            continue
-        cls = classify(setting, SatakeParameter(character),
-                       max_orbit=args.max_orbit)
-        visited |= cls.orbit_keys
-        classes.append(cls)
-    # the order of ParameterClass.key in integers: each representative's
-    # interleaved (q, arg) numerators, scaled to the classes' common
-    # denominator
-    common = lcm(*(cls.representative.character.den for cls in classes))
-
-    def order(cls):
-        character = cls.representative.character
-        scale = common // character.den
-        return [scale * x for x in character.ident()[1:]]
-
+    for ident in character_idents(setting.group, args.torsion):
+        if ident not in visited:
+            orbit = weyl_orbit(setting, ident, args.max_orbit)
+            visited.update(orbit)
+            orbits.append(orbit)
     listed = []
-    for cls in sorted(classes, key=order):
+    for orbit in sorted(orbits, key=min):
+        cls = orbit_class(setting, orbit)
         listed.append({
             "values": [v.render() for v in cls.representative.character.values],
             "orbit_size": cls.orbit_size,

@@ -72,7 +72,7 @@ def check_center_covers_components(datum, tau):
     """
     n = datum.rank
     dual_tau = tau.dual()
-    ct = cokernel(dual_tau - IntMatrix.identity(n))
+    ct = coinvariants(n, [dual_tau])
     central = cokernel(IntMatrix.from_columns(datum.coroots, nrows=n))
     tau_central = induced_endomorphism(central, dual_tau)
     cz = (tau_central - GroupHom.identity(central)).cokernel_group()

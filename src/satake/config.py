@@ -413,6 +413,9 @@ def resolve(config=None, preset=None, q=None):
             raise ConfigError("a torus config needs the rank key")
         if config.rank < 0:
             raise ConfigError("rank must be nonnegative")
+        if config.simple is not None:
+            raise ConfigError("a torus config cannot set simple roots"
+                              " without roots and coroots")
         refuse_large_rank(config.rank)
         name = name or "torus"
         datum = None

@@ -64,10 +64,6 @@ class KottwitzGroup(namedtuple("KottwitzGroup", "torus coinvariants group"
 
     __slots__ = ()
 
-    def ambient_lift(self, coords):
-        """A cocharacter-lattice representative of an element of T/T_0."""
-        return self.coinvariants.lift_element(self.inclusion(coords))
-
 
 def kottwitz_group(torus):
     """Compute T/T_0 for a torus with Galois action.
@@ -174,10 +170,9 @@ def parameter_from_character(kg, character):
     return SatakeParameter(character)
 
 
-class ParameterClass(namedtuple("ParameterClass", "representative orbit_size"
-                                " orbit_keys")):
-    """Canonical representative of a W-orbit of parameters plus its size;
-    `orbit_keys` holds the `ident()` of every character in the orbit."""
+class ParameterClass(namedtuple("ParameterClass",
+                                "representative orbit_size")):
+    """Canonical representative of a W-orbit of parameters plus its size."""
 
     __slots__ = ()
 
@@ -277,9 +272,8 @@ def setting_for_datum(datum, action):
 def _follow(ident, cols):
     """The ident of a character precomposed with an automorphism, given by
     the columns of its matrix: the q-sums and the arg-sums over each
-    column, the arguments reduced mod den.  den stays as it is, since an
-    automorphism keeps the character's image, hence its least
-    denominator (see `GroupCharacter.ident`)."""
+    column, the arguments reduced mod den, which an automorphism keeps
+    (see `GroupCharacter`)."""
     den = ident[0]
     qs, args = ident[1::2], ident[2::2]
     out = [den]
@@ -289,69 +283,63 @@ def _follow(ident, cols):
     return tuple(out)
 
 
-def weyl_orbit(setting, character, max_orbit=None):
-    """The idents of the relative-Weyl orbit of a character (see
-    `GroupCharacter.ident`), in the order found.
-
-    Breadth-first search over the generator images; a finite group's
-    orbit is closed under its generators alone.  `max_orbit` caps the
-    orbit size (CapExceeded).
-    """
-    if character.domain != setting.group:
-        raise ValueError("parameter does not live on this setting's group")
+def weyl_orbit(setting, ident, max_orbit=None):
+    """The orbit under the relative Weyl group of a character given by its
+    `ident()`, as idents over the same denominator, in the order found by
+    breadth-first search over the generator images (a finite group's orbit
+    is closed under its generators alone); `max_orbit` caps its size."""
     gens = [tuple(zip(*hom.matrix.data)) for hom in setting.weyl_generators]
-    return search([character.ident()], gens, _follow, max_orbit,
-                  "orbit enumeration")
+    return search([ident], gens, _follow, max_orbit, "orbit enumeration")
 
 
-def classify(setting, parameter, max_orbit=None):
-    """Canonical form of a parameter modulo the relative Weyl group.
-
-    Finds the orbit by breadth-first search over the generators' induced
-    action (`weyl_orbit`), returns the minimal representative in the
-    documented character order, the orbit size and the orbit's idents.
-    `max_orbit` caps the orbit size (CapExceeded).
-
-    The generator images are automorphisms of T/T_0, so every character
-    in the orbit has the same least denominator, and the least ident is
-    the least `key()`.
-    """
-    orbit = weyl_orbit(setting, parameter.character, max_orbit)
+def orbit_class(setting, orbit):
+    """The ParameterClass of an orbit of idents over one denominator: its
+    least member (the least `key()`) as a character, and its size."""
     best = min(orbit)
     character = GroupCharacter._from_nums(setting.group, best[0], best[1::2],
                                           best[2::2])
-    return ParameterClass(SatakeParameter(character), len(orbit),
-                          frozenset(orbit))
+    return ParameterClass(SatakeParameter(character), len(orbit))
+
+
+def _ident_on(setting, parameter):
+    if parameter.character.domain != setting.group:
+        raise ValueError("parameter does not live on this setting's group")
+    return parameter.character.ident()
+
+
+def classify(setting, parameter, max_orbit=None):
+    """Canonical form of a parameter modulo the relative Weyl group: the
+    `orbit_class` of its orbit (`weyl_orbit`, whose size `max_orbit`
+    caps).  The generator images are automorphisms of T/T_0, so the orbit
+    keeps the parameter's least denominator (see `GroupCharacter`).
+    """
+    orbit = weyl_orbit(setting, _ident_on(setting, parameter), max_orbit)
+    return orbit_class(setting, orbit)
 
 
 def parameters_equal(setting, p1, p2, max_orbit=None):
     """True iff the two parameters lie in one relative-Weyl orbit."""
-    if p2.character.domain != setting.group:
-        raise ValueError("parameter does not live on this setting's group")
-    return p2.character.ident() in weyl_orbit(setting, p1.character, max_orbit)
+    return _ident_on(setting, p2) in weyl_orbit(
+        setting, _ident_on(setting, p1), max_orbit)
 
 
-def modulus_character(setting, coords):
-    """delta^{1/2} at an element of T/T_0: q to the power <2 rho, lift>/2.
+def modulus_character(setting):
+    """delta^{1/2} as a character of T/T_0: the one the dual point
+    2 rho (x) q^{1/2} induces (see character_from_dual_point), with 2 rho
+    the sum of the positive roots (zero for a bare torus).  A pinned tau
+    permutes the positive roots, so 2 rho is inertia-invariant.
 
-    `coords` are coordinates in the Kottwitz group (the group-side
-    object), unlike classify/parameters_equal which take dual-side
-    SatakeParameter values.
-
-    2 rho is the sum of the positive roots of the setting's datum (zero
-    for a bare torus); the value is independent of the lift because 2 rho
-    is invariant, and torsion elements land on exponent 0.
+    >>> from satake.config import resolve
+    >>> delta = modulus_character(resolve(preset="split GL2").setting())
+    >>> [v.render() for v in delta.values]
+    ['q^1/2', 'q^-1/2']
     """
-    if isinstance(coords, (SatakeParameter, GroupCharacter)):
-        raise TypeError("modulus_character evaluates at an element of T/T_0:"
-                        " pass coordinates in the Kottwitz group, not a"
-                        " dual-side character")
     if setting.datum is None:
-        return ExactCircle.one()
-    two_rho = setting.datum.two_rho()
-    amb = setting.kottwitz.ambient_lift(coords)
-    pair = sum(map(mul, two_rho, amb))
-    return ExactCircle(Fraction(pair, 2), Fraction(0))
+        two_rho = (0,) * setting.torus.rank
+    else:
+        two_rho = setting.datum.two_rho()
+    return character_from_dual_point(setting.kottwitz, two_rho,
+                                     ExactCircle(Fraction(1, 2)))
 
 
 def kottwitz_hom(matrix, kg_source, kg_target):

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import factorial, gcd
 from operator import matmul, mul
 
-from .abelian import cokernel
+from .abelian import coinvariants
 from .matrices import IntMatrix, smith_normal_form
 
 DEFAULT_WEYL_CAP = 10 ** 6
@@ -544,7 +544,7 @@ def restricted_root_data(datum, tau):
     """
     n = datum.rank
     tau_m = tau.matrix
-    coinv = cokernel(tau_m - IntMatrix.identity(n))
+    coinv = coinvariants(n, [tau_m])
     k = coinv.torsion_count
     r = coinv.free_rank
     proj_free = IntMatrix(coinv.proj.data[k:], ncols=n)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from satake.abelian import (
     FgAbGroup, GroupCharacter, GroupHom, all_characters, character_count,
-    coinvariants, cokernel, induced_endomorphism,
+    character_idents, coinvariants, cokernel, induced_endomorphism,
     invariants_of_induced_action, kernel_of_hom, subgroup_coordinates,
 )
 from satake.circle import ExactCircle, ONE
@@ -56,7 +56,7 @@ def test_cokernel_presentations():
     for vec in ((1, 0), (0, 1), (2, 3)):
         coords = quo.project(vec)
         assert quo.reduce(coords) == coords
-        back = quo.lift_element(coords)
+        back = quo.lift.apply(coords)
         # lifting and re-projecting is the identity on the quotient
         assert quo.project(back) == coords
     assert quo.project((1, 1)) != quo.zero()
@@ -153,6 +153,32 @@ def test_all_characters_enumeration():
     assert len(list(all_characters(g, torsion=2))) == 4
 
 
+@st.composite
+def small_groups(draw):
+    """Z/d_1 + ... + Z/d_k + Z^r with k, r <= 2 and d_1 | d_2 <= 12."""
+    factors = []
+    for step in draw(st.lists(st.integers(1, 3), max_size=2)):
+        factors.append(factors[-1] * step if factors else step + 1)
+    return FgAbGroup(factors, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=small_groups(), torsion=st.integers(1, 6))
+def test_character_idents_enumerate_all_characters(group, torsion):
+    """Each ident builds the character `all_characters` yields at the same
+    place; there are `character_count` of them, and as they share one
+    denominator, sorting the idents sorts the characters by `key()`."""
+    idents = list(character_idents(group, torsion))
+    chars = [GroupCharacter._from_nums(group, k[0], k[1::2], k[2::2])
+             for k in idents]
+    assert chars == list(all_characters(group, torsion))
+    assert len(idents) == character_count(group, torsion)
+    assert len({k[0] for k in idents}) == 1
+    by_ident = [chars[i] for i in sorted(range(len(chars)),
+                                         key=idents.__getitem__)]
+    assert by_ident == sorted(chars, key=GroupCharacter.key)
+
+
 def test_random_hom_kernel_image_count():
     # |ker| * |im| = |G| for maps Z/12 -> Z/12, x -> a x
     rng = random.Random(5150)
@@ -178,7 +204,7 @@ def precompose_oracle(character, hom):
     """The ExactCircle product prod_i v_i ** c_i for each column of hom."""
     values = []
     for col in hom.matrix.columns():
-        acc = ExactCircle.one()
+        acc = ONE
         for c, v in zip(col, character.values):
             acc = acc * (v ** c)
         values.append(acc)

@@ -174,6 +174,16 @@ def test_resolve_conflicts():
         resolve(GroupConfig())
 
 
+def test_torus_config_refuses_simple(tmp_path, capsys):
+    """`simple` names roots, which a torus config has none of."""
+    with pytest.raises(ConfigError, match="cannot set simple roots"):
+        resolve(parse_config("rank = 2\nsimple = [0]"))
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text("rank = 2\nsimple = [0]\n")
+    assert main(["kottwitz", "--config", str(cfg)]) == 1
+    assert "cannot set simple roots" in capsys.readouterr().err
+
+
 def test_resolve_custom_datum():
     rg = resolve(parse_config("""name = my-sl2
 roots = [[2],[-2]]
@@ -319,13 +329,13 @@ def test_oversized_orbits_are_refused_before_enumerating(monkeypatch,
                                                          capsys):
     """The character count is a product of choice-set sizes, so an
     oversized `orbits` exits 2 with the estimate before any character is
-    built (all_characters is patched to fail)."""
+    built (character_idents is patched to fail)."""
     from satake import cli
 
     def refuse(*args, **kwargs):
         raise AssertionError("characters enumerated")
 
-    monkeypatch.setattr(cli, "all_characters", refuse)
+    monkeypatch.setattr(cli, "character_idents", refuse)
     start = time.perf_counter()
     assert main(["orbits", "--preset", "split GL4", "--torsion", "100",
                  "--max-orbit", "20000"]) == 2

@@ -85,7 +85,8 @@ def assert_matches_brute_force(setting, characters):
     assert mulclose([w.transpose() for w in gens]) == fixed
     homs = [descend_to_kottwitz(setting.kottwitz, w) for w in fixed]
     for ch in characters:
-        assert set(weyl_orbit(setting, ch)) == brute_force_orbit(homs, ch)
+        assert (set(weyl_orbit(setting, ch.ident()))
+                == brute_force_orbit(homs, ch))
 
 
 ORACLE_PRESETS = (tuple(TWISTED_SUITE)
@@ -148,12 +149,11 @@ def bounded_characters(draw, group):
 def test_weyl_orbit_matches_brute_force(name, data):
     setting, homs = oracle_setting(name)
     character = data.draw(bounded_characters(setting.group))
-    orbit = weyl_orbit(setting, character)
+    orbit = weyl_orbit(setting, character.ident())
     assert set(orbit) == brute_force_orbit(homs, character)
     cls = classify(setting, parameter_from_character(setting.kottwitz,
                                                      character))
     assert cls.orbit_size == len(orbit)
-    assert cls.orbit_keys == frozenset(orbit)
     assert cls.representative.character.ident() == min(orbit)
     # the integer order picks the same representative as the Fraction order
     assert cls.key() == min(
@@ -561,21 +561,85 @@ def test_gl2_classification_and_modulus():
     assert classify(setting, par(Q, ONE)).orbit_size == 2
     assert classify(setting, par(Q, Q)).orbit_size == 1
     # 2 rho = (1, -1): the central direction is modulus-free
-    assert modulus_character(setting, (1, 0)) == QHALF
-    assert modulus_character(setting, (1, 1)) == ONE
+    delta = modulus_character(setting)
+    assert delta((1, 0)) == QHALF
+    assert delta((1, 1)) == ONE
 
 
 def test_sl2_modulus_at_coroot():
-    setting = unramified_setting(SL2)
-    assert modulus_character(setting, (1,)) == Q
-    assert modulus_character(setting, (0,)) == ONE
-    assert modulus_character(setting, (2,)) == Q ** 2
+    delta = modulus_character(unramified_setting(SL2))
+    assert delta((1,)) == Q
+    assert delta((0,)) == ONE
+    assert delta((2,)) == Q ** 2
 
 
 def test_torus_setting_modulus_is_trivial():
     setting = setting_for_torus(NORM_ONE)
-    assert modulus_character(setting, (1,)) == ONE
+    assert modulus_character(setting)((1,)) == ONE
     assert setting.weyl_generators == ()
+
+
+def modulus_by_generator(setting):
+    """delta^{1/2} at each generator e_j of T/T_0, one pairing
+    <2 rho, lift(incl(e_j))> per generator, and 1 on a bare torus: the
+    oracle for the dual-point character."""
+    kg = setting.kottwitz
+    n = kg.group.ngens
+    if setting.datum is None:
+        return (ONE,) * n
+    two_rho = setting.datum.two_rho()
+    values = []
+    for j in range(n):
+        unit = tuple(int(i == j) for i in range(n))
+        lift = kg.coinvariants.lift.apply(kg.inclusion(unit))
+        pair = sum(a * b for a, b in zip(two_rho, lift))
+        values.append(ExactCircle(Fraction(pair, 2), 0))
+    return tuple(values)
+
+
+def test_modulus_character_matches_per_generator_pairing():
+    """On every grid preset (split and twisted data, bare and induced
+    tori), including the torsion of flip D4 and unitary ramified 3 and 5."""
+    with_torsion = set()
+    for name in GRID:
+        setting = resolve(preset=name).setting()
+        assert modulus_character(setting).values == \
+            modulus_by_generator(setting), name
+        if setting.group.torsion_count:
+            with_torsion.add(name)
+    assert {"flip D4", "unitary ramified 3",
+            "unitary ramified 5"} <= with_torsion
+
+
+def test_one_modulus_command_sums_the_positive_roots_once(monkeypatch,
+                                                           capsys):
+    calls = []
+    original = BasedRootDatum.two_rho
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+    monkeypatch.setattr(BasedRootDatum, "two_rho", counted)
+    assert main(["modulus", "--preset", "flip D4"]) == 0
+    assert "result.values" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_orbits_builds_one_character_per_class(monkeypatch, capsys):
+    """Characters are enumerated as idents; only each class
+    representative is built as a GroupCharacter."""
+    built = []
+    original = GroupCharacter._from_nums.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return original(cls, *args)
+    monkeypatch.setattr(GroupCharacter, "_from_nums", classmethod(counted))
+    assert main(["orbits", "--preset", "split GL3", "--torsion", "4",
+                 "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["character_count"] == 64
+    assert len(built) == result["class_count"]
 
 
 def test_norm_one_has_two_classes():
