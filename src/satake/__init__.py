@@ -28,8 +28,8 @@ from .kottwitz import Envelope, KottwitzGroup, ParameterClass, \
     kottwitz_hom, maximal_compact_quotient, modulus_character, orbit_class, \
     parameter_from_character, parameters_equal, setting_for_datum, \
     setting_for_torus, weyl_orbit
-from .matrices import IntMatrix, SmithForm, column_span_basis, \
-    kernel_basis, smith_normal_form
+from .matrices import IntMatrix, LinearSolver, SmithForm, column_span_basis, \
+    kernel_basis, linear_solver, smith_normal_form
 from .rootdata import BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP, \
     FoldingError, GaloisAction, PinnedAutomorphism, RestrictedRootData, \
     WeylGroup, check_twist_relation, datum_from_simples, detect_type, \

@@ -23,7 +23,7 @@ from operator import mul
 
 from .circle import ExactCircle
 from .matrices import (IntMatrix, column_span_basis, hstack, kernel_basis,
-                       smith_normal_form)
+                       linear_solver, smith_normal_form)
 
 
 class FgAbGroup:
@@ -140,38 +140,30 @@ class GroupHom:
     """Homomorphism between FgAbGroups as a matrix on canonical generators.
 
     Construction checks well-definedness: each source relation d_i * e_i
-    must land in the target's relation lattice.  `preimage` factors
+    must land in the target's relation lattice.  `preimages` factors
     [matrix | target relations] once, on first use, for every later call.
     """
 
     __slots__ = ("source", "target", "matrix", "_solver")
 
-    def __init__(self, source, target, matrix, _unchecked=False):
+    def __init__(self, source, target, matrix):
         if matrix.shape != (target.ngens, source.ngens):
             raise ValueError("matrix shape does not match generator counts")
         self.source = source
         self.target = target
         self.matrix = matrix
         self._solver = None
-        if not _unchecked:
-            t_orders = target.generator_orders()
-            for j, d in enumerate(source.generator_orders()):
-                if d == 0:
-                    continue
-                for i in range(target.ngens):
-                    v = d * matrix.entry(i, j)
-                    if t_orders[i] == 0:
-                        ok = v == 0
-                    else:
-                        ok = v % t_orders[i] == 0
-                    if not ok:
-                        raise ValueError(
-                            f"not a homomorphism: relation {d}*g{j} "
-                            "does not map to zero")
+        t_orders = target.generator_orders()
+        for j, d in enumerate(source.generator_orders()):
+            # d g_j must map to zero: d x_ij = 0 mod t_i, so x_ij = 0 if t_i = 0
+            if d and any(d * x % t if t else x
+                         for x, t in zip(matrix.column(j), t_orders)):
+                raise ValueError(f"not a homomorphism: relation {d}*g{j} "
+                                 "does not map to zero")
 
     @classmethod
     def identity(cls, group):
-        return cls(group, group, IntMatrix.identity(group.ngens), _unchecked=True)
+        return cls(group, group, IntMatrix.identity(group.ngens))
 
     def __call__(self, coords):
         return self.target.reduce(self.matrix.apply(self.source.reduce(coords)))
@@ -191,15 +183,19 @@ class GroupHom:
         return all(self(tuple(int(i == j) for i in range(self.source.ngens)))
                    == self.target.zero() for j in range(self.source.ngens))
 
+    def preimages(self, targets):
+        """Per element of the target, some x with self(x) = it, or None:
+        one solve for the whole batch."""
+        if self._solver is None:
+            self._solver = linear_solver(
+                hstack(self.matrix, self.target.relation_matrix()))
+        n = self.matrix.ncols
+        return [None if x is None else self.source.reduce(x[:n]) for x in
+                self._solver.solve(list(map(self.target.reduce, targets)))]
+
     def preimage(self, coords):
         """Some x with self(x) = coords, or None."""
-        if self._solver is None:
-            self._solver = smith_normal_form(
-                hstack(self.matrix, self.target.relation_matrix()))
-        x = self._solver.solve(self.target.reduce(coords))
-        if x is None:
-            return None
-        return self.source.reduce(x[:self.matrix.ncols])
+        return self.preimages([coords])[0]
 
     def cokernel_group(self):
         """target / image(self) with the quotient projection retained."""
@@ -268,14 +264,10 @@ def kernel_of_hom(hom):
     x_part = IntMatrix([kb.row(i) for i in range(n)], ncols=kb.ncols)
     basis = column_span_basis(x_part)
     # present the subgroup modulo the source relations, which it contains
-    rel_cols = []
-    if src.torsion_count:
-        basis_sf = smith_normal_form(basis)
-        for r in src.relation_matrix().columns():
-            c = basis_sf.solve(r)
-            if c is None:
-                raise ValueError("source relation escapes the solution lattice")
-            rel_cols.append(c)
+    rel_cols = (linear_solver(basis).solve(src.relation_matrix().columns())
+                if src.torsion_count else [])
+    if None in rel_cols:
+        raise ValueError("source relation escapes the solution lattice")
     rel_in_basis = IntMatrix.from_columns(rel_cols, nrows=basis.ncols)
     grp = cokernel(rel_in_basis)
     incl_cols = list(map(src.reduce, (basis @ grp.lift).columns()))

@@ -75,11 +75,12 @@ def _tokenize(text, line):
 
 
 def _parse_nested(text, line):
-    """Bracketed/parenthesized nests of rationals -> nested tuples."""
+    """Bracketed/parenthesized nests of rationals -> nested tuples, at
+    most 2 deep (a matrix, a root list or a list of pairs)."""
     tokens = _tokenize(text, line)
     pos = 0
 
-    def expr():
+    def expr(depth):
         nonlocal pos
         if pos >= len(tokens):
             raise ConfigError("unexpected end of value", line)
@@ -88,6 +89,9 @@ def _parse_nested(text, line):
             pos += 1
             return tok
         if tok in "[(":
+            if depth == 2:
+                raise ConfigError(f"nested deeper than 2 at column {col + 1}",
+                                  line)
             close = "]" if tok == "[" else ")"
             pos += 1
             items = []
@@ -95,7 +99,7 @@ def _parse_nested(text, line):
                 pos += 1
                 return tuple(items)
             while True:
-                items.append(expr())
+                items.append(expr(depth + 1))
                 if pos >= len(tokens):
                     raise ConfigError(f"missing {close!r}", line)
                 tok2, col2 = tokens[pos]
@@ -110,7 +114,7 @@ def _parse_nested(text, line):
                         f"dangling ',' at column {tokens[pos][1] + 1}", line)
         raise ConfigError(f"unexpected {tok!r} at column {col + 1}", line)
 
-    result = expr()
+    result = expr(0)
     if pos != len(tokens):
         raise ConfigError(
             f"trailing input at column {tokens[pos][1] + 1}", line)

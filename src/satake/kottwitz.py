@@ -189,12 +189,13 @@ def _action_key(hom):
 def _restrict_to_kottwitz(chom, kg_source, kg_target):
     """The map T/T_0 -> T'/T'_0 that a map of coinvariants carrying the
     source's invariant subgroup into the target's restricts to: the
-    columns of chom.matrix @ inclusion.matrix, each solved in T'/T'_0,
-    which reduces it.  Not reducing between the factors is exact, since
-    chom is a checked GroupHom: it carries relations to relations."""
+    columns of chom.matrix @ inclusion.matrix, solved in T'/T'_0 in one
+    call, which reduces them.  Not reducing between the factors is exact,
+    since chom is a checked GroupHom: it carries relations to relations."""
     product = chom.matrix @ kg_source.inclusion.matrix
-    cols = [subgroup_coordinates(kg_target.inclusion, col)
-            for col in product.columns()]
+    cols = kg_target.inclusion.preimages(product.columns())
+    if None in cols:
+        raise ValueError("the map does not carry T/T_0 into T'/T'_0")
     return GroupHom(kg_source.group, kg_target.group,
                     IntMatrix.from_columns(cols, nrows=kg_target.group.ngens))
 

@@ -1,11 +1,13 @@
-"""Exact integer matrices, Smith normal form, kernels and integer solving.
+"""Exact integer matrices, Smith normal form, kernels and linear solving.
 
 Everything is computed over Z with Python's arbitrary-precision integers;
 no floating point enters anywhere.  Matrices are immutable (tuple storage)
 and hashable so that group elements can be collected into sets during
-closure enumerations.
+closure enumerations.  `linear_solver` is the one place where solutions
+of M x = v, rational or integral, are read off a Smith form.
 """
 
+from collections import namedtuple
 from math import lcm
 from operator import add, mul, sub
 
@@ -272,21 +274,14 @@ def hstack(*mats):
     return IntMatrix._trusted(rows, sum(m.ncols for m in mats))
 
 
-class SmithForm:
+class SmithForm(namedtuple("SmithForm", "U D V U_inv")):
     """Smith normal form data: U @ M @ V == D.
 
     U, V are unimodular and U_inv is the inverse of U; D is diagonal
     with nonnegative entries in a divisibility chain d1 | d2 | ... .
     """
 
-    __slots__ = ("matrix", "U", "D", "V", "U_inv")
-
-    def __init__(self, matrix, U, D, V, U_inv):
-        self.matrix = matrix
-        self.U = U
-        self.D = D
-        self.V = V
-        self.U_inv = U_inv
+    __slots__ = ()
 
     @property
     def diagonal(self):
@@ -296,23 +291,6 @@ class SmithForm:
     @property
     def rank(self):
         return sum(1 for d in self.diagonal if d != 0)
-
-    def solve(self, rhs):
-        """One integer solution x of matrix @ x = rhs, or None; one
-        factorization serves every right-hand side."""
-        ncols = self.matrix.ncols
-        c = self.U.apply(tuple(rhs))
-        diag = self.diagonal
-        y = []
-        for i in range(ncols):
-            d = diag[i] if i < len(diag) else 0
-            ci = c[i] if i < len(c) else 0
-            if (ci % d if d else ci) != 0:
-                return None
-            y.append(ci // d if d else 0)
-        if any(c[ncols:]):
-            return None
-        return self.V.apply(tuple(y))
 
 
 def smith_normal_form(matrix, with_v=True):
@@ -435,27 +413,77 @@ def smith_normal_form(matrix, with_v=True):
     def frozen(rows, width):
         return IntMatrix._trusted(tuple(map(tuple, rows)), width)
 
-    return SmithForm(matrix, frozen(u, m), frozen(a, n),
+    return SmithForm(frozen(u, m), frozen(a, n),
                      frozen(zip(*vc), n) if with_v else None,
                      frozen(zip(*uic), m))
 
 
-def kernel_basis(matrix):
-    """Columns form a basis of ker(matrix) on the source side (saturated)."""
+def images(matrix, vectors):
+    """matrix @ v for each of the int tuples v: the rows of one product,
+    the vectors as rows times the transpose."""
+    if any(len(v) != matrix.ncols for v in vectors):
+        raise ValueError("vector length does not match column count")
+    vectors = IntMatrix._trusted(tuple(vectors), matrix.ncols)
+    return (vectors @ matrix.transpose()).data
+
+
+class LinearSolver(namedtuple("LinearSolver", "left den consistency")):
+    """The solutions of M x = v read off one Smith form U M V = D, with
+    d_1 | ... | d_r the nonzero entries of D: den = d_r (1 for r = 0),
+    left = V[:, :r] diag(den / d_i) U[:r] and consistency = U[r:].
+
+    M x = v has a rational solution exactly when consistency v = 0, and
+    then x = left v / den = V[:, :r] y with y_i = (U v)_i / d_i is one.
+    V[:, :r] extends to a basis of Z^n, so x is integral exactly when y
+    is, that is exactly when M x = v has an integer solution."""
+
+    __slots__ = ()
+
+    def numerators(self, vectors):
+        """Per vector v, den x for that x, or None when there is none: one
+        product with `left`, one with `consistency`."""
+        return [None if any(off) else nums for nums, off in
+                zip(images(self.left, vectors),
+                    images(self.consistency, vectors))]
+
+    def solve(self, vectors):
+        """Per vector v, an integer solution x of M x = v, or None."""
+        den = self.den
+        return [None if nums is None or any(c % den for c in nums)
+                else tuple(c // den for c in nums)
+                for nums in self.numerators(vectors)]
+
+
+def linear_solver(matrix):
+    """The LinearSolver of `matrix`, from one Smith form.
+
+    >>> solver = linear_solver(IntMatrix([[2, 0], [0, 3]]))
+    >>> solver.solve([(4, 9), (1, 0)]), solver.numerators([(1, 0)])
+    ([(2, 3), None], [(3, 0)])
+    """
     sf = smith_normal_form(matrix)
-    diag = sf.diagonal
-    free_cols = [j for j in range(matrix.ncols)
-                 if j >= len(diag) or diag[j] == 0]
-    cols = [sf.V.column(j) for j in free_cols]
-    return IntMatrix.from_columns(cols, nrows=matrix.ncols)
+    m, r = matrix.nrows, sf.rank
+    diag = sf.diagonal[:r]
+    den = diag[-1] if r else 1
+    v_r = IntMatrix._trusted(tuple(row[:r] for row in sf.V.data), r)
+    scaled_u = IntMatrix._trusted(tuple(tuple(den // d * x for x in row)
+                                        for row, d in zip(sf.U.data, diag)), m)
+    return LinearSolver(v_r @ scaled_u, den,
+                        IntMatrix._trusted(sf.U.data[r:], m))
+
+
+def kernel_basis(matrix):
+    """Columns form a basis of ker(matrix) on the source side (saturated):
+    the columns of V past the rank."""
+    sf = smith_normal_form(matrix)
+    r = sf.rank
+    return IntMatrix._trusted(tuple(row[r:] for row in sf.V.data),
+                              matrix.ncols - r)
 
 
 def column_span_basis(matrix):
     """Basis (as columns) of the column span of `matrix` (not saturated)."""
     sf = smith_normal_form(matrix)
-    diag = sf.diagonal
-    cols = []
-    for i, d in enumerate(diag):
-        if d != 0:
-            cols.append(tuple(d * x for x in sf.U_inv.column(i)))
-    return IntMatrix.from_columns(cols, nrows=matrix.nrows)
+    return IntMatrix.from_columns([tuple(d * x for x in sf.U_inv.column(i))
+                                   for i, d in enumerate(sf.diagonal) if d],
+                                  nrows=matrix.nrows)

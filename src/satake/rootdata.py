@@ -18,7 +18,7 @@ from math import factorial, gcd
 from operator import matmul, mul
 
 from .abelian import coinvariants
-from .matrices import IntMatrix, smith_normal_form
+from .matrices import IntMatrix, images, linear_solver
 
 DEFAULT_WEYL_CAP = 10 ** 6
 ROOT_CAP = 10 ** 5
@@ -42,15 +42,6 @@ def _reflect(x, a, av):
     `_reflect(y, av, a)` is s_a on the other side."""
     p = _dot(x, av)
     return tuple([v - p * w for v, w in zip(x, a)]) if p else x
-
-
-def _images(matrix, vectors):
-    """matrix @ v for each of the int tuples v: the rows of one product,
-    the vectors as rows times the transpose."""
-    if any(len(v) != matrix.ncols for v in vectors):
-        raise ValueError("vector length does not match column count")
-    vectors = IntMatrix._trusted(tuple(vectors), matrix.ncols)
-    return (vectors @ matrix.transpose()).data
 
 
 def search(seeds, generators, product, cap=None, stage=""):
@@ -112,44 +103,25 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
 
     @cached_property
     def _coefficient_solver(self):
-        """One Smith form U S V = D of the simple-root matrix S, kept as
-        integers: (L, den, C) with coefficients L v / den for v in the
-        span of S, and C v = 0 exactly when v is in that span.
-
-        With d_1 | ... | d_r the nonzero entries of D, den = d_r,
-        L = V[:, :r] diag(den / d_i) U[:r], and C is the rows of U past r
-        (so the rank of S is the lattice rank minus the rows of C)."""
-        sf = smith_normal_form(IntMatrix.from_columns(self.simple_roots(),
-                                                      nrows=self.rank))
-        r = sf.rank
-        diag = sf.diagonal[:r]
-        den = diag[-1] if r else 1
-        v_r = IntMatrix([row[:r] for row in sf.V.data], ncols=r)
-        scaled_u = IntMatrix([[den // d * x for x in sf.U.row(i)]
-                              for i, d in enumerate(diag)], ncols=self.rank)
-        return v_r @ scaled_u, den, IntMatrix(sf.U.data[r:], ncols=self.rank)
-
-    def _simple_numerators(self, vectors):
-        """Per vector, its simple coefficients times the solver's
-        denominator, or None outside the span: one product with L, one C."""
-        left, _, consistency = self._coefficient_solver
-        return [None if any(off) else nums for nums, off
-                in zip(_images(left, vectors), _images(consistency, vectors))]
+        """The LinearSolver of the simple-root matrix, whose numerators
+        over `den` are simple coefficients."""
+        return linear_solver(IntMatrix.from_columns(self.simple_roots(),
+                                                    nrows=self.rank))
 
     def simple_coefficients(self, root):
         """Rational coefficients of a root over the simple roots, or None."""
-        nums = self._simple_numerators([root])[0]
+        solver = self._coefficient_solver
+        nums = solver.numerators([root])[0]
         if nums is None:
             return None
-        den = self._coefficient_solver[1]
-        return tuple(Fraction(x, den) for x in nums)
+        return tuple(Fraction(x, solver.den) for x in nums)
 
     @cached_property
     def positive_indices(self):
         """Indices of the roots whose simple coefficients are all >= 0,
         computed once per datum."""
-        return tuple(i for i, nums in
-                     enumerate(self._simple_numerators(self.roots))
+        coefficients = self._coefficient_solver.numerators(self.roots)
+        return tuple(i for i, nums in enumerate(coefficients)
                      if nums is not None and all(c >= 0 for c in nums))
 
     def positive_roots(self):
@@ -241,8 +213,8 @@ def validate(datum):
             problems.append(f"simple index {i} out of range")
     if problems:
         return problems
-    _, den, consistency = datum._coefficient_solver
-    if datum.rank - consistency.nrows < len(datum.simple_indices):
+    solver = datum._coefficient_solver
+    if datum.rank - solver.consistency.nrows < len(datum.simple_indices):
         return ["simple roots are linearly dependent"]
     roots = IntMatrix(datum.roots, ncols=datum.rank)
     coroots = IntMatrix(datum.coroots, ncols=datum.rank)
@@ -251,7 +223,8 @@ def validate(datum):
             problems.append(f"reflection in root {idx} does not permute the roots")
         if not _maps_into(datum.coroots, coroots.apply(a), av, coroot_set):
             problems.append(f"coreflection in root {idx} does not permute the coroots")
-    for idx, nums in enumerate(datum._simple_numerators(datum.roots)):
+    den = solver.den
+    for idx, nums in enumerate(solver.numerators(datum.roots)):
         if nums is None:
             problems.append(f"root {idx} is not in the span of the simple roots")
             continue
@@ -320,9 +293,9 @@ def pinned_violations(datum, aut):
     if not datum.roots:
         return problems
     root_index = {r: i for i, r in enumerate(datum.roots)}
-    images = _images(aut.matrix, datum.roots)
-    co_images = _images(aut.dual(), datum.coroots)
-    for i, img in enumerate(images):
+    root_images = images(aut.matrix, datum.roots)
+    co_images = images(aut.dual(), datum.coroots)
+    for i, img in enumerate(root_images):
         j = root_index.get(img)
         if j is None:
             problems.append(f"image of root {i} is not a root")
@@ -331,7 +304,7 @@ def pinned_violations(datum, aut):
             problems.append(f"coroot of root {i} is not carried to the matching coroot")
     simple_set = {datum.roots[i] for i in datum.simple_indices}
     for i in datum.simple_indices:
-        if images[i] not in simple_set:
+        if root_images[i] not in simple_set:
             problems.append(f"simple root {i} is not carried to a simple root")
     return problems
 
@@ -402,7 +375,7 @@ def root_permutation(matrix, roots):
     """The indices in `roots` of the images of the roots under `matrix`;
     FoldingError unless the matrix permutes them."""
     index = {r: i for i, r in enumerate(roots)}
-    perm = tuple(map(index.get, _images(matrix, roots)))
+    perm = tuple(map(index.get, images(matrix, roots)))
     if None in perm or len(set(perm)) != len(perm):
         raise FoldingError("matrix does not permute the roots")
     return perm

@@ -184,6 +184,21 @@ def test_torus_config_refuses_simple(tmp_path, capsys):
     assert "cannot set simple roots" in capsys.readouterr().err
 
 
+def test_deep_nesting_exits_1_naming_the_line(tmp_path, capsys):
+    """No value of the grammar nests deeper than two, so a deeper one is
+    refused where it opens, long before Python's recursion limit."""
+    depth = 5000
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("# comment\nrank = " + "[" * depth + "]" * depth + "\n")
+    assert main(["kottwitz", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: nested deeper than 2 at column 3" in err
+    for text in ("roots = [[[2]]]", "values = [((1/2, 0))]", "rank = (((1)))"):
+        with pytest.raises(ConfigError, match="nested deeper than 2"):
+            parse_config(text)
+    assert parse_config("roots = [[2],[-2]]").roots == ((2,), (-2,))
+
+
 def test_resolve_custom_datum():
     rg = resolve(parse_config("""name = my-sl2
 roots = [[2],[-2]]

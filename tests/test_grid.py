@@ -157,6 +157,7 @@ CONFIG_ERRORS = [
     "roots = [[1]",                                 # missing ']'
     "roots = [[1] [2]]",                            # expected ',' or ']'
     "roots = [[1],]",                               # dangling ','
+    "roots = [[[2]]]",                              # nested deeper than 2
     "roots = ]",                                    # unexpected ']'
     "rank = 1 2",                                   # trailing input
     "rank = 1/2",                                   # must be an integer
@@ -192,6 +193,7 @@ CONFIG_ERRORS = [
     "roots = [[2]]\ncoroots = [[1]]\nsimple = [0]",     # invalid datum
     f"roots = {_A2}\ncoroots = {_A2}\nsimple = [0,1,2]",    # dependent
     "name = lonely",                                # torus needs rank
+    "rank = 2\nsimple = [0]",                       # torus with simple
     "rank = -1",                                    # negative rank
     "rank = 1\ntau = [[2]]",                        # not an automorphism
     "roots = [[2,0],[-2,0]]\ncoroots = [[1,0],[-1,0]]\nsimple = [0]\n"

@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ, Matrix
-from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+from sympy.matrices.normalforms import smith_normal_decomp, \
+    smith_normal_form as sympy_smith
 
 from satake.matrices import (
-    IntMatrix, column_span_basis, hstack, kernel_basis,
+    IntMatrix, column_span_basis, hstack, kernel_basis, linear_solver,
     smith_normal_form,
 )
 from satake.abelian import FgAbGroup, GroupHom
@@ -103,10 +105,30 @@ def sympy_inverse(m):
     return IntMatrix(Matrix(m.data).inv().tolist())
 
 
+def smith_solve(matrix, rhs):
+    """The per-vector solver `SmithForm.solve` was before `linear_solver`
+    replaced it: the integer solution V y of matrix @ x = rhs, with
+    y_i = (U rhs)_i / d_i and y_i = 0 past the rank, or None."""
+    sf = smith_normal_form(matrix)
+    ncols = matrix.ncols
+    c = sf.U.apply(tuple(rhs))
+    diag = sf.diagonal
+    y = []
+    for i in range(ncols):
+        d = diag[i] if i < len(diag) else 0
+        ci = c[i] if i < len(c) else 0
+        if (ci % d if d else ci) != 0:
+            return None
+        y.append(ci // d if d else 0)
+    if any(c[ncols:]):
+        return None
+    return sf.V.apply(tuple(y))
+
+
 def test_solve_and_preimage_mod_relations():
     mat = IntMatrix([[2, 0], [0, 3]])
-    assert smith_normal_form(mat).solve((4, 9)) == (2, 3)
-    assert smith_normal_form(mat).solve((1, 0)) is None
+    assert linear_solver(mat).solve([(4, 9)]) == [(2, 3)]
+    assert linear_solver(mat).solve([(1, 0)]) == [None]
     # 2x = 4 mod 6 has the solution x = 2
     sol = GroupHom(FgAbGroup((), 1), FgAbGroup((6,), 0),
                    IntMatrix([[2]])).preimage((4,))
@@ -118,15 +140,14 @@ def test_solve_and_preimage_mod_relations():
     for _ in range(50):
         mat = random_matrix(rng, max_dim=4, bound=4)
         x = tuple(rng.randint(-3, 3) for _ in range(mat.ncols))
-        found = smith_normal_form(mat).solve(mat.apply(x))
+        [found] = linear_solver(mat).solve([mat.apply(x)])
         assert found is not None
         assert mat.apply(found) == mat.apply(x)
-        # one factorization answers every right-hand side
-        sf = smith_normal_form(mat)
-        for _ in range(3):
-            rhs = tuple(rng.randint(-3, 3) for _ in range(mat.nrows))
-            got = sf.solve(rhs)
-            assert got is None or mat.apply(got) == rhs
+        # one factorization answers every right-hand side, in one call
+        rhs = [tuple(rng.randint(-3, 3) for _ in range(mat.nrows))
+               for _ in range(3)]
+        for v, got in zip(rhs, linear_solver(mat).solve(rhs)):
+            assert got is None or mat.apply(got) == v
 
 
 def test_column_span_basis_keeps_index():
@@ -502,3 +523,62 @@ def test_non_integer_entries_are_refused():
     exact = IntMatrix([[Fraction(2), 2.0, True]])
     assert exact.data == ((2, 2, 1),)
     assert all(type(x) is int for x in exact.data[0])
+
+
+@st.composite
+def solver_cases(draw, max_dim=5):
+    """A matrix of any shape, 0 rows or 0 columns included, built as a
+    product through an inner dimension k so that it is often of less
+    than full rank; and right-hand sides that are images (an integer
+    solution), images divided by their gcd (often only a rational one)
+    or random (often none)."""
+    m, k, n = (draw(st.integers(0, max_dim)) for _ in range(3))
+    small = st.integers(-4, 4)
+
+    def factor(rows, cols):
+        return IntMatrix([[draw(small) for _ in range(cols)]
+                          for _ in range(rows)], ncols=cols)
+
+    mat = factor(m, k) @ factor(k, n)
+    vectors = []
+    for kind in draw(st.lists(st.sampled_from(("image", "divided", "random")),
+                              max_size=4)):
+        if kind == "random":
+            vectors.append(tuple(draw(small) for _ in range(m)))
+            continue
+        v = mat.apply(tuple(draw(small) for _ in range(n)))
+        g = gcd(*v)
+        vectors.append(tuple(x // g for x in v) if kind == "divided" and g > 1
+                       else v)
+    return mat, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=solver_cases())
+def test_linear_solver_matches_sympy_smith_decomposition(case):
+    """sympy's D = S M T shares no code with our kernel: an integer
+    solution exists exactly when each d_i divides (S v)_i, where d_i = 0
+    and the entries past the diagonal ask for zero; a rational one exactly
+    when appending v keeps the rank.  The solutions are those of the
+    per-vector solver the Smith form had before."""
+    mat, vectors = case
+    solver = linear_solver(mat)
+    solutions = solver.solve(vectors)
+    numerators = solver.numerators(vectors)
+    assert len(solutions) == len(numerators) == len(vectors)
+    d, s, _ = smith_normal_decomp(as_sympy(mat), domain=ZZ)
+    diag = [int(d[i, i]) for i in range(min(mat.nrows, mat.ncols))]
+    rank = as_sympy(mat).rank()
+    for v, x, nums in zip(vectors, solutions, numerators):
+        column = Matrix(mat.nrows, 1, list(v))
+        c = [int(t) for t in s * column]
+        integral = all(ci % diag[i] == 0 if i < len(diag) and diag[i]
+                       else ci == 0 for i, ci in enumerate(c))
+        assert (x is not None) == integral
+        if x is not None:
+            assert mat.apply(x) == v
+        assert x == smith_solve(mat, v)
+        rational = Matrix.hstack(as_sympy(mat), column).rank() == rank
+        assert (nums is not None) == rational
+        if nums is not None:
+            assert mat.apply(nums) == tuple(solver.den * t for t in v)

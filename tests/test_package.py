@@ -96,6 +96,19 @@ def test_only_verify_ks_enumerates_the_weyl_group():
     assert callers("weyl_group") == []
 
 
+def test_every_solution_is_read_off_a_smith_form_in_one_place():
+    """`linear_solver` is the one place that reads solutions of M x = v
+    off a Smith form; the other callers of `smith_normal_form` read a
+    kernel, a column span or a cokernel."""
+    callers = sorted((path.stem, owner) for path in sorted(SRC.glob("*.py"))
+                     for owner in _callers(_tree(path.name),
+                                           "smith_normal_form"))
+    assert callers == [("abelian", "cokernel"),
+                       ("matrices", "column_span_basis"),
+                       ("matrices", "kernel_basis"),
+                       ("matrices", "linear_solver")]
+
+
 def _is_zip_product_sum(node):
     """sum(x * y for ... in zip(...)): a dot product written as a
     generator expression."""
