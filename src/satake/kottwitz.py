@@ -13,7 +13,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import mul
 
 from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
                       induced_endomorphism, invariants_of_induced_action,
@@ -216,7 +215,7 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
     Weyl group's action on T/T_0 is built on first use."""
 
     def __setattr__(self, name, value):
-        # the instance dict is only for the cached property
+        # the instance dict is only for the cached properties
         raise AttributeError(f"{type(self).__name__} is read-only")
 
     @property
@@ -259,6 +258,12 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
             homs[key] = hom
         return tuple(homs.values())
 
+    @cached_property
+    def orbit_moves(self):
+        """Each of `weyl_generators` as its columns' nonzero entries c, as
+        pairs (1 + 2 i, c), 1 + 2 i being row i's q-numerator in an ident."""
+        return tuple(_moves(hom.matrix) for hom in self.weyl_generators)
+
 
 def setting_for_torus(torus):
     return SphericalSetting(None, None, torus, kottwitz_group(torus))
@@ -270,27 +275,34 @@ def setting_for_datum(datum, action):
     return SphericalSetting(datum, action, torus, kottwitz_group(torus))
 
 
-def _follow(ident, cols):
-    """The ident of a character precomposed with an automorphism, given by
-    the columns of its matrix: the q-sums and the arg-sums over each
-    column, the arguments reduced mod den, which an automorphism keeps
-    (see `GroupCharacter`)."""
+def _moves(matrix):
+    return tuple(tuple((1 + 2 * i, c) for i, c in enumerate(col) if c)
+                 for col in matrix.columns())
+
+
+def _follow(ident, moves):
+    """The ident of a character precomposed with an automorphism given by
+    its `_moves`: den is kept, as an automorphism keeps it (see
+    `GroupCharacter`), and the arguments are reduced mod den."""
     den = ident[0]
-    qs, args = ident[1::2], ident[2::2]
     out = [den]
-    for col in cols:
-        out.append(sum(map(mul, col, qs)))
-        out.append(sum(map(mul, col, args)) % den)
+    for col in moves:
+        if len(col) == 1:
+            (k, c), = col
+            out.append(c * ident[k])
+            out.append(c * ident[k + 1] % den)
+        else:
+            out.append(sum(c * ident[k] for k, c in col))
+            out.append(sum(c * ident[k + 1] for k, c in col) % den)
     return tuple(out)
 
 
 def weyl_orbit(setting, ident, max_orbit=None):
-    """The orbit under the relative Weyl group of a character given by its
-    `ident()`, as idents over the same denominator, in the order found by
-    breadth-first search over the generator images (a finite group's orbit
-    is closed under its generators alone); `max_orbit` caps its size."""
-    gens = [tuple(zip(*hom.matrix.data)) for hom in setting.weyl_generators]
-    return search([ident], gens, _follow, max_orbit, "orbit enumeration")
+    """The relative Weyl orbit of a character's `ident()`, as idents over its
+    denominator, found breadth-first along `orbit_moves` (a finite group's
+    orbit is closed under its generators alone); `max_orbit` caps its size."""
+    return search([ident], setting.orbit_moves, _follow, max_orbit,
+                  "orbit enumeration")
 
 
 def orbit_class(setting, orbit):
@@ -311,9 +323,7 @@ def _ident_on(setting, parameter):
 def classify(setting, parameter, max_orbit=None):
     """Canonical form of a parameter modulo the relative Weyl group: the
     `orbit_class` of its orbit (`weyl_orbit`, whose size `max_orbit`
-    caps).  The generator images are automorphisms of T/T_0, so the orbit
-    keeps the parameter's least denominator (see `GroupCharacter`).
-    """
+    caps), all over the parameter's least denominator (see `_follow`)."""
     orbit = weyl_orbit(setting, _ident_on(setting, parameter), max_orbit)
     return orbit_class(setting, orbit)
 

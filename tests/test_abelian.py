@@ -13,7 +13,7 @@ from satake.abelian import (
     invariants_of_induced_action, kernel_of_hom, subgroup_coordinates,
 )
 from satake.circle import ExactCircle, ONE
-from satake.kottwitz import _follow
+from satake.kottwitz import _follow, _moves
 from satake.matrices import IntMatrix
 
 
@@ -342,13 +342,30 @@ def automorphisms(draw, group):
 def test_automorphism_precompose_equals_the_checked_path(data):
     """`kottwitz._follow` keeps the old denominator and only reduces the
     arguments; `precompose` renormalises and checks torsion, and must
-    find nothing to change."""
+    find nothing to change.  The elementary factors with c != 0 give
+    `_moves` columns of two entries, the others columns of one."""
     group = data.draw(small_groups())
     chi = data.draw(characters(group))
     auto = data.draw(automorphisms(group))
     assert auto.is_surjective()      # so bijective: Z-modules are Hopfian
-    cols = tuple(auto.matrix.columns())
-    assert _follow(chi.ident(), cols) == chi.precompose(auto).ident()
+    moves = _moves(auto.matrix)
+    assert _follow(chi.ident(), moves) == chi.precompose(auto).ident()
+
+
+def test_follow_takes_one_entry_and_several_entry_columns():
+    """e_0 -> e_0 + 2 e_1 is a two-entry column and e_1 -> -e_1 a one-entry
+    one, so one step of `_follow` runs both of its paths."""
+    group = FgAbGroup((), 2)
+    auto = GroupHom(group, group, IntMatrix([[1, 0], [2, -1]]))
+    assert auto.is_surjective()
+    moves = _moves(auto.matrix)
+    assert moves == (((1, 1), (3, 2)), ((3, -1),))
+    chi = GroupCharacter(group, (ExactCircle(Fraction(1, 2), Fraction(1, 3)),
+                                 ExactCircle(1, Fraction(1, 2))))
+    assert chi.ident() == (6, 3, 2, 6, 3)
+    # q^(5/2) e(1/3) at e_0 and q^-1 e(-1/2) at e_1
+    assert _follow(chi.ident(), moves) == (6, 15, 2, -6, 3)
+    assert _follow(chi.ident(), moves) == chi.precompose(auto).ident()
 
 
 def test_only_an_automorphism_skips_the_renormalisation():
@@ -358,4 +375,5 @@ def test_only_an_automorphism_skips_the_renormalisation():
     chi = GroupCharacter(z, (ExactCircle(0, Fraction(1, 2)),))
     doubled = chi.precompose(GroupHom(z, z, IntMatrix([[2]])))
     assert (doubled.den, doubled.arg_nums) == (1, (0,))
-    assert _follow(chi.ident(), ((2,),)) == (2, 0, 0) != doubled.ident()
+    assert _moves(IntMatrix([[2]])) == (((1, 2),),)
+    assert _follow(chi.ident(), (((1, 2),),)) == (2, 0, 0) != doubled.ident()

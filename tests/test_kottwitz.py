@@ -3,8 +3,11 @@
 import json
 import random
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from io import StringIO
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -15,9 +18,9 @@ from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom,
                             induced_endomorphism, subgroup_coordinates)
 from satake.circle import ExactCircle, ONE
 from satake.cli import main
-from satake.config import resolve
+from satake.config import GroupConfig, resolve, serialize_config
 from satake.kottwitz import (
-    TorusWithAction, _action_key, build_induced_torus,
+    TorusWithAction, _action_key, _moves, build_induced_torus,
     character_from_dual_point, classify, descend_to_kottwitz,
     induced_character, induced_envelope,
     induced_torus_cocycle, kottwitz_group, kottwitz_hom,
@@ -25,11 +28,12 @@ from satake.kottwitz import (
     parameters_equal, setting_for_datum, setting_for_torus, weyl_orbit,
 )
 from satake.matrices import IntMatrix
-from satake.presets import flip_negate, split_gl
+from satake.presets import cartan_a, flip_negate, split_gl
 from satake.rootdata import (
     BasedRootDatum, CapExceeded, FoldingError, GaloisAction,
-    automorphism_order, check_twist_relation, dual_datum, folded_generators,
-    galois_action, mulclose, pinned_automorphism, weyl_group,
+    automorphism_order, check_twist_relation, datum_from_simples, dual_datum,
+    folded_generators, galois_action, mulclose, pinned_automorphism,
+    weyl_group,
 )
 from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
@@ -207,6 +211,94 @@ def test_orbits_class_count_is_burnside_without_enumeration(preset, capsys):
                      "--format", "json"]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["class_count"] == burnside_class_count(setting, torsion)
+
+
+# --- Burnside on random root data: simple factors times a central torus -----
+
+CARTAN = {"A1": cartan_a(1), "A2": cartan_a(2), "A3": cartan_a(3),
+          "B2": ((2, -2), (-1, 2)), "G2": ((2, -1), (-3, 2))}
+DIAGRAM_FLIP = {"A2": (1, 0), "A3": (2, 1, 0)}
+
+
+@st.composite
+def random_twisted_data(draw):
+    """One or two simple factors of total rank at most 5 (so that the
+    Burnside sum stays short), each in simple-root or in fundamental-
+    weight coordinates, times a central torus of rank 1 or 2, with tau
+    and sigma pinned diagram automorphisms and a twist they satisfy.
+
+    Every pinned automorphism used flips some factors, swaps the two
+    factors when they are alike, and acts on the central torus by a
+    signed permutation; sigma is drawn among those normalising <tau>."""
+    factors = draw(st.lists(st.tuples(st.sampled_from(sorted(CARTAN)),
+                                      st.booleans()), min_size=1, max_size=2)
+                   .filter(lambda fs: sum(len(CARTAN[name])
+                                          for name, _ in fs) <= 5))
+    central = draw(st.integers(1, 2))
+    sizes = [len(CARTAN[name]) for name, _ in factors]
+    offsets = [sum(sizes[:f]) for f in range(len(factors))]
+    rank = sum(sizes) + central
+    simples, cosimples = [], []
+    for (name, adjoint), off in zip(factors, offsets):
+        cartan = CARTAN[name]
+        for i, row in enumerate(cartan):
+            unit, row_i, col_i = ([0] * rank for _ in range(3))
+            unit[off + i] = 1
+            for j, entry in enumerate(row):
+                row_i[off + j], col_i[off + j] = entry, cartan[j][i]
+            simples.append(tuple(unit if adjoint else row_i))
+            cosimples.append(tuple(col_i if adjoint else unit))
+    datum = datum_from_simples(simples, cosimples)
+
+    def automorphism(flips, swap, central_perm, signs):
+        images = []
+        for f, (name, _) in enumerate(factors):
+            nodes = DIAGRAM_FLIP[name] if flips[f] else range(sizes[f])
+            target = offsets[len(factors) - 1 - f] if swap else offsets[f]
+            images.extend(target + k for k in nodes)
+        images.extend(sum(sizes) + k for k in central_perm)
+        return (IntMatrix.permutation(images)
+                @ IntMatrix.diagonal([1] * sum(sizes) + list(signs)))
+
+    group = [automorphism(flips, swap, perm, signs)
+             for flips in product(*[(False, True) if name in DIAGRAM_FLIP
+                                    else (False,) for name, _ in factors])
+             for swap in ((False, True) if len(factors) == 2
+                          and factors[0] == factors[1] else (False,))
+             for perm in permutations(range(central))
+             for signs in product((1, -1), repeat=central)]
+    tau = draw(st.sampled_from(group))
+    order = automorphism_order(tau, rank, "tau")
+    normalising = [(sigma, j) for sigma in group
+                   for j in range(1, order + 1)
+                   if gcd(j, order) == 1
+                   and sigma @ tau == tau.power(j % order) @ sigma]
+    sigma, twist = draw(st.sampled_from(normalising))
+    return GroupConfig(roots=datum.roots, coroots=datum.coroots,
+                       simple=datum.simple_indices, tau=("matrix", tau),
+                       sigma=("matrix", sigma), twist=twist)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=random_twisted_data())
+def test_orbits_class_count_is_burnside_on_random_data(config,
+                                                       tmp_path_factory):
+    """The `orbits` command against the Burnside count, which never
+    follows a character along the generators, on random data; the orbit
+    sizes add up to the characters listed."""
+    path = tmp_path_factory.mktemp("burnside") / "group.cfg"
+    path.write_text(serialize_config(config))
+    setting = resolve(config).setting()
+    for torsion in (2, 3):
+        out = StringIO()
+        with redirect_stdout(out):
+            assert main(["orbits", "--config", str(path), "--torsion",
+                         str(torsion), "--format", "json"]) == 0
+        result = json.loads(out.getvalue())["result"]
+        assert result["class_count"] == burnside_class_count(setting, torsion)
+        assert (sum(cls["orbit_size"] for cls in result["classes"])
+                == result["character_count"]
+                == character_count(setting.group, torsion))
 
 
 def test_a_generator_that_is_not_an_involution_is_refused(monkeypatch):
@@ -640,6 +732,34 @@ def test_orbits_builds_one_character_per_class(monkeypatch, capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["character_count"] == 64
     assert len(built) == result["class_count"]
+
+
+def test_each_command_builds_the_orbit_moves_once(monkeypatch, tmp_path,
+                                                  capsys):
+    """`orbit_moves` turns each Weyl generator into moves once per
+    setting: orbits on split GL4 searches 15 orbits, and classify and
+    equal on flip D4 one each, all on the one set of moves per command."""
+    built = []
+
+    def counted(matrix):
+        built.append(matrix)
+        return _moves(matrix)
+    monkeypatch.setattr("satake.kottwitz._moves", counted)
+    ngens = len(resolve(preset="split GL4").setting().weyl_generators)
+    assert main(["orbits", "--preset", "split GL4", "--torsion", "3",
+                 "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["class_count"] == 15
+    assert len(built) == ngens == 3
+    values, values2 = NO_WEYL_VALUES["flip D4"]
+    cfg = tmp_path / "group.cfg"
+    cfg.write_text(f"preset = flip D4\nvalues = {values}\n"
+                   f"values2 = {values2}\n")
+    ngens = len(resolve(preset="flip D4").setting().weyl_generators)
+    for command in ("classify", "equal"):
+        built.clear()
+        assert main([command, "--config", str(cfg)]) == 0
+        assert len(built) == ngens == 3
 
 
 def test_norm_one_has_two_classes():
