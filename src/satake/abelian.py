@@ -219,7 +219,7 @@ def cokernel(matrix):
     free_rows = [i for i in range(m) if i >= len(diag) or diag[i] == 0]
     factors = [diag[i] for i in torsion_rows]
     rows = torsion_rows + free_rows
-    proj = IntMatrix([sf.U.row(i) for i in rows], ncols=m)
+    proj = IntMatrix._trusted(tuple(sf.U.data[i] for i in rows), m)
     lift = IntMatrix.from_columns([sf.U_inv.column(i) for i in rows], nrows=m)
     return FgAbGroup(factors, len(free_rows), proj=proj, lift=lift)
 
@@ -261,7 +261,7 @@ def kernel_of_hom(hom):
     aug = hstack(hom.matrix, tgt.relation_matrix())
     kb = kernel_basis(aug)
     # solution sublattice of Z^n: spans of the x-parts, plus nothing else
-    x_part = IntMatrix([kb.row(i) for i in range(n)], ncols=kb.ncols)
+    x_part = IntMatrix._trusted(kb.data[:n], kb.ncols)
     basis = column_span_basis(x_part)
     # present the subgroup modulo the source relations, which it contains
     rel_cols = (linear_solver(basis).solve(src.relation_matrix().columns())

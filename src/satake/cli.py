@@ -117,7 +117,7 @@ def _cmd_cocycle(rg, args):
     return build_report("cocycle", _inputs(rg), result)
 
 
-def _character(rg, setting, values, what):
+def _character(setting, values, what):
     if values is None:
         raise ConfigError(f"this command needs the `{what}` config key")
     return GroupCharacter(setting.group, values)
@@ -125,7 +125,7 @@ def _character(rg, setting, values, what):
 
 def _cmd_classify(rg, args):
     setting = rg.setting()
-    character = _character(rg, setting, rg.values, "values")
+    character = _character(setting, rg.values, "values")
     cls = classify(setting,
                    parameter_from_character(setting.kottwitz, character),
                    max_orbit=args.max_orbit)
@@ -139,8 +139,8 @@ def _cmd_classify(rg, args):
 
 def _cmd_equal(rg, args):
     setting = rg.setting()
-    c1 = _character(rg, setting, rg.values, "values")
-    c2 = _character(rg, setting, rg.values2, "values2")
+    c1 = _character(setting, rg.values, "values")
+    c2 = _character(setting, rg.values2, "values2")
     same = parameters_equal(setting, SatakeParameter(c1), SatakeParameter(c2),
                             max_orbit=args.max_orbit)
     result = {"group": setting.group.describe(), "equal": same}

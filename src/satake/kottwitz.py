@@ -18,7 +18,7 @@ from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
                       induced_endomorphism, invariants_of_induced_action,
                       subgroup_coordinates)
 from .circle import ExactCircle
-from .matrices import IntMatrix
+from .matrices import IntMatrix, hstack
 from .rootdata import (FoldingError, automorphism_order, check_twist_relation,
                        folded_generators, mulclose, search)
 
@@ -185,26 +185,33 @@ def _action_key(hom):
     return tuple(map(hom.target.reduce, hom.matrix.columns()))
 
 
-def _restrict_to_kottwitz(chom, kg_source, kg_target):
-    """The map T/T_0 -> T'/T'_0 that a map of coinvariants carrying the
-    source's invariant subgroup into the target's restricts to: the
-    columns of chom.matrix @ inclusion.matrix, solved in T'/T'_0 in one
-    call, which reduces them.  Not reducing between the factors is exact,
-    since chom is a checked GroupHom: it carries relations to relations."""
-    product = chom.matrix @ kg_source.inclusion.matrix
-    cols = kg_target.inclusion.preimages(product.columns())
+def descend_to_kottwitz(kg, ambient_matrices, kg_target=None):
+    """The maps T/T_0 -> T'/T'_0 (`kg_target`, by default kg) of cochar-
+    lattice maps commuting with tau (so each descends to a map of
+    coinvariants, checked as a GroupHom, which carries relations to
+    relations) and sigma (so it carries T/T_0 into T'/T'_0): proj times
+    the maps side by side, the blocks one above another times lift and
+    the inclusion, the columns solved in T'/T'_0 in one call."""
+    kg_target = kg_target or kg
+    cs, ct, n, k = (kg.coinvariants, kg_target.coinvariants, kg.torus.rank,
+                    len(ambient_matrices))
+    if any(m.ncols != n for m in ambient_matrices):
+        raise ValueError("a map does not start on the source lattice")
+    side = (ct.proj @ hstack(*ambient_matrices)).data if k else ()
+    blocks = IntMatrix._trusted(tuple(row[i:i + n] for i in range(
+        0, k * n, n) for row in side), n) @ cs.lift
+    c, g = ct.ngens, kg.group.ngens
+    for i in range(k):  # raises unless each block maps relations to relations
+        GroupHom(cs, ct, IntMatrix._trusted(blocks.data[i * c:(i + 1) * c],
+                                            cs.ngens))
+    rows = (blocks @ kg.inclusion.matrix).transpose().data
+    cols = kg_target.inclusion.preimages([row[i * c:(i + 1) * c]
+                                          for i in range(k) for row in rows])
     if None in cols:
         raise ValueError("the map does not carry T/T_0 into T'/T'_0")
-    return GroupHom(kg_source.group, kg_target.group,
-                    IntMatrix.from_columns(cols, nrows=kg_target.group.ngens))
-
-
-def descend_to_kottwitz(kg, ambient_matrix):
-    """GroupHom on T/T_0 induced by a cochar-lattice map commuting with
-    tau (so it descends to coinvariants) and sigma (so it preserves the
-    invariant subgroup)."""
-    return _restrict_to_kottwitz(
-        induced_endomorphism(kg.coinvariants, ambient_matrix), kg, kg)
+    return [GroupHom(kg.group, kg_target.group, IntMatrix.from_columns(
+        cols[i * g:(i + 1) * g], nrows=kg_target.group.ngens))
+            for i in range(k)]
 
 
 class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
@@ -224,31 +231,29 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
 
     @cached_property
     def weyl_generators(self):
-        """Automorphisms of T/T_0 (deduplicated, identity left out): the
-        relative Weyl group is the tau,sigma-fixed subgroup of the Weyl
-        group, given by its folded generators, acting through
-        coinvariants.
-
-        A Weyl element w of the character lattice acts on the cocharacter
-        lattice by w^-T; each folded generator is the longest element of a
-        parabolic, an involution, so that is its transpose.  Each
-        descended generator is checked to square to the identity on
-        T/T_0 (FoldingError otherwise), so it is an automorphism, which
-        `weyl_orbit` relies on.  The square is M @ M reduced once, exact
-        as the descended map is a checked GroupHom."""
-        if self.datum is None:
+        """Automorphisms of T/T_0 (deduplicated, identity left out) that
+        generate the relative Weyl group, the tau,sigma-fixed Weyl
+        subgroup: its folded generators w, each an involution, so acting
+        on the cocharacter lattice by w^-T = w^T, descended all at once.
+        Each must square to the identity on T/T_0 (FoldingError
+        otherwise), so it is an automorphism, which `weyl_orbit` relies
+        on; M @ M reduced once is exact, M being a checked GroupHom."""
+        if self.datum is None or not self.datum.simple_indices:
             return ()
-        torus, kg = self.torus, self.kottwitz
-        identity = _action_key(GroupHom.identity(kg.group))
-        homs = {}
-        for w_char in folded_generators(self.datum, self.action.tau,
-                                        self.action.sigma):
-            w = w_char.transpose()
-            if (w @ torus.tau != torus.tau @ w
-                    or w @ torus.sigma != torus.sigma @ w):
+        torus, kg, n = self.torus, self.kottwitz, self.torus.rank
+        chars = folded_generators(self.datum, self.action.tau,
+                                  self.action.sigma)
+        gens = [w.transpose() for w in chars]
+        side, stacked = hstack(*gens), hstack(*chars).transpose()
+        for g in (torus.tau, torus.sigma):
+            # g [w_1|...|w_k] against the blocks of [w_1; ...; w_k] g
+            wg = (stacked @ g).data
+            if (g @ side).data != tuple(sum(wg[r::n], ()) for r in range(n)):
                 raise FoldingError("folded generator does not centralize the"
                                    " Galois action")
-            hom = descend_to_kottwitz(kg, w)
+        identity = _action_key(GroupHom.identity(kg.group))
+        homs = {}
+        for hom in descend_to_kottwitz(kg, gens):
             key = _action_key(hom)
             if key == identity or key in homs:
                 continue
@@ -363,7 +368,7 @@ def kottwitz_hom(matrix, kg_source, kg_target):
         raise ValueError("map is not sigma-equivariant")
     cs, ct = kg_source.coinvariants, kg_target.coinvariants
     chom = GroupHom(cs, ct, ct.proj @ matrix @ cs.lift)
-    return _restrict_to_kottwitz(chom, kg_source, kg_target), chom
+    return descend_to_kottwitz(kg_source, [matrix], kg_target)[0], chom
 
 
 class Envelope(namedtuple("Envelope", "torus prime embed norm degree")):

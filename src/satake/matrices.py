@@ -68,13 +68,13 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, m, n):
-        return cls([[0] * n for _ in range(m)], ncols=n)
+        return cls._trusted(((0,) * n,) * m, n)
 
     @classmethod
     def diagonal(cls, entries):
         k = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(k)]
-                    for i in range(k)], ncols=k)
+        return cls._trusted(tuple((0,) * i + (d,) + (0,) * (k - 1 - i)
+                                  for i, d in enumerate(entries)), k)
 
     @classmethod
     def from_columns(cls, columns, nrows=None):
@@ -82,8 +82,9 @@ class IntMatrix:
             nrows = len(columns[0])
         elif nrows is None:
             raise ValueError("empty column list needs an explicit row count")
-        return cls([[col[i] for col in columns] for i in range(nrows)],
-                   ncols=len(columns))
+        if any(len(col) != nrows for col in columns):
+            raise ValueError("columns of unequal length")
+        return cls._trusted(tuple(zip(*columns)) or ((),) * nrows, len(columns))
 
     @property
     def shape(self):
@@ -155,14 +156,13 @@ class IntMatrix:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative power")
-        out = IntMatrix.identity(self.nrows)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             k >>= 1
-        return out
+            base = base @ base if k else base
+        return IntMatrix.identity(self.nrows) if out is None else out
 
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination.
@@ -419,12 +419,14 @@ def smith_normal_form(matrix, with_v=True):
 
 
 def images(matrix, vectors):
-    """matrix @ v for each of the int tuples v: the rows of one product,
-    the vectors as rows times the transpose."""
+    """matrix @ v for each of the int tuples v: the columns of one product
+    with the vectors as columns, a loop over the few rows of the matrix."""
     if any(len(v) != matrix.ncols for v in vectors):
         raise ValueError("vector length does not match column count")
-    vectors = IntMatrix._trusted(tuple(vectors), matrix.ncols)
-    return (vectors @ matrix.transpose()).data
+    if not (matrix.nrows and vectors):
+        return ((),) * len(vectors)
+    columns = IntMatrix._trusted(tuple(zip(*vectors)), len(vectors))
+    return tuple(zip(*(matrix @ columns).data))
 
 
 class LinearSolver(namedtuple("LinearSolver", "left den consistency")):

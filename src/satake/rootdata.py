@@ -473,21 +473,24 @@ def folded_generators(datum, *automorphisms):
     By Steinberg these generate the automorphism-fixed Weyl subgroup.  Each
     longest element is built by descent: starting from the identity, keep
     appending a simple reflection s_j of the orbit while w(alpha_j) is a
-    positive root.
+    positive root, as w s_j = w - (w alpha_j)(alpha_j^)^T.
     """
-    roots = datum.roots
+    roots, coroots, n = datum.roots, datum.coroots, datum.rank
     positive = {roots[i] for i in datum.positive_indices}
     out = []
     for orbit in _simple_orbit_partition(datum, *automorphisms):
         members = sorted(orbit)
-        w = IntMatrix.identity(datum.rank)
+        w = IntMatrix.identity(n).data
         while True:
-            j = next((j for j in members if w.apply(roots[j]) in positive),
-                     None)
-            if j is None:
+            for j in members:
+                image = tuple(_dot(row, roots[j]) for row in w)
+                if image in positive:
+                    break
+            else:
                 break
-            w = w @ datum.reflection_matrix(j)
-        out.append(w)
+            w = tuple(tuple([x - c * y for x, y in zip(row, coroots[j])])
+                      if c else row for row, c in zip(w, image))
+        out.append(IntMatrix._trusted(w, n))
     return out
 
 

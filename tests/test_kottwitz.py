@@ -32,8 +32,8 @@ from satake.presets import cartan_a, flip_negate, split_gl
 from satake.rootdata import (
     BasedRootDatum, CapExceeded, FoldingError, GaloisAction,
     automorphism_order, check_twist_relation, datum_from_simples, dual_datum,
-    folded_generators, galois_action, mulclose, pinned_automorphism,
-    weyl_group,
+    _simple_orbit_partition, folded_generators, galois_action, mulclose,
+    pinned_automorphism, weyl_group,
 )
 from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
@@ -87,7 +87,7 @@ def assert_matches_brute_force(setting, characters):
     fixed = brute_force_fixed_weyl(setting)
     gens = folded_generators(setting.datum, *char_side)
     assert mulclose([w.transpose() for w in gens]) == fixed
-    homs = [descend_to_kottwitz(setting.kottwitz, w) for w in fixed]
+    homs = descend_to_kottwitz(setting.kottwitz, list(fixed))
     for ch in characters:
         assert (set(weyl_orbit(setting, ch.ident()))
                 == brute_force_orbit(homs, ch))
@@ -128,8 +128,8 @@ ORBIT_PRESETS = ("split GL3", "split Sp4", "split SO5", "flip A3", "flip D4",
 @lru_cache(maxsize=None)
 def oracle_setting(name):
     setting = resolve(preset=name).setting()
-    homs = tuple(descend_to_kottwitz(setting.kottwitz, w)
-                 for w in brute_force_fixed_weyl(setting))
+    homs = tuple(descend_to_kottwitz(setting.kottwitz,
+                                     list(brute_force_fixed_weyl(setting))))
     return setting, homs
 
 
@@ -309,7 +309,7 @@ def test_a_generator_that_is_not_an_involution_is_refused(monkeypatch):
     assert setting.group.describe() == "Z"
     doubling = GroupHom(setting.group, setting.group, IntMatrix([[2]]))
     monkeypatch.setattr("satake.kottwitz.descend_to_kottwitz",
-                        lambda kg, w: doubling)
+                        lambda kg, ws: [doubling] * len(ws))
     with pytest.raises(FoldingError, match="involution"):
         setting.weyl_generators
 
@@ -323,7 +323,7 @@ def test_an_involution_modulo_torsion_is_kept(monkeypatch):
                                                              [0, -1]]))
     assert (flip.matrix @ flip.matrix).data == ((9, 2), (0, 1))
     monkeypatch.setattr("satake.kottwitz.descend_to_kottwitz",
-                        lambda kg, w: flip)
+                        lambda kg, ws: [flip] * len(ws))
     assert setting.weyl_generators == (flip,)
 
 
@@ -337,7 +337,7 @@ def action_key_by_unit(hom):
 
 
 def restrict_by_unit(chom, kg_source, kg_target):
-    """The reference for `_restrict_to_kottwitz`: each generator of T/T_0
+    """The reference for `descend_to_kottwitz`: each generator of T/T_0
     included, mapped by chom and solved in T'/T'_0, one at a time."""
     k = kg_source.group.ngens
     cols = []
@@ -399,6 +399,41 @@ def test_weyl_descent_matches_unit_vectors_on_the_grid(name):
             assert _action_key(hom) == action_key_by_unit(hom)
             assert (_action_key(hom.compose(hom))
                     == tuple(map(hom, action_key_by_unit(hom))))
+
+
+def folded_generators_by_products(datum, *automorphisms):
+    """The reference for `folded_generators`: each descent step the
+    product w @ s_j with the full reflection matrix of alpha_j."""
+    positive = set(datum.positive_roots())
+    out = []
+    for orbit in _simple_orbit_partition(datum, *automorphisms):
+        w = IntMatrix.identity(datum.rank)
+        while True:
+            j = next((j for j in sorted(orbit)
+                      if w.apply(datum.roots[j]) in positive), None)
+            if j is None:
+                break
+            w = w @ datum.reflection_matrix(j)
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SETTINGS))
+def test_folded_generators_match_reflection_products_on_the_grid(name):
+    setting = GRID_SETTINGS[name]
+    for auts in ((), (setting.action.tau,),
+                 (setting.action.tau, setting.action.sigma)):
+        assert (folded_generators(setting.datum, *auts)
+                == folded_generators_by_products(setting.datum, *auts))
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=random_twisted_data())
+def test_folded_generators_match_reflection_products_on_random_data(config):
+    rg = resolve(config)
+    for auts in ((), (rg.action.tau,), (rg.action.tau, rg.action.sigma)):
+        assert (folded_generators(rg.datum, *auts)
+                == folded_generators_by_products(rg.datum, *auts))
 
 
 @st.composite
@@ -519,10 +554,10 @@ def test_descending_generators_factors_the_inclusion_once(name, monkeypatch):
     for module in list(sys.modules.values()):
         if getattr(module, "smith_normal_form", None) is real:
             monkeypatch.setattr(module, "smith_normal_form", counting)
-    homs = [descend_to_kottwitz(kg, w) for w in gens]
+    homs = descend_to_kottwitz(kg, gens)
     assert len(calls) == 1
     assert [h.matrix for h in homs] == [
-        descend_to_kottwitz(setting.kottwitz, w).matrix for w in gens]
+        descend_to_kottwitz(setting.kottwitz, [w])[0].matrix for w in gens]
 
 
 def test_twist_relation_is_checked_without_inverses():
@@ -633,8 +668,12 @@ def test_sl2_classification():
     assert cls.orbit_size == 2
     assert cls.representative.character.values[0] == QINV
     assert classify(setting, par(ONE)).orbit_size == 1
-    reflection = descend_to_kottwitz(setting.kottwitz, IntMatrix([[-1]]))
+    reflection, = descend_to_kottwitz(setting.kottwitz, [IntMatrix([[-1]])])
     assert par(Q).character.precompose(reflection).values[0] == QINV
+    assert descend_to_kottwitz(setting.kottwitz, []) == []
+    with pytest.raises(ValueError, match="source lattice"):
+        descend_to_kottwitz(setting.kottwitz,
+                            [IntMatrix([[-1]]), IntMatrix([[-1, 0]])])
 
 
 def test_gl2_classification_and_modulus():

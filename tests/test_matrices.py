@@ -5,14 +5,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_decomp, \
     smith_normal_form as sympy_smith
 
 from satake.matrices import (
-    IntMatrix, column_span_basis, hstack, kernel_basis, linear_solver,
-    smith_normal_form,
+    IntMatrix, column_span_basis, hstack, images, kernel_basis,
+    linear_solver, smith_normal_form,
 )
 from satake.abelian import FgAbGroup, GroupHom
 from satake.kottwitz import build_induced_torus
@@ -422,6 +422,65 @@ def test_products_match_sympy(pair):
     expected = (as_sympy(left) * as_sympy(right)).tolist()
     assert product == IntMatrix(expected, ncols=right.ncols)
     assert all(type(x) is int for row in product.data for x in row)
+
+
+@st.composite
+def matrices_and_vectors(draw, max_dim=6):
+    """A matrix of any shape, no rows or no columns included, and a list
+    of vectors of its column count, the empty list included."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    entries = st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-9, 9))
+    matrix = IntMatrix([[draw(entries) for _ in range(n)] for _ in range(m)],
+                       ncols=n)
+    return matrix, draw(st.lists(st.tuples(*[entries] * n), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrices_and_vectors())
+@example(case=(IntMatrix([], ncols=3), [(1, 2, 3), (0, 0, 0)]))
+@example(case=(IntMatrix([], ncols=0), [(), ()]))
+@example(case=(IntMatrix([[], []]), [(), (), ()]))
+@example(case=(IntMatrix([[1, 2], [3, 4]]), []))
+@example(case=(IntMatrix([], ncols=2), []))
+def test_images_match_apply(case):
+    """`images` against `apply` one vector at a time: one image per
+    vector, also an empty one when the matrix has no rows."""
+    matrix, vectors = case
+    got = images(matrix, vectors)
+    assert list(got) == [matrix.apply(v) for v in vectors]
+    assert all(type(x) is int for image in got for x in image)
+
+
+def test_full_rank_solver_keeps_every_vector():
+    """A full-rank system has a consistency matrix with no rows; every
+    right-hand side still gets its numerators."""
+    solver = linear_solver(IntMatrix([[2, 1], [0, 1]]))
+    assert solver.consistency.nrows == 0
+    assert solver.numerators([(1, 1), (2, 0)]) == [(0, 2), (2, 0)]
+
+
+def test_power_matches_repeated_products(monkeypatch):
+    """power(k) by squaring: no product for k = 1, and no squaring past
+    the top bit nor product with the identity."""
+    a = IntMatrix([[1, 2], [-1, 3]])
+    expected = IntMatrix.identity(2)
+    for k in range(8):
+        assert a.power(k) == expected
+        expected = expected @ a
+    real = IntMatrix.__matmul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    for k in range(8):
+        calls.clear()
+        a.power(k)
+        assert len(calls) == max(k.bit_length() + bin(k).count("1") - 2, 0)
+    calls.clear()
+    assert a.power(1) == a and not calls
 
 
 def test_permutation_matrix_det_and_products():
