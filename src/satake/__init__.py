@@ -25,7 +25,7 @@ from .kottwitz import Envelope, KottwitzGroup, ParameterClass, \
     SatakeParameter, SphericalSetting, TorusWithAction, build_induced_torus, \
     character_from_dual_point, classify, cochar_torus, descend_to_kottwitz, \
     induced_character, induced_envelope, induced_torus_cocycle, kottwitz_group, \
-    kottwitz_hom, maximal_compact_quotient, modulus_character, orbit_class, \
+    kottwitz_hom, maximal_compact_quotient, modulus_character, \
     parameter_from_character, parameters_equal, setting_for_datum, \
     setting_for_torus, weyl_orbit
 from .matrices import IntMatrix, LinearSolver, SmithForm, column_span_basis, \

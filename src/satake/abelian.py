@@ -6,22 +6,21 @@ lattice: a projection taking ambient vectors to canonical-generator
 coordinates and a lift the other way.  Canonical generators are ordered
 torsion first, then free.
 
-Homomorphisms are integer matrices on canonical generators.  Characters
-take values in the exact circle group but are stored as integer
-numerators over one least common denominator, so precomposition is an
-integer vector times matrix product and `ExactCircle` values are built
-only to parse or render them.  Kernels of homomorphisms are
-computed by lifting to the presentation and adjoining relation columns
-(a congruence-augmented integer system), so groups with torsion need no
-special casing.
+Homomorphisms are integer matrices on canonical generators.  A character
+takes values in the exact circle group but is stored as its integer ident
+(den, q_0, a_0, q_1, a_1, ...) over its least denominator: precomposition
+follows the ident along a matrix's nonzero entries (`_follow`), values
+print from it (`circle.render_value`), and `ExactCircle` values are built
+only on demand.  Kernels of homomorphisms are computed by lifting to the
+presentation and adjoining relation columns (a congruence-augmented
+integer system), so groups with torsion need no special casing.
 """
 
 from fractions import Fraction
 from itertools import chain, product as iter_product
 from math import gcd, lcm, prod
-from operator import mul
 
-from .circle import ExactCircle
+from .circle import ExactCircle, render_value
 from .matrices import (IntMatrix, column_span_basis, hstack, kernel_basis,
                        linear_solver, smith_normal_form)
 
@@ -300,109 +299,116 @@ def subgroup_coordinates(inclusion, coords):
 class GroupCharacter:
     """Character of an FgAbGroup valued in the exact circle.
 
-    Stored as integers over one denominator: the value at canonical
-    generator i is q^(q_nums[i]/den) e(arg_nums[i]/den), with
-    0 <= arg_nums[i] < den and `den` the least common denominator of all
-    the exponents.  `values` builds the ExactCircle values on demand.
-    Torsion constraints are enforced at construction.
+    Stored as its `ident()` (den, q_0, a_0, q_1, a_1, ...): the value at
+    canonical generator i is q^(q_i/den) e(a_i/den), with 0 <= a_i < den
+    and `den` the least common denominator of all the exponents.  `values`
+    builds the ExactCircle values on demand.  Torsion constraints are
+    enforced at construction.
 
     The least denominator depends only on the image of the character, so
     precomposing with an automorphism of the domain keeps it: inside one
     orbit under automorphisms, comparing `ident()` compares `key()`.
     """
 
-    __slots__ = ("domain", "den", "q_nums", "arg_nums")
+    __slots__ = ("domain", "_ident")
 
     def __init__(self, domain, values):
         values = tuple(values)
         if len(values) != domain.ngens:
             raise ValueError("one value per canonical generator is required")
-        den = lcm(*(x.denominator for v in values
-                    for x in (v.q_exponent, v.argument)))
-        self._store(domain, den,
-                    [int(v.q_exponent * den) for v in values],
-                    [int(v.argument * den) for v in values])
+        xs = [x for v in values for x in (v.q_exponent, v.argument)]
+        den = lcm(*(x.denominator for x in xs))
+        self._store(domain, (den, *(int(x * den) for x in xs)))
 
     @classmethod
-    def _from_nums(cls, domain, den, q_nums, arg_nums):
-        """Trusted constructor for callers that already hold numerators
-        over `den`; normalisation and the torsion check still run."""
+    def _from_ident(cls, domain, ident):
+        """Trusted constructor from an ident over any denominator;
+        normalisation and the torsion check still run."""
         self = object.__new__(cls)
-        self._store(domain, den, q_nums, arg_nums)
+        self._store(domain, ident)
         return self
 
-    def _store(self, domain, den, q_nums, arg_nums):
-        arg_nums = [a % den for a in arg_nums]
-        g = gcd(den, *q_nums, *arg_nums)
+    def _store(self, domain, ident):
+        den, nums = ident[0], list(ident[1:])
+        nums[1::2] = [a % den for a in nums[1::2]]
+        g = gcd(den, *nums)
         if g > 1:
             den //= g
-            q_nums = [x // g for x in q_nums]
-            arg_nums = [x // g for x in arg_nums]
-        for q, a, d in zip(q_nums, arg_nums, domain.generator_orders()):
+            nums = [x // g for x in nums]
+        for q, a, d in zip(nums[::2], nums[1::2], domain.generator_orders()):
             if d and (q or d * a % den):
                 raise ValueError(f"value of order-{d} generator must be {d}-torsion")
         self.domain = domain
-        self.den = den
-        self.q_nums = tuple(q_nums)
-        self.arg_nums = tuple(arg_nums)
+        self._ident = (den, *nums)
 
     @property
     def values(self):
         """One ExactCircle per canonical generator."""
-        den = self.den
+        den, nums = self._ident[0], self._ident[1:]
         return tuple(ExactCircle(Fraction(q, den), Fraction(a, den))
-                     for q, a in zip(self.q_nums, self.arg_nums))
+                     for q, a in zip(nums[::2], nums[1::2]))
 
-    def __call__(self, coords):
-        coords = self.domain.reduce(coords)
-        return ExactCircle(Fraction(sum(map(mul, coords, self.q_nums)), self.den),
-                           Fraction(sum(map(mul, coords, self.arg_nums)), self.den))
-
-    def __mul__(self, other):
-        if self.domain != other.domain:
-            raise ValueError("characters of different groups")
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        return GroupCharacter._from_nums(
-            self.domain, den,
-            [s * x + t * y for x, y in zip(self.q_nums, other.q_nums)],
-            [s * x + t * y for x, y in zip(self.arg_nums, other.arg_nums)])
+    def render(self):
+        """The display form of each value, as `ExactCircle.render` gives it."""
+        return _render_ident(self._ident)
 
     def precompose(self, hom):
         """Character of hom.source obtained by following hom first: the
-        numerator vectors times the columns of hom's matrix, renormalised
-        and torsion-checked by `_from_nums`."""
+        ident `_follow`ed along hom's `_moves`, renormalised and
+        torsion-checked by `_from_ident`."""
         if hom.target != self.domain:
             raise ValueError("homomorphism does not land in the character's domain")
-        cols = hom.matrix.columns()
-        return GroupCharacter._from_nums(
-            hom.source, self.den,
-            [sum(map(mul, col, self.q_nums)) for col in cols],
-            [sum(map(mul, col, self.arg_nums)) for col in cols])
+        return GroupCharacter._from_ident(
+            hom.source, _follow(self._ident, _moves(hom.matrix)))
 
     def key(self):
         """Canonical total-order key (basis-dependent, deterministic):
         the (q-exponent, argument) Fractions of each generator."""
-        den = self.den
-        return tuple((Fraction(q, den), Fraction(a, den))
-                     for q, a in zip(self.q_nums, self.arg_nums))
+        return tuple((v.q_exponent, v.argument) for v in self.values)
 
     def ident(self):
         """Canonical integer identity (den, q_0, arg_0, q_1, arg_1, ...):
         equal characters of one domain have equal identities, and where
         `den` agrees the tuples order as `key()` does."""
-        return (self.den, *chain.from_iterable(zip(self.q_nums, self.arg_nums)))
+        return self._ident
 
     def __eq__(self, other):
         return (isinstance(other, GroupCharacter) and self.domain == other.domain
-                and self.den == other.den and self.q_nums == other.q_nums
-                and self.arg_nums == other.arg_nums)
+                and self._ident == other._ident)
 
     def __hash__(self):
-        return hash((self.domain, self.den, self.q_nums, self.arg_nums))
+        return hash((self.domain, self._ident))
 
     def __repr__(self):
         return f"GroupCharacter({self.domain!r}, {self.values!r})"
+
+
+def _render_ident(ident):
+    den = ident[0]
+    return [render_value(q, a, den) for q, a in zip(ident[1::2], ident[2::2])]
+
+
+def _moves(matrix):
+    """Per column, the pairs (1 + 2 i, c) of its nonzero entries c."""
+    return tuple(tuple((1 + 2 * i, c) for i, c in enumerate(col) if c)
+                 for col in matrix.columns())
+
+
+def _follow(ident, moves):
+    """An ident precomposed with a map given by its `_moves`: 1 + 2 i is
+    row i's q-numerator.  den is kept, least for an automorphism (see
+    `GroupCharacter`), and the arguments are reduced mod den."""
+    den = ident[0]
+    out = [den]
+    for col in moves:
+        if len(col) == 1:
+            (k, c), = col
+            out.append(c * ident[k])
+            out.append(c * ident[k + 1] % den)
+        else:
+            out.append(sum(c * ident[k] for k, c in col))
+            out.append(sum(c * ident[k + 1] for k, c in col) % den)
+    return tuple(out)
 
 
 def _choice_sizes(group, torsion):
@@ -447,5 +453,4 @@ def all_characters(group, torsion=None):
     Free generators require an explicit positive `torsion` bound.
     """
     for ident in character_idents(group, torsion):
-        yield GroupCharacter._from_nums(group, ident[0], ident[1::2],
-                                        ident[2::2])
+        yield GroupCharacter._from_ident(group, ident)

@@ -6,9 +6,10 @@ applications, the residue field cardinality); the group law is
 componentwise addition of exponents.  The group is divisible, which is
 what makes restriction of characters along subgroup inclusions onto.
 
-This is the type in which character values are parsed and rendered;
-characters themselves (`abelian.GroupCharacter`) store integer numerators
-over a common denominator and build these values on demand.
+This is the type in which character values are parsed; characters
+themselves (`abelian.GroupCharacter`) are stored as integer idents and
+build these values on demand.  Every value, of either kind, is printed by
+`render_value` from integer numerators over one denominator.
 
 >>> z = ExactCircle(1, Fraction(3, 8))
 >>> z * z.inverse() == ONE
@@ -16,6 +17,7 @@ True
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ExactCircle:
@@ -61,12 +63,25 @@ class ExactCircle:
 
     def render(self):
         """Deterministic display form, e.g. 'q^-1/2 e(3/8)' or '1'."""
-        parts = []
-        if self.q_exponent != 0:
-            parts.append(f"q^{self.q_exponent}")
-        if self.argument != 0:
-            parts.append(f"e({self.argument})")
-        return " ".join(parts) if parts else "1"
+        den = lcm(self.q_exponent.denominator, self.argument.denominator)
+        return render_value(int(self.q_exponent * den),
+                            int(self.argument * den), den)
+
+
+def _ratio(n, den):
+    g = gcd(n, den)
+    return f"{n // g}" if g == den else f"{n // g}/{den // g}"
+
+
+def render_value(q, a, den):
+    """The display form of q^(q/den) e(a/den), 0 <= a < den, with each
+    fraction in lowest terms: 'q^-1/2 e(3/8)', or '1' for the unit."""
+    parts = []
+    if q:
+        parts.append(f"q^{_ratio(q, den)}")
+    if a:
+        parts.append(f"e({_ratio(a, den)})")
+    return " ".join(parts) if parts else "1"
 
 
 ONE = ExactCircle(0, 0)

@@ -19,17 +19,19 @@ exceeded.
 import argparse
 import sys
 
-from .abelian import GroupCharacter, character_count, character_idents
+from .abelian import GroupCharacter, _follow, _render_ident, \
+    character_count, character_idents
 from .circle import ExactCircle
 from .components import check_center_covers_components, \
     check_fixed_weyl_is_folded, check_tad_connected
 from .config import ConfigError, GroupConfig, parse_config, resolve
 from .kottwitz import SatakeParameter, character_from_dual_point, \
     classify, induced_character, induced_torus_cocycle, kottwitz_group, \
-    maximal_compact_quotient, modulus_character, orbit_class, \
-    parameter_from_character, parameters_equal, weyl_orbit
+    maximal_compact_quotient, modulus_character, parameter_from_character, \
+    parameters_equal
 from .report import build_report, render_report
-from .rootdata import CapExceeded, DEFAULT_WEYL_CAP, restricted_root_data
+from .rootdata import CapExceeded, DEFAULT_WEYL_CAP, _orbits, \
+    restricted_root_data
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +113,7 @@ def _cmd_cocycle(rg, args):
     result = {
         "chi": list(chi),
         "value": c.render(),
-        "character": [v.render() for v in recovered.values],
+        "character": recovered.render(),
         "round_trip": recovered == expected,
     }
     return build_report("cocycle", _inputs(rg), result)
@@ -131,7 +133,7 @@ def _cmd_classify(rg, args):
                    max_orbit=args.max_orbit)
     result = {
         "group": setting.group.describe(),
-        "canonical": [v.render() for v in cls.representative.character.values],
+        "canonical": cls.representative.character.render(),
         "orbit_size": cls.orbit_size,
     }
     return build_report("classify", _inputs(rg), result)
@@ -182,8 +184,8 @@ def _cmd_verify_ks(rg, args):
 
 def _cmd_modulus(rg, args):
     setting = rg.setting()
-    values = [v.render() for v in modulus_character(setting).values]
-    result = {"group": setting.group.describe(), "values": values}
+    result = {"group": setting.group.describe(),
+              "values": modulus_character(setting).render()}
     return build_report("modulus", _inputs(rg), result)
 
 
@@ -201,20 +203,11 @@ def _cmd_orbits(rg, args):
             f"over the cap {args.max_orbit}")
     # each orbit is searched once, from its first ident; all share one
     # denominator, so the least idents order the classes by their key()
-    orbits = []
-    visited = set()
-    for ident in character_idents(setting.group, args.torsion):
-        if ident not in visited:
-            orbit = weyl_orbit(setting, ident, args.max_orbit)
-            visited.update(orbit)
-            orbits.append(orbit)
-    listed = []
-    for orbit in sorted(orbits, key=min):
-        cls = orbit_class(setting, orbit)
-        listed.append({
-            "values": [v.render() for v in cls.representative.character.values],
-            "orbit_size": cls.orbit_size,
-        })
+    orbits = _orbits(character_idents(setting.group, args.torsion),
+                     setting.orbit_moves, _follow, args.max_orbit,
+                     "orbit enumeration")
+    listed = [{"values": _render_ident(least), "orbit_size": size}
+              for least, size in sorted((min(o), len(o)) for o in orbits)]
     result = {
         "group": setting.group.describe(),
         "torsion": args.torsion,

@@ -14,11 +14,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .abelian import (FgAbGroup, GroupCharacter, GroupHom, coinvariants,
-                      induced_endomorphism, invariants_of_induced_action,
-                      subgroup_coordinates)
+from .abelian import (FgAbGroup, GroupCharacter, GroupHom, _follow, _moves,
+                      coinvariants, induced_endomorphism,
+                      invariants_of_induced_action, subgroup_coordinates)
 from .circle import ExactCircle
-from .matrices import IntMatrix, hstack
+from .matrices import ORDER_CAP, IntMatrix, hstack
 from .rootdata import (FoldingError, automorphism_order, check_twist_relation,
                        folded_generators, mulclose, search)
 
@@ -265,8 +265,7 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
 
     @cached_property
     def orbit_moves(self):
-        """Each of `weyl_generators` as its columns' nonzero entries c, as
-        pairs (1 + 2 i, c), 1 + 2 i being row i's q-numerator in an ident."""
+        """Each of `weyl_generators` as its `_moves`, for `_follow`."""
         return tuple(_moves(hom.matrix) for hom in self.weyl_generators)
 
 
@@ -280,43 +279,12 @@ def setting_for_datum(datum, action):
     return SphericalSetting(datum, action, torus, kottwitz_group(torus))
 
 
-def _moves(matrix):
-    return tuple(tuple((1 + 2 * i, c) for i, c in enumerate(col) if c)
-                 for col in matrix.columns())
-
-
-def _follow(ident, moves):
-    """The ident of a character precomposed with an automorphism given by
-    its `_moves`: den is kept, as an automorphism keeps it (see
-    `GroupCharacter`), and the arguments are reduced mod den."""
-    den = ident[0]
-    out = [den]
-    for col in moves:
-        if len(col) == 1:
-            (k, c), = col
-            out.append(c * ident[k])
-            out.append(c * ident[k + 1] % den)
-        else:
-            out.append(sum(c * ident[k] for k, c in col))
-            out.append(sum(c * ident[k + 1] for k, c in col) % den)
-    return tuple(out)
-
-
 def weyl_orbit(setting, ident, max_orbit=None):
     """The relative Weyl orbit of a character's `ident()`, as idents over its
     denominator, found breadth-first along `orbit_moves` (a finite group's
     orbit is closed under its generators alone); `max_orbit` caps its size."""
     return search([ident], setting.orbit_moves, _follow, max_orbit,
                   "orbit enumeration")
-
-
-def orbit_class(setting, orbit):
-    """The ParameterClass of an orbit of idents over one denominator: its
-    least member (the least `key()`) as a character, and its size."""
-    best = min(orbit)
-    character = GroupCharacter._from_nums(setting.group, best[0], best[1::2],
-                                          best[2::2])
-    return ParameterClass(SatakeParameter(character), len(orbit))
 
 
 def _ident_on(setting, parameter):
@@ -327,10 +295,12 @@ def _ident_on(setting, parameter):
 
 def classify(setting, parameter, max_orbit=None):
     """Canonical form of a parameter modulo the relative Weyl group: the
-    `orbit_class` of its orbit (`weyl_orbit`, whose size `max_orbit`
-    caps), all over the parameter's least denominator (see `_follow`)."""
+    least member of its orbit (`weyl_orbit`, whose size `max_orbit` caps),
+    all over the parameter's least denominator, so the least `key()`, and
+    the orbit's size."""
     orbit = weyl_orbit(setting, _ident_on(setting, parameter), max_orbit)
-    return orbit_class(setting, orbit)
+    return ParameterClass(SatakeParameter(GroupCharacter._from_ident(
+        setting.group, min(orbit))), len(orbit))
 
 
 def parameters_equal(setting, p1, p2, max_orbit=None):
@@ -390,7 +360,7 @@ def induced_envelope(torus, n):
 
     Requires the action group A = <tau, sigma> to have order dividing n.
     """
-    group_a = sorted(mulclose([torus.tau, torus.sigma], cap=10 ** 4),
+    group_a = sorted(mulclose([torus.tau, torus.sigma], cap=ORDER_CAP),
                      key=lambda m: m.key())
     if n < 1 or n % len(group_a) != 0:
         raise ValueError("action does not factor through a group of order"

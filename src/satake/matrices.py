@@ -11,6 +11,9 @@ from collections import namedtuple
 from math import lcm
 from operator import add, mul, sub
 
+# the largest order of a lattice automorphism, or of a group of them
+ORDER_CAP = 10 ** 4
+
 
 class IntMatrix:
     """An immutable integer matrix.
@@ -200,7 +203,7 @@ class IntMatrix:
     def is_unimodular(self):
         return self.nrows == self.ncols and self.det() in (1, -1)
 
-    def multiplicative_order(self, cap=10**6):
+    def multiplicative_order(self, cap=ORDER_CAP):
         """Least k >= 1 with self**k = 1; raises if cap is passed.
 
         The eigenvalues of a finite-order matrix are roots of unity, so

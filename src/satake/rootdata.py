@@ -259,7 +259,7 @@ def automorphism_order(matrix, rank, name):
         raise ValueError(f"{name} does not act on a rank-{rank} lattice")
     if not matrix.is_unimodular():
         raise ValueError(f"{name} is not a lattice automorphism")
-    return matrix.multiplicative_order(cap=10 ** 4)
+    return matrix.multiplicative_order()
 
 
 class PinnedAutomorphism(namedtuple("PinnedAutomorphism", "matrix order")):
@@ -442,15 +442,17 @@ def weyl_group(datum, cap=DEFAULT_WEYL_CAP):
                      datum.coroots)
 
 
-def _orbits(indices, generators, step=lambda i, perm: perm[i]):
+def _orbits(indices, generators, step=lambda i, perm: perm[i], cap=None,
+            stage=""):
     """Orbits on `indices` under the moves i -> step(i, g), by default
     the maps `generators` (each indexable by an index), in breadth-first
-    order and ordered by their first member in `indices`."""
+    order and ordered by their first member in `indices`; `search` caps
+    each at `cap` elements."""
     seen = set()
     orbits = []
     for i in indices:
         if i not in seen:
-            orbit = tuple(search([i], generators, step))
+            orbit = tuple(search([i], generators, step, cap, stage))
             seen.update(orbit)
             orbits.append(orbit)
     return orbits

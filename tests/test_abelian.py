@@ -13,7 +13,7 @@ from satake.abelian import (
     invariants_of_induced_action, kernel_of_hom, subgroup_coordinates,
 )
 from satake.circle import ExactCircle, ONE
-from satake.kottwitz import _follow, _moves
+from satake.abelian import _follow, _moves
 from satake.matrices import IntMatrix
 
 
@@ -126,11 +126,10 @@ def test_character_torsion_constraint():
     with pytest.raises(ValueError):
         GroupCharacter(g, (ExactCircle(0, Fraction(1, 3)), ONE))
     chi = GroupCharacter(g, (ExactCircle(0, Fraction(1, 2)), ExactCircle(1, 0)))
-    assert chi((1, 2)) == ExactCircle(2, Fraction(1, 2))
-    assert chi((2, 0)) == ONE
-    assert chi * inverse(chi) == GroupCharacter(g, (ONE, ONE))
-    assert GroupCharacter(g, (ONE, ONE)).q_nums == (0, 0)
-    assert GroupCharacter(g, (ONE, ONE)).arg_nums == (0, 0)
+    assert evaluate(chi, (1, 2)) == ExactCircle(2, Fraction(1, 2))
+    assert evaluate(chi, (2, 0)) == ONE
+    assert times(chi, inverse(chi)) == GroupCharacter(g, (ONE, ONE))
+    assert GroupCharacter(g, (ONE, ONE)).ident() == (1, 0, 0, 0, 0)
 
 
 def test_character_precompose():
@@ -169,8 +168,7 @@ def test_character_idents_enumerate_all_characters(group, torsion):
     place; there are `character_count` of them, and as they share one
     denominator, sorting the idents sorts the characters by `key()`."""
     idents = list(character_idents(group, torsion))
-    chars = [GroupCharacter._from_nums(group, k[0], k[1::2], k[2::2])
-             for k in idents]
+    chars = [GroupCharacter._from_ident(group, k) for k in idents]
     assert chars == list(all_characters(group, torsion))
     assert len(idents) == character_count(group, torsion)
     assert len({k[0] for k in idents}) == 1
@@ -198,6 +196,20 @@ def inverse(character):
     """The inverse character, value by value in ExactCircle."""
     return GroupCharacter(character.domain,
                           [v.inverse() for v in character.values])
+
+
+def times(chi, psi):
+    """The product character, value by value in ExactCircle."""
+    return GroupCharacter(chi.domain,
+                          [a * b for a, b in zip(chi.values, psi.values)])
+
+
+def evaluate(character, coords):
+    """The value at an element: prod_i v_i ** c_i in ExactCircle."""
+    acc = ONE
+    for c, v in zip(character.domain.reduce(coords), character.values):
+        acc = acc * (v ** c)
+    return acc
 
 
 def precompose_oracle(character, hom):
@@ -267,13 +279,21 @@ def test_precompose_matches_circle_products(data):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
+def test_character_renders_its_values(data):
+    chi = data.draw(characters(data.draw(small_groups())))
+    assert chi.render() == [v.render() for v in chi.values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
 def test_precompose_homomorphism_laws(data):
     a = data.draw(small_groups())
     chi, psi = data.draw(characters(a)), data.draw(characters(a))
     f = data.draw(homs_into(a))
     g = data.draw(homs_into(f.source))
     assert chi.precompose(f.compose(g)) == chi.precompose(f).precompose(g)
-    assert (chi * psi).precompose(f) == chi.precompose(f) * psi.precompose(f)
+    assert times(chi, psi).precompose(f) == times(chi.precompose(f),
+                                                  psi.precompose(f))
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,17 +302,17 @@ def test_character_identity_is_canonical(data):
     group = data.draw(small_groups())
     chi, psi = data.draw(characters(group)), data.draw(characters(group))
     # (chi psi) psi^-1 passes through a larger common denominator
-    back = (chi * psi) * inverse(psi)
+    back = times(times(chi, psi), inverse(psi))
     rebuilt = GroupCharacter(group, chi.values)
     for other in (back, rebuilt):
         assert other == chi
         assert hash(other) == hash(chi)
         assert other.ident() == chi.ident()
-        assert (other.den, other.q_nums, other.arg_nums) == \
-            (chi.den, chi.q_nums, chi.arg_nums)
-    assert chi * inverse(chi) == GroupCharacter(group, [ONE] * group.ngens)
-    assert (chi * inverse(chi)).den == 1
-    assert all(0 <= a < chi.den for a in chi.arg_nums)
+    trivial = times(chi, inverse(chi))
+    assert trivial == GroupCharacter(group, [ONE] * group.ngens)
+    assert trivial.ident()[0] == 1
+    den = chi.ident()[0]
+    assert all(0 <= a < den for a in chi.ident()[2::2])
 
 
 def test_equal_characters_from_different_denominators():
@@ -303,12 +323,12 @@ def test_equal_characters_from_different_denominators():
     b = GroupCharacter(z6, (ExactCircle(0, Fraction(1, 2)),
                             ExactCircle(Fraction(1, 2), Fraction(2, 3))))
     assert a == b and hash(a) == hash(b)
-    assert (a.den, a.q_nums, a.arg_nums) == (6, (0, 3), (3, 4))
+    assert a.ident() == (6, 0, 3, 3, 4)
     c = GroupCharacter(z6, (ExactCircle(0, Fraction(1, 3)),
                             ExactCircle(0, Fraction(1, 3))))
     triple = GroupHom(z6, z6, IntMatrix([[3, 0], [0, 3]]))
     assert c.precompose(triple) == GroupCharacter(z6, (ONE, ONE))
-    assert c.precompose(triple).den == 1
+    assert c.precompose(triple).ident()[0] == 1
 
 
 # --- the trusted path for automorphisms against the checked one --------------
@@ -340,7 +360,7 @@ def automorphisms(draw, group):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_automorphism_precompose_equals_the_checked_path(data):
-    """`kottwitz._follow` keeps the old denominator and only reduces the
+    """`_follow` keeps the old denominator and only reduces the
     arguments; `precompose` renormalises and checks torsion, and must
     find nothing to change.  The elementary factors with c != 0 give
     `_moves` columns of two entries, the others columns of one."""
@@ -374,6 +394,6 @@ def test_only_an_automorphism_skips_the_renormalisation():
     z = FgAbGroup((), 1)
     chi = GroupCharacter(z, (ExactCircle(0, Fraction(1, 2)),))
     doubled = chi.precompose(GroupHom(z, z, IntMatrix([[2]])))
-    assert (doubled.den, doubled.arg_nums) == (1, (0,))
+    assert doubled.ident() == (1, 0, 0)
     assert _moves(IntMatrix([[2]])) == (((1, 2),),)
     assert _follow(chi.ident(), (((1, 2),),)) == (2, 0, 0) != doubled.ident()

@@ -13,14 +13,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom,
+from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom, _moves,
                             all_characters, character_count,
                             induced_endomorphism, subgroup_coordinates)
 from satake.circle import ExactCircle, ONE
 from satake.cli import main
 from satake.config import GroupConfig, resolve, serialize_config
 from satake.kottwitz import (
-    TorusWithAction, _action_key, _moves, build_induced_torus,
+    TorusWithAction, _action_key, build_induced_torus,
     character_from_dual_point, classify, descend_to_kottwitz,
     induced_character, induced_envelope,
     induced_torus_cocycle, kottwitz_group, kottwitz_hom,
@@ -35,6 +35,7 @@ from satake.rootdata import (
     _simple_orbit_partition, folded_generators, galois_action, mulclose,
     pinned_automorphism, weyl_group,
 )
+from test_abelian import evaluate
 from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
 from test_grid import GRID
@@ -161,7 +162,7 @@ def test_weyl_orbit_matches_brute_force(name, data):
     assert cls.representative.character.ident() == min(orbit)
     # the integer order picks the same representative as the Fraction order
     assert cls.key() == min(
-        GroupCharacter._from_nums(setting.group, k[0], k[1::2], k[2::2]).key()
+        GroupCharacter._from_ident(setting.group, k).key()
         for k in orbit)
 
 
@@ -279,6 +280,13 @@ def random_twisted_data(draw):
                        sigma=("matrix", sigma), twist=twist)
 
 
+def cli_result(argv):
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(argv + ["--format", "json"]) == 0
+    return json.loads(out.getvalue())["result"]
+
+
 @settings(max_examples=25, deadline=None)
 @given(config=random_twisted_data())
 def test_orbits_class_count_is_burnside_on_random_data(config,
@@ -290,15 +298,41 @@ def test_orbits_class_count_is_burnside_on_random_data(config,
     path.write_text(serialize_config(config))
     setting = resolve(config).setting()
     for torsion in (2, 3):
-        out = StringIO()
-        with redirect_stdout(out):
-            assert main(["orbits", "--config", str(path), "--torsion",
-                         str(torsion), "--format", "json"]) == 0
-        result = json.loads(out.getvalue())["result"]
+        result = cli_result(["orbits", "--config", str(path), "--torsion",
+                             str(torsion)])
         assert result["class_count"] == burnside_class_count(setting, torsion)
         assert (sum(cls["orbit_size"] for cls in result["classes"])
                 == result["character_count"]
                 == character_count(setting.group, torsion))
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=random_twisted_data(), data=st.data())
+def test_classify_equal_and_modulus_on_random_data(config, data,
+                                                    tmp_path_factory):
+    """`classify`, `equal` and `modulus` on random data against the orbit
+    under every element of the brute-force W^Gamma and the per-generator
+    modulus pairing."""
+    setting = resolve(config).setting()
+    homs = descend_to_kottwitz(setting.kottwitz,
+                               list(brute_force_fixed_weyl(setting)))
+    chi = data.draw(bounded_characters(setting.group))
+    orbit = {chi.precompose(hom) for hom in homs}
+    psi = data.draw(bounded_characters(setting.group))
+    moved = data.draw(st.sampled_from(sorted(orbit, key=GroupCharacter.key)))
+    path = tmp_path_factory.mktemp("commands") / "group.cfg"
+    for other, same in ((moved, True), (psi, psi in orbit)):
+        path.write_text(serialize_config(config._replace(
+            values=chi.values, values2=other.values)))
+        result = cli_result(["equal", "--config", str(path)])
+        assert result["equal"] is same
+    least = min(orbit, key=GroupCharacter.key)
+    result = cli_result(["classify", "--config", str(path)])
+    assert result["canonical"] == [v.render() for v in least.values]
+    assert result["orbit_size"] == len(orbit)
+    result = cli_result(["modulus", "--config", str(path)])
+    assert result["values"] == [v.render()
+                                for v in modulus_by_generator(setting)]
 
 
 def test_a_generator_that_is_not_an_involution_is_refused(monkeypatch):
@@ -693,20 +727,20 @@ def test_gl2_classification_and_modulus():
     assert classify(setting, par(Q, Q)).orbit_size == 1
     # 2 rho = (1, -1): the central direction is modulus-free
     delta = modulus_character(setting)
-    assert delta((1, 0)) == QHALF
-    assert delta((1, 1)) == ONE
+    assert evaluate(delta, (1, 0)) == QHALF
+    assert evaluate(delta, (1, 1)) == ONE
 
 
 def test_sl2_modulus_at_coroot():
     delta = modulus_character(unramified_setting(SL2))
-    assert delta((1,)) == Q
-    assert delta((0,)) == ONE
-    assert delta((2,)) == Q ** 2
+    assert evaluate(delta, (1,)) == Q
+    assert evaluate(delta, (0,)) == ONE
+    assert evaluate(delta, (2,)) == Q ** 2
 
 
 def test_torus_setting_modulus_is_trivial():
     setting = setting_for_torus(NORM_ONE)
-    assert modulus_character(setting)((1,)) == ONE
+    assert evaluate(modulus_character(setting), (1,)) == ONE
     assert setting.weyl_generators == ()
 
 
@@ -754,23 +788,6 @@ def test_one_modulus_command_sums_the_positive_roots_once(monkeypatch,
     assert main(["modulus", "--preset", "flip D4"]) == 0
     assert "result.values" in capsys.readouterr().out
     assert len(calls) == 1
-
-
-def test_orbits_builds_one_character_per_class(monkeypatch, capsys):
-    """Characters are enumerated as idents; only each class
-    representative is built as a GroupCharacter."""
-    built = []
-    original = GroupCharacter._from_nums.__func__
-
-    def counted(cls, *args):
-        built.append(args)
-        return original(cls, *args)
-    monkeypatch.setattr(GroupCharacter, "_from_nums", classmethod(counted))
-    assert main(["orbits", "--preset", "split GL3", "--torsion", "4",
-                 "--format", "json"]) == 0
-    result = json.loads(capsys.readouterr().out)["result"]
-    assert result["character_count"] == 64
-    assert len(built) == result["class_count"]
 
 
 def test_each_command_builds_the_orbit_moves_once(monkeypatch, tmp_path,

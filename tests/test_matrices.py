@@ -516,7 +516,7 @@ def test_trusted_results_are_plain_int_tuples():
      [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]],
 ])
 def test_infinite_order_is_refused_by_the_trace(rows):
-    """The trace bound refuses these well before the cap of 10^6."""
+    """The trace bound refuses these well before the cap of `ORDER_CAP`."""
     with pytest.raises(ValueError, match="infinite order"):
         IntMatrix(rows).multiplicative_order()
 

@@ -1,9 +1,13 @@
 """Package surface: one version string, a module-free `__all__`, the
-one-exact-solver decision (the Smith form) kept in the source, a start-up
-that loads no `dataclasses`, and records that stay read-only."""
+one-exact-solver decision (the Smith form), the one stored form,
+precomposition kernel and value renderer of a character kept in the
+source, a start-up that loads no `dataclasses`, records that stay
+read-only, and a `test` extra that lists what the tests import."""
 
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +16,9 @@ from types import ModuleType
 import pytest
 
 import satake
-from satake.abelian import all_characters
+from satake.abelian import GroupCharacter, all_characters
+from satake.circle import ExactCircle
+from satake.cli import main
 from satake.components import check_center_covers_components, \
     check_fixed_weyl_is_folded, check_tad_connected
 from satake.config import parse_config, resolve
@@ -25,12 +31,31 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "satake"
 
 
-def test_version_lives_in_pyproject_and_the_package():
+def _project():
     tomllib = pytest.importorskip("tomllib")   # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        project = tomllib.load(fh)["project"]
-    assert project["version"] == satake.__version__
+        return tomllib.load(fh)["project"]
+
+
+def test_version_lives_in_pyproject_and_the_package():
+    assert _project()["version"] == satake.__version__
     assert build_report("kottwitz", {}, {})["version"] == satake.__version__
+
+
+def test_the_test_extra_lists_every_third_party_test_import():
+    """Each top-level import of a test file is the standard library, the
+    package, another test file or a requirement of the `test` extra."""
+    extra = set(_project()["optional-dependencies"]["test"])
+    local = {"satake"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
+    imported = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party == extra == {"hypothesis", "pytest", "sympy"}
 
 
 def test_all_names_resolve_and_are_not_modules():
@@ -64,22 +89,27 @@ def test_rootdata_uses_fraction_only_in_simple_coefficients():
     assert uses and uses == allowed
 
 
-def _callers(tree, name):
-    """The innermost enclosing function ("" at module level) of every call
-    of `name`, by bare name or as an attribute."""
+def _owners(tree, match):
+    """The innermost enclosing function ("" at module level) of every node
+    `match` accepts."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
+            if match(child):
                 found.append(owner)
             visit(child, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     visit(tree, "")
     return found
+
+
+def _callers(tree, name):
+    """The owners of every call of `name`, by bare name or as an
+    attribute."""
+    return _owners(tree, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_only_verify_ks_enumerates_the_weyl_group():
@@ -107,6 +137,77 @@ def test_every_solution_is_read_off_a_smith_form_in_one_place():
                        ("matrices", "column_span_basis"),
                        ("matrices", "kernel_basis"),
                        ("matrices", "linear_solver")]
+
+
+def _owners_in_src(match):
+    return sorted({(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+                   for owner in _owners(_tree(path.name), match)})
+
+
+def test_render_value_is_the_one_value_renderer():
+    """Only `circle.render_value` writes `q^` or `e(` text outside a
+    docstring; `ExactCircle.render` and `GroupCharacter.render` call it."""
+    docstrings = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = node.body[0] if node.body else None
+                if isinstance(doc, ast.Expr) and isinstance(doc.value,
+                                                            ast.Constant):
+                    docstrings.add((path.stem, doc.value.lineno))
+    value_text = re.compile(r"(?<![A-Za-z_])(q\^|e\()")
+    writers = sorted({(path.stem, owner)
+                      for path in sorted(SRC.glob("*.py"))
+                      for owner in _owners(_tree(path.name), lambda node: (
+                          isinstance(node, ast.Constant)
+                          and isinstance(node.value, str)
+                          and (path.stem, node.lineno) not in docstrings
+                          and value_text.search(node.value)))})
+    assert writers == [("circle", "render_value")]
+    assert _owners_in_src(lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", None) == "render_value") == [
+        ("abelian", "_render_ident"), ("circle", "render")]
+
+
+def test_follow_is_the_one_precomposition_kernel():
+    """`_follow` is used by `GroupCharacter.precompose` and by the two
+    orbit searches, `weyl_orbit` and `orbits`, and by nothing else; no
+    character keeps a second stored form."""
+    assert _owners_in_src(lambda node: isinstance(node, ast.Name)
+                          and node.id == "_follow") == [
+        ("abelian", "precompose"), ("cli", "_cmd_orbits"),
+        ("kottwitz", "weyl_orbit")]
+    assert GroupCharacter.__slots__ == ("domain", "_ident")
+    for gone in ("q_nums", "arg_nums", "den", "_from_nums", "__call__",
+                 "__mul__"):
+        assert gone not in vars(GroupCharacter), gone
+
+
+def test_orbits_builds_no_character_and_classify_one(monkeypatch, capsys):
+    """`orbits` prints each class from its least ident, building no
+    `GroupCharacter` or `ExactCircle`; `classify` builds its one
+    representative."""
+    built = []
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            built.append(cls)
+            return original(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    count(GroupCharacter, "_store")   # behind both constructors
+    count(ExactCircle, "__init__")
+    assert main(["orbits", "--preset", "split GL3", "--torsion", "4",
+                 "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["character_count"] == 64 and result["class_count"] == 20
+    assert built == []
+    setting = resolve(preset="split GL3").setting()
+    parameter = SatakeParameter(next(iter(all_characters(setting.group, 2))))
+    built.clear()
+    classify(setting, parameter)
+    assert built == [GroupCharacter]
 
 
 def _is_zip_product_sum(node):
