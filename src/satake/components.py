@@ -13,8 +13,8 @@ from collections import namedtuple
 
 from .abelian import GroupHom, coinvariants, cokernel, induced_endomorphism
 from .matrices import IntMatrix
-from .rootdata import (DEFAULT_WEYL_CAP, closure, compose,
-                       folded_generators, root_permutation, weyl_walk)
+from .rootdata import (DEFAULT_WEYL_CAP, _gather, closure, folded_generators,
+                       root_permutation, weyl_walk)
 
 
 class Pi0Certificate(namedtuple("Pi0Certificate", "group coinvariants")):
@@ -105,9 +105,12 @@ def check_fixed_weyl_is_folded(datum, tau, cap=DEFAULT_WEYL_CAP):
     each simple alpha_j, as tau w tau^-1 is in W, and an element of W is
     determined by its images of the simple roots."""
     t = root_permutation(tau.matrix, datum.roots)
+    at_simples = _gather(datum.simple_indices)
+    at_images = _gather(at_simples(t))  # p -> w(tau alpha_j), each j
     fixed = {p for p in weyl_walk(datum, cap)
-             if all(p[t[k]] == t[p[k]] for k in datum.simple_indices)}
-    gens = [root_permutation(w, datum.roots)
-            for w in folded_generators(datum, tau)]
-    folded = closure(tuple(range(len(datum.roots))), gens, compose, cap)
+             if at_images(p) == _gather(at_simples(p))(t)}
+    moves = [_gather(root_permutation(w, datum.roots))
+             for w in folded_generators(datum, tau)]
+    folded = closure(tuple(range(len(datum.roots))), moves,
+                     lambda p, move: move(p), cap)
     return FoldCheck(folded == fixed, len(fixed), len(folded))

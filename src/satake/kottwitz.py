@@ -12,7 +12,7 @@ by a canonical minimal orbit representative.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .abelian import (FgAbGroup, GroupCharacter, GroupHom, _follow, _moves,
                       coinvariants, induced_endomorphism,
@@ -145,13 +145,17 @@ def character_from_dual_point(kg, chi, c):
     chi must be an inertia-invariant functional on the cocharacter
     lattice (tau-transpose fixed), which makes the pairing independent of
     the chosen lifts, so one unreduced product chi lift incl pairs it with
-    every generator.
+    every generator.  The ident is the numerators of c over their least
+    denominator, each times the pairing.
     """
     tau = kg.torus.tau
     if tuple(tau.transpose().apply(chi)) != tuple(chi):
         raise ValueError("dual point is not inertia-invariant")
     pairings = IntMatrix([chi]) @ kg.coinvariants.lift @ kg.inclusion.matrix
-    return GroupCharacter(kg.group, tuple(c ** t for t in pairings.row(0)))
+    den = lcm(c.q_exponent.denominator, c.argument.denominator)
+    q, a = int(c.q_exponent * den), int(c.argument * den)
+    return GroupCharacter._from_ident(
+        kg.group, (den, *(x for t in pairings.row(0) for x in (t * q, t * a))))
 
 
 class SatakeParameter(namedtuple("SatakeParameter", "character")):

@@ -8,6 +8,7 @@ of M x = v, rational or integral, are read off a Smith form.
 """
 
 from collections import namedtuple
+from itertools import compress
 from math import lcm
 from operator import add, mul, sub
 
@@ -56,8 +57,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
-                                  for i in range(n)), n)
+        return cls.diagonal((1,) * n)
 
     @classmethod
     def permutation(cls, images):
@@ -296,16 +296,41 @@ class SmithForm(namedtuple("SmithForm", "U D V U_inv")):
         return sum(1 for d in self.diagonal if d != 0)
 
 
+def _axpy(x, y, q):
+    """x += q y in place, for vectors stored as {index: nonzero entry}."""
+    for k, v in y.items() if q else ():
+        if w := x.get(k, 0) + q * v:
+            x[k] = w
+        else:
+            del x[k]
+
+
+def _frozen(vectors, width, by_columns=False):
+    """The matrix whose rows, or with `by_columns` columns, are the
+    vectors {index: nonzero entry} of length `width`."""
+    rows = []
+    for vec in vectors:
+        row = [0] * width
+        for k, x in vec.items():
+            row[k] = x
+        rows.append(tuple(row))
+    return (IntMatrix._trusted(tuple(zip(*rows)), len(rows)) if by_columns
+            else IntMatrix._trusted(tuple(rows), width))
+
+
 def smith_normal_form(matrix, with_v=True):
     """Smith normal form with unimodular transforms U, V and U_inv; with
-    `with_v` false, empty columns stand in for V, which comes back None.
+    `with_v` false, V is not tracked and comes back None.
 
     Pivot selection: smallest nonzero absolute value in the trailing
     block, ties broken by (row, column) position; the row-major scan
-    stops at the first entry of absolute value 1.
+    stops at the first row holding an entry of absolute value 1.
 
-    U is held as a list of rows, U_inv and V as lists of their columns:
-    one list update per operation.  A column operation changes only row
+    Only nonzeros are stored, as dicts {index: entry}: the rows of the
+    working matrix and of U, and the columns of U_inv and of V.  The
+    working matrix keys its entries by column label, the column's index
+    in `matrix`; `at` and `pos` map positions to labels and back, so a
+    column swap moves two labels.  A column operation changes only row
     s, since column s is already zero off the pivot.
 
     >>> sf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
@@ -317,108 +342,94 @@ def smith_normal_form(matrix, with_v=True):
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
     m, n = matrix.nrows, matrix.ncols
-    a = [list(row) for row in matrix.data]
-    eye_m, eye_n = IntMatrix.identity(m).data, IntMatrix.identity(n).data
-    u = [list(row) for row in eye_m]
-    uic = [list(col) for col in eye_m]  # the columns of U_inv
-    vc = [list(col) if with_v else [] for col in eye_n]  # V's columns
+    a = [dict(compress(enumerate(row), row)) if any(row) else {}
+         for row in matrix.data]
+    u, uic = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]
+    # without V, one shared empty dict that nothing writes stands in
+    vc = [{j: 1} for j in range(n)] if with_v else [{}] * n
+    at, pos, pivots = list(range(n)), list(range(n)), []
 
     def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-        uic[i], uic[k] = uic[k], uic[i]
+        for rows in a, u, uic:
+            rows[i], rows[k] = rows[k], rows[i]
 
     def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
+        at[j], at[k] = at[k], at[j]
+        pos[at[j]], pos[at[k]] = j, k
         vc[j], vc[k] = vc[k], vc[j]
 
     def row_op(i, k, q):
         # row i -= q * row k; U_inv: col k += q * col i
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-        uic[k] = [x + q * y for x, y in zip(uic[k], uic[i])]
+        _axpy(a[i], a[k], -q)
+        _axpy(u[i], u[k], -q)
+        _axpy(uic[k], uic[i], q)
 
-    def col_op(j, k, q):
-        # col j -= q * col k, where col k of `a` is zero off row k
-        a[k][j] -= q * a[k][k]
-        vc[j] = [x - q * y for x, y in zip(vc[j], vc[k])]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        uic[i] = [-x for x in uic[i]]
-
-    s = 0
-    while s < min(m, n):
-        # smallest-magnitude nonzero pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(s, m):
-            for j in range(s, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        if pivot[0] != s:
-            swap_rows(s, pivot[0])
-        if pivot[1] != s:
-            swap_cols(s, pivot[1])
-        # clear row and column s; restart whenever a remainder appears,
-        # since it is strictly smaller than the current pivot
-        while True:
-            p = a[s][s]
-            dirty = False
-            for i in range(s + 1, m):
-                if a[i][s] != 0:
-                    q, r = divmod(a[i][s], p)
-                    row_op(i, s, q)
-                    if r != 0:
-                        swap_rows(s, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(s + 1, n):
-                if a[s][j] != 0:
-                    q, r = divmod(a[s][j], p)
-                    col_op(j, s, q)
-                    if r != 0:
-                        swap_cols(s, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the whole trailing block for the chain
-            if p in (1, -1):
-                break
-            offender = None
-            for i in range(s + 1, m):
-                for j in range(s + 1, n):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
+    for s in range(min(m, n)):
+        if a[s].get(at[s]) not in (1, -1):  # else a unit at (s, s) leads
+            # least (|x|, row, position) in the trailing block, whose rows
+            # hold nothing left of position s
+            best = 0
+            for i in range(s, m):
+                for c, x in a[i].items():
+                    x = abs(x)
+                    if (not best or x < best
+                            or x == best and i == pivot and pos[c] < col):
+                        best, pivot, col = x, i, pos[c]
+                if best == 1:
                     break
-            if offender is None:
+            if not best:
                 break
-            row_op(s, offender, -1)  # add offending row, then re-clear
-        if a[s][s] < 0:
-            negate_row(s)
-        s += 1
+            if pivot != s:
+                swap_rows(s, pivot)
+            if col != s:
+                swap_cols(s, col)
+        # clear row and column s; restart whenever a remainder appears,
+        # since it is strictly smaller than the current pivot (a for loop
+        # runs its else clause when it ends without a break)
+        while True:
+            row, label = a[s], at[s]
+            p = row[label]
+            for i in range(s + 1, m):
+                if x := a[i].get(label):
+                    q, r = divmod(x, p)
+                    row_op(i, s, q)
+                    if r:
+                        swap_rows(s, i)
+                        break
+            else:
+                # the other positions of row s, all past s, in order
+                for j in (sorted(map(pos.__getitem__, row))[1:]
+                          if len(row) > 1 else ()):
+                    # col j -= q * col s; col s of `a` is zero off row s
+                    c = at[j]
+                    q, r = divmod(row.pop(c), p)
+                    _axpy(vc[j], vc[s], -q)
+                    if r:
+                        row[c] = r
+                        swap_cols(s, j)
+                        break
+                else:
+                    # the pivot must divide the whole trailing block
+                    offender = None if p in (1, -1) else next(
+                        (i for i in range(s + 1, m)
+                         if any(x % p for x in a[i].values())), None)
+                    if offender is None:
+                        break
+                    row_op(s, offender, -1)  # add it, then re-clear
+        if p < 0:
+            for vec in a[s], u[s], uic[s]:
+                for k in vec:
+                    vec[k] = -vec[k]
+        pivots.append(abs(p))
 
-    def frozen(rows, width):
-        return IntMatrix._trusted(tuple(map(tuple, rows)), width)
-
-    return SmithForm(frozen(u, m), frozen(a, n),
-                     frozen(zip(*vc), n) if with_v else None,
-                     frozen(zip(*uic), m))
+    d = [0] * (m * n)  # D row by row, the pivots on its diagonal
+    d[:len(pivots) * (n + 1):n + 1] = pivots
+    U = _frozen(u, m)
+    # U_inv is U's transpose exactly when U's rows are U_inv's columns
+    return SmithForm(U, IntMatrix._trusted(tuple(zip(*[iter(d)] * n)) if n
+                                           else ((),) * m, n),
+                     _frozen(vc, n, True) if with_v else None,
+                     U.transpose() if u == uic else _frozen(uic, m, True))
 
 
 def images(matrix, vectors):

@@ -14,8 +14,9 @@ and the orbits of parameters, run through one breadth-first `search`.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import factorial, gcd
-from operator import matmul, mul
+from operator import itemgetter, matmul, mul
 
 from .abelian import coinvariants
 from .matrices import IntMatrix, images, linear_solver
@@ -130,17 +131,17 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
 
     def two_rho(self):
         """Sum of the positive roots."""
-        acc = [0] * self.rank
-        for r in self.positive_roots():
-            acc = [a + b for a, b in zip(acc, r)]
-        return tuple(acc)
+        return tuple(map(sum, zip((0,) * self.rank, *self.positive_roots())))
 
 
 def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     """All (root, coroot) pairs generated from the simple ones by the
-    simple reflections, acting on both sides at once.  Deterministic
-    breadth-first order; raises CapExceeded past `cap` pairs.
+    simple reflections, acting on both sides at once, sorted by root;
+    raises CapExceeded past `cap` pairs.
 
+    Only the positive side is closed: s_i permutes the positive roots
+    other than alpha_i, so each pair found is reflected by each s_i but
+    that of its own root, and its negative (-b, -b^) is recorded with it.
     The loop is its own, not `search`: keyed by the root alone it stops
     at the first root reached with a second coroot, while a search keyed
     by (root, coroot) pairs would run on to the cap."""
@@ -151,27 +152,23 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     if any(len(v) != len(simples[0]) for v in simples + cosimples):
         raise ValueError("simple roots and coroots must all have the"
                          " length of the first simple root")
-    for a, av in zip(simples, cosimples):
+    pairs = list(zip(simples, cosimples))
+    for a, av in pairs:
         if _dot(a, av) != 2:
             raise ValueError("simple pairing <alpha, alpha^> must be 2")
-    seen = {}
-    frontier = list(zip(simples, cosimples))
-    for b, bv in frontier:
-        seen[b] = bv
-    while frontier:
-        nxt = []
-        for b, bv in frontier:
-            for a, av in zip(simples, cosimples):
-                nb, nbv = _reflect(b, a, av), _reflect(bv, av, a)
-                prev = seen.get(nb)
-                if prev is None:
-                    seen[nb] = nbv
-                    nxt.append((nb, nbv))
-                    if len(seen) > cap:
-                        raise CapExceeded(f"root generation exceeded cap {cap}")
-                elif prev != nbv:
-                    raise ValueError("inconsistent coroots generated")
-        frontier = nxt
+    seen, found = {}, []
+    reflected = ((_reflect(b, a, av), _reflect(bv, av, a))
+                 for b, bv in found for a, av in pairs if b != a)
+    for b, bv in chain(pairs, reflected):
+        prev = seen.get(b)
+        if prev is None:
+            seen[b] = bv
+            seen[tuple([-x for x in b])] = tuple([-x for x in bv])
+            found.append((b, bv))
+            if len(seen) > cap:
+                raise CapExceeded(f"root generation exceeded cap {cap}")
+        elif prev != bv:
+            raise ValueError("inconsistent coroots generated")
     roots = sorted(seen)
     return roots, [seen[r] for r in roots]
 
@@ -365,10 +362,14 @@ def mulclose(generators, cap=DEFAULT_WEYL_CAP):
                    matmul, cap)
 
 
-def compose(p, q):
-    """The root permutation of a product w g from p of w and q of g:
-    w g sends r_i to w(r_q[i]) = r_p[q[i]]."""
-    return tuple([p[i] for i in q])
+def _gather(indices):
+    """p -> tuple(p[i] for i in indices), as one itemgetter: with q the
+    root permutation of g and p that of w, _gather(q)(p) is that of w g,
+    which sends r_i to w(r_q[i]) = r_p[q[i]].  One index or none is read
+    as a slice, since a bare itemgetter of one index returns the entry."""
+    i = indices[0] if indices else 0
+    return (itemgetter(*indices) if len(indices) > 1
+            else itemgetter(slice(i, i + len(indices))))
 
 
 def root_permutation(matrix, roots):
@@ -420,9 +421,10 @@ def weyl_walk(datum, cap=DEFAULT_WEYL_CAP):
     negative = set(range(len(roots))).difference(datum.positive_indices)
     gens = [root_permutation(datum.reflection_matrix(i), roots)
             for i in simples]
-    # the roots alpha_i and s_i alpha_j (j < i) that w must keep positive
-    guards = [(simples[i],) + tuple(s[k] for k in simples[:i])
-              for i, s in enumerate(gens)]
+    # per i: p -> w s_i, and p -> the images under w of alpha_i and of
+    # s_i alpha_j (j < i), which w must keep positive
+    moves = [(_gather(s), _gather((simples[i],) + _gather(simples[:i])(s)))
+             for i, s in enumerate(gens)]
     stack = [tuple(range(len(roots)))]
     count = 0
     while stack:
@@ -432,8 +434,8 @@ def weyl_walk(datum, cap=DEFAULT_WEYL_CAP):
             raise CapExceeded(f"Weyl group enumeration: reached {count}"
                               f" elements, over the cap {cap}")
         yield p
-        stack.extend(compose(p, s) for s, guard in zip(gens, guards)
-                     if negative.isdisjoint(map(p.__getitem__, guard)))
+        stack.extend(move(p) for move, guard in moves
+                     if negative.isdisjoint(guard(p)))
 
 
 def weyl_group(datum, cap=DEFAULT_WEYL_CAP):

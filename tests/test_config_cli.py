@@ -545,14 +545,12 @@ def test_rank_cap_admits_the_largest_benchmark_torus(capsys):
 def test_oversized_weyl_group_is_refused_before_enumerating(monkeypatch,
                                                            capsys):
     """|W(A9)| = 10! is read off the Cartan type and refused before the
-    walk builds an element (`compose`, which builds each one, is patched
-    to fail)."""
+    walk builds its moves (`rootdata._gather`, which builds them, is
+    patched to fail)."""
     def refuse(*args, **kwargs):
         raise AssertionError("Weyl group enumerated")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("satake.") and hasattr(module, "compose"):
-            monkeypatch.setattr(module, "compose", refuse)
+    monkeypatch.setattr(sys.modules["satake.rootdata"], "_gather", refuse)
     start = time.perf_counter()
     assert main(["verify-ks", "--preset", "flip A9"]) == 2
     assert time.perf_counter() - start < 1

@@ -12,6 +12,8 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom, _moves,
                             all_characters, character_count,
@@ -40,7 +42,7 @@ from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
 from test_grid import GRID
 from test_matrices import INDUCED_TORI, sympy_inverse
-from test_rootdata import fixed_weyl_subgroup
+from test_rootdata import bfs_weyl_group, fixed_weyl_subgroup
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()
@@ -333,6 +335,63 @@ def test_classify_equal_and_modulus_on_random_data(config, data,
     result = cli_result(["modulus", "--config", str(path)])
     assert result["values"] == [v.render()
                                 for v in modulus_by_generator(setting)]
+
+
+def sympy_coinvariants(tau):
+    """The coinvariants of tau as `describe` names them, read off sympy's
+    Smith form of tau - 1: its entries past 1 are the invariant factors,
+    and its zeros count the free rank."""
+    n = tau.nrows
+    snf = sympy_smith(Matrix((tau - IntMatrix.identity(n)).data), domain=ZZ)
+    diagonal = [abs(int(snf[i, i])) for i in range(n)]
+    return FgAbGroup([d for d in diagonal if d > 1],
+                     diagonal.count(0)).describe()
+
+
+def sympy_fixed_rank(torus):
+    """The free rank of T/T_0, the rank of the lattice tau and sigma both
+    fix, by sympy's rank of tau - 1 stacked over sigma - 1."""
+    one = IntMatrix.identity(torus.rank)
+    stacked = (torus.tau - one).data + (torus.sigma - one).data
+    return torus.rank - Matrix(stacked).rank()
+
+
+@pytest.mark.parametrize("e,f,q", INDUCED_TORI)
+def test_kottwitz_matches_sympy_on_induced_tori(e, f, q):
+    torus = build_induced_torus(e, f, q)
+    result = cli_result(["kottwitz", "--preset", f"induced e={e} f={f} q={q}"])
+    assert result["coinvariants"] == sympy_coinvariants(torus.tau)
+    assert result["free_rank"] == sympy_fixed_rank(torus) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=random_twisted_data())
+def test_kottwitz_and_verify_ks_match_the_oracles_on_random_data(
+        config, tmp_path_factory):
+    """`kottwitz` against sympy's Smith form of tau - 1, and the fixed
+    order of `verify-ks` against the order of W^tau filtered out of the
+    breadth-first W by commuting on every root."""
+    path = tmp_path_factory.mktemp("oracles") / "group.cfg"
+    path.write_text(serialize_config(config))
+    rg = resolve(config)
+    result = cli_result(["kottwitz", "--config", str(path)])
+    assert result["coinvariants"] == sympy_coinvariants(rg.torus.tau)
+    assert result["free_rank"] == sympy_fixed_rank(rg.torus)
+    fixed = fixed_weyl_subgroup(bfs_weyl_group(rg.datum),
+                                [rg.action.tau.matrix])
+    result = cli_result(["verify-ks", "--config", str(path)])
+    assert result["fixed_order"] == result["folded_order"] == fixed.order
+
+
+@pytest.mark.parametrize("preset", ["split GL2", "unitary ramified 2"])
+def test_verify_ks_with_one_simple_root(preset):
+    """One simple root: every guard of the walk, and the W^tau test,
+    gathers one index."""
+    rg = resolve(preset=preset)
+    fixed = fixed_weyl_subgroup(bfs_weyl_group(rg.datum),
+                                [rg.action.tau.matrix])
+    result = cli_result(["verify-ks", "--preset", preset])
+    assert result["fixed_order"] == result["folded_order"] == fixed.order
 
 
 def test_a_generator_that_is_not_an_involution_is_refused(monkeypatch):

@@ -17,7 +17,7 @@ from satake import rootdata
 from satake.components import check_fixed_weyl_is_folded
 from satake.rootdata import (
     ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError, PinnedAutomorphism,
-    WeylGroup, compose, datum_from_simples, detect_type, dual_datum,
+    WeylGroup, datum_from_simples, detect_type, dual_datum,
     folded_generators, galois_action, mulclose, pinned_automorphism,
     pinned_violations, restricted_root_data, root_closure, root_permutation,
     search, validate, weyl_group, weyl_order, weyl_walk,
@@ -363,6 +363,12 @@ def test_simple_coefficients_outside_the_span_of_gl(n, data):
 
 
 # --- oracles: the breadth-first Weyl closure and its commuting filter --------
+
+def compose(p, q):
+    """The root permutation of a product w g from p of w and q of g:
+    w g sends r_i to w(r_q[i]) = r_p[q[i]]."""
+    return tuple([p[i] for i in q])
+
 
 def bfs_weyl_group(datum):
     """W as root permutations by the breadth-first closure of the simple
@@ -750,3 +756,114 @@ def test_inconsistent_coroots_are_refused_before_the_cap(simples, cosimples):
     for cap in (200, ROOT_CAP):
         with pytest.raises(ValueError, match="inconsistent coroots generated"):
             root_closure(simples, cosimples, cap=cap)
+
+
+# --- the positive closure against the closure under every reflection ---------
+
+def reference_root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
+    """The closure as it ran before it closed only the positive side:
+    breadth first under every simple reflection, keyed by root, the
+    simples seeding it in order (a later copy of a root overwrites)."""
+    simples = [tuple(int(v) for v in r) for r in simple_roots]
+    cosimples = [tuple(int(v) for v in r) for r in simple_coroots]
+    if len(simples) != len(cosimples):
+        raise ValueError("one coroot per simple root is required")
+    if any(len(v) != len(simples[0]) for v in simples + cosimples):
+        raise ValueError("simple roots and coroots must all have the"
+                         " length of the first simple root")
+    for a, av in zip(simples, cosimples):
+        if sum(x * y for x, y in zip(a, av)) != 2:
+            raise ValueError("simple pairing <alpha, alpha^> must be 2")
+    seen = {}
+    frontier = list(zip(simples, cosimples))
+    for b, bv in frontier:
+        seen[b] = bv
+    while frontier:
+        nxt = []
+        for b, bv in frontier:
+            for a, av in zip(simples, cosimples):
+                nb = rootdata._reflect(b, a, av)
+                nbv = rootdata._reflect(bv, av, a)
+                prev = seen.get(nb)
+                if prev is None:
+                    seen[nb] = nbv
+                    nxt.append((nb, nbv))
+                    if len(seen) > cap:
+                        raise CapExceeded(f"root generation exceeded cap {cap}")
+                elif prev != nbv:
+                    raise ValueError("inconsistent coroots generated")
+        frontier = nxt
+    roots = sorted(seen)
+    return roots, [seen[r] for r in roots]
+
+
+@st.composite
+def simple_pairs(draw, n):
+    """A vector pair in Z^n pairing to 2: one side is free in [-2, 2],
+    the other free but for a unit entry that makes the pairing 2."""
+    free = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    other = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    unit = draw(st.sampled_from((1, -1)))
+    other[k] = unit
+    rest = sum(x * y for j, (x, y) in enumerate(zip(free, other)) if j != k)
+    free[k] = (2 - rest) * unit
+    pair = (tuple(free), tuple(other))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
+def simple_systems(draw):
+    """Up to four simple (root, coroot) pairs in Z^n, n <= 4, with any
+    pairings between them, so most systems are degenerate: infinite,
+    dependent or with inconsistent coroots.  Often one pair is replaced
+    by a copy of another, or its negative, with the coroot kept or moved
+    by a vector orthogonal to the root."""
+    n = draw(st.integers(1, 4))
+    pairs = draw(st.lists(simple_pairs(n), min_size=1, max_size=4))
+    if len(pairs) > 1 and draw(st.booleans()):
+        j, k = (draw(st.integers(0, len(pairs) - 1)) for _ in range(2))
+        sign = draw(st.sampled_from((1, -1)))
+        a, av = (tuple(sign * x for x in v) for v in pairs[k])
+        if n > 1 and draw(st.booleans()):
+            i, l = draw(st.permutations(range(n)))[:2]
+            t = draw(st.integers(-2, 2))
+            av = tuple(x + t * (a[l] if m == i else -a[i] if m == l else 0)
+                       for m, x in enumerate(av))
+        pairs[j] = (a, av)
+    return [a for a, _ in pairs], [av for _, av in pairs]
+
+
+def closure_outcome(closure, simples, cosimples, cap):
+    try:
+        return closure(simples, cosimples, cap)
+    except (CapExceeded, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=simple_systems(), cap=st.sampled_from((6, 50, 200)))
+def test_root_closure_matches_the_reference(system, cap):
+    """The same roots and coroots, or the same exception and message.
+    Only a system that is refused either way may differ: one whose
+    coroots are inconsistent (each closure raises that only for a root
+    reached with two coroots) and whose closure passes the cap before
+    one search or the other meets the second coroot.  Which comes first
+    depends on the order of the search, and the positive closure counts
+    each negative root when it finds the positive one."""
+    expected = closure_outcome(reference_root_closure, *system, cap)
+    got = closure_outcome(root_closure, *system, cap)
+    if got != expected:
+        assert {got, expected} == {
+            ("CapExceeded", f"root generation exceeded cap {cap}"),
+            ("ValueError", "inconsistent coroots generated")}
+
+
+@pytest.mark.parametrize("name", sorted(GRID))
+def test_root_closure_matches_the_reference_on_the_grid(name):
+    datum = resolve(preset=name).datum
+    if datum is not None:
+        simples = datum.simple_roots()
+        cosimples = [datum.coroots[i] for i in datum.simple_indices]
+        assert (root_closure(simples, cosimples)
+                == reference_root_closure(simples, cosimples))
