@@ -35,7 +35,8 @@ class FgAbGroup:
     False
     """
 
-    __slots__ = ("invariant_factors", "free_rank", "ambient_rank", "proj", "lift")
+    __slots__ = ("invariant_factors", "free_rank", "ambient_rank", "proj",
+                 "lift", "_orders")
 
     def __init__(self, invariant_factors, free_rank, proj=None, lift=None):
         factors = tuple(int(d) for d in invariant_factors)
@@ -46,6 +47,7 @@ class FgAbGroup:
                 raise ValueError("invariant factors must form a divisibility chain")
         self.invariant_factors = factors
         self.free_rank = int(free_rank)
+        self._orders = factors + (0,) * self.free_rank
         n = self.ngens
         if proj is None:
             proj = IntMatrix.identity(n)
@@ -59,7 +61,7 @@ class FgAbGroup:
 
     @property
     def ngens(self):
-        return len(self.invariant_factors) + self.free_rank
+        return len(self._orders)
 
     @property
     def torsion_count(self):
@@ -67,7 +69,7 @@ class FgAbGroup:
 
     def generator_orders(self):
         """Order per canonical generator; 0 marks infinite order."""
-        return self.invariant_factors + (0,) * self.free_rank
+        return self._orders
 
     def relation_matrix(self):
         """Columns d_i * e_i spanning the relation lattice in Z^ngens."""
@@ -78,13 +80,12 @@ class FgAbGroup:
 
     def reduce(self, coords):
         """Canonical coordinates: torsion entries reduced mod their order."""
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != self.ngens:
             raise ValueError("coordinate length mismatch")
-        out = []
-        for c, d in zip(coords, self.generator_orders()):
-            out.append(c % d if d else c)
-        return tuple(out)
+        if not self.invariant_factors:
+            return coords
+        return tuple([c % d if d else c for c, d in zip(coords, self._orders)])
 
     def zero(self):
         return (0,) * self.ngens
@@ -245,7 +246,7 @@ def induced_endomorphism(group, ambient_matrix):
 
     Raises if the ambient map does not descend.
     """
-    mat = group.proj @ ambient_matrix @ group.lift
+    mat = group.proj @ (ambient_matrix @ group.lift)
     return GroupHom(group, group, mat)
 
 

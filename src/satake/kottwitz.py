@@ -341,7 +341,7 @@ def kottwitz_hom(matrix, kg_source, kg_target):
     if matrix @ ts.sigma != tt.sigma @ matrix:
         raise ValueError("map is not sigma-equivariant")
     cs, ct = kg_source.coinvariants, kg_target.coinvariants
-    chom = GroupHom(cs, ct, ct.proj @ matrix @ cs.lift)
+    chom = GroupHom(cs, ct, ct.proj @ (matrix @ cs.lift))
     return descend_to_kottwitz(kg_source, [matrix], kg_target)[0], chom
 
 

@@ -100,7 +100,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.data)
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.data)) if self.nrows else [()] * self.ncols
 
     def entry(self, i, j):
         return self.data[i][j]
@@ -113,19 +113,20 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         # each output row is a combination of the rows of `other`, taken
-        # only over the nonzero entries of the left row (sparse factors
-        # such as permutation matrices then cost O(n^2), not O(n^3)); a
+        # only over the nonzero entries of the left row, which `compress`
+        # picks out without a Python step per zero (sparse factors such
+        # as permutation matrices then cost O(n^2), not O(n^3)); a
         # coefficient of 1 or -1 adds or subtracts the row as it is
         zero = (0,) * other.ncols
         rows = []
         for row in self.data:
             acc = zero
-            for a, brow in zip(row, other.data):
+            for a, brow in compress(zip(row, other.data), row):
                 if a == 1:
                     acc = tuple(map(add, acc, brow))
                 elif a == -1:
                     acc = tuple(map(sub, acc, brow))
-                elif a:
+                else:
                     acc = tuple(map(add, acc, map(a.__mul__, brow)))
             rows.append(acc)
         return IntMatrix._trusted(tuple(rows), other.ncols)
@@ -499,7 +500,7 @@ def kernel_basis(matrix):
 
 def column_span_basis(matrix):
     """Basis (as columns) of the column span of `matrix` (not saturated)."""
-    sf = smith_normal_form(matrix)
+    sf = smith_normal_form(matrix, with_v=False)
     return IntMatrix.from_columns([tuple(d * x for x in sf.U_inv.column(i))
                                    for i, d in enumerate(sf.diagonal) if d],
                                   nrows=matrix.nrows)

@@ -156,17 +156,20 @@ def split_root_count(family, n):
     return 2 * m * (m - 1)
 
 
-def _refuse_oversized(name, roots):
-    """Refuse a datum whose root closure would pass the cap, before any
-    of it is built."""
+def _refuse_oversized(name, family, n):
+    """Refuse the split datum `family` n when its root closure or its
+    lattice rank would pass the cap, before any of it is built."""
+    roots = split_root_count(family, n)
     if roots > ROOT_CAP:
         raise CapExceeded(f"root generation: {name} would have {roots} roots,"
                           f" over the cap {ROOT_CAP}")
+    # Sp n and SO n live on Z^(n // 2)
+    refuse_large_rank({"GL": n, "SL": n - 1, "PGL": n - 1}.get(family, n // 2))
 
 
 def refuse_large_rank(rank):
-    """Refuse a torus whose lattice rank passes the cap, before any of its
-    matrices is built."""
+    """Refuse a torus, or a datum and so its torus, whose lattice rank
+    passes the cap, before any of its matrices is built."""
     if rank > RANK_CAP:
         raise CapExceeded(f"torus construction: rank {rank} is over the cap"
                           f" {RANK_CAP}")
@@ -216,7 +219,7 @@ def resolve_preset(text, q=None):
         if not m or m.group(1) not in _SPLIT:
             raise ValueError(f"unknown split preset {plain[1]!r}")
         n = int(m.group(2))
-        _refuse_oversized(plain[1], split_root_count(m.group(1), n))
+        _refuse_oversized(plain[1], m.group(1), n)
         datum = _SPLIT[m.group(1)](n)
         return Preset(name=text, datum=datum, q=q)
 
@@ -244,7 +247,7 @@ def resolve_preset(text, q=None):
             n = int(m.group(1))
             if n < 2:
                 raise ValueError("flip needs A2 or higher")
-            _refuse_oversized(plain[1], split_root_count("GL", n + 1))
+            _refuse_oversized(plain[1], "GL", n + 1)
             return Preset(name=text, datum=split_gl(n + 1),
                           tau=flip_negate(n + 1), q=q)
         if plain[1] == "D4":
@@ -265,7 +268,7 @@ def resolve_preset(text, q=None):
                              " 'unitary ramified 3'") from None
         if n < 2:
             raise ValueError("unitary presets need n >= 2")
-        _refuse_oversized(f"GL{n}", split_root_count("GL", n))
+        _refuse_oversized(f"GL{n}", "GL", n)
         datum = split_gl(n)
         if plain[1] == "ramified":
             return Preset(name=text, datum=datum, tau=flip_negate(n), q=q)

@@ -136,12 +136,13 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
 
 def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     """All (root, coroot) pairs generated from the simple ones by the
-    simple reflections, acting on both sides at once, sorted by root;
-    raises CapExceeded past `cap` pairs.
+    simple reflections, acting on both sides at once, sorted by root, and
+    the indices of the positive ones; raises CapExceeded past `cap` pairs.
 
     Only the positive side is closed: s_i permutes the positive roots
-    other than alpha_i, so each pair found is reflected by each s_i but
-    that of its own root, and its negative (-b, -b^) is recorded with it.
+    other than alpha_i (Bourbaki, Lie VI 1.6), so each pair found is
+    reflected by each s_i but that of its own root, and its negative
+    (-b, -b^) is recorded with it.
     The loop is its own, not `search`: keyed by the root alone it stops
     at the first root reached with a second coroot, while a search keyed
     by (root, coroot) pairs would run on to the cap."""
@@ -170,17 +171,22 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
         elif prev != bv:
             raise ValueError("inconsistent coroots generated")
     roots = sorted(seen)
-    return roots, [seen[r] for r in roots]
+    positive = {b for b, _ in found}
+    return (roots, [seen[r] for r in roots],
+            tuple(i for i, r in enumerate(roots) if r in positive))
 
 
 def datum_from_simples(simple_roots, simple_coroots, label="", cap=ROOT_CAP):
-    """Based root datum generated by reflection closure of a simple system."""
-    roots, coroots = root_closure(simple_roots, simple_coroots, cap)
+    """Based root datum generated by reflection closure of a simple system,
+    built from the closure's tuples, its positive side `positive_indices`."""
+    roots, coroots, positive = root_closure(simple_roots, simple_coroots, cap)
     rank = len(simple_roots[0]) if simple_roots else 0
     simple_idx = tuple(roots.index(tuple(int(v) for v in r))
                        for r in simple_roots)
-    return BasedRootDatum(rank, tuple(roots), tuple(coroots), simple_idx,
-                          label=label)
+    datum = BasedRootDatum._make((rank, tuple(roots), tuple(coroots),
+                                  simple_idx, label))
+    datum.__dict__["positive_indices"] = positive
+    return datum
 
 
 def validate(datum):
@@ -213,12 +219,14 @@ def validate(datum):
     solver = datum._coefficient_solver
     if datum.rank - solver.consistency.nrows < len(datum.simple_indices):
         return ["simple roots are linearly dependent"]
-    roots = IntMatrix(datum.roots, ncols=datum.rank)
-    coroots = IntMatrix(datum.coroots, ncols=datum.rank)
-    for idx, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
-        if not _maps_into(datum.roots, roots.apply(av), a, root_set):
+    # pairings[i][j] = <root i, coroot j>, from one product
+    pairings = (IntMatrix(datum.roots, ncols=datum.rank)
+                @ IntMatrix(datum.coroots, ncols=datum.rank).transpose()).data
+    for idx, (a, av, col) in enumerate(zip(datum.roots, datum.coroots,
+                                           zip(*pairings))):
+        if not _maps_into(datum.roots, col, a, root_set):
             problems.append(f"reflection in root {idx} does not permute the roots")
-        if not _maps_into(datum.coroots, coroots.apply(a), av, coroot_set):
+        if not _maps_into(datum.coroots, pairings[idx], av, coroot_set):
             problems.append(f"coreflection in root {idx} does not permute the coroots")
     den = solver.den
     for idx, nums in enumerate(solver.numerators(datum.roots)):
@@ -287,8 +295,8 @@ def pinned_violations(datum, aut):
     """Why `aut` fails to preserve the based datum (empty when it does):
     one product maps the roots, and one the coroots under the dual."""
     problems = []
-    if not datum.roots:
-        return problems
+    if aut.order == 1 or not datum.roots:
+        return problems  # the identity preserves any datum of distinct roots
     root_index = {r: i for i, r in enumerate(datum.roots)}
     root_images = images(aut.matrix, datum.roots)
     co_images = images(aut.dual(), datum.coroots)

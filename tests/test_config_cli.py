@@ -495,6 +495,47 @@ def test_oversized_presets_are_refused_before_building(preset, roots,
     assert "root generation" in err and f"{roots} roots" in err
 
 
+@pytest.mark.parametrize("preset, rank", [
+    ("split GL257", 257),
+    ("split SL258", 257),
+    ("split PGL258", 257),
+    ("flip A256", 257),
+    ("unitary ramified 257", 257),
+    ("unitary unramified 300", 300),
+])
+def test_presets_past_the_rank_cap_are_refused_before_building(
+        preset, rank, monkeypatch, capsys):
+    """A datum preset whose lattice rank passes the cap, although its root
+    count does not, exits 2 naming its rank and the cap, fast and without
+    calling a builder (each is patched to fail)."""
+    from satake import presets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("builder called for an oversized preset")
+
+    for family in list(presets._SPLIT):
+        monkeypatch.setitem(presets._SPLIT, family, refuse)
+    monkeypatch.setattr(presets, "split_gl", refuse)
+    start = time.perf_counter()
+    assert main(["kottwitz", "--preset", preset]) == 2
+    assert time.perf_counter() - start < 1
+    assert (f"rank {rank} is over the cap {presets.RANK_CAP}"
+            in capsys.readouterr().err)
+
+
+def test_rank_cap_admits_the_datum_presets_of_rank_256():
+    """At rank 256 a preset passes both caps (only the caps run here):
+    GL256, SL257 and PGL257, and Sp and SO of the largest n on Z^256 are
+    refused for their roots alone."""
+    from satake import presets
+
+    for family, n in (("GL", 256), ("SL", 257), ("PGL", 257)):
+        presets._refuse_oversized(f"{family}{n}", family, n)
+    for family, n in (("Sp", 512), ("SO", 513)):
+        with pytest.raises(presets.CapExceeded, match="root generation"):
+            presets._refuse_oversized(f"{family}{n}", family, n)
+
+
 # the root and coroot of SL2 padded with zeros to length 257
 _LONG_ROOT = "[2" + ",0" * 256 + "]"
 _LONG_COROOT = "[1" + ",0" * 256 + "]"

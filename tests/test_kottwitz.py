@@ -11,7 +11,7 @@ from itertools import permutations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
@@ -42,7 +42,8 @@ from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
 from test_grid import GRID
 from test_matrices import INDUCED_TORI, sympy_inverse
-from test_rootdata import bfs_weyl_group, fixed_weyl_subgroup
+from test_rootdata import (bfs_weyl_group, fixed_weyl_subgroup,
+                           simple_coefficients_oracle)
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()
@@ -219,30 +220,27 @@ def test_orbits_class_count_is_burnside_without_enumeration(preset, capsys):
 # --- Burnside on random root data: simple factors times a central torus -----
 
 CARTAN = {"A1": cartan_a(1), "A2": cartan_a(2), "A3": cartan_a(3),
-          "B2": ((2, -2), (-1, 2)), "G2": ((2, -1), (-3, 2))}
-DIAGRAM_FLIP = {"A2": (1, 0), "A3": (2, 1, 0)}
+          "B2": ((2, -2), (-1, 2)), "G2": ((2, -1), (-3, 2)),
+          "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0),
+                 (0, -1, 0, 2))}
+# the diagram flip of each factor that has one; that of D4 swaps the two
+# fork nodes and fixes the first simple root
+DIAGRAM_FLIP = {"A2": (1, 0), "A3": (2, 1, 0), "D4": (0, 1, 3, 2)}
+
+# one or two simple factors of total rank at most 5 (so that the Burnside
+# sum stays short), each in simple-root (True) or in fundamental-weight
+# (False) coordinates
+simple_factors = (st.lists(st.tuples(st.sampled_from(sorted(CARTAN)),
+                                     st.booleans()), min_size=1, max_size=2)
+                  .filter(lambda fs: sum(len(CARTAN[name])
+                                         for name, _ in fs) <= 5))
 
 
-@st.composite
-def random_twisted_data(draw):
-    """One or two simple factors of total rank at most 5 (so that the
-    Burnside sum stays short), each in simple-root or in fundamental-
-    weight coordinates, times a central torus of rank 1 or 2, with tau
-    and sigma pinned diagram automorphisms and a twist they satisfy.
-
-    Every pinned automorphism used flips some factors, swaps the two
-    factors when they are alike, and acts on the central torus by a
-    signed permutation; sigma is drawn among those normalising <tau>."""
-    factors = draw(st.lists(st.tuples(st.sampled_from(sorted(CARTAN)),
-                                      st.booleans()), min_size=1, max_size=2)
-                   .filter(lambda fs: sum(len(CARTAN[name])
-                                          for name, _ in fs) <= 5))
-    central = draw(st.integers(1, 2))
-    sizes = [len(CARTAN[name]) for name, _ in factors]
-    offsets = [sum(sizes[:f]) for f in range(len(factors))]
-    rank = sum(sizes) + central
-    simples, cosimples = [], []
-    for (name, adjoint), off in zip(factors, offsets):
+def simple_system(factors, rank):
+    """The simple roots and coroots of the factors, one block of
+    coordinates each and the coordinates past them central, in Z^rank."""
+    simples, cosimples, off = [], [], 0
+    for name, adjoint in factors:
         cartan = CARTAN[name]
         for i, row in enumerate(cartan):
             unit, row_i, col_i = ([0] * rank for _ in range(3))
@@ -251,7 +249,37 @@ def random_twisted_data(draw):
                 row_i[off + j], col_i[off + j] = entry, cartan[j][i]
             simples.append(tuple(unit if adjoint else row_i))
             cosimples.append(tuple(col_i if adjoint else unit))
-    datum = datum_from_simples(simples, cosimples)
+        off += len(cartan)
+    return simples, cosimples
+
+
+@settings(max_examples=40, deadline=None)
+@given(factors=simple_factors, central=st.integers(0, 2))
+def test_positive_roots_of_the_closure_match_the_coefficients(factors,
+                                                             central):
+    """The positive side the closure records is the set of roots whose
+    simple coefficients, by exact elimination, are all >= 0."""
+    rank = sum(len(CARTAN[name]) for name, _ in factors) + central
+    datum = datum_from_simples(*simple_system(factors, rank))
+    assert datum.positive_indices == tuple(
+        i for i, r in enumerate(datum.roots)
+        if all(c >= 0 for c in simple_coefficients_oracle(datum, r)))
+
+
+@st.composite
+def random_twisted_data(draw):
+    """`simple_factors` times a central torus of rank 1 or 2, with tau
+    and sigma pinned diagram automorphisms and a twist they satisfy.
+
+    Every pinned automorphism used flips some factors, swaps the two
+    factors when they are alike, and acts on the central torus by a
+    signed permutation; sigma is drawn among those normalising <tau>."""
+    factors = draw(simple_factors)
+    central = draw(st.integers(1, 2))
+    sizes = [len(CARTAN[name]) for name, _ in factors]
+    offsets = [sum(sizes[:f]) for f in range(len(factors))]
+    rank = sum(sizes) + central
+    datum = datum_from_simples(*simple_system(factors, rank))
 
     def automorphism(flips, swap, central_perm, signs):
         images = []
@@ -364,8 +392,20 @@ def test_kottwitz_matches_sympy_on_induced_tori(e, f, q):
     assert result["free_rank"] == sympy_fixed_rank(torus) == 1
 
 
+def d4_fork_flip():
+    """D4 in simple-root coordinates times Z, tau its fork-node flip and
+    sigma trivial: tau fixes the first simple root, so a W^tau test on
+    that root alone keeps all of W(D4), not W(B3)."""
+    datum = datum_from_simples(*simple_system([("D4", True)], 5))
+    return GroupConfig(roots=datum.roots, coroots=datum.coroots,
+                       simple=datum.simple_indices,
+                       tau=("matrix", IntMatrix.permutation((0, 1, 3, 2, 4))),
+                       sigma=("matrix", IntMatrix.identity(5)), twist=1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(config=random_twisted_data())
+@example(config=d4_fork_flip())
 def test_kottwitz_and_verify_ks_match_the_oracles_on_random_data(
         config, tmp_path_factory):
     """`kottwitz` against sympy's Smith form of tau - 1, and the fixed

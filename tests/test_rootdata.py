@@ -60,8 +60,9 @@ def test_gl_weyl_orders():
 def test_root_closure_builds_full_systems():
     simples = [(1, 0), (0, 1)]                # root-lattice coordinates
     cosimples = [(2, -1), (-1, 2)]            # Cartan matrix columns
-    roots, coroots = root_closure(simples, cosimples)
+    roots, coroots, positive = root_closure(simples, cosimples)
     assert len(roots) == 6
+    assert [roots[i] for i in positive] == [(0, 1), (1, 0), (1, 1)]
     datum = datum_from_simples(simples, cosimples, label="A2")
     assert validate(datum) == []
     assert detect_type(datum) == "A2"
@@ -853,6 +854,12 @@ def test_root_closure_matches_the_reference(system, cap):
     each negative root when it finds the positive one."""
     expected = closure_outcome(reference_root_closure, *system, cap)
     got = closure_outcome(root_closure, *system, cap)
+    if len(got) == 3:
+        # one root of each pair {b, -b} is positive: the side closed
+        roots, _, positive = got
+        assert sorted(tuple(-x for x in roots[i]) for i in positive) == [
+            r for i, r in enumerate(roots) if i not in positive]
+        got = got[:2]
     if got != expected:
         assert {got, expected} == {
             ("CapExceeded", f"root generation exceeded cap {cap}"),
@@ -865,5 +872,29 @@ def test_root_closure_matches_the_reference_on_the_grid(name):
     if datum is not None:
         simples = datum.simple_roots()
         cosimples = [datum.coroots[i] for i in datum.simple_indices]
-        assert (root_closure(simples, cosimples)
-                == reference_root_closure(simples, cosimples))
+        roots, coroots, positive = root_closure(simples, cosimples)
+        assert (roots, coroots) == reference_root_closure(simples, cosimples)
+        # against the coefficient solver of a datum built by hand
+        assert positive == BasedRootDatum(*datum).positive_indices
+
+
+def test_datum_presets_take_no_smith_form(monkeypatch):
+    """A datum preset resolves, with its Galois action, and knows its
+    positive roots and 2 rho without a Smith form: the closure's positive
+    side replaces the coefficient solver of the simple roots."""
+    from satake import matrices
+
+    calls = []
+    real = matrices.smith_normal_form
+
+    def counting(matrix, **kwargs):
+        calls.append(matrix)
+        return real(matrix, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "smith_normal_form", None) is real:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+    for name in sorted(GRID_DATA):
+        datum = resolve(preset=name).datum
+        assert datum.positive_indices and datum.two_rho()
+    assert calls == []
