@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .abelian import FgAbGroup, GroupCharacter, GroupHom, all_characters, \
-    character_count, character_idents, coinvariants, cokernel, \
-    induced_endomorphism, invariants_of_induced_action, kernel_of_hom, \
-    subgroup_coordinates
+    character_count, character_idents, coinvariants, cokernel, induced_hom, \
+    invariants_of_induced_action, kernel_of_hom, subgroup_coordinates
 from .circle import ExactCircle
 from .components import CenterCoverCheck, FoldCheck, Pi0Certificate, \
     check_center_covers_components, check_fixed_weyl_is_folded, \

@@ -140,11 +140,10 @@ class GroupHom:
     """Homomorphism between FgAbGroups as a matrix on canonical generators.
 
     Construction checks well-definedness: each source relation d_i * e_i
-    must land in the target's relation lattice.  `preimages` factors
-    [matrix | target relations] once, on first use, for every later call.
+    must land in the target's relation lattice.
     """
 
-    __slots__ = ("source", "target", "matrix", "_solver")
+    __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix):
         if matrix.shape != (target.ngens, source.ngens):
@@ -152,7 +151,6 @@ class GroupHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self._solver = None
         t_orders = target.generator_orders()
         for j, d in enumerate(source.generator_orders()):
             # d g_j must map to zero: d x_ij = 0 mod t_i, so x_ij = 0 if t_i = 0
@@ -185,13 +183,12 @@ class GroupHom:
 
     def preimages(self, targets):
         """Per element of the target, some x with self(x) = it, or None:
-        one solve for the whole batch."""
-        if self._solver is None:
-            self._solver = linear_solver(
-                hstack(self.matrix, self.target.relation_matrix()))
+        one Smith form of [matrix | target relations] for the batch."""
+        solver = linear_solver(hstack(self.matrix,
+                                      self.target.relation_matrix()))
         n = self.matrix.ncols
         return [None if x is None else self.source.reduce(x[:n]) for x in
-                self._solver.solve(list(map(self.target.reduce, targets)))]
+                solver.solve(list(map(self.target.reduce, targets)))]
 
     def preimage(self, coords):
         """Some x with self(x) = coords, or None."""
@@ -224,30 +221,27 @@ def cokernel(matrix):
     return FgAbGroup(factors, len(free_rows), proj=proj, lift=lift)
 
 
-def coinvariants(rank, automorphisms):
-    """Largest quotient of Z^rank on which every automorphism matrix acts
-    trivially: the cokernel of the stacked (gamma - 1).  Only the shapes
-    are checked here; `rootdata.automorphism_order` checks the rest.
+def coinvariants(matrix):
+    """Largest quotient of Z^n on which the automorphism `matrix` acts
+    trivially: the cokernel of matrix - 1.  Only the shape is checked
+    here; `rootdata.automorphism_order` checks the rest.
 
     >>> swap = IntMatrix([[0, 1], [1, 0]])
-    >>> coinvariants(2, [swap]).describe()
+    >>> coinvariants(swap).describe()
     'Z'
     """
-    blocks = []
-    for g in automorphisms:
-        if g.shape != (rank, rank):
-            raise ValueError("automorphism has the wrong shape")
-        blocks.append(g - IntMatrix.identity(rank))
-    return cokernel(hstack(*blocks) if blocks else IntMatrix.zeros(rank, 0))
+    return cokernel(matrix - IntMatrix.identity(matrix.nrows))
 
 
-def induced_endomorphism(group, ambient_matrix):
-    """Endomorphism of a presented group induced by an ambient lattice map.
+def induced_hom(source, ambient, target=None):
+    """The map of presented groups (into `source` itself by default) that
+    an ambient lattice map induces: target.proj (ambient source.lift).
 
-    Raises if the ambient map does not descend.
+    Raises unless it carries relations to relations, i.e. the ambient map
+    descends.
     """
-    mat = group.proj @ (ambient_matrix @ group.lift)
-    return GroupHom(group, group, mat)
+    target = source if target is None else target
+    return GroupHom(source, target, target.proj @ (ambient @ source.lift))
 
 
 def kernel_of_hom(hom):

@@ -85,19 +85,17 @@ def _inputs(rg):
 
 def _cmd_kottwitz(rg, args):
     kg = kottwitz_group(rg.torus)
-    result = {
+    return {
         "group": kg.group.describe(),
         "invariant_factors": list(kg.group.invariant_factors),
         "free_rank": kg.group.free_rank,
         "coinvariants": kg.coinvariants.describe(),
     }
-    return build_report("kottwitz", _inputs(rg), result)
 
 
 def _cmd_compact(rg, args):
     quo = maximal_compact_quotient(rg.torus)
-    result = {"group": quo.describe(), "free_rank": quo.free_rank}
-    return build_report("compact", _inputs(rg), result)
+    return {"group": quo.describe(), "free_rank": quo.free_rank}
 
 
 def _cmd_cocycle(rg, args):
@@ -110,13 +108,12 @@ def _cmd_cocycle(rg, args):
     chi, c = induced_torus_cocycle(torus, fval)
     recovered = character_from_dual_point(kg, chi, c)
     expected = induced_character(kg, fval)
-    result = {
+    return {
         "chi": list(chi),
         "value": c.render(),
         "character": recovered.render(),
         "round_trip": recovered == expected,
     }
-    return build_report("cocycle", _inputs(rg), result)
 
 
 def _character(setting, values, what):
@@ -131,12 +128,11 @@ def _cmd_classify(rg, args):
     cls = classify(setting,
                    parameter_from_character(setting.kottwitz, character),
                    max_orbit=args.max_orbit)
-    result = {
+    return {
         "group": setting.group.describe(),
         "canonical": cls.representative.character.render(),
         "orbit_size": cls.orbit_size,
     }
-    return build_report("classify", _inputs(rg), result)
 
 
 def _cmd_equal(rg, args):
@@ -145,22 +141,20 @@ def _cmd_equal(rg, args):
     c2 = _character(setting, rg.values2, "values2")
     same = parameters_equal(setting, SatakeParameter(c1), SatakeParameter(c2),
                             max_orbit=args.max_orbit)
-    result = {"group": setting.group.describe(), "equal": same}
-    return build_report("equal", _inputs(rg), result)
+    return {"group": setting.group.describe(), "equal": same}
 
 
 def _cmd_fold(rg, args):
     if rg.datum is None:
         raise ConfigError("fold needs a root datum, not a bare torus")
     rrd = restricted_root_data(rg.datum, rg.action.tau)
-    result = {
+    return {
         "type": rrd.type_name,
         "non_reduced": rrd.non_reduced,
         "invariant_rank": rrd.projection.nrows,
         "restricted_root_count": len(rrd.datum.roots),
         "reduced_root_count": len(rrd.reduced_datum.roots),
     }
-    return build_report("fold", _inputs(rg), result)
 
 
 def _cmd_verify_ks(rg, args):
@@ -170,7 +164,7 @@ def _cmd_verify_ks(rg, args):
     tad = check_tad_connected(rg.datum, tau)
     cover = check_center_covers_components(rg.datum, tau)
     foldc = check_fixed_weyl_is_folded(rg.datum, tau, cap=args.max_orbit)
-    result = {
+    return {
         "tad_connected": tad.is_connected(),
         "center_covers": cover.surjective,
         "fixed_equals_folded": foldc.match,
@@ -179,14 +173,12 @@ def _cmd_verify_ks(rg, args):
         "pi0_torus": cover.pi0_torus.describe(),
         "pi0_center": cover.pi0_center.describe(),
     }
-    return build_report("verify-ks", _inputs(rg), result)
 
 
 def _cmd_modulus(rg, args):
     setting = rg.setting()
-    result = {"group": setting.group.describe(),
-              "values": modulus_character(setting).render()}
-    return build_report("modulus", _inputs(rg), result)
+    return {"group": setting.group.describe(),
+            "values": modulus_character(setting).render()}
 
 
 def _cmd_orbits(rg, args):
@@ -208,14 +200,13 @@ def _cmd_orbits(rg, args):
                      "orbit enumeration")
     listed = [{"values": _render_ident(least), "orbit_size": size}
               for least, size in sorted((min(o), len(o)) for o in orbits)]
-    result = {
+    return {
         "group": setting.group.describe(),
         "torsion": args.torsion,
         "character_count": count,
         "class_count": len(listed),
         "classes": listed,
     }
-    return build_report("orbits", _inputs(rg), result)
 
 
 _COMMANDS = {
@@ -238,7 +229,8 @@ def main(argv=None):
         if args.max_orbit < 1:
             raise ConfigError("--max-orbit must be positive")
         rg = _load(args)
-        report = _COMMANDS[args.command](rg, args)
+        report = build_report(args.command, _inputs(rg),
+                              _COMMANDS[args.command](rg, args))
         sys.stdout.write(render_report(report, args.format))
         return 0
     except CapExceeded as exc:

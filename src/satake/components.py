@@ -11,7 +11,7 @@ enumeration.
 
 from collections import namedtuple
 
-from .abelian import GroupHom, coinvariants, cokernel, induced_endomorphism
+from .abelian import GroupHom, coinvariants, cokernel, induced_hom
 from .matrices import IntMatrix
 from .rootdata import (DEFAULT_WEYL_CAP, _gather, closure, folded_generators,
                        root_permutation, weyl_walk)
@@ -37,7 +37,7 @@ def pi0_fixed(matrix):
     >>> pi0_fixed(IntMatrix([[-1]])).group.describe()
     'Z/2'
     """
-    coinv = coinvariants(matrix.nrows, [matrix])
+    coinv = coinvariants(matrix)
     torsion, _ = coinv.torsion_subgroup()
     return Pi0Certificate(torsion, coinv)
 
@@ -72,12 +72,12 @@ def check_center_covers_components(datum, tau):
     """
     n = datum.rank
     dual_tau = tau.dual()
-    ct = coinvariants(n, [dual_tau])
+    ct = coinvariants(dual_tau)
     central = cokernel(IntMatrix.from_columns(datum.coroots, nrows=n))
-    tau_central = induced_endomorphism(central, dual_tau)
+    tau_central = induced_hom(central, dual_tau)
     cz = (tau_central - GroupHom.identity(central)).cokernel_group()
     # composed map: coinvariants of X^ -> central quotient -> its coinvariants
-    hom = GroupHom(ct, cz, cz.proj @ central.proj @ ct.lift)
+    hom = induced_hom(ct, central.proj, cz)
     torsion, incl = ct.torsion_subgroup()
     witness = ()
     for el in torsion.elements():

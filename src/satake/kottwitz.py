@@ -15,10 +15,10 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .abelian import (FgAbGroup, GroupCharacter, GroupHom, _follow, _moves,
-                      coinvariants, induced_endomorphism,
-                      invariants_of_induced_action, subgroup_coordinates)
+                      coinvariants, induced_hom, invariants_of_induced_action,
+                      subgroup_coordinates)
 from .circle import ExactCircle
-from .matrices import ORDER_CAP, IntMatrix, hstack
+from .matrices import ORDER_CAP, IntMatrix
 from .rootdata import (FoldingError, automorphism_order, check_twist_relation,
                        folded_generators, mulclose, search)
 
@@ -71,8 +71,8 @@ def kottwitz_group(torus):
     >>> kottwitz_group(t).group.describe()
     'Z/2'
     """
-    coinv = coinvariants(torus.rank, [torus.tau])
-    sigma_bar = induced_endomorphism(coinv, torus.sigma)
+    coinv = coinvariants(torus.tau)
+    sigma_bar = induced_hom(coinv, torus.sigma)
     group, inclusion = invariants_of_induced_action(coinv, sigma_bar)
     return KottwitzGroup(torus, coinv, group, inclusion)
 
@@ -191,31 +191,25 @@ def _action_key(hom):
 
 def descend_to_kottwitz(kg, ambient_matrices, kg_target=None):
     """The maps T/T_0 -> T'/T'_0 (`kg_target`, by default kg) of cochar-
-    lattice maps commuting with tau (so each descends to a map of
-    coinvariants, checked as a GroupHom, which carries relations to
-    relations) and sigma (so it carries T/T_0 into T'/T'_0): proj times
-    the maps side by side, the blocks one above another times lift and
-    the inclusion, the columns solved in T'/T'_0 in one call."""
+    lattice maps commuting with tau (so each induces a map of coinvariants,
+    `induced_hom`) and sigma (so it carries T/T_0 into T'/T'_0): each
+    induced map times the inclusion, the columns of all of them solved in
+    T'/T'_0 in one call.  Not reducing between the factors is exact, the
+    induced map being a checked GroupHom."""
     kg_target = kg_target or kg
-    cs, ct, n, k = (kg.coinvariants, kg_target.coinvariants, kg.torus.rank,
-                    len(ambient_matrices))
-    if any(m.ncols != n for m in ambient_matrices):
+    if any(m.ncols != kg.torus.rank for m in ambient_matrices):
         raise ValueError("a map does not start on the source lattice")
-    side = (ct.proj @ hstack(*ambient_matrices)).data if k else ()
-    blocks = IntMatrix._trusted(tuple(row[i:i + n] for i in range(
-        0, k * n, n) for row in side), n) @ cs.lift
-    c, g = ct.ngens, kg.group.ngens
-    for i in range(k):  # raises unless each block maps relations to relations
-        GroupHom(cs, ct, IntMatrix._trusted(blocks.data[i * c:(i + 1) * c],
-                                            cs.ngens))
-    rows = (blocks @ kg.inclusion.matrix).transpose().data
-    cols = kg_target.inclusion.preimages([row[i * c:(i + 1) * c]
-                                          for i in range(k) for row in rows])
+    columns = []
+    for m in ambient_matrices:
+        chom = induced_hom(kg.coinvariants, m, kg_target.coinvariants)
+        columns += (chom.matrix @ kg.inclusion.matrix).columns()
+    cols = kg_target.inclusion.preimages(columns)
     if None in cols:
         raise ValueError("the map does not carry T/T_0 into T'/T'_0")
+    g = kg.group.ngens
     return [GroupHom(kg.group, kg_target.group, IntMatrix.from_columns(
         cols[i * g:(i + 1) * g], nrows=kg_target.group.ngens))
-            for i in range(k)]
+            for i in range(len(ambient_matrices))]
 
 
 class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
@@ -242,17 +236,13 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
         Each must square to the identity on T/T_0 (FoldingError
         otherwise), so it is an automorphism, which `weyl_orbit` relies
         on; M @ M reduced once is exact, M being a checked GroupHom."""
-        if self.datum is None or not self.datum.simple_indices:
+        if self.datum is None:
             return ()
-        torus, kg, n = self.torus, self.kottwitz, self.torus.rank
-        chars = folded_generators(self.datum, self.action.tau,
-                                  self.action.sigma)
-        gens = [w.transpose() for w in chars]
-        side, stacked = hstack(*gens), hstack(*chars).transpose()
-        for g in (torus.tau, torus.sigma):
-            # g [w_1|...|w_k] against the blocks of [w_1; ...; w_k] g
-            wg = (stacked @ g).data
-            if (g @ side).data != tuple(sum(wg[r::n], ()) for r in range(n)):
+        torus, kg = self.torus, self.kottwitz
+        gens = [w.transpose() for w in folded_generators(
+            self.datum, self.action.tau, self.action.sigma)]
+        for w in gens:
+            if any(g @ w != w @ g for g in (torus.tau, torus.sigma)):
                 raise FoldingError("folded generator does not centralize the"
                                    " Galois action")
         identity = _action_key(GroupHom.identity(kg.group))
@@ -340,8 +330,8 @@ def kottwitz_hom(matrix, kg_source, kg_target):
         raise ValueError("map is not tau-equivariant")
     if matrix @ ts.sigma != tt.sigma @ matrix:
         raise ValueError("map is not sigma-equivariant")
-    cs, ct = kg_source.coinvariants, kg_target.coinvariants
-    chom = GroupHom(cs, ct, ct.proj @ (matrix @ cs.lift))
+    chom = induced_hom(kg_source.coinvariants, matrix,
+                       kg_target.coinvariants)
     return descend_to_kottwitz(kg_source, [matrix], kg_target)[0], chom
 
 

@@ -157,14 +157,13 @@ def split_root_count(family, n):
 
 
 def _refuse_oversized(name, family, n):
-    """Refuse the split datum `family` n when its root closure or its
-    lattice rank would pass the cap, before any of it is built."""
+    """Refuse the split datum `family` n when its root closure would pass
+    the cap, before any of it is built.  The datum it admits with the
+    largest lattice, GL100, has rank 100, under the rank cap."""
     roots = split_root_count(family, n)
     if roots > ROOT_CAP:
         raise CapExceeded(f"root generation: {name} would have {roots} roots,"
                           f" over the cap {ROOT_CAP}")
-    # Sp n and SO n live on Z^(n // 2)
-    refuse_large_rank({"GL": n, "SL": n - 1, "PGL": n - 1}.get(family, n // 2))
 
 
 def refuse_large_rank(rank):

@@ -22,7 +22,7 @@ from .abelian import coinvariants
 from .matrices import IntMatrix, images, linear_solver
 
 DEFAULT_WEYL_CAP = 10 ** 6
-ROOT_CAP = 10 ** 5
+ROOT_CAP = 10 ** 4
 RANK_CAP = 256
 
 
@@ -532,7 +532,7 @@ def restricted_root_data(datum, tau):
     """
     n = datum.rank
     tau_m = tau.matrix
-    coinv = coinvariants(n, [tau_m])
+    coinv = coinvariants(tau_m)
     k = coinv.torsion_count
     r = coinv.free_rank
     proj_free = IntMatrix(coinv.proj.data[k:], ncols=n)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from satake.abelian import (
     FgAbGroup, GroupCharacter, GroupHom, all_characters, character_count,
-    character_idents, coinvariants, cokernel, induced_endomorphism,
+    character_idents, coinvariants, cokernel, induced_hom,
     invariants_of_induced_action, kernel_of_hom, subgroup_coordinates,
 )
 from satake.circle import ExactCircle, ONE
@@ -66,12 +66,14 @@ def test_cokernel_presentations():
 
 def test_coinvariants_examples():
     swap = IntMatrix([[0, 1], [1, 0]])
-    assert coinvariants(2, [swap]).describe() == "Z"
+    assert coinvariants(swap).describe() == "Z"
     neg = IntMatrix([[-1]])
-    assert coinvariants(1, [neg]).describe() == "Z/2"
-    assert coinvariants(2, []).describe() == "Z^2"
-    # only shapes are checked: Z / (2 - 1)Z is trivial
-    assert coinvariants(1, [IntMatrix([[2]])]).describe() == "0"
+    assert coinvariants(neg).describe() == "Z/2"
+    assert coinvariants(IntMatrix.identity(2)).describe() == "Z^2"
+    # only the shape is checked: Z / (2 - 1)Z is trivial
+    assert coinvariants(IntMatrix([[2]])).describe() == "0"
+    with pytest.raises(ValueError, match="shape"):
+        coinvariants(IntMatrix([[1, 0]]))
 
 
 def test_hom_construction_checks_relations():
@@ -116,9 +118,19 @@ def test_kernel_of_hom_and_invariants():
 def test_induced_endomorphism_descends():
     quo = cokernel(IntMatrix([[3, 0], [0, 1]]))
     assert quo.describe() == "Z/3"
-    neg = induced_endomorphism(quo, IntMatrix([[-1, 0], [0, -1]]))
+    neg = induced_hom(quo, IntMatrix([[-1, 0], [0, -1]]))
+    assert neg.target is quo
     fixed, _ = invariants_of_induced_action(quo, neg)
     assert fixed.is_trivial()
+    # into another presentation of Z/3 by the ambient swap, and not into Z^2
+    swap = IntMatrix([[0, 1], [1, 0]])
+    other = cokernel(IntMatrix([[1, 0], [0, 3]]))
+    hom = induced_hom(quo, swap, other)
+    assert hom.target is other
+    assert hom.matrix == other.proj @ swap @ quo.lift
+    assert hom.matrix.data == ((1,),)   # e_1 of one to e_2 of the other
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        induced_hom(quo, swap, cokernel(IntMatrix.zeros(2, 0)))
 
 
 def test_character_torsion_constraint():

@@ -477,6 +477,7 @@ def test_modulus_needs_no_weyl_cap(capsys):
     ("split SO1000", 2 * 500 * 499),
     ("flip A999", 1000 * 999),
     ("unitary ramified 1000", 1000 * 999),
+    ("split GL256", 256 * 255),
 ])
 def test_oversized_presets_are_refused_before_building(preset, roots,
                                                        monkeypatch, capsys):
@@ -505,9 +506,9 @@ def test_oversized_presets_are_refused_before_building(preset, roots,
 ])
 def test_presets_past_the_rank_cap_are_refused_before_building(
         preset, rank, monkeypatch, capsys):
-    """A datum preset whose lattice rank passes the cap, although its root
-    count does not, exits 2 naming its rank and the cap, fast and without
-    calling a builder (each is patched to fail)."""
+    """A datum preset whose lattice rank passes the rank cap has far more
+    roots than the root cap: it exits 2 naming its root count, fast and
+    without calling a builder (each is patched to fail)."""
     from satake import presets
 
     def refuse(*args, **kwargs):
@@ -519,21 +520,29 @@ def test_presets_past_the_rank_cap_are_refused_before_building(
     start = time.perf_counter()
     assert main(["kottwitz", "--preset", preset]) == 2
     assert time.perf_counter() - start < 1
-    assert (f"rank {rank} is over the cap {presets.RANK_CAP}"
-            in capsys.readouterr().err)
+    # each is GL n, SL n or PGL n, of type A_(n-1), on Z^rank
+    n = rank + 1 if preset.startswith(("split SL", "split PGL")) else rank
+    assert rank > presets.RANK_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("error: root generation")
+    assert f"would have {n * (n - 1)} roots, over the cap 10000" in err
 
 
-def test_rank_cap_admits_the_datum_presets_of_rank_256():
-    """At rank 256 a preset passes both caps (only the caps run here):
-    GL256, SL257 and PGL257, and Sp and SO of the largest n on Z^256 are
-    refused for their roots alone."""
+def test_the_root_cap_admits_no_datum_preset_past_rank_100():
+    """The largest split presets the root cap admits, GL100, SL100,
+    PGL100, Sp141 and SO142, have rank at most 100, under the rank cap,
+    and the next two of each family are refused for their roots (only
+    the caps run here).  A flip or unitary preset is a GL n."""
     from satake import presets
 
-    for family, n in (("GL", 256), ("SL", 257), ("PGL", 257)):
+    for family, n, rank in (("GL", 100, 100), ("SL", 100, 99),
+                            ("PGL", 100, 99), ("Sp", 141, 70),
+                            ("SO", 142, 71)):
         presets._refuse_oversized(f"{family}{n}", family, n)
-    for family, n in (("Sp", 512), ("SO", 513)):
-        with pytest.raises(presets.CapExceeded, match="root generation"):
-            presets._refuse_oversized(f"{family}{n}", family, n)
+        assert rank <= 100 < presets.RANK_CAP
+        for bigger in (n + 1, n + 2):
+            with pytest.raises(presets.CapExceeded, match="root generation"):
+                presets._refuse_oversized(f"{family}{bigger}", family, bigger)
 
 
 # the root and coroot of SL2 padded with zeros to length 257

@@ -13,8 +13,10 @@ import importlib.util
 import io
 import json
 import os
+import random
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,73 @@ def test_workload_commands_pass_their_checks(workload, seed, tmp_path):
         problems = command.verify(json.loads(out))
         if problems:
             failures.append((command.cid, problems))
+    assert not failures
+
+
+# split families up to rank 8 (SO on both parities), flip A7 and more
+# induced tori, each through the benchmark's checks of its commands
+WIDE_SPLIT = [("GL", r) for r in range(2, 9)] + [
+    ("Sp", 2 * r) for r in range(2, 9)] + [
+    ("SO", n) for n in range(5, 18)]
+WIDE_INDUCED = ((1, 1, 2), (1, 4, 2), (5, 1, 2), (2, 5, 3), (7, 2, 3),
+                (3, 4, 5))
+
+
+def _wide_commands(checks, rng):
+    """(argv, config text or None, check) per command of the wider grid."""
+    values = [(Fraction(e, 2), Fraction(a, 8))
+              for e in range(-2, 3) for a in range(8)]
+    trivial = (Fraction(0), Fraction(0))
+    for family, n in WIDE_SPLIT:
+        preset = f"split {family}{n}"
+        rank = n if family == "GL" else n // 2
+        group = f"Z^{rank}"
+        exponents = checks.split_modulus_exponents(family, n)
+        yield (["modulus", "--preset", preset], None,
+               lambda r, g=group, e=exponents:
+               checks.check_modulus_split(r, g, e))
+        # two drawn values, the rest trivial, so orbits stay small; for
+        # type D (SO 2m) one is e(1/2), its own inverse, so the even sign
+        # changes reach every sign change and the type-B orbit is the orbit
+        chosen = rng.sample(values, 2) + [trivial] * (rank - 2)
+        if family == "SO" and n % 2 == 0:
+            chosen[1] = (Fraction(0), Fraction(1, 2))
+        kind = "GL" if family == "GL" else "BC"
+        text = ("values = [" + ",".join(map(checks.config_value, chosen))
+                + "]\n")
+        yield (["classify", "--preset", preset], text,
+               lambda r, g=group, k=kind, v=chosen:
+               checks.check_classify_split(r, g, k, v))
+    yield (["fold", "--preset", "flip A7"], None,
+           lambda r: checks.check_fold(r, checks.folded_flip_a(7)))
+    yield (["verify-ks", "--preset", "flip A7"], None,
+           lambda r: checks.check_verify_ks(r, checks.weyl_order_bc(4),
+                                            *checks.pi0_flip_a(7)))
+    for e, f, q in WIDE_INDUCED:
+        preset = f"induced e={e} f={f} q={q}"
+        coinv = "Z" if f == 1 else f"Z^{f}"
+        value = rng.choice(values)
+        yield (["kottwitz", "--preset", preset], None,
+               lambda r, c=coinv: checks.check_kottwitz(r, "Z", [], 1, c))
+        yield (["compact", "--preset", preset], None,
+               lambda r: checks.check_compact(r, "Z", 1))
+        yield (["cocycle", "--preset", preset],
+               f"value = {checks.config_value(value)}\n",
+               lambda r, e=e, f=f, v=value: checks.check_cocycle(r, e, f, v))
+
+
+def test_a_wider_grid_passes_the_benchmark_checks(tmp_path):
+    checks = _load_benchmark_module("checks")
+    failures = []
+    for argv, text, check in _wide_commands(checks, random.Random(7)):
+        if text is not None:
+            path = tmp_path / "case.cfg"
+            path.write_text(text, encoding="utf-8")
+            argv = argv + ["--config", str(path)]
+        code, out, err = run(argv + ["--format", "json"])
+        problems = check(json.loads(out)["result"]) if code == 0 else [err]
+        if problems:
+            failures.append((shlex.join(argv), problems))
     assert not failures
 
 

@@ -17,7 +17,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom, _moves,
                             all_characters, character_count,
-                            induced_endomorphism, subgroup_coordinates)
+                            induced_hom, subgroup_coordinates)
 from satake.circle import ExactCircle, ONE
 from satake.cli import main
 from satake.config import GroupConfig, resolve, serialize_config
@@ -492,7 +492,7 @@ def weyl_generator_matrices_by_unit(setting):
     for w in folded_generators(setting.datum, setting.action.tau,
                                setting.action.sigma):
         hom = restrict_by_unit(
-            induced_endomorphism(kg.coinvariants, w.transpose()), kg, kg)
+            induced_hom(kg.coinvariants, w.transpose()), kg, kg)
         key = action_key_by_unit(hom)
         if key == identity or key in homs:
             continue
@@ -532,6 +532,29 @@ def test_weyl_descent_matches_unit_vectors_on_the_grid(name):
             assert _action_key(hom) == action_key_by_unit(hom)
             assert (_action_key(hom.compose(hom))
                     == tuple(map(hom, action_key_by_unit(hom))))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_k_maps_descend_to_k_homs(k):
+    """k maps in give k homs out, each the unit-vector descent of its own
+    map: on the rank-0 torus, whose T/T_0 has no generators, and on a grid
+    setting with torsion."""
+    kg = kottwitz_group(TorusWithAction(0, IntMatrix.identity(0),
+                                        IntMatrix.identity(0)))
+    homs = descend_to_kottwitz(kg, [IntMatrix.identity(0)] * k)
+    assert [(h.source, h.target, h.matrix.shape) for h in homs] == [
+        (kg.group, kg.group, (0, 0))] * k
+    khom, chom = kottwitz_hom(IntMatrix.identity(0), kg, kg)
+    assert khom.matrix.shape == chom.matrix.shape == (0, 0)
+    setting = GRID_SETTINGS["flip D4"]
+    kg = setting.kottwitz
+    maps = [-IntMatrix.identity(setting.torus.rank)] + [
+        w.transpose() for w in folded_generators(
+            setting.datum, setting.action.tau, setting.action.sigma)]
+    homs = descend_to_kottwitz(kg, maps[:k])
+    assert [h.matrix for h in homs] == [
+        restrict_by_unit(kottwitz_hom(m, kg, kg)[1], kg, kg).matrix
+        for m in maps[:k]]
 
 
 def folded_generators_by_products(datum, *automorphisms):
@@ -668,7 +691,7 @@ def test_twist_relation_is_validated():
                                   "unitary ramified 5"])
 def test_descending_generators_factors_the_inclusion_once(name, monkeypatch):
     """Every folded generator descends through one Smith form of the
-    inclusion of T/T_0, cached on the inclusion itself."""
+    inclusion of T/T_0: all their columns are solved in one call."""
     from satake import matrices
 
     rg = resolve(preset=name)

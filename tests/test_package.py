@@ -1,8 +1,9 @@
 """Package surface: one version string, a module-free `__all__`, the
 one-exact-solver decision (the Smith form), the one stored form,
-precomposition kernel and value renderer of a character kept in the
-source, a start-up that loads no `dataclasses`, records that stay
-read-only, and a `test` extra that lists what the tests import."""
+precomposition kernel and value renderer of a character and the one
+induced-map formula kept in the source, a start-up that loads no
+`dataclasses`, records that stay read-only, and a `test` extra that lists
+what the tests import."""
 
 import ast
 import json
@@ -16,7 +17,7 @@ from types import ModuleType
 import pytest
 
 import satake
-from satake.abelian import GroupCharacter, all_characters
+from satake.abelian import GroupCharacter, GroupHom, all_characters
 from satake.circle import ExactCircle
 from satake.cli import main
 from satake.components import check_center_covers_components, \
@@ -181,6 +182,38 @@ def test_follow_is_the_one_precomposition_kernel():
     for gone in ("q_nums", "arg_nums", "den", "_from_nums", "__call__",
                  "__mul__"):
         assert gone not in vars(GroupCharacter), gone
+
+
+def _matmul_operands(node):
+    """The operands of a chain of `@` products, left to right."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return _matmul_operands(node.left) + _matmul_operands(node.right)
+    return [node]
+
+
+def _is_proj_lift_product(node):
+    """A product `a.proj @ ... @ b.lift`, grouped either way."""
+    operands = _matmul_operands(node)
+    return (len(operands) > 1
+            and getattr(operands[0], "attr", None) == "proj"
+            and getattr(operands[-1], "attr", None) == "lift")
+
+
+def test_induced_hom_is_the_one_induced_map_formula():
+    """A map of presented groups induced by a lattice map is written
+    `proj @ (... @ lift)` only in `abelian.induced_hom`; the descent to
+    T/T_0 goes one map at a time, so `kottwitz` stacks no blocks, and a
+    `GroupHom` keeps no solver, as each is solved once."""
+    assert _owners_in_src(_is_proj_lift_product) == [("abelian",
+                                                      "induced_hom")]
+    for probe in ("g.proj @ (m @ h.lift)", "g.proj @ h.proj @ k.lift"):
+        assert _is_proj_lift_product(ast.parse(probe).body[0].value)
+    assert not _is_proj_lift_product(ast.parse("g.proj @ h.lift.T").body[0]
+                                     .value)
+    imported = {alias.name for node in ast.walk(_tree("kottwitz.py"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "hstack" not in imported
+    assert GroupHom.__slots__ == ("source", "target", "matrix")
 
 
 def test_orbits_builds_no_character_and_classify_one(monkeypatch, capsys):
