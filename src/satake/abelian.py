@@ -204,13 +204,16 @@ class GroupHom:
 
 def cokernel(matrix):
     """Z^m / (column span of an m-row matrix), as an FgAbGroup presented
-    over Z^m, read off a Smith form taken without V.
+    over Z^m, read off a Smith form taken without V; Z^m itself, with
+    identity presentation, when the matrix has no columns.
 
     >>> cokernel(IntMatrix([[-2]])).describe()
     'Z/2'
     """
-    sf = smith_normal_form(matrix, with_v=False)
     m = matrix.nrows
+    if not matrix.ncols:
+        return FgAbGroup((), m)
+    sf = smith_normal_form(matrix, with_v=False)
     diag = sf.diagonal
     torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
     free_rows = [i for i in range(m) if i >= len(diag) or diag[i] == 0]

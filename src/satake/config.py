@@ -16,7 +16,8 @@ from .kottwitz import SphericalSetting, TorusWithAction, cochar_torus, \
     kottwitz_group
 from .matrices import IntMatrix
 from .presets import refuse_large_rank, resolve_preset
-from .rootdata import BasedRootDatum, galois_action, validate
+from .rootdata import ROOT_CAP, BasedRootDatum, CapExceeded, galois_action, \
+    validate
 
 
 class ConfigError(ValueError):
@@ -395,6 +396,10 @@ def resolve(config=None, preset=None, q=None):
             raise ConfigError("empty roots list; use a torus config instead")
         rank = len(config.roots[0])
         refuse_large_rank(rank)
+        if len(config.roots) > ROOT_CAP:
+            raise CapExceeded(f"root datum: the config has"
+                              f" {len(config.roots)} roots, over the cap"
+                              f" {ROOT_CAP}")
         corank = len(config.coroots[0]) if config.coroots else rank
         if corank != rank:
             raise ConfigError("root and coroot vectors must have the same"

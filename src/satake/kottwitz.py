@@ -199,9 +199,17 @@ def descend_to_kottwitz(kg, ambient_matrices, kg_target=None):
     kg_target = kg_target or kg
     if any(m.ncols != kg.torus.rank for m in ambient_matrices):
         raise ValueError("a map does not start on the source lattice")
+    return _descend(kg, [induced_hom(kg.coinvariants, m,
+                                     kg_target.coinvariants)
+                         for m in ambient_matrices], kg_target)
+
+
+def _descend(kg, induced, kg_target):
+    """The maps T/T_0 -> T'/T'_0 of maps of coinvariants `induced`: each
+    times the inclusion, the columns of all of them solved in T'/T'_0 in
+    one call."""
     columns = []
-    for m in ambient_matrices:
-        chom = induced_hom(kg.coinvariants, m, kg_target.coinvariants)
+    for chom in induced:
         columns += (chom.matrix @ kg.inclusion.matrix).columns()
     cols = kg_target.inclusion.preimages(columns)
     if None in cols:
@@ -209,7 +217,7 @@ def descend_to_kottwitz(kg, ambient_matrices, kg_target=None):
     g = kg.group.ngens
     return [GroupHom(kg.group, kg_target.group, IntMatrix.from_columns(
         cols[i * g:(i + 1) * g], nrows=kg_target.group.ngens))
-            for i in range(len(ambient_matrices))]
+            for i in range(len(induced))]
 
 
 class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
@@ -332,7 +340,7 @@ def kottwitz_hom(matrix, kg_source, kg_target):
         raise ValueError("map is not sigma-equivariant")
     chom = induced_hom(kg_source.coinvariants, matrix,
                        kg_target.coinvariants)
-    return descend_to_kottwitz(kg_source, [matrix], kg_target)[0], chom
+    return _descend(kg_source, [chom], kg_target)[0], chom
 
 
 class Envelope(namedtuple("Envelope", "torus prime embed norm degree")):

@@ -14,7 +14,7 @@ and the orbits of parameters, run through one breadth-first `search`.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import factorial, gcd
 from operator import itemgetter, matmul, mul
 
@@ -38,11 +38,49 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _reflect(x, a, av):
-    """s_a(x) = x - <x, a^> a, and x itself when the pairing is 0;
-    `_reflect(y, av, a)` is s_a on the other side."""
-    p = _dot(x, av)
-    return tuple([v - p * w for v, w in zip(x, a)]) if p else x
+def _shift(x, p, a):
+    """x - p a, with `a` the (index, entry) pairs of its nonzeros."""
+    x = list(x)
+    for j, v in a:
+        x[j] -= p * v
+    return tuple(x)
+
+
+def _reflections(pairs):
+    """For (root, coroot) pairs (a, a^) of one length: per pair, the map
+    (b, b^) -> (s_a b, s_a^T b^) = (b - <b, a^> a, b^ - <a, b^> a^),
+    reading only the nonzeros of a and a^; and `meeting(b, b^)`, the
+    indices, in order, of the pairs whose a^ meets the support of b or
+    whose a meets that of b^.  Every other reflection fixes (b, b^), both
+    pairings being 0."""
+    def reflection(a, av):
+        a, av = (list(compress(enumerate(v), v)) for v in (a, av))
+
+        def reflect(b, bv):
+            p = sum([b[j] * v for j, v in av])
+            q = sum([bv[j] * v for j, v in a])
+            return (_shift(b, p, a) if p else b,
+                    _shift(bv, q, av) if q else bv)
+        return reflect
+
+    coords = range(len(pairs[0][0]) if pairs else 0)
+    # per coordinate j, the pairs that b (resp. b^) meets when b_j != 0
+    by_root, by_coroot = [[] for _ in coords], [[] for _ in coords]
+    for i, (a, av) in enumerate(pairs):
+        for j in compress(coords, av):
+            by_root[j].append(i)
+        for j in compress(coords, a):
+            by_coroot[j].append(i)
+
+    def meeting(b, bv):
+        hits = set()
+        for j in compress(coords, b):
+            hits.update(by_root[j])
+        for j in compress(coords, bv):
+            hits.update(by_coroot[j])
+        return sorted(hits)
+
+    return [reflection(a, av) for a, av in pairs], meeting
 
 
 def search(seeds, generators, product, cap=None, stage=""):
@@ -142,7 +180,8 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     Only the positive side is closed: s_i permutes the positive roots
     other than alpha_i (Bourbaki, Lie VI 1.6), so each pair found is
     reflected by each s_i but that of its own root, and its negative
-    (-b, -b^) is recorded with it.
+    (-b, -b^) is recorded with it.  Only the s_i that `_reflections`
+    finds meeting the pair's supports are applied; the others fix it.
     The loop is its own, not `search`: keyed by the root alone it stops
     at the first root reached with a second coroot, while a search keyed
     by (root, coroot) pairs would run on to the cap."""
@@ -157,9 +196,10 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     for a, av in pairs:
         if _dot(a, av) != 2:
             raise ValueError("simple pairing <alpha, alpha^> must be 2")
+    reflections, meeting = _reflections(pairs)
     seen, found = {}, []
-    reflected = ((_reflect(b, a, av), _reflect(bv, av, a))
-                 for b, bv in found for a, av in pairs if b != a)
+    reflected = (reflections[i](b, bv) for b, bv in found
+                 for i in meeting(b, bv) if b != simples[i])
     for b, bv in chain(pairs, reflected):
         prev = seen.get(b)
         if prev is None:
@@ -181,8 +221,8 @@ def datum_from_simples(simple_roots, simple_coroots, label="", cap=ROOT_CAP):
     built from the closure's tuples, its positive side `positive_indices`."""
     roots, coroots, positive = root_closure(simple_roots, simple_coroots, cap)
     rank = len(simple_roots[0]) if simple_roots else 0
-    simple_idx = tuple(roots.index(tuple(int(v) for v in r))
-                       for r in simple_roots)
+    index = {r: i for i, r in enumerate(roots)}
+    simple_idx = tuple(index[tuple(int(v) for v in r)] for r in simple_roots)
     datum = BasedRootDatum._make((rank, tuple(roots), tuple(coroots),
                                   simple_idx, label))
     datum.__dict__["positive_indices"] = positive
@@ -195,12 +235,12 @@ def validate(datum):
     Checked: <alpha, alpha^> = 2 for every pair; the simple roots are
     linearly independent; each reflection permutes the root set (and
     dually the coroot set); every root is an integer combination of simple
-    roots with coefficients all of one sign.
+    roots with coefficients all of one sign.  The reflections are checked
+    by `_reflections_certified`, and root by root (`_reflection_problems`)
+    only when that certificate fails.
     """
     problems = []
-    root_set = set(datum.roots)
-    coroot_set = set(datum.coroots)
-    if len(root_set) != len(datum.roots):
+    if len(set(datum.roots)) != len(datum.roots):
         problems.append("duplicate roots")
     for idx, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
         if len(a) != datum.rank or len(av) != datum.rank:
@@ -219,15 +259,8 @@ def validate(datum):
     solver = datum._coefficient_solver
     if datum.rank - solver.consistency.nrows < len(datum.simple_indices):
         return ["simple roots are linearly dependent"]
-    # pairings[i][j] = <root i, coroot j>, from one product
-    pairings = (IntMatrix(datum.roots, ncols=datum.rank)
-                @ IntMatrix(datum.coroots, ncols=datum.rank).transpose()).data
-    for idx, (a, av, col) in enumerate(zip(datum.roots, datum.coroots,
-                                           zip(*pairings))):
-        if not _maps_into(datum.roots, col, a, root_set):
-            problems.append(f"reflection in root {idx} does not permute the roots")
-        if not _maps_into(datum.coroots, pairings[idx], av, coroot_set):
-            problems.append(f"coreflection in root {idx} does not permute the coroots")
+    if not _reflections_certified(datum):
+        problems += _reflection_problems(datum)
     den = solver.den
     for idx, nums in enumerate(solver.numerators(datum.roots)):
         if nums is None:
@@ -238,6 +271,55 @@ def validate(datum):
             continue
         if not (all(c >= 0 for c in nums) or all(c <= 0 for c in nums)):
             problems.append(f"root {idx} has mixed-sign simple coefficients")
+    return problems
+
+
+def _reflections_certified(datum):
+    """Whether a certificate shows that every reflection of a datum of
+    distinct roots permutes the roots, and its transpose the coroots
+    (Bourbaki, Lie VI 1.5); False says only that the certificate fails.
+
+    The bases are the simple roots and those of their doubles that are
+    roots.  Certified: the reflection in each basis carries every (root,
+    coroot) pair to a pair of the datum, so it permutes both sides; and a
+    `search` over the simple reflections reaches every root from a basis.
+    A root w beta then has the coroot w^-T beta^, its reflection is
+    w s_beta w^-1 and the transpose w^-T s_beta^T w^T, which permute both
+    sides."""
+    roots, coroots = datum.roots, datum.coroots
+    index = {r: i for i, r in enumerate(roots)}
+    simples = datum.simple_indices
+    doubles = (index.get(tuple([2 * v for v in roots[i]])) for i in simples)
+    bases = list(simples) + [i for i in doubles if i is not None]
+    reflections, meeting = _reflections([(roots[i], coroots[i])
+                                         for i in bases])
+    # per basis, its reflection as a permutation of the root indices
+    perms = [list(range(len(roots))) for _ in bases]
+    for idx, pair in enumerate(zip(roots, coroots)):
+        for g in meeting(*pair):
+            b, bv = reflections[g](*pair)
+            j = index.get(b)
+            if j is None or coroots[j] != bv:
+                return False
+            perms[g][idx] = j
+    reached = search(bases, perms[:len(simples)], lambda i, perm: perm[i])
+    return len(reached) == len(roots)
+
+
+def _reflection_problems(datum):
+    """The reflection in each root checked on every root, and its
+    transpose on every coroot, from one product of all the pairings."""
+    problems = []
+    root_set, coroot_set = set(datum.roots), set(datum.coroots)
+    # pairings[i][j] = <root i, coroot j>, from one product
+    pairings = (IntMatrix(datum.roots, ncols=datum.rank)
+                @ IntMatrix(datum.coroots, ncols=datum.rank).transpose()).data
+    for idx, (a, av, col) in enumerate(zip(datum.roots, datum.coroots,
+                                           zip(*pairings))):
+        if not _maps_into(datum.roots, col, a, root_set):
+            problems.append(f"reflection in root {idx} does not permute the roots")
+        if not _maps_into(datum.coroots, pairings[idx], av, coroot_set):
+            problems.append(f"coreflection in root {idx} does not permute the coroots")
     return problems
 
 
@@ -538,24 +620,25 @@ def restricted_root_data(datum, tau):
     proj_free = IntMatrix(coinv.proj.data[k:], ncols=n)
     lift_free_t = IntMatrix(coinv.lift.transpose().data[k:], ncols=n)
 
-    dual_tau = tau.dual()
     root_index = {rt: i for i, rt in enumerate(datum.roots)}
-    restricted = {}
-    for orbit in _orbits(range(len(datum.roots)),
-                         [root_permutation(tau_m, datum.roots)]):
+    orbits = _orbits(range(len(datum.roots)),
+                     [root_permutation(tau_m, datum.roots)])
+    cosums = []
+    for orbit in orbits:
         members = [datum.roots[i] for i in orbit]
-        image = proj_free.apply(members[0])
         a2 = any(tuple(x + y for x, y in zip(members[p], members[q])) in root_index
                  for p in range(len(members)) for q in range(len(members)) if p != q)
-        cosum = [0] * n
-        for i in orbit:
-            cosum = [a + b for a, b in zip(cosum, datum.coroots[i])]
-        if a2:
-            cosum = [2 * a for a in cosum]
-        if dual_tau.apply(cosum) != tuple(cosum):
+        cosum = map(sum, zip(*(datum.coroots[i] for i in orbit)))
+        cosums.append(tuple([2 * a for a in cosum] if a2 else cosum))
+    # per orbit: the one image of its roots, and its coroot sum, which
+    # must be tau-invariant, as a functional on the coinvariant lattice
+    firsts = images(proj_free, [datum.roots[orbit[0]] for orbit in orbits])
+    restricted = {}
+    for image, cosum, moved, cofun in zip(firsts, cosums,
+                                          images(tau.dual(), cosums),
+                                          images(lift_free_t, cosums)):
+        if moved != cosum:
             raise FoldingError("restricted coroot is not tau-invariant")
-        # coroot as a functional on the coinvariant lattice
-        cofun = lift_free_t.apply(cosum)
         prev = restricted.get(image)
         if prev is not None and prev != cofun:
             raise FoldingError("inconsistent coroots for one restricted root")
@@ -564,9 +647,10 @@ def restricted_root_data(datum, tau):
     roots = sorted(restricted)
     coroots = [restricted[rt] for rt in roots]
     pos = {rt: i for i, rt in enumerate(roots)}
+    image_of = {i: img for orbit, img in zip(orbits, firsts) for i in orbit}
     simple = []
     for orbit in _simple_orbit_partition(datum, tau):
-        img = proj_free.apply(datum.roots[orbit[0]])
+        img = image_of[orbit[0]]
         if pos[img] not in simple:
             simple.append(pos[img])
     full = BasedRootDatum(r, tuple(roots), tuple(coroots), tuple(simple),

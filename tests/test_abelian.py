@@ -14,7 +14,19 @@ from satake.abelian import (
 )
 from satake.circle import ExactCircle, ONE
 from satake.abelian import _follow, _moves
-from satake.matrices import IntMatrix
+from satake.matrices import IntMatrix, smith_normal_form
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_cokernel_of_no_columns_is_the_smith_path(m):
+    """With no columns, Z^m itself on the identity presentation: what a
+    Smith form of the m x 0 matrix gives, read as `cokernel` reads it."""
+    sf = smith_normal_form(IntMatrix.zeros(m, 0), with_v=False)
+    group = cokernel(IntMatrix.zeros(m, 0))
+    assert sf.diagonal == () and group == FgAbGroup((), m)
+    assert (group.invariant_factors, group.free_rank) == ((), m)
+    assert group.proj == sf.U == IntMatrix.identity(m)
+    assert group.lift == sf.U_inv == IntMatrix.identity(m)
 
 
 def test_canonical_form_and_describe():

@@ -587,6 +587,27 @@ def test_oversized_tori_are_refused_before_building(text, rank, monkeypatch,
     assert f"rank {rank} is over the cap" in capsys.readouterr().err
 
 
+def test_config_past_the_root_cap_is_refused_before_building(
+        monkeypatch, tmp_path, capsys):
+    """10,001 rank-1 roots exit 2 with their count, fast, without
+    building or validating the datum (both are patched to fail)."""
+    from satake import config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("datum built past the root cap")
+
+    for attr in ("BasedRootDatum", "validate"):
+        monkeypatch.setattr(config, attr, refuse)
+    roots = ",".join(f"[{k}]" for k in range(1, 10002))
+    cfg = tmp_path / "roots.cfg"
+    cfg.write_text(f"roots = [{roots}]\ncoroots = [{roots}]\nsimple = [0]\n")
+    start = time.perf_counter()
+    assert main(["kottwitz", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: root datum: the config has 10001 roots, over the cap 10000\n")
+
+
 def test_rank_cap_admits_the_largest_benchmark_torus(capsys):
     assert main(["kottwitz", "--preset", "induced e=8 f=8 q=3"]) == 0
     capsys.readouterr()

@@ -29,21 +29,23 @@ from satake.kottwitz import (
     maximal_compact_quotient, modulus_character, parameter_from_character,
     parameters_equal, setting_for_datum, setting_for_torus, weyl_orbit,
 )
-from satake.matrices import IntMatrix
+from satake.matrices import IntMatrix, images
 from satake.presets import cartan_a, flip_negate, split_gl
 from satake.rootdata import (
     BasedRootDatum, CapExceeded, FoldingError, GaloisAction,
     automorphism_order, check_twist_relation, datum_from_simples, dual_datum,
     _simple_orbit_partition, folded_generators, galois_action, mulclose,
-    pinned_automorphism, weyl_group,
+    pinned_automorphism, restricted_root_data, root_closure, validate,
+    weyl_group,
 )
 from test_abelian import evaluate
 from test_acceptance import TWISTED_SUITE
 from test_config_cli import NO_WEYL_VALUES
 from test_grid import GRID
 from test_matrices import INDUCED_TORI, sympy_inverse
-from test_rootdata import (bfs_weyl_group, fixed_weyl_subgroup,
-                           simple_coefficients_oracle)
+from test_rootdata import (GRID_DATA, bfs_weyl_group, corrupted_copies,
+                           fixed_weyl_subgroup, simple_coefficients_oracle,
+                           validate_by_matrices)
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()
@@ -308,6 +310,66 @@ def random_twisted_data(draw):
     return GroupConfig(roots=datum.roots, coroots=datum.coroots,
                        simple=datum.simple_indices, tau=("matrix", tau),
                        sigma=("matrix", sigma), twist=twist)
+
+
+@st.composite
+def unimodular(draw, n):
+    """g in GL_n(Z) and its inverse, from 12 elementary steps
+    g -> (1 + c E_ij) g with c in {1, -1, 2, -2} (none when n = 1)."""
+    g = inverse = IntMatrix.identity(n)
+    for _ in range(12 if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((1, -1, 2, -2)))
+        step = [[int(r == k) + c * ((r, k) == (i, j)) for k in range(n)]
+                for r in range(n)]
+        g = IntMatrix(step) @ g
+        step[i][j] -= 2 * c
+        inverse = inverse @ IntMatrix(step)
+    return g, inverse
+
+
+def change_of_basis(datum, g, inverse):
+    """The datum in the basis g: roots g alpha, coroots g^-T alpha^."""
+    return BasedRootDatum(datum.rank, images(g, datum.roots),
+                          images(inverse.transpose(), datum.coroots),
+                          datum.simple_indices, label=datum.label)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rg=st.one_of(st.sampled_from(sorted(GRID_DATA)).map(GRID_DATA.get),
+                    random_twisted_data().map(resolve)),
+       data=st.data())
+def test_the_root_layer_in_any_lattice_basis(rg, data):
+    """The sparse paths of the closure, of `validate` and of folding on
+    dense data: a datum and tau moved by a random g in GL_n(Z) close to
+    the g-image of the closure, validate as the oracle does (on the
+    corrupted copies too), and fold to the same type and root counts."""
+    datum, tau = rg.datum, rg.action.tau
+    g, inverse = data.draw(unimodular(datum.rank))
+    moved = change_of_basis(datum, g, inverse)
+
+    def closure(d):
+        return root_closure(d.simple_roots(),
+                            [d.coroots[i] for i in d.simple_indices])
+
+    roots, coroots, positive = closure(datum)
+    image = change_of_basis(datum._replace(roots=tuple(roots),
+                                           coroots=tuple(coroots)),
+                            g, inverse)
+    got, cogot, gpositive = closure(moved)
+    assert set(zip(got, cogot)) == set(zip(image.roots, image.coroots))
+    assert ({got[i] for i in gpositive}
+            == {image.roots[i] for i in positive})
+    for case in [moved] + corrupted_copies(moved):
+        assert validate(case) == validate_by_matrices(case)
+    assert validate(moved) == []
+    folded = restricted_root_data(datum, tau)
+    refolded = restricted_root_data(moved, pinned_automorphism(
+        moved, g @ tau.matrix @ inverse))
+    assert ((refolded.type_name, len(refolded.datum.roots),
+             len(refolded.reduced_datum.roots))
+            == (folded.type_name, len(folded.datum.roots),
+                len(folded.reduced_datum.roots)))
 
 
 def cli_result(argv):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satake.config import resolve
+from satake.config import parse_config, resolve
 from satake.kottwitz import TorusWithAction, cochar_torus
 from satake.matrices import IntMatrix
 from satake.presets import (
@@ -582,7 +582,9 @@ def validate_by_matrices(datum):
 
 def corrupted_copies(datum):
     """One non-simple root dropped with its coroot, the first coroot
-    doubled, and the first and last coroots swapped."""
+    doubled, the first and last coroots swapped, and (in rank 2 and up)
+    the coroot of the dropped root moved by a vector orthogonal to the
+    root, so that every pairing <alpha, alpha^> stays 2."""
     n = len(datum.roots)
     if n < 2:
         return []
@@ -594,12 +596,21 @@ def corrupted_copies(datum):
         [i - (i > drop) for i in datum.simple_indices])
     doubled = [tuple(2 * v for v in coroots[0])] + coroots[1:]
     swapped = [coroots[-1]] + coroots[1:-1] + [coroots[0]]
+    changed = [doubled, swapped]
+    if datum.rank > 1:
+        r = roots[drop]
+        i = next(j for j, v in enumerate(r) if v)
+        l = (i + 1) % datum.rank
+        moved = list(coroots[drop])
+        moved[i] += r[l]
+        moved[l] -= r[i]
+        changed.append(coroots[:drop] + [tuple(moved)] + coroots[drop + 1:])
     return [dropped] + [BasedRootDatum(datum.rank, roots, c,
                                        datum.simple_indices)
-                        for c in (doubled, swapped)]
+                        for c in changed]
 
 
-def _validate_cases():
+def _valid_cases():
     data = list(PRESET_DATA)
     for name in DATUM_PRESETS:
         rg = resolve(preset=name)
@@ -607,6 +618,11 @@ def _validate_cases():
         if rg.action.tau.matrix != IntMatrix.identity(rg.datum.rank):
             folded = restricted_root_data(rg.datum, rg.action.tau)
             data += [folded.datum, folded.reduced_datum]
+    return data
+
+
+def _validate_cases():
+    data = _valid_cases()
     return data + [bad for datum in data for bad in corrupted_copies(datum)]
 
 
@@ -615,6 +631,77 @@ def test_validate_matches_matrix_reflections():
     assert sum(bool(validate_by_matrices(d)) for d in cases) > len(cases) // 3
     for datum in cases:
         assert validate(datum) == validate_by_matrices(datum), datum.label
+
+
+def _spy(monkeypatch, name, calls, replacement=None):
+    """Record each call of `rootdata.<name>` in `calls`, then run
+    `replacement`, by default the function itself."""
+    real = getattr(rootdata, name)
+
+    def spy(datum):
+        calls.append(datum)
+        return (replacement or real)(datum)
+
+    monkeypatch.setattr(rootdata, name, spy)
+
+
+def test_the_certificate_decides_every_valid_datum(monkeypatch):
+    """No valid case of the validate suite reaches the root-by-root
+    check, which is patched to fail; a corrupted copy is checked root by
+    root whenever the certificate is consulted, and every copy with a
+    root dropped or a coroot moved reaches it."""
+    def refuse(datum):
+        raise AssertionError(f"full reflection check on {datum.label}")
+
+    data = _valid_cases()
+    certified, full = [], []
+    _spy(monkeypatch, "_reflections_certified", certified)
+    _spy(monkeypatch, "_reflection_problems", full, refuse)
+    assert all(validate(datum) == [] for datum in data)
+    assert len(certified) == len(data) and full == []
+    monkeypatch.undo()
+    _spy(monkeypatch, "_reflections_certified", certified)
+    _spy(monkeypatch, "_reflection_problems", full)
+    for datum in data:
+        copies = corrupted_copies(datum)
+        for k, bad in enumerate(copies):
+            certified.clear()
+            full.clear()
+            assert validate(bad)
+            assert full == certified
+            if k in (0, 3):    # a root dropped, a coroot moved
+                assert full == [bad]
+
+
+def test_the_certificate_reaches_every_root():
+    """A root the simple reflections do not reach is not certified: here
+    +-(1, 1) and +-(1, -1) beside the A1 of (2, 0), which its reflection
+    carries pair to pair, though the reflection in (1, 1) sends (2, 0)
+    to (0, -2)."""
+    roots = ((2, 0), (-2, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))
+    stray = BasedRootDatum(2, roots, ((1, 0), (-1, 0)) + roots[2:], (0,))
+    assert not rootdata._reflections_certified(stray)
+    problems = validate(stray)
+    assert problems == validate_by_matrices(stray)
+    assert "reflection in root 2 does not permute the roots" in problems
+
+
+def test_non_reduced_bc1_validates_by_the_certificate(monkeypatch):
+    """Roots +-e, +-2e with coroots +-2e^, +-e^: the double of the simple
+    root is a basis of the certificate, and the config resolves without
+    the root-by-root check."""
+    def refuse(datum):
+        raise AssertionError("full reflection check")
+
+    monkeypatch.setattr(rootdata, "_reflection_problems", refuse)
+    bc1 = BasedRootDatum(1, ((1,), (-1,), (2,), (-2,)),
+                         ((2,), (-2,), (1,), (-1,)), (0,), label="BC1")
+    assert validate(bc1) == []
+    config = parse_config("roots = [[1], [-1], [2], [-2]]\n"
+                          "coroots = [[2], [-2], [1], [-1]]\nsimple = [0]\n")
+    assert resolve(config).datum == bc1._replace(label="custom")
+    monkeypatch.undo()
+    assert validate_by_matrices(bc1) == []
 
 
 # --- the root-set products against one root at a time ------------------------
@@ -761,6 +848,13 @@ def test_inconsistent_coroots_are_refused_before_the_cap(simples, cosimples):
 
 # --- the positive closure against the closure under every reflection ---------
 
+def reflect(x, a, av):
+    """s_a(x) = x - <x, a^> a, and x itself when the pairing is 0;
+    `reflect(y, av, a)` is s_a on the other side."""
+    p = sum(u * v for u, v in zip(x, av))
+    return tuple([v - p * w for v, w in zip(x, a)]) if p else x
+
+
 def reference_root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     """The closure as it ran before it closed only the positive side:
     breadth first under every simple reflection, keyed by root, the
@@ -783,8 +877,8 @@ def reference_root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
         nxt = []
         for b, bv in frontier:
             for a, av in zip(simples, cosimples):
-                nb = rootdata._reflect(b, a, av)
-                nbv = rootdata._reflect(bv, av, a)
+                nb = reflect(b, a, av)
+                nbv = reflect(bv, av, a)
                 prev = seen.get(nb)
                 if prev is None:
                     seen[nb] = nbv
@@ -851,15 +945,23 @@ def test_root_closure_matches_the_reference(system, cap):
     reached with two coroots) and whose closure passes the cap before
     one search or the other meets the second coroot.  Which comes first
     depends on the order of the search, and the positive closure counts
-    each negative root when it finds the positive one."""
+    each negative root when it finds the positive one.  A closure found
+    is a datum, often not a valid one, that `validate` and its
+    certificate must judge as the oracle does, corrupted copies too."""
     expected = closure_outcome(reference_root_closure, *system, cap)
     got = closure_outcome(root_closure, *system, cap)
     if len(got) == 3:
         # one root of each pair {b, -b} is positive: the side closed
-        roots, _, positive = got
+        roots, coroots, positive = got
         assert sorted(tuple(-x for x in roots[i]) for i in positive) == [
             r for i, r in enumerate(roots) if i not in positive]
         got = got[:2]
+        index = {r: i for i, r in enumerate(roots)}
+        datum = BasedRootDatum(len(roots[0]), roots, coroots,
+                               [index[r] for r in system[0]])
+        for case in [datum] + (corrupted_copies(datum) if len(roots) > len(
+                set(datum.simple_indices)) else []):
+            assert validate(case) == validate_by_matrices(case)
     if got != expected:
         assert {got, expected} == {
             ("CapExceeded", f"root generation exceeded cap {cap}"),
