@@ -48,6 +48,9 @@ class GroupConfig(namedtuple("GroupConfig", _KEYS,
 
 # --- low-level value parsing -------------------------------------------------
 
+_NUMBER = (int, Fraction)
+
+
 def _tokenize(text, line):
     i, n = 0, len(text)
     out = []
@@ -66,7 +69,7 @@ def _tokenize(text, line):
                 j += 1
             frag = text[i:j]
             try:
-                out.append((Fraction(frag), i))
+                out.append((Fraction(frag) if "/" in frag else int(frag), i))
             except (ValueError, ZeroDivisionError):
                 raise ConfigError(f"bad number {frag!r}", line) from None
             i = j
@@ -76,8 +79,9 @@ def _tokenize(text, line):
 
 
 def _parse_nested(text, line):
-    """Bracketed/parenthesized nests of rationals -> nested tuples, at
-    most 2 deep (a matrix, a root list or a list of pairs)."""
+    """Bracketed/parenthesized nests of numbers -> nested tuples, at
+    most 2 deep (a matrix, a root list or a list of pairs).  A number is
+    an int, or a Fraction when written a/b."""
     tokens = _tokenize(text, line)
     pos = 0
 
@@ -86,7 +90,7 @@ def _parse_nested(text, line):
         if pos >= len(tokens):
             raise ConfigError("unexpected end of value", line)
         tok, col = tokens[pos]
-        if isinstance(tok, Fraction):
+        if isinstance(tok, _NUMBER):
             pos += 1
             return tok
         if tok in "[(":
@@ -123,7 +127,7 @@ def _parse_nested(text, line):
 
 
 def _as_int(value, line, what):
-    if not isinstance(value, Fraction) or value.denominator != 1:
+    if not isinstance(value, _NUMBER) or value.denominator != 1:
         raise ConfigError(f"{what} must be an integer", line)
     return int(value)
 
@@ -155,7 +159,7 @@ def _parse_ints(text, line, what):
 
 def _parse_circle(pair, line, what):
     if (not isinstance(pair, tuple) or len(pair) != 2
-            or not all(isinstance(v, Fraction) for v in pair)):
+            or not all(isinstance(v, _NUMBER) for v in pair)):
         raise ConfigError(f"{what} must be a pair (q_exponent, argument)", line)
     return ExactCircle(pair[0], pair[1])
 

@@ -11,7 +11,6 @@ by a canonical minimal orbit representative.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .abelian import (FgAbGroup, GroupCharacter, GroupHom, _follow, _moves,
@@ -189,19 +188,17 @@ def _action_key(hom):
     return tuple(map(hom.target.reduce, hom.matrix.columns()))
 
 
-def descend_to_kottwitz(kg, ambient_matrices, kg_target=None):
-    """The maps T/T_0 -> T'/T'_0 (`kg_target`, by default kg) of cochar-
-    lattice maps commuting with tau (so each induces a map of coinvariants,
-    `induced_hom`) and sigma (so it carries T/T_0 into T'/T'_0): each
-    induced map times the inclusion, the columns of all of them solved in
-    T'/T'_0 in one call.  Not reducing between the factors is exact, the
-    induced map being a checked GroupHom."""
-    kg_target = kg_target or kg
+def descend_to_kottwitz(kg, ambient_matrices):
+    """The endomorphisms of T/T_0 of cochar-lattice maps commuting with
+    tau (so each induces a map of coinvariants, `induced_hom`) and sigma
+    (so it carries T/T_0 into itself): each induced map times the
+    inclusion, the columns of all of them solved in T/T_0 in one call.
+    Not reducing between the factors is exact, the induced map being a
+    checked GroupHom."""
     if any(m.ncols != kg.torus.rank for m in ambient_matrices):
         raise ValueError("a map does not start on the source lattice")
-    return _descend(kg, [induced_hom(kg.coinvariants, m,
-                                     kg_target.coinvariants)
-                         for m in ambient_matrices], kg_target)
+    return _descend(kg, [induced_hom(kg.coinvariants, m, kg.coinvariants)
+                         for m in ambient_matrices], kg)
 
 
 def _descend(kg, induced, kg_target):
@@ -225,17 +222,16 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
     """Everything needed to classify parameters for one group: the based
     root datum and its char-side Galois action (both None for a bare
     torus), the cochar-side torus and its Kottwitz group.  The relative
-    Weyl group's action on T/T_0 is built on first use."""
+    Weyl group's action on T/T_0 is built on each use: each command
+    reads it once."""
 
-    def __setattr__(self, name, value):
-        # the instance dict is only for the cached properties
-        raise AttributeError(f"{type(self).__name__} is read-only")
+    __slots__ = ()
 
     @property
     def group(self):
         return self.kottwitz.group
 
-    @cached_property
+    @property
     def weyl_generators(self):
         """Automorphisms of T/T_0 (deduplicated, identity left out) that
         generate the relative Weyl group, the tau,sigma-fixed Weyl
@@ -265,7 +261,7 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
             homs[key] = hom
         return tuple(homs.values())
 
-    @cached_property
+    @property
     def orbit_moves(self):
         """Each of `weyl_generators` as its `_moves`, for `_follow`."""
         return tuple(_moves(hom.matrix) for hom in self.weyl_generators)

@@ -235,9 +235,15 @@ def validate(datum):
     Checked: <alpha, alpha^> = 2 for every pair; the simple roots are
     linearly independent; each reflection permutes the root set (and
     dually the coroot set); every root is an integer combination of simple
-    roots with coefficients all of one sign.  The reflections are checked
-    by `_reflections_certified`, and root by root (`_reflection_problems`)
-    only when that certificate fails.
+    roots with coefficients all of one sign.
+
+    The reflections are certified (Bourbaki, Lie VI 1.5) by `_reflected`
+    on the simple roots and those of their doubles that are roots: when
+    nothing leaves the datum under these and a `search` over the simple
+    reflections reaches every root from them, a root w beta has the
+    coroot w^-T beta^, its reflection is w s_beta w^-1 and the transpose
+    w^-T s_beta^T w^T, which permute both sides.  Only when that fails is
+    the reflection in every root checked, by the same pass.
     """
     problems = []
     if len(set(datum.roots)) != len(datum.roots):
@@ -259,8 +265,20 @@ def validate(datum):
     solver = datum._coefficient_solver
     if datum.rank - solver.consistency.nrows < len(datum.simple_indices):
         return ["simple roots are linearly dependent"]
-    if not _reflections_certified(datum):
-        problems += _reflection_problems(datum)
+    index = {r: i for i, r in enumerate(datum.roots)}
+    simples = datum.simple_indices
+    doubles = (index.get(tuple([2 * v for v in datum.roots[i]]))
+               for i in simples)
+    bases = list(simples) + [i for i in doubles if i is not None]
+    perms, leaves = _reflected(datum, bases)
+    if any(leaves) or len(search(bases, perms[:len(simples)],
+                                 lambda i, perm: perm[i])) < len(datum.roots):
+        _, leaves = _reflected(datum, range(len(datum.roots)))
+        for idx, left in enumerate(leaves):
+            if "root" in left:
+                problems.append(f"reflection in root {idx} does not permute the roots")
+            if "coroot" in left:
+                problems.append(f"coreflection in root {idx} does not permute the coroots")
     den = solver.den
     for idx, nums in enumerate(solver.numerators(datum.roots)):
         if nums is None:
@@ -274,61 +292,30 @@ def validate(datum):
     return problems
 
 
-def _reflections_certified(datum):
-    """Whether a certificate shows that every reflection of a datum of
-    distinct roots permutes the roots, and its transpose the coroots
-    (Bourbaki, Lie VI 1.5); False says only that the certificate fails.
-
-    The bases are the simple roots and those of their doubles that are
-    roots.  Certified: the reflection in each basis carries every (root,
-    coroot) pair to a pair of the datum, so it permutes both sides; and a
-    `search` over the simple reflections reaches every root from a basis.
-    A root w beta then has the coroot w^-T beta^, its reflection is
-    w s_beta w^-1 and the transpose w^-T s_beta^T w^T, which permute both
-    sides."""
+def _reflected(datum, bases):
+    """The reflection in each basis root (an index) applied, through
+    `_reflections`, to every (root, coroot) pair of a datum of distinct
+    roots.  Per basis: its map of the root indices, None where a root
+    leaves the roots; and how it leaves the datum, a set of "root" (a
+    root sent off the roots), "pair" (a root sent to a root whose coroot
+    is not the image of its own) and "coroot" (a coroot sent off the
+    coroots)."""
     roots, coroots = datum.roots, datum.coroots
     index = {r: i for i, r in enumerate(roots)}
-    simples = datum.simple_indices
-    doubles = (index.get(tuple([2 * v for v in roots[i]])) for i in simples)
-    bases = list(simples) + [i for i in doubles if i is not None]
+    coroot_set = set(coroots)
     reflections, meeting = _reflections([(roots[i], coroots[i])
                                          for i in bases])
-    # per basis, its reflection as a permutation of the root indices
-    perms = [list(range(len(roots))) for _ in bases]
+    perms = [list(range(len(roots))) for _ in reflections]
+    leaves = [set() for _ in reflections]
     for idx, pair in enumerate(zip(roots, coroots)):
         for g in meeting(*pair):
             b, bv = reflections[g](*pair)
-            j = index.get(b)
+            j = perms[g][idx] = index.get(b)
             if j is None or coroots[j] != bv:
-                return False
-            perms[g][idx] = j
-    reached = search(bases, perms[:len(simples)], lambda i, perm: perm[i])
-    return len(reached) == len(roots)
-
-
-def _reflection_problems(datum):
-    """The reflection in each root checked on every root, and its
-    transpose on every coroot, from one product of all the pairings."""
-    problems = []
-    root_set, coroot_set = set(datum.roots), set(datum.coroots)
-    # pairings[i][j] = <root i, coroot j>, from one product
-    pairings = (IntMatrix(datum.roots, ncols=datum.rank)
-                @ IntMatrix(datum.coroots, ncols=datum.rank).transpose()).data
-    for idx, (a, av, col) in enumerate(zip(datum.roots, datum.coroots,
-                                           zip(*pairings))):
-        if not _maps_into(datum.roots, col, a, root_set):
-            problems.append(f"reflection in root {idx} does not permute the roots")
-        if not _maps_into(datum.coroots, pairings[idx], av, coroot_set):
-            problems.append(f"coreflection in root {idx} does not permute the coroots")
-    return problems
-
-
-def _maps_into(vectors, pairings, a, target):
-    """Whether x -> x - p a (p the pairing of x) maps the vectors into
-    `target`, reflecting only those with p != 0: for a finite set and
-    <a, a^> = 2, whether the involution, being injective, permutes it."""
-    return all(tuple([v - p * w for v, w in zip(x, a)]) in target
-               for x, p in zip(vectors, pairings) if p)
+                leaves[g].add("root" if j is None else "pair")
+                if bv not in coroot_set:
+                    leaves[g].add("coroot")
+    return perms, leaves
 
 
 def dual_datum(datum):
@@ -509,12 +496,13 @@ def weyl_walk(datum, cap=DEFAULT_WEYL_CAP):
                           f" {order} elements, over the cap {cap}")
     roots, simples = datum.roots, datum.simple_indices
     negative = set(range(len(roots))).difference(datum.positive_indices)
-    gens = [root_permutation(datum.reflection_matrix(i), roots)
-            for i in simples]
+    gens, leaves = _reflected(datum, simples)
+    if any("root" in left for left in leaves):
+        raise FoldingError("matrix does not permute the roots")
     # per i: p -> w s_i, and p -> the images under w of alpha_i and of
     # s_i alpha_j (j < i), which w must keep positive
     moves = [(_gather(s), _gather((simples[i],) + _gather(simples[:i])(s)))
-             for i, s in enumerate(gens)]
+             for i, s in enumerate(map(tuple, gens))]
     stack = [tuple(range(len(roots)))]
     count = 0
     while stack:

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from satake.circle import ExactCircle
 from satake.cli import main
 from satake.config import (
-    ConfigError, GroupConfig, parse_config, resolve, serialize_config,
+    ConfigError, GroupConfig, _tokenize, parse_config, resolve,
+    serialize_config,
 )
 from satake.matrices import IntMatrix
 from satake.report import build_report, to_json, to_text
@@ -39,6 +40,22 @@ def test_parse_values_and_fractions():
     assert cfg.values == (ExactCircle(Fraction(1, 2), Fraction(3, 8)),
                           ExactCircle(-1, 0))
     assert cfg.value == ExactCircle(0, Fraction(1, 2))
+
+
+def test_integer_tokens_are_ints_and_fractions_are_written_a_over_b():
+    """Only an a/b token becomes a Fraction; one of denominator 1 is
+    still an integer, any other is refused where an integer is due."""
+    assert _tokenize("[+3, -4, 5/1, 6/4]", 1) == [
+        ("[", 0), (3, 1), (",", 3), (-4, 5), (",", 7), (Fraction(5), 9),
+        (",", 12), (Fraction(3, 2), 14), ("]", 17)]
+    assert [type(tok) for tok, _ in _tokenize("12 -7 +0", 1)] == [int] * 3
+    assert parse_config("rank = 4/2\n").rank == 2
+    assert type(parse_config("rank = 4/2\n").rank) is int
+    with pytest.raises(ConfigError, match="rank must be an integer"):
+        parse_config("rank = 1/2\n")
+    for bad in ("-", "+", "1/0", "1/", "1//2"):
+        with pytest.raises(ConfigError, match="bad number"):
+            _tokenize(bad, 1)
 
 
 def test_parse_matrix_action():

@@ -372,6 +372,114 @@ def test_the_root_layer_in_any_lattice_basis(rg, data):
                 len(folded.reduced_datum.roots)))
 
 
+# --- folding against orbit averages and the folding table --------------------
+
+def orbit_average_count(datum, tau):
+    """The number of distinct tau-orbit averages of the roots, each
+    orbit walked by applying tau until it returns: in X (x) Q the
+    average is the projection onto the tau-fixed part, so it tells the
+    restricted roots apart."""
+    averages = set()
+    for root in datum.roots:
+        orbit = [root]
+        while (image := tau.apply(orbit[-1])) != root:
+            orbit.append(image)
+        averages.add(tuple(Fraction(sum(c), len(orbit)) for c in zip(*orbit)))
+    return len(averages)
+
+
+def _simple_type(cartan, comp):
+    """The type of a Dynkin component of A_n, B2 (printed C2), G2 or
+    D_n, the types of the presets and of `random_twisted_data`."""
+    bonds = [cartan[i][j] * cartan[j][i] for i in comp for j in comp if i < j]
+    if 3 in bonds:
+        return "G2"
+    if 2 in bonds:
+        return "C2"
+    branch = any(sum(1 for j in comp if j != i and cartan[i][j]) == 3
+                 for i in comp)
+    return f"{'D' if branch else 'A'}{len(comp)}"
+
+
+def folding_table(name, order):
+    """The reduced type of a simple type folded by a diagram automorphism
+    of that order, and whether the fold is non-reduced: A_{2n-1} -> C_n,
+    A_{2n} -> BC_n (reduced B_n, printed A1 and C2 for n = 1, 2),
+    D_n -> B_{n-1}, and triality D4 -> G2."""
+    if order == 1:
+        return name, False
+    family, n = name[0], int(name[1:])
+    if order == 3:
+        assert name == "D4"
+        return "G2", False
+    if family == "D":
+        return f"B{n - 1}", False
+    if n % 2:
+        return f"C{(n + 1) // 2}", False
+    return {1: "A1", 2: "C2"}.get(n // 2, f"B{n // 2}"), True
+
+
+def folded_type_name(datum, tau):
+    """The folding table applied to each tau-orbit of Dynkin components:
+    an orbit of m components folds as one of them under tau^m."""
+    k = len(datum.simple_indices)
+    simples = datum.simple_roots()
+    perm = [simples.index(tau.apply(r)) for r in simples]
+    cartan = [[datum.cartan_entry(i, j) for j in range(k)] for i in range(k)]
+    types, non_reduced, done = [], False, set()
+    for i in range(k):
+        if i in done:
+            continue
+        comp, frontier = {i}, [i]
+        while frontier:
+            frontier = [j for x in frontier for j in range(k)
+                        if cartan[x][j] and j not in comp]
+            comp.update(frontier)
+        comp = sorted(comp)
+        image = comp           # tau^m of comp, until it is comp again
+        while True:
+            image = [perm[j] for j in image]
+            done.update(image)
+            if image[0] in comp:
+                break
+        power = dict(zip(comp, image))
+        order, moved = 1, power
+        while any(moved[j] != j for j in comp):
+            moved, order = {j: power[moved[j]] for j in comp}, order + 1
+        name, bc = folding_table(_simple_type(cartan, comp), order)
+        types.append(name)
+        non_reduced |= bc
+    joined = " x ".join(sorted(types)) if types else "torus"
+    return (f"BC-type (non-reduced), reduced {joined}" if non_reduced
+            else joined)
+
+
+def assert_fold_matches_the_oracles(rg):
+    """One restricted root per distinct tau-orbit average of the roots,
+    and the type the folding table gives; returns that type."""
+    tau = rg.action.tau.matrix
+    folded = restricted_root_data(rg.datum, rg.action.tau)
+    assert len(folded.datum.roots) == orbit_average_count(rg.datum, tau)
+    assert folded.type_name == folded_type_name(rg.datum, tau)
+    return folded.type_name
+
+
+@pytest.mark.parametrize("preset,type_name", [
+    ("flip A2", "BC-type (non-reduced), reduced A1"), ("flip A3", "C2"),
+    ("flip A4", "BC-type (non-reduced), reduced C2"), ("flip A5", "C3"),
+    ("flip A6", "BC-type (non-reduced), reduced B3"), ("flip A7", "C4"),
+    ("flip D4", "B3"), ("triality D4", "G2")])
+def test_fold_of_the_presets_follows_the_folding_table(preset, type_name):
+    assert assert_fold_matches_the_oracles(resolve(preset=preset)) \
+        == type_name
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_twisted_data().map(resolve))
+def test_fold_of_random_twisted_data_follows_the_folding_table(rg):
+    assert_fold_matches_the_oracles(rg)
+
+
 def cli_result(argv):
     out = StringIO()
     with redirect_stdout(out):

@@ -1,9 +1,10 @@
 """Package surface: one version string, a module-free `__all__`, the
 one-exact-solver decision (the Smith form), the one stored form,
 precomposition kernel and value renderer of a character and the one
-induced-map formula kept in the source, a start-up that loads no
-`dataclasses`, records that stay read-only, and a `test` extra that lists
-what the tests import."""
+induced-map formula kept in the source, one reflection kernel behind the
+root layer, modules that parse at the declared Python floor, a start-up
+that loads no `dataclasses`, records that stay read-only, and a `test`
+extra that lists what the tests import."""
 
 import ast
 import json
@@ -125,6 +126,44 @@ def test_only_verify_ks_enumerates_the_weyl_group():
         ("components", "check_fixed_weyl_is_folded"),
         ("rootdata", "weyl_group")]
     assert callers("weyl_group") == []
+
+
+def test_one_reflection_pass_behind_the_root_layer():
+    """`_reflections` is the one reflection kernel: the closure calls it,
+    and `_reflected`, the pass behind `validate` (its certificate and its
+    root-by-root report) and `weyl_walk`'s generators.  No function in
+    the package builds a `reflection_matrix`, and the dense fallback is
+    gone."""
+    def callers(name):
+        return [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+                for owner in _callers(_tree(path.name), name)]
+
+    assert callers("_reflections") == [("rootdata", "root_closure"),
+                                       ("rootdata", "_reflected")]
+    assert sorted(callers("_reflected")) == [("rootdata", "validate"),
+                                             ("rootdata", "validate"),
+                                             ("rootdata", "weyl_walk")]
+    assert callers("reflection_matrix") == []
+    names = {name for path in sorted(SRC.glob("*.py"))
+             for name in _referenced(_tree(path.name))}
+    defined = {node.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(_tree(path.name))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for gone in ("_reflections_certified", "_reflection_problems",
+                 "_maps_into"):
+        assert gone not in names | defined, gone
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    """`requires-python` says 3.10: every module of the package parses
+    with the 3.10 grammar, which refuses the 3.11 `except*`."""
+    assert _project()["requires-python"] == ">=3.10"
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
 
 
 def test_every_solution_is_read_off_a_smith_form_in_one_place():

@@ -633,16 +633,21 @@ def test_validate_matches_matrix_reflections():
         assert validate(datum) == validate_by_matrices(datum), datum.label
 
 
-def _spy(monkeypatch, name, calls, replacement=None):
-    """Record each call of `rootdata.<name>` in `calls`, then run
-    `replacement`, by default the function itself."""
-    real = getattr(rootdata, name)
+def _spy(monkeypatch, certified, full, refuse=False):
+    """Record the datum of each call of `rootdata._reflected`: in `full`
+    for the root-by-root check, to which `validate` hands every index as
+    a range, else in `certified` (the certificate); with `refuse`, the
+    root-by-root check fails the test."""
+    real = rootdata._reflected
 
-    def spy(datum):
-        calls.append(datum)
-        return (replacement or real)(datum)
+    def spy(datum, bases):
+        every = isinstance(bases, range)
+        (full if every else certified).append(datum)
+        if every and refuse:
+            raise AssertionError(f"full reflection check on {datum.label}")
+        return real(datum, bases)
 
-    monkeypatch.setattr(rootdata, name, spy)
+    monkeypatch.setattr(rootdata, "_reflected", spy)
 
 
 def test_the_certificate_decides_every_valid_datum(monkeypatch):
@@ -650,18 +655,13 @@ def test_the_certificate_decides_every_valid_datum(monkeypatch):
     check, which is patched to fail; a corrupted copy is checked root by
     root whenever the certificate is consulted, and every copy with a
     root dropped or a coroot moved reaches it."""
-    def refuse(datum):
-        raise AssertionError(f"full reflection check on {datum.label}")
-
     data = _valid_cases()
     certified, full = [], []
-    _spy(monkeypatch, "_reflections_certified", certified)
-    _spy(monkeypatch, "_reflection_problems", full, refuse)
+    _spy(monkeypatch, certified, full, refuse=True)
     assert all(validate(datum) == [] for datum in data)
     assert len(certified) == len(data) and full == []
     monkeypatch.undo()
-    _spy(monkeypatch, "_reflections_certified", certified)
-    _spy(monkeypatch, "_reflection_problems", full)
+    _spy(monkeypatch, certified, full)
     for datum in data:
         copies = corrupted_copies(datum)
         for k, bad in enumerate(copies):
@@ -673,15 +673,18 @@ def test_the_certificate_decides_every_valid_datum(monkeypatch):
                 assert full == [bad]
 
 
-def test_the_certificate_reaches_every_root():
+def test_the_certificate_reaches_every_root(monkeypatch):
     """A root the simple reflections do not reach is not certified: here
     +-(1, 1) and +-(1, -1) beside the A1 of (2, 0), which its reflection
     carries pair to pair, though the reflection in (1, 1) sends (2, 0)
     to (0, -2)."""
     roots = ((2, 0), (-2, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))
     stray = BasedRootDatum(2, roots, ((1, 0), (-1, 0)) + roots[2:], (0,))
-    assert not rootdata._reflections_certified(stray)
+    assert rootdata._reflected(stray, [0])[1] == [set()]
+    certified, full = [], []
+    _spy(monkeypatch, certified, full)
     problems = validate(stray)
+    assert certified == full == [stray]
     assert problems == validate_by_matrices(stray)
     assert "reflection in root 2 does not permute the roots" in problems
 
@@ -690,10 +693,7 @@ def test_non_reduced_bc1_validates_by_the_certificate(monkeypatch):
     """Roots +-e, +-2e with coroots +-2e^, +-e^: the double of the simple
     root is a basis of the certificate, and the config resolves without
     the root-by-root check."""
-    def refuse(datum):
-        raise AssertionError("full reflection check")
-
-    monkeypatch.setattr(rootdata, "_reflection_problems", refuse)
+    _spy(monkeypatch, [], [], refuse=True)
     bc1 = BasedRootDatum(1, ((1,), (-1,), (2,), (-2,)),
                          ((2,), (-2,), (1,), (-1,)), (0,), label="BC1")
     assert validate(bc1) == []
