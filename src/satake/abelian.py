@@ -11,11 +11,15 @@ takes values in the exact circle group but is stored as its integer ident
 (den, q_0, a_0, q_1, a_1, ...) over its least denominator: precomposition
 follows the ident along a matrix's nonzero entries (`_follow`), values
 print from it (`circle.render_value`), and `ExactCircle` values are built
-only on demand.  Kernels of homomorphisms are computed by lifting to the
-presentation and adjoining relation columns (a congruence-augmented
-integer system), so groups with torsion need no special casing.
+only on demand.  The classes of all torsion-bounded characters follow no
+ident: `character_classes` numbers the characters by index and sweeps
+the index maps of the automorphisms once.  Kernels of homomorphisms are
+computed by lifting to the presentation and adjoining relation columns
+(a congruence-augmented integer system), so groups with torsion need no
+special casing.
 """
 
+from array import array
 from fractions import Fraction
 from itertools import chain, product as iter_product
 from math import gcd, lcm, prod
@@ -442,6 +446,85 @@ def character_idents(group, torsion=None):
     den = lcm(*sizes)
     for combo in iter_product(*(range(0, den, den // g) for g in sizes)):
         yield (den, *chain.from_iterable((0, a) for a in combo))
+
+
+def _grid_sum(tables):
+    """Per point of the grid of digits d_i < len(tables[i]), in index
+    order (the first digit most significant), the sum of the
+    tables[i][d_i]: each table broadcast over the digits after it."""
+    out = [0]
+    for table in tables:
+        out = [x + y for x in out for y in table]
+    return out
+
+
+def _index_map(moves, sizes, weights):
+    """The map of character indices (see `character_classes`) that an
+    automorphism, given by its `_moves`, induces on the torsion grid.
+
+    Row i's argument numerator d_i den/s_i, moved by c into column j,
+    is d_i c s_j/s_i steps of den/s_j; an automorphism keeps the grid,
+    so c s_j/s_i is an integer.  A one-entry column is a table of digit
+    images over its one row, added in with that row's other tables;
+    any other column sums its rows' terms over the grid before reducing
+    mod s_j."""
+    def step(k, c, j):
+        q, r = divmod(c * sizes[j], sizes[k // 2])
+        if r:
+            raise ValueError("automorphism does not keep the torsion grid")
+        return k // 2, q
+
+    rows = [[0] * s for s in sizes]
+    for j, col in enumerate(moves):
+        if len(col) == 1:
+            i, q = step(*col[0], j)
+            s, w = sizes[j], weights[j]
+            rows[i] = [x + q * d % s * w for d, x in enumerate(rows[i])]
+    images = _grid_sum(rows)
+    for j, col in enumerate(moves):
+        if len(col) > 1:
+            terms = dict(step(k, c, j) for k, c in col)
+            s, w = sizes[j], weights[j]
+            images = [x + v % s * w for x, v in zip(images, _grid_sum(
+                [[terms.get(i, 0) * d for d in range(n)]
+                 for i, n in enumerate(sizes)]))]
+    return array("q", images)
+
+
+def character_classes(group, torsion, moves):
+    """The classes of the `character_idents` under the automorphisms of
+    `group` given by their `_moves` (a finite group's orbits, closed
+    under its generators alone): per class, the `render_value` strings
+    of its least ident and its size, in the order of those idents.
+
+    Each character is numbered by its mixed-radix index sum d_i w_i, its
+    place in `character_idents`, argument numerator d_i den/s_i of
+    generator i over the choice sizes s_i.  Each automorphism becomes an
+    index map over the whole grid (`_index_map`, 8 bytes a character);
+    one sweep upward with a seen mark per character then meets each class
+    first at its least member."""
+    sizes = _choice_sizes(group, torsion)
+    weights = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    maps = [_index_map(col, sizes, weights) for col in moves]
+    den = lcm(*sizes)
+    tables = [[render_value(0, d * (den // s), den) for d in range(s)]
+              for s in sizes]
+    seen = bytearray(prod(sizes))
+    classes = []
+    least = seen.find(0)
+    while least >= 0:
+        seen[least] = 1
+        orbit = [least]
+        for x in orbit:
+            for m in maps:
+                y = m[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        classes.append(([t[least // w % s] for t, w, s in
+                         zip(tables, weights, sizes)], len(orbit)))
+        least = seen.find(0, least + 1)
+    return classes
 
 
 def all_characters(group, torsion=None):

@@ -19,8 +19,7 @@ exceeded.
 import argparse
 import sys
 
-from .abelian import GroupCharacter, _follow, _render_ident, \
-    character_count, character_idents
+from .abelian import GroupCharacter, character_classes, character_count
 from .circle import ExactCircle
 from .components import check_center_covers_components, \
     check_fixed_weyl_is_folded, check_tad_connected
@@ -30,8 +29,7 @@ from .kottwitz import SatakeParameter, character_from_dual_point, \
     maximal_compact_quotient, modulus_character, parameter_from_character, \
     parameters_equal
 from .report import build_report, render_report
-from .rootdata import CapExceeded, DEFAULT_WEYL_CAP, _orbits, \
-    restricted_root_data
+from .rootdata import CapExceeded, DEFAULT_WEYL_CAP, restricted_root_data
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,13 +191,10 @@ def _cmd_orbits(rg, args):
             f"character enumeration: {count} characters of "
             f"{setting.group.describe()} with torsion {args.torsion}, "
             f"over the cap {args.max_orbit}")
-    # each orbit is searched once, from its first ident; all share one
-    # denominator, so the least idents order the classes by their key()
-    orbits = _orbits(character_idents(setting.group, args.torsion),
-                     setting.orbit_moves, _follow, args.max_orbit,
-                     "orbit enumeration")
-    listed = [{"values": _render_ident(least), "orbit_size": size}
-              for least, size in sorted((min(o), len(o)) for o in orbits)]
+    # every orbit lies among the characters counted, so within the cap
+    listed = [{"values": values, "orbit_size": size} for values, size in
+              character_classes(setting.group, args.torsion,
+                                setting.orbit_moves)]
     return {
         "group": setting.group.describe(),
         "torsion": args.torsion,

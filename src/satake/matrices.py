@@ -208,9 +208,12 @@ class IntMatrix:
         """Least k >= 1 with self**k = 1; raises if cap is passed.
 
         The eigenvalues of a finite-order matrix are roots of unity, so
-        every power has |trace| <= n; a power past that bound proves the
-        order infinite and is refused at once.  A permutation matrix
-        takes no product: its order is the lcm of its cycle lengths."""
+        every power has |trace| <= n, and trace n only when it is the
+        identity (all eigenvalues 1, and it is diagonalisable); a power
+        past that bound, or with trace n that is not the identity (as in
+        a unipotent matrix), proves the order infinite and is refused at
+        once.  A permutation matrix takes no product: its order is the
+        lcm of its cycle lengths."""
         if self.nrows != self.ncols:
             raise ValueError("order of a non-square matrix")
         n = self.nrows
@@ -223,9 +226,13 @@ class IntMatrix:
         k = 1
         ident = IntMatrix.identity(n)
         while not acc == ident:
-            if abs(sum(acc.data[i][i] for i in range(n))) > n:
+            trace = sum(acc.data[i][i] for i in range(n))
+            if abs(trace) > n:
                 raise ValueError(f"matrix has infinite order: |trace| of "
                                  f"its power {k} exceeds the size {n}")
+            if trace == n:
+                raise ValueError(f"matrix has infinite order: its power {k}"
+                                 f" has trace {n} but is not the identity")
             acc = acc @ self
             k += 1
             if k > cap:

@@ -522,17 +522,15 @@ def weyl_group(datum, cap=DEFAULT_WEYL_CAP):
                      datum.coroots)
 
 
-def _orbits(indices, generators, step=lambda i, perm: perm[i], cap=None,
-            stage=""):
+def _orbits(indices, generators, step=lambda i, perm: perm[i]):
     """Orbits on `indices` under the moves i -> step(i, g), by default
     the maps `generators` (each indexable by an index), in breadth-first
-    order and ordered by their first member in `indices`; `search` caps
-    each at `cap` elements."""
+    order and ordered by their first member in `indices`."""
     seen = set()
     orbits = []
     for i in indices:
         if i not in seen:
-            orbit = tuple(search([i], generators, step, cap, stage))
+            orbit = tuple(search([i], generators, step))
             seen.update(orbit)
             orbits.append(orbit)
     return orbits

@@ -361,13 +361,13 @@ def test_oversized_orbits_are_refused_before_enumerating(monkeypatch,
                                                          capsys):
     """The character count is a product of choice-set sizes, so an
     oversized `orbits` exits 2 with the estimate before any character is
-    built (character_idents is patched to fail)."""
+    built (character_classes is patched to fail)."""
     from satake import cli
 
     def refuse(*args, **kwargs):
         raise AssertionError("characters enumerated")
 
-    monkeypatch.setattr(cli, "character_idents", refuse)
+    monkeypatch.setattr(cli, "character_classes", refuse)
     start = time.perf_counter()
     assert main(["orbits", "--preset", "split GL4", "--torsion", "100",
                  "--max-orbit", "20000"]) == 2
@@ -393,10 +393,12 @@ COMPANION = [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0],
 
 
 @pytest.mark.parametrize("tau", [_block_diagonal([[2, 1], [1, 1]], 8),
-                                 COMPANION])
+                                 COMPANION,
+                                 _block_diagonal([[1, 1], [0, 1]], 60)])
 def test_infinite_order_actions_exit_1_fast(tau, tmp_path, capsys):
     """Unimodular actions of infinite order are refused by the trace
-    bound within a few products, not by the order cap."""
+    bound within a few products, not by the order cap; a unipotent one,
+    whose powers all have trace n, as soon as one is not the identity."""
     cfg = tmp_path / "torus.cfg"
     cfg.write_text(f"rank = {len(tau)}\ntau = {tau}\nsigma = id\n"
                    .replace(" ", ""))

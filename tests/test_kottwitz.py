@@ -15,9 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
-from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom, _moves,
-                            all_characters, character_count,
-                            induced_hom, subgroup_coordinates)
+from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom, _follow,
+                            _moves, _render_ident, all_characters,
+                            character_classes, character_count,
+                            character_idents, induced_hom,
+                            subgroup_coordinates)
 from satake.circle import ExactCircle, ONE
 from satake.cli import main
 from satake.config import GroupConfig, resolve, serialize_config
@@ -35,8 +37,8 @@ from satake.rootdata import (
     BasedRootDatum, CapExceeded, FoldingError, GaloisAction,
     automorphism_order, check_twist_relation, datum_from_simples, dual_datum,
     _simple_orbit_partition, folded_generators, galois_action, mulclose,
-    pinned_automorphism, restricted_root_data, root_closure, validate,
-    weyl_group,
+    pinned_automorphism, restricted_root_data, root_closure, search,
+    validate, weyl_group,
 )
 from test_abelian import evaluate
 from test_acceptance import TWISTED_SUITE
@@ -372,6 +374,52 @@ def test_the_root_layer_in_any_lattice_basis(rg, data):
                 len(folded.reduced_datum.roots)))
 
 
+def moved_config(rg, g, inverse):
+    """A datum's group written as a roots config in the basis g: the
+    datum moved by `change_of_basis`, tau and sigma conjugated by g."""
+    moved = change_of_basis(rg.datum, g, inverse)
+    return GroupConfig(roots=moved.roots, coroots=moved.coroots,
+                       simple=moved.simple_indices,
+                       tau=("matrix", g @ rg.action.tau.matrix @ inverse),
+                       sigma=("matrix", g @ rg.action.sigma.matrix @ inverse),
+                       twist=rg.action.twist, q=rg.q)
+
+
+def basis_free_outputs(config, path):
+    """What the commands print that no choice of lattice basis can change:
+    the groups, the fold and every `verify-ks` field, and the class count
+    and orbit sizes of `orbits`."""
+    path.write_text(serialize_config(config))
+
+    def run(command, *extra):
+        return cli_result([command, "--config", str(path), *extra])
+
+    orbits = run("orbits", "--torsion", "3")
+    return (run("kottwitz")["group"], run("compact"), run("fold"),
+            run("verify-ks"), run("modulus")["group"],
+            orbits["class_count"],
+            sorted(cls["orbit_size"] for cls in orbits["classes"]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(rg=st.one_of(st.sampled_from(sorted(GRID_DATA)).map(GRID_DATA.get),
+                    random_twisted_data().map(resolve)),
+       data=st.data())
+def test_the_commands_in_any_lattice_basis(rg, data, tmp_path_factory):
+    """The change-of-basis oracle: a group written in a random basis g of
+    GL_n(Z) prints the same basis-free outputs as in its own basis.  Its
+    Weyl generators on T/T_0 are then mostly dense, so `orbits` indexes
+    columns with several entries, checked against the ident search too."""
+    g, inverse = data.draw(unimodular(rg.datum.rank))
+    path = tmp_path_factory.mktemp("basis") / "group.cfg"
+    n = rg.datum.rank
+    moved = moved_config(rg, g, inverse)
+    assert (basis_free_outputs(moved, path)
+            == basis_free_outputs(moved_config(rg, IntMatrix.identity(n),
+                                               IntMatrix.identity(n)), path))
+    assert_classes_match_the_ident_search(resolve(moved).setting(), 3)
+
+
 # --- folding against orbit averages and the folding table --------------------
 
 def orbit_average_count(datum, tau):
@@ -504,6 +552,58 @@ def test_orbits_class_count_is_burnside_on_random_data(config,
         assert (sum(cls["orbit_size"] for cls in result["classes"])
                 == result["character_count"]
                 == character_count(setting.group, torsion))
+
+
+def ident_search_classes(setting, torsion):
+    """The classes of the t-torsion characters by an ident search: a
+    breadth-first `search` along `_follow` from each member of
+    `character_idents` not yet met, each class as its least ident and
+    size, sorted."""
+    seen, classes = set(), []
+    for ident in character_idents(setting.group, torsion):
+        if ident not in seen:
+            orbit = search([ident], setting.orbit_moves, _follow)
+            seen.update(orbit)
+            classes.append((min(orbit), len(orbit)))
+    return sorted(classes)
+
+
+def assert_classes_match_the_ident_search(setting, torsion):
+    """`character_classes` lists the classes of the ident search, in the
+    order of their least idents, each printed from its least ident and
+    with its size."""
+    assert character_classes(setting.group, torsion, setting.orbit_moves) \
+        == [(_render_ident(least), size)
+            for least, size in ident_search_classes(setting, torsion)]
+
+
+@pytest.mark.parametrize("name", sorted(GRID))
+def test_character_classes_match_the_ident_search_on_the_grid(name):
+    setting = resolve(preset=name).setting()
+    for torsion in range(1, 7):
+        assert_classes_match_the_ident_search(setting, torsion)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=random_twisted_data(), torsion=st.integers(1, 4))
+def test_character_classes_match_the_ident_search_on_random_data(config,
+                                                                 torsion):
+    assert_classes_match_the_ident_search(resolve(config).setting(),
+                                          torsion)
+
+
+def test_a_map_off_the_torsion_grid_is_refused():
+    """Moves that send the Z/2 generator of Z/2 + Z to the free one are
+    no homomorphism: at torsion 4 they would give that generator the
+    value e(1/4), off the grid of its 2-torsion values.  The index map
+    refuses them rather than round the image."""
+    moves = ((((3, 1),), ((3, 1),)),)
+    with pytest.raises(ValueError, match="torsion grid"):
+        character_classes(FgAbGroup((2,), 1), 4, moves)
+    assert character_classes(FgAbGroup((2,), 1), 4,
+                             ((((1, 1),), ((3, 1),)),)) == [
+        ([a, b], 1) for a in ("1", "e(1/2)")
+        for b in ("1", "e(1/4)", "e(1/2)", "e(3/4)")]
 
 
 @settings(max_examples=20, deadline=None)

@@ -514,9 +514,11 @@ def test_trusted_results_are_plain_int_tuples():
     [[2, 1], [1, 1]],                    # hyperbolic: trace 3 > 2
     [[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0],
      [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]],
+    [[1, 1], [0, 1]],                    # unipotent: trace 2, not 1
 ])
 def test_infinite_order_is_refused_by_the_trace(rows):
-    """The trace bound refuses these well before the cap of `ORDER_CAP`."""
+    """The trace bound, and trace n off the identity, refuse these well
+    before the cap of `ORDER_CAP`."""
     with pytest.raises(ValueError, match="infinite order"):
         IntMatrix(rows).multiplicative_order()
 

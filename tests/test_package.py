@@ -1,10 +1,11 @@
 """Package surface: one version string, a module-free `__all__`, the
 one-exact-solver decision (the Smith form), the one stored form,
-precomposition kernel and value renderer of a character and the one
-induced-map formula kept in the source, one reflection kernel behind the
-root layer, modules that parse at the declared Python floor, a start-up
-that loads no `dataclasses`, records that stay read-only, and a `test`
-extra that lists what the tests import."""
+precomposition kernel and value renderer of a character, the one class
+listing of `orbits` and the one induced-map formula kept in the source,
+one reflection kernel behind the root layer, modules that parse at the
+declared Python floor, a start-up that loads no `dataclasses`, records
+that stay read-only, and a `test` extra that lists what the tests
+import."""
 
 import ast
 import json
@@ -186,7 +187,8 @@ def _owners_in_src(match):
 
 def test_render_value_is_the_one_value_renderer():
     """Only `circle.render_value` writes `q^` or `e(` text outside a
-    docstring; `ExactCircle.render` and `GroupCharacter.render` call it."""
+    docstring; `ExactCircle.render`, `GroupCharacter.render` and the
+    value tables of `orbits` (`character_classes`) call it."""
     docstrings = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(_tree(path.name)):
@@ -206,21 +208,43 @@ def test_render_value_is_the_one_value_renderer():
     assert writers == [("circle", "render_value")]
     assert _owners_in_src(lambda node: isinstance(node, ast.Call) and getattr(
         node.func, "id", None) == "render_value") == [
-        ("abelian", "_render_ident"), ("circle", "render")]
+        ("abelian", "_render_ident"), ("abelian", "character_classes"),
+        ("circle", "render")]
 
 
 def test_follow_is_the_one_precomposition_kernel():
-    """`_follow` is used by `GroupCharacter.precompose` and by the two
-    orbit searches, `weyl_orbit` and `orbits`, and by nothing else; no
-    character keeps a second stored form."""
+    """`_follow` is used by `GroupCharacter.precompose` and by the one
+    orbit search of a single character, `weyl_orbit`, and by nothing
+    else; no character keeps a second stored form."""
     assert _owners_in_src(lambda node: isinstance(node, ast.Name)
                           and node.id == "_follow") == [
-        ("abelian", "precompose"), ("cli", "_cmd_orbits"),
-        ("kottwitz", "weyl_orbit")]
+        ("abelian", "precompose"), ("kottwitz", "weyl_orbit")]
     assert GroupCharacter.__slots__ == ("domain", "_ident")
     for gone in ("q_nums", "arg_nums", "den", "_from_nums", "__call__",
                  "__mul__"):
         assert gone not in vars(GroupCharacter), gone
+
+
+def test_orbits_lists_its_classes_by_index_maps_alone():
+    """`character_classes` is the one class listing, called only by
+    `orbits`, which follows no ident and runs no `search`; `_orbits`
+    takes no cap, since no caller passes one."""
+    def names_in(function):
+        return {node.id for node in ast.walk(function)
+                if isinstance(node, ast.Name)}
+
+    assert _owners_in_src(lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", None) == "character_classes") == [
+        ("cli", "_cmd_orbits")]
+    cmd_orbits, = (node for node in ast.walk(_tree("cli.py"))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_cmd_orbits")
+    assert not names_in(cmd_orbits) & {"_follow", "search", "_orbits",
+                                       "character_idents", "_render_ident"}
+    orbits, = (node for node in ast.walk(_tree("rootdata.py"))
+               if isinstance(node, ast.FunctionDef) and node.name == "_orbits")
+    assert [a.arg for a in orbits.args.args] == ["indices", "generators",
+                                                 "step"]
 
 
 def _matmul_operands(node):
