@@ -209,13 +209,13 @@ class GroupHom:
 def cokernel(matrix):
     """Z^m / (column span of an m-row matrix), as an FgAbGroup presented
     over Z^m, read off a Smith form taken without V; Z^m itself, with
-    identity presentation, when the matrix has no columns.
+    identity presentation, when the matrix is zero (or has no columns).
 
     >>> cokernel(IntMatrix([[-2]])).describe()
     'Z/2'
     """
     m = matrix.nrows
-    if not matrix.ncols:
+    if not any(map(any, matrix.data)):
         return FgAbGroup((), m)
     sf = smith_normal_form(matrix, with_v=False)
     diag = sf.diagonal

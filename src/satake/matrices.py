@@ -8,12 +8,24 @@ of M x = v, rational or integral, are read off a Smith form.
 """
 
 from collections import namedtuple
+from functools import cache
 from itertools import compress
 from math import lcm
 from operator import add, mul, sub
 
 # the largest order of a lattice automorphism, or of a group of them
 ORDER_CAP = 10 ** 4
+
+
+@cache
+def _identity_rows(n):
+    """The rows of I_n: a constant of n, shared by every identity built."""
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+
+
+def _is_identity(m):
+    """A shape test and one tuple comparison in C (on shared rows for I_n)."""
+    return m.nrows == m.ncols and m.data == _identity_rows(m.nrows)
 
 
 class IntMatrix:
@@ -57,7 +69,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls.diagonal((1,) * n)
+        return cls._trusted(_identity_rows(n), n)
 
     @classmethod
     def permutation(cls, images):
@@ -112,6 +124,10 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         # each output row is a combination of the rows of `other`, taken
         # only over the nonzero entries of the left row, which `compress`
         # picks out without a Python step per zero (sparse factors such
@@ -328,7 +344,8 @@ def _frozen(vectors, width, by_columns=False):
 
 def smith_normal_form(matrix, with_v=True):
     """Smith normal form with unimodular transforms U, V and U_inv; with
-    `with_v` false, V is not tracked and comes back None.
+    `with_v` false, V is not tracked and comes back None.  A zero or square
+    identity matrix, on which no step would run, gets identities at once.
 
     Pivot selection: smallest nonzero absolute value in the trailing
     block, ties broken by (row, column) position; the row-major scan
@@ -350,6 +367,9 @@ def smith_normal_form(matrix, with_v=True):
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
     m, n = matrix.nrows, matrix.ncols
+    if not any(map(any, matrix.data)) or _is_identity(matrix):
+        return SmithForm(IntMatrix.identity(m), matrix, IntMatrix.identity(n)
+                         if with_v else None, IntMatrix.identity(m))
     a = [dict(compress(enumerate(row), row)) if any(row) else {}
          for row in matrix.data]
     u, uic = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]

@@ -6,6 +6,7 @@ lists and nested dicts so both renderers stay trivial and stable.
 """
 
 import json
+from itertools import repeat
 
 from . import __version__
 
@@ -24,14 +25,13 @@ def _flatten(prefix, value, out):
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else k, v, out)
-    elif isinstance(value, (list, tuple)):
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            out.append((prefix, "[" + ", ".join(_scalar(v) for v in value) + "]"))
-        else:
-            for i, v in enumerate(value):
-                _flatten(f"{prefix}[{i}]", v, out)
+    elif not isinstance(value, (list, tuple)):
+        out.append(f"{prefix} = {_scalar(value)}")
+    elif any(map(isinstance, value, repeat((dict, list, tuple)))):
+        for i, v in enumerate(value):
+            _flatten(f"{prefix}[{i}]", v, out)
     else:
-        out.append((prefix, _scalar(value)))
+        out.append(f"{prefix} = [{', '.join(map(_scalar, value))}]")
 
 
 def _scalar(value):
@@ -44,7 +44,7 @@ def to_text(report):
     """Render as `dotted.key = value` lines in insertion order."""
     lines = []
     _flatten("", report, lines)
-    return "\n".join(f"{k} = {v}" for k, v in lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def to_json(report):

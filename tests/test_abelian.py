@@ -29,6 +29,31 @@ def test_cokernel_of_no_columns_is_the_smith_path(m):
     assert group.lift == sf.U_inv == IntMatrix.identity(m)
 
 
+@st.composite
+def zero_matrices(draw, max_dim=6):
+    """A zero m x n matrix, m x 0 and 0 x n included: from `zeros`, from
+    nested lists, or as A - A."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(("zeros", "zero rows", "difference")))
+    if kind == "zeros":
+        return IntMatrix.zeros(m, n)
+    if kind == "zero rows":
+        return IntMatrix([[0] * n for _ in range(m)], ncols=n)
+    a = IntMatrix([[draw(st.integers(-9, 9)) for _ in range(n)]
+                   for _ in range(m)], ncols=n)
+    return a - a
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero=zero_matrices())
+def test_cokernel_of_any_zero_matrix_is_the_free_lattice(zero):
+    """Z^m on the identity presentation, as for no columns above."""
+    m = zero.nrows
+    group = cokernel(zero)
+    assert (group.invariant_factors, group.free_rank) == ((), m)
+    assert group.proj == group.lift == IntMatrix.identity(m)
+
+
 def test_canonical_form_and_describe():
     assert FgAbGroup((2, 6), 1).describe() == "Z/2 + Z/6 + Z"
     assert FgAbGroup((), 3).describe() == "Z^3"

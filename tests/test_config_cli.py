@@ -670,6 +670,43 @@ def test_report_renderers():
     assert payload["result"]["n"] == 3
 
 
+def reference_lines(prefix, value):
+    """The text renderer as it was: (key, value) pairs, a list printed
+    inline when no entry is a dict, list or tuple, then joined."""
+    if isinstance(value, dict):
+        return [pair for k, v in value.items()
+                for pair in reference_lines(f"{prefix}.{k}" if prefix else k,
+                                            v)]
+    if isinstance(value, (list, tuple)):
+        if all(not isinstance(v, (dict, list, tuple)) for v in value):
+            text = ", ".join("true" if v is True else "false" if v is False
+                             else str(v) for v in value)
+            return [(prefix, f"[{text}]")]
+        return [pair for i, v in enumerate(value)
+                for pair in reference_lines(f"{prefix}[{i}]", v)]
+    text = "true" if value is True else "false" if value is False else value
+    return [(prefix, str(text))]
+
+
+_REPORT_VALUES = st.recursive(
+    st.one_of(st.integers(-99, 99), st.booleans(), st.text(max_size=6),
+              st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text("abc._[]", max_size=3), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(result=_REPORT_VALUES)
+def test_text_report_matches_the_reference_flattener(result):
+    report = build_report("demo", {"name": "x"}, result)
+    expected = "\n".join(f"{k} = {v}"
+                         for k, v in reference_lines("", report)) + "\n"
+    assert to_text(report) == expected
+
+
 # --- caps name their stage ---------------------------------------------------
 
 def test_cli_caps_name_their_stage(tmp_path, capsys):

@@ -31,6 +31,7 @@ from satake.kottwitz import (
     maximal_compact_quotient, modulus_character, parameter_from_character,
     parameters_equal, setting_for_datum, setting_for_torus, weyl_orbit,
 )
+from satake import __version__, matrices
 from satake.matrices import IntMatrix, images
 from satake.presets import cartan_a, flip_negate, split_gl
 from satake.rootdata import (
@@ -1329,3 +1330,63 @@ def test_random_equivariant_squares():
         torus_a = TorusWithAction(na, ta, sa)
         torus_b = TorusWithAction(nb, tb, sb)
         check_squares(mat, kottwitz_group(torus_a), kottwitz_group(torus_b))
+
+
+# --- trivial actions take no Smith elimination ------------------------------
+
+GL5_VALUES = "[(1/2,7/8),(1,1/8),(1/2,7/8),(0,1/8),(0,1/2)]"
+
+
+def eliminations(monkeypatch, tmp_path, capsys, argv):
+    """The `_frozen` calls of one command: each Smith form that runs the
+    elimination makes at least one, and a trivial form makes none."""
+    cfg = tmp_path / "values.cfg"
+    cfg.write_text(f"values = {GL5_VALUES}\n")
+    calls = []
+    frozen = matrices._frozen
+
+    def counted(*args):
+        calls.append(args)
+        return frozen(*args)
+
+    monkeypatch.setattr(matrices, "_frozen", counted)
+    assert main([str(cfg) if a == "CFG" else a for a in argv]) == 0
+    capsys.readouterr()
+    return len(calls)
+
+
+@pytest.mark.parametrize("argv", [
+    ["modulus", "--preset", "split GL5"],
+    ["classify", "--preset", "split GL5", "--config", "CFG"],
+    ["kottwitz", "--preset", "torus n=4"],
+    ["orbits", "--preset", "split GL4", "--torsion", "3"],
+])
+def test_trivial_actions_run_no_smith_elimination(argv, monkeypatch, tmp_path,
+                                                  capsys):
+    """tau = sigma = 1: the coinvariants, the sigma-invariants and the
+    descent to T/T_0 factor only zero and identity matrices."""
+    assert eliminations(monkeypatch, tmp_path, capsys, argv) == 0
+
+
+def test_a_ramified_action_still_runs_the_elimination(monkeypatch, tmp_path,
+                                                      capsys):
+    assert eliminations(monkeypatch, tmp_path, capsys,
+                        ["modulus", "--preset", "unitary ramified 5"]) > 0
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["kottwitz"], "command = kottwitz\ninput.name = torus n=0\n"
+     "result.group = 0\nresult.invariant_factors = []\n"
+     "result.free_rank = 0\nresult.coinvariants = 0\n"),
+    (["modulus"], "command = modulus\ninput.name = torus n=0\n"
+     "result.group = 0\nresult.values = []\n"),
+    (["orbits", "--torsion", "3"], "command = orbits\n"
+     "input.name = torus n=0\nresult.group = 0\nresult.torsion = 3\n"
+     "result.character_count = 1\nresult.class_count = 1\n"
+     "result.classes[0].values = []\nresult.classes[0].orbit_size = 1\n"),
+])
+def test_the_rank_zero_torus_prints_its_trivial_group(argv, expected, capsys):
+    """Every matrix of a rank-0 torus is both zero and an identity."""
+    assert main([*argv, "--preset", "torus n=0"]) == 0
+    assert capsys.readouterr().out == (
+        f"{expected}version = {__version__}\nexact = true\n")

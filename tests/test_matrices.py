@@ -10,6 +10,7 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_decomp, \
     smith_normal_form as sympy_smith
 
+from satake import matrices
 from satake.matrices import (
     IntMatrix, column_span_basis, hstack, images, kernel_basis,
     linear_solver, smith_normal_form,
@@ -643,3 +644,88 @@ def test_linear_solver_matches_sympy_smith_decomposition(case):
         assert (nums is not None) == rational
         if nums is not None:
             assert mat.apply(nums) == tuple(solver.den * t for t in v)
+
+
+# --- trivial inputs: identity factors, zero and identity Smith inputs --------
+
+def triple_loop_product(left, right):
+    """The textbook product, one entry at a time, as row tuples."""
+    return tuple(tuple(sum(left.data[i][t] * right.data[t][j]
+                           for t in range(left.ncols))
+                       for j in range(right.ncols))
+                 for i in range(left.nrows))
+
+
+def identities(n):
+    """I_n on the shared rows of `IntMatrix.identity`, by `diagonal`, and
+    from nested lists, so the identity test meets rows it did not build."""
+    return (IntMatrix.identity(n), IntMatrix.diagonal((1,) * n),
+            IntMatrix([[int(i == j) for j in range(n)] for i in range(n)],
+                      ncols=n))
+
+
+@st.composite
+def shaped_matrices(draw, max_dim=5):
+    """A matrix of any shape, 0 x 0, m x 0 and 0 x n included, with
+    entries that are often 0, 1 or -1."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    entries = st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-9, 9))
+    return IntMatrix([[draw(entries) for _ in range(n)] for _ in range(m)],
+                     ncols=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=shaped_matrices())
+@example(mat=IntMatrix([], ncols=0))
+@example(mat=IntMatrix([[], [], []]))
+@example(mat=IntMatrix([], ncols=3))
+def test_identity_factors_match_the_triple_loop_product(mat):
+    """A @ I and I @ A are A, for I built any way; a matrix that differs
+    from I in its last entry is no identity factor."""
+    for n, side in ((mat.ncols, "right"), (mat.nrows, "left")):
+        ones = identities(n)
+        bump = IntMatrix.diagonal((0,) * (n - 1) + (1,)) if n else None
+        near = (ones[0] + bump,) if n else ()
+        for one in ones + near:
+            left, right = (mat, one) if side == "right" else (one, mat)
+            product = left @ right
+            assert product.shape == (left.nrows, right.ncols)
+            assert product.data == triple_loop_product(left, right)
+            if one not in near:
+                assert product == mat
+
+
+@st.composite
+def trivial_matrices(draw, max_dim=6):
+    """A zero matrix of any shape or a square identity, each built by a
+    constructor or from nested lists."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(("zeros", "zero rows", "identity")))
+    if kind == "zeros":
+        return IntMatrix.zeros(m, n)
+    if kind == "zero rows":
+        return IntMatrix([[0] * n for _ in range(m)], ncols=n)
+    return draw(st.sampled_from(identities(m)))
+
+
+def refuse_elimination(*args):
+    raise AssertionError("the Smith elimination ran")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=trivial_matrices())
+@example(mat=IntMatrix.zeros(0, 0))
+@example(mat=IntMatrix.zeros(4, 0))
+@example(mat=IntMatrix.zeros(0, 4))
+@example(mat=IntMatrix.identity(0))
+def test_smith_of_zero_and_identity_matrices_matches_reference(mat):
+    """A zero or identity matrix gets the form the elimination would have
+    given, with V and without, and no elimination runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "_frozen", refuse_elimination)
+        full = smith_normal_form(mat)
+        lean = smith_normal_form(mat, with_v=False)
+    assert as_tuples(full) == reference_smith(mat)
+    assert_snf_contract(mat, full)
+    assert lean.V is None
+    assert (lean.U, lean.D, lean.U_inv) == (full.U, full.D, full.U_inv)

@@ -2,7 +2,8 @@
 one-exact-solver decision (the Smith form), the one stored form,
 precomposition kernel and value renderer of a character, the one class
 listing of `orbits` and the one induced-map formula kept in the source,
-one reflection kernel behind the root layer, modules that parse at the
+one reflection kernel behind the root layer, one place that recognises
+identity and zero matrices, modules that parse at the
 declared Python floor, a start-up that loads no `dataclasses`, records
 that stay read-only, and a `test` extra that lists what the tests
 import."""
@@ -332,6 +333,63 @@ def test_dot_products_go_through_map():
     for ok in ("sum(map(mul, x, y))", "sum(a for a in zip(x, y))",
                "sum(a * b for a, b in pairs)"):
         assert not _is_zip_product_sum(ast.parse(ok).body[0].value)
+
+
+def _is_zero_test(node):
+    """any(...) or all(...) over the rows of a matrix (`.data`)."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("any", "all")
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "data"
+                    for arg in node.args for sub in ast.walk(arg)))
+
+
+def _built_trivial_names(tree):
+    """The names a module binds to `identity(...)` or `zeros(...)`."""
+    return {target.id for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", None) in ("identity", "zeros")
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def _compares_with_a_built_trivial(node, names):
+    """A comparison with `IntMatrix.identity(n)`, `IntMatrix.zeros(m, n)`
+    or a name bound to one."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and any(
+        isinstance(o, ast.Call) and getattr(o.func, "attr", None) in (
+            "identity", "zeros") or getattr(o, "id", None) in names
+        for o in [node.left, *node.comparators])
+
+
+def test_trivial_matrices_are_recognised_in_one_place():
+    """Identity factors and zero or identity Smith inputs are recognised
+    inside `matrices` (`_is_identity`, behind `@` and the Smith form) and
+    in the zero guard of `abelian.cokernel`; no other module compares a
+    matrix with a built identity or zero matrix, or scans its rows for
+    zero, to skip work.  `multiplicative_order` compares powers with the
+    identity to find the order."""
+    def compares(path):
+        tree = _tree(path.name)
+        names = _built_trivial_names(tree)
+        return {(path.stem, owner) for owner in _owners(tree, lambda node: (
+            _compares_with_a_built_trivial(node, names)))}
+
+    assert _owners_in_src(_is_zero_test) == [
+        ("abelian", "cokernel"), ("matrices", "smith_normal_form")]
+    assert _owners_in_src(lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", None) == "_is_identity") == [
+        ("matrices", "__matmul__"), ("matrices", "smith_normal_form")]
+    assert set().union(*map(compares, sorted(SRC.glob("*.py")))) == {
+        ("matrices", "multiplicative_order")}
+    for probe in ("any(map(any, m.data))", "not any(x for r in m.data for x"
+                  " in r)", "all(not any(row) for row in g.proj.data)"):
+        assert any(map(_is_zero_test, ast.walk(ast.parse(probe))))
+    tree = ast.parse("one = IntMatrix.identity(3)\nm == one\n"
+                     "m != IntMatrix.zeros(2, 2)\nm == other\none is None\n")
+    assert [_compares_with_a_built_trivial(node, _built_trivial_names(tree))
+            for node in ast.walk(tree) if isinstance(node, ast.Compare)] == [
+        True, True, False, False]
 
 
 def test_no_module_imports_dataclasses():
