@@ -13,8 +13,8 @@ from collections import namedtuple
 
 from .abelian import GroupHom, coinvariants, cokernel, induced_hom
 from .matrices import IntMatrix
-from .rootdata import (DEFAULT_WEYL_CAP, _gather, closure, folded_generators,
-                       root_permutation, weyl_walk)
+from .rootdata import (DEFAULT_WEYL_CAP, _gather, folded_generators,
+                       root_permutation, search, weyl_walk)
 
 
 class Pi0Certificate(namedtuple("Pi0Certificate", "group coinvariants")):
@@ -111,6 +111,6 @@ def check_fixed_weyl_is_folded(datum, tau, cap=DEFAULT_WEYL_CAP):
              if at_images(p) == _gather(at_simples(p))(t)}
     moves = [_gather(root_permutation(w, datum.roots))
              for w in folded_generators(datum, tau)]
-    folded = closure(tuple(range(len(datum.roots))), moves,
-                     lambda p, move: move(p), cap)
+    folded = set(search([tuple(range(len(datum.roots)))], moves,
+                        lambda p, move: move(p), cap, "group enumeration"))
     return FoldCheck(folded == fixed, len(fixed), len(folded))

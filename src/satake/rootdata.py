@@ -426,17 +426,10 @@ class WeylGroup(namedtuple("WeylGroup", "permutations roots coroots")):
         return len(self.permutations)
 
 
-def closure(identity, generators, product, cap=DEFAULT_WEYL_CAP):
-    """The set generated from `identity` by right multiplication with the
-    generators under `product`.  Raises CapExceeded past `cap` elements."""
-    return set(search([identity], generators, product, cap,
-                      "group enumeration"))
-
-
 def mulclose(generators, cap=DEFAULT_WEYL_CAP):
     """Closure of a nonempty list of square matrices under multiplication."""
-    return closure(IntMatrix.identity(generators[0].nrows), generators,
-                   matmul, cap)
+    return set(search([IntMatrix.identity(generators[0].nrows)], generators,
+                      matmul, cap, "group enumeration"))
 
 
 def _gather(indices):
@@ -522,15 +515,14 @@ def weyl_group(datum, cap=DEFAULT_WEYL_CAP):
                      datum.coroots)
 
 
-def _orbits(indices, generators, step=lambda i, perm: perm[i]):
-    """Orbits on `indices` under the moves i -> step(i, g), by default
-    the maps `generators` (each indexable by an index), in breadth-first
-    order and ordered by their first member in `indices`."""
+def _orbits(indices, generators):
+    """Orbits on `indices` under the index maps `generators`, in
+    breadth-first order and ordered by their first member in `indices`."""
     seen = set()
     orbits = []
     for i in indices:
         if i not in seen:
-            orbit = tuple(search([i], generators, step))
+            orbit = tuple(search([i], generators, lambda j, perm: perm[j]))
             seen.update(orbit)
             orbits.append(orbit)
     return orbits
@@ -593,76 +585,61 @@ def restricted_root_data(datum, tau):
     """Restricted (folded) root data of a pinned automorphism.
 
     Restricted roots are the images of the roots in the torsion-free
-    tau-coinvariants of X; restricted coroots are tau-invariant orbit
-    sums of coroots, doubled on orbits spanning an A2 (which is what
-    produces the non-reduced case).  Raises FoldingError when the folded
-    images fail the root-datum axioms.
+    tau-coinvariants of X.  Only the simple roots are folded: per
+    tau-orbit, its one image and its coroot sum, doubled on an orbit
+    spanning an A2, as a functional.  Their closure, capped at the number
+    of images, is the reduced datum; the other images must be doubles 2b
+    of its roots b, with coroot b^/2 (the non-reduced case).  Raises
+    FoldingError otherwise, and when tau does not permute the simple coroots.
     """
-    n = datum.rank
-    tau_m = tau.matrix
-    coinv = coinvariants(tau_m)
+    coinv = coinvariants(tau.matrix)
     k = coinv.torsion_count
     r = coinv.free_rank
-    proj_free = IntMatrix(coinv.proj.data[k:], ncols=n)
-    lift_free_t = IntMatrix(coinv.lift.transpose().data[k:], ncols=n)
+    proj_free = IntMatrix(coinv.proj.data[k:], ncols=datum.rank)
+    lift_free_t = IntMatrix(coinv.lift.transpose().data[k:], ncols=datum.rank)
 
-    root_index = {rt: i for i, rt in enumerate(datum.roots)}
-    orbits = _orbits(range(len(datum.roots)),
-                     [root_permutation(tau_m, datum.roots)])
+    roots, coroots = datum.roots, datum.coroots
+    orbits = _simple_orbit_partition(datum, tau)
+    cosimples = [coroots[i] for i in datum.simple_indices]
+    if set(images(tau.dual(), cosimples)) != set(cosimples):
+        raise FoldingError("tau does not permute the simple coroots")
     cosums = []
     for orbit in orbits:
-        members = [datum.roots[i] for i in orbit]
-        a2 = any(tuple(x + y for x, y in zip(members[p], members[q])) in root_index
-                 for p in range(len(members)) for q in range(len(members)) if p != q)
-        cosum = map(sum, zip(*(datum.coroots[i] for i in orbit)))
+        a2 = any(_dot(roots[p], coroots[q]) for p in orbit for q in orbit
+                 if p != q)
+        cosum = map(sum, zip(*(coroots[i] for i in orbit)))
         cosums.append(tuple([2 * a for a in cosum] if a2 else cosum))
-    # per orbit: the one image of its roots, and its coroot sum, which
-    # must be tau-invariant, as a functional on the coinvariant lattice
-    firsts = images(proj_free, [datum.roots[orbit[0]] for orbit in orbits])
-    restricted = {}
-    for image, cosum, moved, cofun in zip(firsts, cosums,
-                                          images(tau.dual(), cosums),
-                                          images(lift_free_t, cosums)):
-        if moved != cosum:
-            raise FoldingError("restricted coroot is not tau-invariant")
-        prev = restricted.get(image)
-        if prev is not None and prev != cofun:
-            raise FoldingError("inconsistent coroots for one restricted root")
-        restricted[image] = cofun
-
-    roots = sorted(restricted)
-    coroots = [restricted[rt] for rt in roots]
-    pos = {rt: i for i, rt in enumerate(roots)}
-    image_of = {i: img for orbit, img in zip(orbits, firsts) for i in orbit}
-    simple = []
-    for orbit in _simple_orbit_partition(datum, tau):
-        img = image_of[orbit[0]]
-        if pos[img] not in simple:
-            simple.append(pos[img])
-    full = BasedRootDatum(r, tuple(roots), tuple(coroots), tuple(simple),
-                          label="restricted")
-    root_set = set(roots)
-    divisible = {rt for rt in roots
-                 if all(v % 2 == 0 for v in rt)
-                 and tuple(v // 2 for v in rt) in root_set}
-    non_reduced = bool(divisible)
-    if non_reduced:
-        keep = [i for i, rt in enumerate(roots) if rt not in divisible]
-        remap = {old: new for new, old in enumerate(keep)}
-        reduced = BasedRootDatum(r, tuple(roots[i] for i in keep),
-                                 tuple(coroots[i] for i in keep),
-                                 tuple(remap[i] for i in full.simple_indices),
-                                 label=(full.label + " (reduced)"))
-    else:
-        reduced = full
-    problems = validate(reduced)
-    if problems:
-        raise FoldingError("folded images fail root axioms: " + "; ".join(problems))
+    folded = images(proj_free, roots)
+    image_set = set(folded)
+    halves = {b: tuple(v // 2 for v in b) for b in image_set
+              if not any(v % 2 for v in b)}
+    doubles = {b for b, h in halves.items() if h in image_set}
+    label = "restricted (reduced)" if doubles else "restricted"
+    simples = [folded[orbit[0]] for orbit in orbits]
+    try:
+        reduced = (datum_from_simples(simples, images(lift_free_t, cosums),
+                                      label, cap=len(image_set))
+                   if simples else BasedRootDatum(r, (), (), (), label))
+    except (ValueError, CapExceeded) as exc:
+        raise FoldingError(f"folded simple system: {exc}") from exc
+    coroot = dict(zip(reduced.roots, reduced.coroots))
+    # the coroot b^ of the half b of each double, odd when b is no root
+    cohalves = {b: coroot.get(halves[b], (1,)) for b in doubles}
+    if (image_set.difference(doubles) != coroot.keys()
+            or any(v % 2 for bv in cohalves.values() for v in bv)):
+        raise FoldingError("folded images are not the closure's roots and"
+                           " doubles 2b of them with coroot b^/2")
     name = detect_type(reduced)
-    if non_reduced:
+    full = reduced
+    if doubles:
         name = f"BC-type (non-reduced), reduced {name}"
+        for b, bv in cohalves.items():
+            coroot[b] = tuple(v // 2 for v in bv)
+        ordered = sorted(coroot)
+        full = BasedRootDatum(r, ordered, map(coroot.get, ordered),
+                              map(ordered.index, simples), label="restricted")
     return RestrictedRootData(projection=proj_free, datum=full,
-                              non_reduced=non_reduced, reduced_datum=reduced,
+                              non_reduced=bool(doubles), reduced_datum=reduced,
                               type_name=name)
 
 
@@ -676,10 +653,10 @@ def detect_type(datum):
     if k == 0:
         return "torus"
     cartan = [[datum.cartan_entry(i, j) for j in range(k)] for i in range(k)]
-    # the connected components of the Dynkin diagram: a step from i to j
-    # exists when the two nodes are joined
-    components = _orbits(range(k), range(k),
-                         lambda i, j: j if cartan[i][j] else i)
+    # the connected components of the Dynkin diagram: per node j, the map
+    # sending each node joined to j there, and fixing the others
+    components = _orbits(range(k), [[j if cartan[i][j] else i
+                                     for i in range(k)] for j in range(k)])
     return " x ".join(sorted(_component_type(cartan, sorted(comp))
                              for comp in components))
 

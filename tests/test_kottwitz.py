@@ -36,6 +36,7 @@ from satake.matrices import IntMatrix, images
 from satake.presets import cartan_a, flip_negate, split_gl
 from satake.rootdata import (
     BasedRootDatum, CapExceeded, FoldingError, GaloisAction,
+    RestrictedRootData,
     automorphism_order, check_twist_relation, datum_from_simples, dual_datum,
     _simple_orbit_partition, folded_generators, galois_action, mulclose,
     pinned_automorphism, restricted_root_data, root_closure, search,
@@ -47,8 +48,9 @@ from test_config_cli import NO_WEYL_VALUES
 from test_grid import GRID
 from test_matrices import INDUCED_TORI, sympy_inverse
 from test_rootdata import (GRID_DATA, bfs_weyl_group, corrupted_copies,
-                           fixed_weyl_subgroup, simple_coefficients_oracle,
-                           validate_by_matrices)
+                           fixed_weyl_subgroup,
+                           reference_restricted_root_data,
+                           simple_coefficients_oracle, validate_by_matrices)
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()
@@ -527,6 +529,45 @@ def test_fold_of_the_presets_follows_the_folding_table(preset, type_name):
 @given(random_twisted_data().map(resolve))
 def test_fold_of_random_twisted_data_follows_the_folding_table(rg):
     assert_fold_matches_the_oracles(rg)
+
+
+def assert_fold_matches_the_reference(datum, tau):
+    """Every field of the fold of the simple system equals that of the
+    all-orbit reference, labels, coroots and simple indices included;
+    the positive side the closure gives the reduced datum is the one its
+    simple coefficients give."""
+    got = restricted_root_data(datum, tau)
+    expected = reference_restricted_root_data(datum, tau)
+    for field in RestrictedRootData._fields:
+        assert getattr(got, field) == getattr(expected, field), field
+    reduced = got.reduced_datum
+    assert reduced.positive_indices == BasedRootDatum(*reduced).positive_indices
+
+
+FOLD_PRESETS = sorted(set(GRID_DATA)
+                      | {f"flip A{n}" for n in range(2, 16)}
+                      | {f"unitary {kind} {n}" for n in range(2, 12)
+                         for kind in ("ramified", "unramified")})
+
+
+@pytest.mark.parametrize("name", FOLD_PRESETS)
+def test_fold_matches_the_all_orbit_reference_on_the_presets(name):
+    rg = resolve(preset=name)
+    assert_fold_matches_the_reference(rg.datum, rg.action.tau)
+
+
+def test_fold_of_a_rootless_datum_matches_the_reference():
+    """Both data of the fold keep the free rank of the coinvariants."""
+    torus = BasedRootDatum(3, (), (), ())
+    tau = pinned_automorphism(torus, flip_negate(3))
+    assert_fold_matches_the_reference(torus, tau)
+    assert restricted_root_data(torus, tau).reduced_datum.rank == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_twisted_data().map(resolve))
+def test_fold_matches_the_all_orbit_reference_on_random_data(rg):
+    assert_fold_matches_the_reference(rg.datum, rg.action.tau)
 
 
 def cli_result(argv):

@@ -229,7 +229,8 @@ def test_follow_is_the_one_precomposition_kernel():
 def test_orbits_lists_its_classes_by_index_maps_alone():
     """`character_classes` is the one class listing, called only by
     `orbits`, which follows no ident and runs no `search`; `_orbits`
-    takes no cap, since no caller passes one."""
+    takes no cap, since no caller passes one, and no step: each of its
+    generators is an index map."""
     def names_in(function):
         return {node.id for node in ast.walk(function)
                 if isinstance(node, ast.Name)}
@@ -244,8 +245,26 @@ def test_orbits_lists_its_classes_by_index_maps_alone():
                                        "character_idents", "_render_ident"}
     orbits, = (node for node in ast.walk(_tree("rootdata.py"))
                if isinstance(node, ast.FunctionDef) and node.name == "_orbits")
-    assert [a.arg for a in orbits.args.args] == ["indices", "generators",
-                                                 "step"]
+    assert [a.arg for a in orbits.args.args] == ["indices", "generators"]
+
+
+def test_only_outside_input_is_validated():
+    """`validate` checks only a datum from outside the program, in
+    `config.resolve`; the fold is certified by the closure of its simple
+    pairs, and calls neither `validate`, a `linear_solver` nor the
+    all-root `root_permutation`.  The group `closure` wrapper is gone:
+    its callers run `search` directly."""
+    def callers(name):
+        return [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+                for owner in _callers(_tree(path.name), name)]
+
+    assert callers("validate") == [("config", "resolve")]
+    for name in ("validate", "linear_solver", "root_permutation"):
+        assert ("rootdata", "restricted_root_data") not in callers(name), name
+    assert not [node for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(_tree(path.name))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "closure"]
 
 
 def _matmul_operands(node):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satake.abelian import coinvariants
 from satake.config import parse_config, resolve
 from satake.kottwitz import TorusWithAction, cochar_torus
 from satake.matrices import IntMatrix
@@ -17,7 +18,8 @@ from satake import rootdata
 from satake.components import check_fixed_weyl_is_folded
 from satake.rootdata import (
     ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError, PinnedAutomorphism,
-    WeylGroup, datum_from_simples, detect_type, dual_datum,
+    RestrictedRootData, WeylGroup, _simple_orbit_partition,
+    datum_from_simples, detect_type, dual_datum,
     folded_generators, galois_action, mulclose, pinned_automorphism,
     pinned_violations, restricted_root_data, root_closure, root_permutation,
     search, validate, weyl_group, weyl_order, weyl_walk,
@@ -232,9 +234,10 @@ def test_folding_torus_datum():
 
 
 @pytest.mark.parametrize("name", ["flip A5", "flip D4", "triality D4"])
-def test_folding_takes_two_smith_forms(name, monkeypatch):
-    """One Smith form for the tau-coinvariants and one for the simple
-    coefficients of the folded datum; no kernel of tau - 1 is computed."""
+def test_folding_takes_one_smith_form(name, monkeypatch):
+    """One Smith form, for the tau-coinvariants; the folded datum is the
+    closure of its simple pairs, which takes none, and no kernel of
+    tau - 1 is computed."""
     from satake import matrices
 
     rg = resolve(preset=name)
@@ -249,7 +252,130 @@ def test_folding_takes_two_smith_forms(name, monkeypatch):
         if getattr(module, "smith_normal_form", None) is real:
             monkeypatch.setattr(module, "smith_normal_form", counting)
     restricted_root_data(rg.datum, rg.action.tau)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def reference_restricted_root_data(datum, tau):
+    """The all-orbit fold, the reference for `restricted_root_data`:
+    every tau-orbit of roots gives its one image in the torsion-free
+    coinvariants and its coroot sum, doubled on an orbit that spans an
+    A2, as a functional there; one image must get one functional; the
+    divisible images are dropped for the reduced datum, which `validate`
+    then checks."""
+    n = datum.rank
+    coinv = coinvariants(tau.matrix)
+    k, r = coinv.torsion_count, coinv.free_rank
+    proj_free = IntMatrix(coinv.proj.data[k:], ncols=n)
+    lift_free_t = IntMatrix(coinv.lift.transpose().data[k:], ncols=n)
+    root_set = set(datum.roots)
+    perm = root_permutation(tau.matrix, datum.roots)
+    orbits = []
+    for i in range(len(datum.roots)):
+        if all(i not in orbit for orbit in orbits):
+            orbit = [i]
+            while perm[orbit[-1]] != i:
+                orbit.append(perm[orbit[-1]])
+            orbits.append(orbit)
+    restricted = {}
+    for orbit in orbits:
+        members = [datum.roots[i] for i in orbit]
+        a2 = any(tuple(x + y for x, y in zip(a, b)) in root_set
+                 for a in members for b in members if a != b)
+        cosum = [sum(c) for c in zip(*(datum.coroots[i] for i in orbit))]
+        if a2:
+            cosum = [2 * c for c in cosum]
+        if tau.dual().apply(cosum) != tuple(cosum):
+            raise FoldingError("restricted coroot is not tau-invariant")
+        image = proj_free.apply(members[0])
+        cofun = lift_free_t.apply(cosum)
+        if restricted.setdefault(image, cofun) != cofun:
+            raise FoldingError("inconsistent coroots for one restricted root")
+    roots = sorted(restricted)
+    position = {image: i for i, image in enumerate(roots)}
+    simple = []
+    for orbit in _simple_orbit_partition(datum, tau):
+        i = position[proj_free.apply(datum.roots[orbit[0]])]
+        if i not in simple:
+            simple.append(i)
+    full = BasedRootDatum(r, roots, [restricted[b] for b in roots], simple,
+                          label="restricted")
+    divisible = {b for b in roots if all(v % 2 == 0 for v in b)
+                 and tuple(v // 2 for v in b) in restricted}
+    reduced = full
+    if divisible:
+        keep = [b for b in roots if b not in divisible]
+        reduced = BasedRootDatum(r, keep, [restricted[b] for b in keep],
+                                 [keep.index(roots[i]) for i in simple],
+                                 label="restricted (reduced)")
+    problems = validate(reduced)
+    if problems:
+        raise FoldingError("folded images fail root axioms: "
+                           + "; ".join(problems))
+    name = detect_type(reduced)
+    if divisible:
+        name = f"BC-type (non-reduced), reduced {name}"
+    return RestrictedRootData(proj_free, full, bool(divisible), reduced, name)
+
+
+def b3_with_its_end_roots_swapped():
+    """B3 on the simple roots e_1, e_2, e_3 (coroots (2, 0, -1),
+    (0, 2, -2), (-1, -1, 2); e_3 is the middle node, e_2 the short end)
+    and the swap of e_1 and e_2: it permutes the simple roots but not the
+    roots or the coroots, and the 18 roots have 12 images, as many as
+    the G2 that the fold of its simple pairs would close to."""
+    datum = datum_from_simples([(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                               [(2, 0, -1), (0, 2, -2), (-1, -1, 2)])
+    swap = IntMatrix.permutation([1, 0, 2])
+    return datum, PinnedAutomorphism(swap, 2), "simple coroots"
+
+
+def raw_identity_fold(simples, cosimples, k=None):
+    """A datum built raw from the pairs (a, a^) given and their negatives
+    alone, the first k of them simple (all by default), folded by the
+    identity, which preserves any datum of distinct roots."""
+    roots = simples + [tuple(-v for v in a) for a in simples]
+    coroots = cosimples + [tuple(-v for v in a) for a in cosimples]
+    n = len(simples[0])
+    return (BasedRootDatum(n, roots, coroots, range(k or len(simples))),
+            PinnedAutomorphism(IntMatrix.identity(n), 1))
+
+
+@pytest.mark.parametrize("case", [
+    # the swap of e_1, e_3 sends the simple roots of GL3 to negative roots
+    (split_gl(3), PinnedAutomorphism(IntMatrix.permutation([2, 1, 0]), 2),
+     "does not permute the roots"),
+    b3_with_its_end_roots_swapped(),
+    # affine A1: the closure of the simple pairs passes the 4 images
+    raw_identity_fold([(1, 0), (0, 1)], [(2, -2), (-2, 2)])
+    + ("root generation exceeded cap 4",),
+    # a second coroot for one root, before the cap
+    raw_identity_fold([(-2, -2), (-2, -1)], [(-2, 1), (-2, 2)])
+    + ("inconsistent coroots generated",),
+    # +-e_2 is no root of the closure of the one simple root e_1
+    raw_identity_fold([(1, 0), (0, 1)], [(2, 0), (0, 2)], k=1)
+    + ("not the closure's roots",),
+], ids=["gl3-swap", "b3-swap", "affine-a1", "inconsistent", "stray-root"])
+def test_a_bad_fold_raises_folding_error(case):
+    """Every failure of a fold is a FoldingError (exit 1), never the
+    CapExceeded (exit 2) or bare ValueError of the closure, also for a
+    raw PinnedAutomorphism that is not pinned; the all-orbit reference
+    refuses each case too."""
+    datum, tau, message = case
+    with pytest.raises(FoldingError, match=message):
+        restricted_root_data(datum, tau)
+    with pytest.raises(FoldingError):
+        reference_restricted_root_data(datum, tau)
+
+
+def test_a_double_takes_half_the_coroot_of_its_root():
+    """The double 2b of a restricted root b takes the coroot b^/2; with
+    b^ = (2, 1) there is none in the lattice, and the fold is refused.
+    The all-orbit reference validates only the reduced datum and lets
+    this one pass."""
+    datum, tau = raw_identity_fold([(1, 0), (2, 0)], [(2, 1), (1, 0)], k=1)
+    with pytest.raises(FoldingError, match=r"coroot b\^/2"):
+        restricted_root_data(datum, tau)
+    assert reference_restricted_root_data(datum, tau).non_reduced
 
 
 def test_detect_type_families():
