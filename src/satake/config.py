@@ -8,6 +8,7 @@ indices ((1 2)(3 4)), `id` is the identity, and circle values are pairs
 offending line number.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -49,81 +50,95 @@ class GroupConfig(namedtuple("GroupConfig", _KEYS,
 # --- low-level value parsing -------------------------------------------------
 
 _NUMBER = (int, Fraction)
+# per token: a bracket or comma; an integer, and in the same match a comma
+# right after it; a fraction a/b; or any other character and the \w and '/'
+# after it, a run that is refused
+_TOKEN = re.compile(r"[\[\](),]|([+-]?\d+)(?![\w/])(,)?"
+                    r"|([+-]?\d+/\d+)(?![\w/])|(\S[\w/]*)")
+# per cycle: its body in parentheses, an unclosed '(' or a stray character
+_CYCLE = re.compile(r"\(([^)]*)\)|\(|\S")
 
 
 def _tokenize(text, line):
-    i, n = 0, len(text)
-    out = []
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "[](),":
-            out.append((ch, i))
-            i += 1
-            continue
-        if ch in "+-" or ch.isdigit():
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            frag = text[i:j]
+    """(token, column) pairs, from one scan: a bracket or comma, an int,
+    or a Fraction for a/b."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        tok, kind = m[0], m.lastindex
+        if kind == 4:
+            _refuse(tok, m.start(), line)
+        if kind:
+            number = m[1] or m[3]
             try:
-                out.append((Fraction(frag) if "/" in frag else int(frag), i))
+                tok = Fraction(number) if kind == 3 else int(number)
             except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"bad number {frag!r}", line) from None
-            i = j
-            continue
-        raise ConfigError(f"unexpected character {ch!r} at column {i + 1}", line)
-    return out
+                raise ConfigError(f"bad number {number!r}", line) from None
+        tokens.append((tok, m.start()))
+        if kind == 2:
+            tokens.append((",", m.end() - 1))
+    return tokens
+
+
+def _refuse(run, col, line):
+    """Raise the error of a run at `col` that is no number: a bad number
+    when it starts with a sign or a digit, up to the first later character
+    that is no digit (by `isdigit`, which takes '²' as \\d does not) and no
+    '/'; else an unexpected character."""
+    end = 0
+    if run[0] in "+-" or run[0].isdigit():
+        end = 1
+        while end < len(run) and (run[end].isdigit() or run[end] == "/"):
+            end += 1
+        try:
+            Fraction(run[:end])
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"bad number {run[:end]!r}", line) from None
+    raise ConfigError(f"unexpected character {run[end]!r} at column"
+                      f" {col + end + 1}", line)
 
 
 def _parse_nested(text, line):
-    """Bracketed/parenthesized nests of numbers -> nested tuples, at
-    most 2 deep (a matrix, a root list or a list of pairs).  A number is
-    an int, or a Fraction when written a/b."""
-    tokens = _tokenize(text, line)
-    pos = 0
-
-    def expr(depth):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ConfigError("unexpected end of value", line)
-        tok, col = tokens[pos]
-        if isinstance(tok, _NUMBER):
-            pos += 1
-            return tok
-        if tok in "[(":
-            if depth == 2:
+    """Bracketed/parenthesized nests of numbers -> nested tuples, at most
+    2 deep (a matrix, a root list or a list of pairs), in one pass over
+    the tokens with a stack of the open lists; a number as `_tokenize`."""
+    stack = []                  # the items and bracket of each outer list
+    items, close = [], None     # those of the innermost open list
+    due = ""    # what a value is due after ("", "[", "(", ","); None if none
+    for tok, col in _tokenize(text, line):
+        if due is None:         # a ',' or the closing bracket
+            if close is None:
+                raise ConfigError(f"trailing input at column {col + 1}", line)
+            if tok == ",":
+                due = tok
+                continue
+            if tok != close:
+                raise ConfigError(
+                    f"expected ',' or {close!r} at column {col + 1}", line)
+            value = tuple(items)
+            items, close = stack.pop()
+        elif type(tok) is not str:
+            value = tok
+        elif tok in "[(":
+            if len(stack) == 2:
                 raise ConfigError(f"nested deeper than 2 at column {col + 1}",
                                   line)
-            close = "]" if tok == "[" else ")"
-            pos += 1
-            items = []
-            if pos < len(tokens) and tokens[pos][0] == close:
-                pos += 1
-                return tuple(items)
-            while True:
-                items.append(expr(depth + 1))
-                if pos >= len(tokens):
-                    raise ConfigError(f"missing {close!r}", line)
-                tok2, col2 = tokens[pos]
-                pos += 1
-                if tok2 == close:
-                    return tuple(items)
-                if tok2 != ",":
-                    raise ConfigError(
-                        f"expected ',' or {close!r} at column {col2 + 1}", line)
-                if pos < len(tokens) and tokens[pos][0] == close:
-                    raise ConfigError(
-                        f"dangling ',' at column {tokens[pos][1] + 1}", line)
-        raise ConfigError(f"unexpected {tok!r} at column {col + 1}", line)
-
-    result = expr(0)
-    if pos != len(tokens):
-        raise ConfigError(
-            f"trailing input at column {tokens[pos][1] + 1}", line)
-    return result
+            stack.append((items, close))
+            items, close, due = [], "]" if tok == "[" else ")", tok
+            continue
+        elif tok != close:
+            raise ConfigError(f"unexpected {tok!r} at column {col + 1}", line)
+        elif due == ",":
+            raise ConfigError(f"dangling ',' at column {col + 1}", line)
+        else:
+            value = ()
+            items, close = stack.pop()
+        items.append(value)
+        due = None
+    if due is not None:
+        raise ConfigError("unexpected end of value", line)
+    if close is not None:
+        raise ConfigError(f"missing {close!r}", line)
+    return items[0]
 
 
 def _as_int(value, line, what):
@@ -132,29 +147,40 @@ def _as_int(value, line, what):
     return int(value)
 
 
+def _ints(values, line, what):
+    """A tuple of ints as it is, after one type check; else made one."""
+    if set(map(type, values)) <= {int}:
+        return values
+    return tuple(_as_int(v, line, f"{what} entry") for v in values)
+
+
+def _list(value, line, what, items):
+    """`value`, which must be a list of `items`."""
+    if not isinstance(value, tuple):
+        raise ConfigError(f"{what} must be a list of {items}", line)
+    return value
+
+
+def _parse_text(text, line, what):
+    return text
+
+
 def _parse_int(text, line, what):
     return _as_int(_parse_nested(text, line), line, what)
 
 
 def _parse_vectors(text, line, what):
-    nested = _parse_nested(text, line)
-    if not isinstance(nested, tuple):
-        raise ConfigError(f"{what} must be a list of integer vectors", line)
-    rows = []
-    for row in nested:
-        if not isinstance(row, tuple):
-            raise ConfigError(f"{what} must be a list of integer vectors", line)
-        rows.append(tuple(_as_int(v, line, f"{what} entry") for v in row))
+    rows = tuple(_ints(_list(row, line, what, "integer vectors"), line, what)
+                 for row in _list(_parse_nested(text, line), line, what,
+                                  "integer vectors"))
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError(f"{what} rows have unequal lengths", line)
-    return tuple(rows)
+    return rows
 
 
 def _parse_ints(text, line, what):
-    nested = _parse_nested(text, line)
-    if not isinstance(nested, tuple):
-        raise ConfigError(f"{what} must be a list of integers", line)
-    return tuple(_as_int(v, line, f"{what} entry") for v in nested)
+    return _ints(_list(_parse_nested(text, line), line, what, "integers"),
+                 line, what)
 
 
 def _parse_circle(pair, line, what):
@@ -164,16 +190,17 @@ def _parse_circle(pair, line, what):
     return ExactCircle(pair[0], pair[1])
 
 
+def _parse_value(text, line, what):
+    return _parse_circle(_parse_nested(text, line), line, what)
+
+
 def _parse_values(text, line, what):
-    nested = _parse_nested(text, line)
-    if not isinstance(nested, tuple):
-        raise ConfigError(f"{what} must be a list of (q_exponent, argument)"
-                          " pairs", line)
-    return tuple(_parse_circle(p, line, what) for p in nested)
+    return tuple(_parse_circle(p, line, what)
+                 for p in _list(_parse_nested(text, line), line, what,
+                                "(q_exponent, argument) pairs"))
 
 
 def _parse_perm_or_matrix(text, line, what):
-    text = text.strip()
     if text == "id":
         return ("id",)
     if text.startswith("["):
@@ -183,27 +210,20 @@ def _parse_perm_or_matrix(text, line, what):
         return ("matrix", IntMatrix(mat))
     if text.startswith("("):
         cycles = []
-        i = 0
-        while i < len(text):
-            if text[i].isspace():
-                i += 1
-                continue
-            if text[i] != "(":
+        for m in _CYCLE.finditer(text):
+            if m[0] == "(":
+                raise ConfigError(f"{what}: unclosed cycle", line)
+            if m[1] is None:
                 raise ConfigError(f"{what}: expected '(' in cycle notation",
                                   line)
-            j = text.find(")", i)
-            if j < 0:
-                raise ConfigError(f"{what}: unclosed cycle", line)
-            body = text[i + 1:j].replace(",", " ").split()
             try:
-                cyc = tuple(int(b) for b in body)
+                cyc = tuple(int(b) for b in m[1].replace(",", " ").split())
             except ValueError:
                 raise ConfigError(f"{what}: cycle entries must be integers",
                                   line) from None
             if not cyc or len(set(cyc)) != len(cyc) or min(cyc) < 1:
-                raise ConfigError(f"{what}: bad cycle {text[i:j + 1]}", line)
+                raise ConfigError(f"{what}: bad cycle {m[0]}", line)
             cycles.append(cyc)
-            i = j + 1
         flat = [v for c in cycles for v in c]
         if len(set(flat)) != len(flat):
             raise ConfigError(f"{what}: cycles are not disjoint", line)
@@ -225,9 +245,7 @@ def parse_config(text):
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", lineno)
-        key, _, rest = line.partition("=")
-        key = key.strip()
-        rest = rest.strip()
+        key, rest = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in fields:
@@ -236,21 +254,7 @@ def parse_config(text):
         if not rest:
             raise ConfigError(f"empty value for {key!r}", lineno)
         lines_seen[key] = lineno
-        if key in ("name", "preset"):
-            fields[key] = rest
-        elif key in ("rank", "twist", "q"):
-            fields[key] = _parse_int(rest, lineno, key)
-        elif key in ("roots", "coroots"):
-            fields[key] = _parse_vectors(rest, lineno, key)
-        elif key == "simple":
-            fields[key] = _parse_ints(rest, lineno, key)
-        elif key in ("tau", "sigma"):
-            fields[key] = _parse_perm_or_matrix(rest, lineno, key)
-        elif key in ("values", "values2"):
-            fields[key] = _parse_values(rest, lineno, key)
-        elif key == "value":
-            fields[key] = _parse_circle(_parse_nested(rest, lineno), lineno,
-                                        key)
+        fields[key] = _PARSE[key](rest, lineno, key)
     return GroupConfig(**fields)
 
 
@@ -287,6 +291,13 @@ def _render_action(tagged):
                        for c in tagged[1])
     return _render_vectors(tagged[1].data)
 
+
+_PARSE = {"name": _parse_text, "preset": _parse_text, "rank": _parse_int,
+          "roots": _parse_vectors, "coroots": _parse_vectors,
+          "simple": _parse_ints, "tau": _parse_perm_or_matrix,
+          "sigma": _parse_perm_or_matrix, "twist": _parse_int, "q": _parse_int,
+          "values": _parse_values, "values2": _parse_values,
+          "value": _parse_value}
 
 _RENDER = {"name": _render_text, "preset": _render_text, "rank": str,
            "roots": _render_vectors, "coroots": _render_vectors,
@@ -404,8 +415,7 @@ def resolve(config=None, preset=None, q=None):
             raise CapExceeded(f"root datum: the config has"
                               f" {len(config.roots)} roots, over the cap"
                               f" {ROOT_CAP}")
-        corank = len(config.coroots[0]) if config.coroots else rank
-        if corank != rank:
+        if config.coroots and len(config.coroots[0]) != rank:
             raise ConfigError("root and coroot vectors must have the same"
                               " length")
         if config.rank is not None and config.rank != rank:

@@ -237,13 +237,16 @@ def validate(datum):
     dually the coroot set); every root is an integer combination of simple
     roots with coefficients all of one sign.
 
-    The reflections are certified (Bourbaki, Lie VI 1.5) by `_reflected`
-    on the simple roots and those of their doubles that are roots: when
-    nothing leaves the datum under these and a `search` over the simple
-    reflections reaches every root from them, a root w beta has the
-    coroot w^-T beta^, its reflection is w s_beta w^-1 and the transpose
-    w^-T s_beta^T w^T, which permute both sides.  Only when that fails is
-    the reflection in every root checked, by the same pass.
+    The certificate, as for every preset and fold, is the `root_closure`
+    of the simple pairs and of the doubles 2a of simple roots that are
+    roots, capped at the number of roots.  It holds when the closure gives
+    the datum's pairs and the simple Cartan matrix is generalized (off the
+    diagonal, entries <= 0 and zero exactly where the transpose is): the
+    closure is W-stable on both sides, and s_i permutes the positive roots
+    other than alpha_i and 2 alpha_i (Kac, Infinite-dimensional Lie
+    algebras, Lemma 3.7), so its positive side, kept as the datum's
+    `positive_indices`, has simple coefficients >= 0.  Otherwise every
+    reflection (`_reflected`) and every root's coefficients are checked.
     """
     problems = []
     if len(set(datum.roots)) != len(datum.roots):
@@ -257,28 +260,38 @@ def validate(datum):
             problems.append(f"<root {idx}, coroot {idx}> = {p}, expected 2")
     if problems:
         return problems
-    for i in datum.simple_indices:
-        if not 0 <= i < len(datum.roots):
-            problems.append(f"simple index {i} out of range")
+    problems = [f"simple index {i} out of range" for i in datum.simple_indices
+                if not 0 <= i < len(datum.roots)]
     if problems:
         return problems
     solver = datum._coefficient_solver
     if datum.rank - solver.consistency.nrows < len(datum.simple_indices):
         return ["simple roots are linearly dependent"]
-    index = {r: i for i, r in enumerate(datum.roots)}
-    simples = datum.simple_indices
-    doubles = (index.get(tuple([2 * v for v in datum.roots[i]]))
-               for i in simples)
-    bases = list(simples) + [i for i in doubles if i is not None]
-    perms, leaves = _reflected(datum, bases)
-    if any(leaves) or len(search(bases, perms[:len(simples)],
-                                 lambda i, perm: perm[i])) < len(datum.roots):
-        _, leaves = _reflected(datum, range(len(datum.roots)))
-        for idx, left in enumerate(leaves):
-            if "root" in left:
-                problems.append(f"reflection in root {idx} does not permute the roots")
-            if "coroot" in left:
-                problems.append(f"coreflection in root {idx} does not permute the coroots")
+    coroot = dict(zip(datum.roots, datum.coroots))
+    simples = datum.simple_roots()
+    cartan = images(IntMatrix([coroot[a] for a in simples], ncols=datum.rank),
+                    simples)
+    if all(c <= 0 and (c == 0) == (cartan[j][i] == 0)
+           for i, row in enumerate(cartan)
+           for j, c in enumerate(row) if i != j):
+        doubles = (tuple([2 * v for v in a]) for a in simples)
+        bases = simples + [b for b in doubles if b in coroot]
+        try:
+            roots, coroots, positive = root_closure(
+                bases, map(coroot.get, bases), cap=len(datum.roots))
+        except (ValueError, CapExceeded):
+            roots = coroots = ()
+        if dict(zip(roots, coroots)) == coroot:
+            positive = {roots[i] for i in positive}
+            datum.__dict__["positive_indices"] = tuple(
+                i for i, r in enumerate(datum.roots) if r in positive)
+            return problems
+    _, leaves = _reflected(datum, range(len(datum.roots)))
+    for idx, left in enumerate(leaves):
+        if "root" in left:
+            problems.append(f"reflection in root {idx} does not permute the roots")
+        if "coroot" in left:
+            problems.append(f"coreflection in root {idx} does not permute the coroots")
     den = solver.den
     for idx, nums in enumerate(solver.numerators(datum.roots)):
         if nums is None:
@@ -296,10 +309,8 @@ def _reflected(datum, bases):
     """The reflection in each basis root (an index) applied, through
     `_reflections`, to every (root, coroot) pair of a datum of distinct
     roots.  Per basis: its map of the root indices, None where a root
-    leaves the roots; and how it leaves the datum, a set of "root" (a
-    root sent off the roots), "pair" (a root sent to a root whose coroot
-    is not the image of its own) and "coroot" (a coroot sent off the
-    coroots)."""
+    leaves the roots; and a set of "root" when a root leaves the roots,
+    and "coroot" when a coroot leaves the coroots."""
     roots, coroots = datum.roots, datum.coroots
     index = {r: i for i, r in enumerate(roots)}
     coroot_set = set(coroots)
@@ -311,10 +322,10 @@ def _reflected(datum, bases):
         for g in meeting(*pair):
             b, bv = reflections[g](*pair)
             j = perms[g][idx] = index.get(b)
-            if j is None or coroots[j] != bv:
-                leaves[g].add("root" if j is None else "pair")
-                if bv not in coroot_set:
-                    leaves[g].add("coroot")
+            if j is None:
+                leaves[g].add("root")
+            if (j is None or coroots[j] != bv) and bv not in coroot_set:
+                leaves[g].add("coroot")
     return perms, leaves
 
 
@@ -665,16 +676,11 @@ def _component_type(cartan, comp):
     n = len(comp)
     if n == 1:
         return "A1"
-    bonds = {}
-    degree = {i: 0 for i in comp}
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = comp[a], comp[b]
-            m = cartan[i][j] * cartan[j][i]
-            if m:
-                bonds[(i, j)] = m
-                degree[i] += 1
-                degree[j] += 1
+    # the bonds i - j, i before j in `comp`, and their multiplicities
+    bonds = {(i, j): cartan[i][j] * cartan[j][i]
+             for a, i in enumerate(comp) for j in comp[a + 1:]
+             if cartan[i][j] and cartan[j][i]}
+    degree = {i: sum(i in bond for bond in bonds) for i in comp}
     triple = [e for e, m in bonds.items() if m == 3]
     double = [e for e, m in bonds.items() if m == 2]
     if triple:
@@ -683,16 +689,16 @@ def _component_type(cartan, comp):
     if branch:
         if double or len(branch) > 1:
             return "unknown"
-        arms = sorted(_arm_lengths(bonds, branch[0], comp))
+        # the arms: the components of the diagram without its branch node
+        k, center = len(cartan), branch[0]
+        arms = sorted(map(len, _orbits(
+            [i for i in comp if i != center],
+            [[j if cartan[i][j] and center not in (i, j) else i
+              for i in range(k)] for j in range(k)])))
         if arms[:2] == [1, 1]:
             return f"D{n}"
-        if arms == [1, 2, 2] and n == 6:
-            return "E6"
-        if arms == [1, 2, 3] and n == 7:
-            return "E7"
-        if arms == [1, 2, 4] and n == 8:
-            return "E8"
-        return "unknown"
+        return {(1, 2, 2): "E6", (1, 2, 3): "E7",
+                (1, 2, 4): "E8"}.get(tuple(arms), "unknown")
     if not double:
         return f"A{n}"
     if len(double) > 1:
@@ -711,22 +717,3 @@ def _component_type(cartan, comp):
     if cartan[end][inner] == -2:
         return f"C{n}"
     return "unknown"
-
-
-def _arm_lengths(bonds, center, comp):
-    adj = {i: set() for i in comp}
-    for (i, j) in bonds:
-        adj[i].add(j)
-        adj[j].add(i)
-    lengths = []
-    for start in sorted(adj[center]):
-        length = 1
-        prev, cur = center, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return lengths

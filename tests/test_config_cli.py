@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from satake.circle import ExactCircle
 from satake.cli import main
 from satake.config import (
-    ConfigError, GroupConfig, _tokenize, parse_config, resolve,
-    serialize_config,
+    ConfigError, GroupConfig, _parse_nested, _parse_perm_or_matrix,
+    _tokenize, parse_config, resolve, serialize_config,
 )
 from satake.matrices import IntMatrix
 from satake.report import build_report, to_json, to_text
@@ -56,6 +56,165 @@ def test_integer_tokens_are_ints_and_fractions_are_written_a_over_b():
     for bad in ("-", "+", "1/0", "1/", "1//2"):
         with pytest.raises(ConfigError, match="bad number"):
             _tokenize(bad, 1)
+
+
+# --- the reader against the character-by-character reference --------------
+
+def reference_tokenize(text, line):
+    """The tokenizer as it was before the one `re` scan: a loop over the
+    characters, in which a number is a sign or an `isdigit` character
+    followed by `isdigit` characters and '/'."""
+    i, n = 0, len(text)
+    out = []
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "[](),":
+            out.append((ch, i))
+            i += 1
+            continue
+        if ch in "+-" or ch.isdigit():
+            j = i + 1
+            while j < n and (text[j].isdigit() or text[j] == "/"):
+                j += 1
+            frag = text[i:j]
+            try:
+                out.append((Fraction(frag) if "/" in frag else int(frag), i))
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"bad number {frag!r}", line) from None
+            i = j
+            continue
+        raise ConfigError(f"unexpected character {ch!r} at column {i + 1}",
+                          line)
+    return out
+
+
+def reference_parse_nested(text, line):
+    """The nested-value reader as it was before the loop with a stack: one
+    recursive call per value."""
+    tokens = reference_tokenize(text, line)
+    pos = 0
+
+    def expr(depth):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ConfigError("unexpected end of value", line)
+        tok, col = tokens[pos]
+        if isinstance(tok, (int, Fraction)):
+            pos += 1
+            return tok
+        if tok in "[(":
+            if depth == 2:
+                raise ConfigError(f"nested deeper than 2 at column {col + 1}",
+                                  line)
+            close = "]" if tok == "[" else ")"
+            pos += 1
+            items = []
+            if pos < len(tokens) and tokens[pos][0] == close:
+                pos += 1
+                return tuple(items)
+            while True:
+                items.append(expr(depth + 1))
+                if pos >= len(tokens):
+                    raise ConfigError(f"missing {close!r}", line)
+                tok2, col2 = tokens[pos]
+                pos += 1
+                if tok2 == close:
+                    return tuple(items)
+                if tok2 != ",":
+                    raise ConfigError(
+                        f"expected ',' or {close!r} at column {col2 + 1}", line)
+                if pos < len(tokens) and tokens[pos][0] == close:
+                    raise ConfigError(
+                        f"dangling ',' at column {tokens[pos][1] + 1}", line)
+        raise ConfigError(f"unexpected {tok!r} at column {col + 1}", line)
+
+    result = expr(0)
+    if pos != len(tokens):
+        raise ConfigError(
+            f"trailing input at column {tokens[pos][1] + 1}", line)
+    return result
+
+
+def read_outcome(reader, text):
+    """The value, with the type of every number in it, or the message."""
+    try:
+        value = reader(text, 7)
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+    return value, repr(value)
+
+
+# '²' is a digit to `str.isdigit` but not to `re`'s \d; '٣' is both
+_READER_TEXT = st.text(st.sampled_from(list("[](),+-/0123456789 \tx²٣")),
+                       max_size=16)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(text=_READER_TEXT | st.sampled_from(
+    ["²", "1²", "-²", "٣", "[٣,-٣/2]", "1x", "1/x", "+/2", "12/34/5", "1_0",
+     "[(1,2),(3,1/2)]", "[[1,2],[3]]", "[1,]", "[,1]", "[[[1]]]", "1,2",
+     "(1]", "[1 2]", "[)", "", "   ", "[", "[1,", "+-1", "1/0"]))
+def test_reader_matches_the_character_loop_reference(text):
+    """The one-scan tokenizer and the stack reader give the reference's
+    tokens and value (numbers of the same types), or its message."""
+    assert (read_outcome(_tokenize, text)
+            == read_outcome(reference_tokenize, text))
+    assert (read_outcome(_parse_nested, text)
+            == read_outcome(reference_parse_nested, text))
+
+
+def reference_cycles(text, line, what):
+    """The cycle notation as read before its `re` scan: a loop over the
+    characters that finds each ')' with `str.find`."""
+    cycles = []
+    i = 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        if text[i] != "(":
+            raise ConfigError(f"{what}: expected '(' in cycle notation", line)
+        j = text.find(")", i)
+        if j < 0:
+            raise ConfigError(f"{what}: unclosed cycle", line)
+        body = text[i + 1:j].replace(",", " ").split()
+        try:
+            cyc = tuple(int(b) for b in body)
+        except ValueError:
+            raise ConfigError(f"{what}: cycle entries must be integers",
+                              line) from None
+        if not cyc or len(set(cyc)) != len(cyc) or min(cyc) < 1:
+            raise ConfigError(f"{what}: bad cycle {text[i:j + 1]}", line)
+        cycles.append(cyc)
+        i = j + 1
+    flat = [v for c in cycles for v in c]
+    if len(set(flat)) != len(flat):
+        raise ConfigError(f"{what}: cycles are not disjoint", line)
+    return ("perm", tuple(cycles))
+
+
+@settings(max_examples=800, deadline=None)
+@given(text=st.text(st.sampled_from(list("()123, \tx-")), max_size=14).map(
+    lambda body: ("(" + body).strip()))
+def test_cycles_match_the_character_loop_reference(text):
+    """The `re` scan of cycle notation gives the reference's cycles or
+    its message, on stripped text starting with '(' as `parse_config`
+    passes it."""
+    assert (read_outcome(lambda t, n: _parse_perm_or_matrix(t, n, "tau"),
+                         text)
+            == read_outcome(lambda t, n: reference_cycles(t, n, "tau"), text))
+
+
+def test_a_digit_outside_backslash_d_is_a_bad_number():
+    """'²' passes `str.isdigit` but is no decimal digit: the number it
+    ends or starts is bad, as before the scan."""
+    for text, frag in (("²", "²"), ("1²", "1²"), ("-²3", "-²3")):
+        with pytest.raises(ConfigError, match=f"bad number '{frag}'"):
+            parse_config(f"rank = {text}\n")
+    assert parse_config("rank = ٣\n").rank == 3
 
 
 def test_parse_matrix_action():
@@ -442,15 +601,28 @@ NO_WEYL_VALUES = {
 def test_commands_never_enumerate_weyl_group(preset, monkeypatch, tmp_path,
                                              capsys):
     """modulus, classify, equal and orbits work from the relative Weyl
-    generators alone: enumerating W or closing any group fails the test."""
+    generators alone: enumerating W or closing any group fails the test,
+    and so does a `search` of the stage "group enumeration", through
+    which every group closure runs."""
     def refuse(*args, **kwargs):
         raise AssertionError("Weyl group enumerated")
 
+    def no_group_search(search):
+        def guarded(*args, **kwargs):
+            stage = args[4] if len(args) > 4 else kwargs.get("stage", "")
+            if stage == "group enumeration":
+                raise AssertionError("group enumerated")
+            return search(*args, **kwargs)
+        return guarded
+
     for name, module in list(sys.modules.items()):
         if name == "satake" or name.startswith("satake."):
-            for attr in ("weyl_walk", "weyl_group", "mulclose", "closure"):
+            for attr in ("weyl_walk", "weyl_group", "mulclose"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
+            if hasattr(module, "search"):
+                monkeypatch.setattr(module, "search",
+                                    no_group_search(module.search))
     values, values2 = NO_WEYL_VALUES[preset]
     cfg = tmp_path / "group.cfg"
     cfg.write_text(f"preset = {preset}\nvalues = {values}\n"

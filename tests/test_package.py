@@ -2,7 +2,8 @@
 one-exact-solver decision (the Smith form), the one stored form,
 precomposition kernel and value renderer of a character, the one class
 listing of `orbits` and the one induced-map formula kept in the source,
-one reflection kernel behind the root layer, one place that recognises
+one reflection kernel and one certificate behind the root layer, a
+config reader without nested functions, one place that recognises
 identity and zero matrices, modules that parse at the
 declared Python floor, a start-up that loads no `dataclasses`, records
 that stay read-only, and a `test` extra that lists what the tests
@@ -132,8 +133,10 @@ def test_only_verify_ks_enumerates_the_weyl_group():
 
 def test_one_reflection_pass_behind_the_root_layer():
     """`_reflections` is the one reflection kernel: the closure calls it,
-    and `_reflected`, the pass behind `validate` (its certificate and its
-    root-by-root report) and `weyl_walk`'s generators.  No function in
+    and `_reflected`, the pass behind `validate`'s root-by-root report
+    (called once) and `weyl_walk`'s generators.  `root_closure` is the
+    one certificate of a datum, of a preset or fold through
+    `datum_from_simples` and of a config in `validate`.  No function in
     the package builds a `reflection_matrix`, and the dense fallback is
     gone."""
     def callers(name):
@@ -143,8 +146,9 @@ def test_one_reflection_pass_behind_the_root_layer():
     assert callers("_reflections") == [("rootdata", "root_closure"),
                                        ("rootdata", "_reflected")]
     assert sorted(callers("_reflected")) == [("rootdata", "validate"),
-                                             ("rootdata", "validate"),
                                              ("rootdata", "weyl_walk")]
+    assert sorted(callers("root_closure")) == [
+        ("rootdata", "datum_from_simples"), ("rootdata", "validate")]
     assert callers("reflection_matrix") == []
     names = {name for path in sorted(SRC.glob("*.py"))
              for name in _referenced(_tree(path.name))}
@@ -154,6 +158,29 @@ def test_one_reflection_pass_behind_the_root_layer():
     for gone in ("_reflections_certified", "_reflection_problems",
                  "_maps_into"):
         assert gone not in names | defined, gone
+
+
+def test_validate_keeps_one_certificate():
+    """`validate` certifies by the closure alone: it calls no `search`
+    (the W-orbit certificate is gone), and no "pair" kind of leaving the
+    datum is left in the root layer."""
+    validate, = (node for node in ast.walk(_tree("rootdata.py"))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "validate")
+    assert "search" not in _referenced(validate)
+    assert not [node for node in ast.walk(_tree("rootdata.py"))
+                if isinstance(node, ast.Constant) and node.value == "pair"]
+
+
+def test_the_config_reader_nests_no_function():
+    """The reader is one scan and one loop with a stack: `config.py`
+    defines no function or lambda inside another, so no recursive
+    `expr` is left."""
+    for outer in ast.walk(_tree("config.py")):
+        if isinstance(outer, (ast.FunctionDef, ast.Lambda)):
+            inner = [node for node in ast.walk(outer) if node is not outer
+                     and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+            assert inner == [], getattr(outer, "name", "lambda")
 
 
 def test_every_module_parses_at_the_declared_python_floor():

@@ -1,5 +1,6 @@
 """Based root data, pinned automorphisms, Weyl groups, folding."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satake.abelian import coinvariants
-from satake.config import parse_config, resolve
+from satake.cli import main
+from satake.config import GroupConfig, parse_config, resolve, \
+    serialize_config
 from satake.kottwitz import TorusWithAction, cochar_torus
-from satake.matrices import IntMatrix
+from satake.matrices import IntMatrix, LinearSolver
 from satake.presets import (
     adjoint_d4, d4_flip_matrix, d4_triality_matrix, flip_negate, split_gl,
     split_pgl, split_sl, split_so, split_sp,
@@ -390,6 +393,44 @@ def test_detect_type_families():
     assert detect_type(adjoint_d4()) == "D4"
 
 
+def _simply_laced(edges, n, order):
+    """The simple system of a simply laced diagram on n nodes, the simple
+    roots the unit vectors and the nodes listed in `order`."""
+    cartan = [[2 * (i == j) - ((i, j) in edges or (j, i) in edges)
+               for j in range(n)] for i in range(n)]
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return BasedRootDatum(n, unit, [tuple(row) for row in cartan], order)
+
+
+def _branched(arms):
+    """The edges and node count of a diagram with one node of degree
+    len(arms), node 0, and paths of the given lengths from it."""
+    edges, n = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return edges, n
+
+
+@pytest.mark.parametrize("arms,name", [
+    ((1, 1, 1), "D4"), ((1, 1, 2), "D5"), ((1, 1, 4), "D7"),
+    ((1, 2, 2), "E6"), ((1, 2, 3), "E7"), ((1, 2, 4), "E8"),
+    ((2, 2, 2), "unknown"), ((1, 3, 3), "unknown"), ((1, 2, 5), "unknown")])
+def test_detect_type_reads_the_arms_of_a_branch_node(arms, name):
+    """The arms of the one branch node, the components of the diagram
+    without it, name D_n and E6-E8 in any order of the simple roots; the
+    affine shapes among them, and two branch nodes, are unknown."""
+    edges, n = _branched(arms)
+    for order in (range(n), range(n - 1, -1, -1)):
+        assert detect_type(_simply_laced(edges, n, order)) == name
+    two = edges + [(n + i, n + i + 1) for i in range(3)] + [(n, n + 4),
+                                                           (n + 1, 0)]
+    assert "unknown" in detect_type(_simply_laced(two, n + 5,
+                                                  range(n + 5)))
+
+
 def test_d4_pins():
     d4 = adjoint_d4()
     tri = pinned_automorphism(d4, d4_triality_matrix())
@@ -760,27 +801,32 @@ def test_validate_matches_matrix_reflections():
 
 
 def _spy(monkeypatch, certified, full, refuse=False):
-    """Record the datum of each call of `rootdata._reflected`: in `full`
-    for the root-by-root check, to which `validate` hands every index as
-    a range, else in `certified` (the certificate); with `refuse`, the
-    root-by-root check fails the test."""
-    real = rootdata._reflected
+    """Record the seed roots of each call of `rootdata.root_closure`, the
+    certificate, in `certified`, and the datum of each call of
+    `rootdata._reflected`, the root-by-root report, in `full`; with
+    `refuse`, the report fails the test."""
+    closure, reflected = rootdata.root_closure, rootdata._reflected
 
-    def spy(datum, bases):
-        every = isinstance(bases, range)
-        (full if every else certified).append(datum)
-        if every and refuse:
+    def certify(simples, cosimples, cap):
+        certified.append(list(simples))
+        return closure(simples, cosimples, cap)
+
+    def report(datum, bases):
+        assert isinstance(bases, range)
+        full.append(datum)
+        if refuse:
             raise AssertionError(f"full reflection check on {datum.label}")
-        return real(datum, bases)
+        return reflected(datum, bases)
 
-    monkeypatch.setattr(rootdata, "_reflected", spy)
+    monkeypatch.setattr(rootdata, "root_closure", certify)
+    monkeypatch.setattr(rootdata, "_reflected", report)
 
 
 def test_the_certificate_decides_every_valid_datum(monkeypatch):
-    """No valid case of the validate suite reaches the root-by-root
-    check, which is patched to fail; a corrupted copy is checked root by
-    root whenever the certificate is consulted, and every copy with a
-    root dropped or a coroot moved reaches it."""
+    """Every valid case of the validate suite is decided by one closure,
+    and none reaches the root-by-root report, which is patched to fail;
+    every corrupted copy that passes the pairing checks reaches the
+    report, and every copy with a root dropped or a coroot moved does."""
     data = _valid_cases()
     certified, full = [], []
     _spy(monkeypatch, certified, full, refuse=True)
@@ -793,8 +839,11 @@ def test_the_certificate_decides_every_valid_datum(monkeypatch):
         for k, bad in enumerate(copies):
             certified.clear()
             full.clear()
-            assert validate(bad)
-            assert full == certified
+            problems = validate(bad)
+            assert problems
+            paired = not any("expected 2" in p for p in problems)
+            assert full == ([bad] if paired else [])
+            assert len(certified) <= len(full)
             if k in (0, 3):    # a root dropped, a coroot moved
                 assert full == [bad]
 
@@ -803,31 +852,243 @@ def test_the_certificate_reaches_every_root(monkeypatch):
     """A root the simple reflections do not reach is not certified: here
     +-(1, 1) and +-(1, -1) beside the A1 of (2, 0), which its reflection
     carries pair to pair, though the reflection in (1, 1) sends (2, 0)
-    to (0, -2)."""
+    to (0, -2).  The closure of the one simple pair has 2 roots, not 6."""
     roots = ((2, 0), (-2, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))
     stray = BasedRootDatum(2, roots, ((1, 0), (-1, 0)) + roots[2:], (0,))
     assert rootdata._reflected(stray, [0])[1] == [set()]
     certified, full = [], []
     _spy(monkeypatch, certified, full)
     problems = validate(stray)
-    assert certified == full == [stray]
+    assert certified == [[(2, 0)]] and full == [stray]
     assert problems == validate_by_matrices(stray)
     assert "reflection in root 2 does not permute the roots" in problems
 
 
 def test_non_reduced_bc1_validates_by_the_certificate(monkeypatch):
     """Roots +-e, +-2e with coroots +-2e^, +-e^: the double of the simple
-    root is a basis of the certificate, and the config resolves without
-    the root-by-root check."""
-    _spy(monkeypatch, [], [], refuse=True)
+    root is a seed of the closure, and the config resolves without the
+    root-by-root report."""
+    certified = []
+    _spy(monkeypatch, certified, [], refuse=True)
     bc1 = BasedRootDatum(1, ((1,), (-1,), (2,), (-2,)),
                          ((2,), (-2,), (1,), (-1,)), (0,), label="BC1")
     assert validate(bc1) == []
+    assert certified == [[(1,), (2,)]]
     config = parse_config("roots = [[1], [-1], [2], [-2]]\n"
                           "coroots = [[2], [-2], [1], [-1]]\nsimple = [0]\n")
     assert resolve(config).datum == bc1._replace(label="custom")
     monkeypatch.undo()
     assert validate_by_matrices(bc1) == []
+
+
+# --- the closure certificate against the W-orbit certificate ---------------
+
+def reference_reflected(datum, bases):
+    """`_reflected` as it was with its "pair" kind: a root sent to a root
+    whose coroot is not the image of its own."""
+    roots, coroots = datum.roots, datum.coroots
+    index = {r: i for i, r in enumerate(roots)}
+    coroot_set = set(coroots)
+    reflections, meeting = rootdata._reflections(
+        [(roots[i], coroots[i]) for i in bases])
+    perms = [list(range(len(roots))) for _ in reflections]
+    leaves = [set() for _ in reflections]
+    for idx, pair in enumerate(zip(roots, coroots)):
+        for g in meeting(*pair):
+            b, bv = reflections[g](*pair)
+            j = perms[g][idx] = index.get(b)
+            if j is None or coroots[j] != bv:
+                leaves[g].add("root" if j is None else "pair")
+                if bv not in coroot_set:
+                    leaves[g].add("coroot")
+    return perms, leaves
+
+
+def reference_validate(datum):
+    """`validate` as it was before the closure certificate: `_reflected`
+    on the simple roots and their doubles that are roots, and a `search`
+    over root indices that must reach every root; else the reflection in
+    every root; then the simple coefficients of every root."""
+    problems = []
+    if len(set(datum.roots)) != len(datum.roots):
+        problems.append("duplicate roots")
+    for idx, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
+        if len(a) != datum.rank or len(av) != datum.rank:
+            problems.append(f"root/coroot {idx} has wrong length")
+            continue
+        p = sum(x * y for x, y in zip(a, av))
+        if p != 2:
+            problems.append(f"<root {idx}, coroot {idx}> = {p}, expected 2")
+    if problems:
+        return problems
+    for i in datum.simple_indices:
+        if not 0 <= i < len(datum.roots):
+            problems.append(f"simple index {i} out of range")
+    if problems:
+        return problems
+    solver = datum._coefficient_solver
+    if datum.rank - solver.consistency.nrows < len(datum.simple_indices):
+        return ["simple roots are linearly dependent"]
+    index = {r: i for i, r in enumerate(datum.roots)}
+    simples = datum.simple_indices
+    doubles = (index.get(tuple([2 * v for v in datum.roots[i]]))
+               for i in simples)
+    bases = list(simples) + [i for i in doubles if i is not None]
+    perms, leaves = reference_reflected(datum, bases)
+    if any(leaves) or len(search(bases, perms[:len(simples)],
+                                 lambda i, perm: perm[i])) < len(datum.roots):
+        _, leaves = reference_reflected(datum, range(len(datum.roots)))
+        for idx, left in enumerate(leaves):
+            if "root" in left:
+                problems.append(f"reflection in root {idx} does not permute"
+                                " the roots")
+            if "coroot" in left:
+                problems.append(f"coreflection in root {idx} does not"
+                                " permute the coroots")
+    den = solver.den
+    for idx, nums in enumerate(solver.numerators(datum.roots)):
+        if nums is None:
+            problems.append(f"root {idx} is not in the span of the simple"
+                            " roots")
+            continue
+        if any(c % den for c in nums):
+            problems.append(f"root {idx} is not an integer combination of"
+                            " simple roots")
+            continue
+        if not (all(c >= 0 for c in nums) or all(c <= 0 for c in nums)):
+            problems.append(f"root {idx} has mixed-sign simple coefficients")
+    return problems
+
+
+def shuffled(datum, seed):
+    """The datum with its pairs in a random order."""
+    order = list(range(len(datum.roots)))
+    random.Random(seed).shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    return BasedRootDatum(datum.rank, [datum.roots[i] for i in order],
+                          [datum.coroots[i] for i in order],
+                          [where[i] for i in datum.simple_indices],
+                          label=datum.label)
+
+
+def with_stray_double(datum):
+    """+-2b for the last root b, with coroots +-e, e a unit vector on
+    which b is 1 (so each pairing is 2); None when b has no entry +-1."""
+    b = datum.roots[-1]
+    i = next((i for i, v in enumerate(b) if v in (1, -1)), None)
+    if i is None:
+        return None
+    e = tuple(b[i] * (k == i) for k in range(datum.rank))
+    double = tuple(2 * v for v in b)
+    neg = tuple(-v for v in double)
+    return BasedRootDatum(datum.rank, datum.roots + (double, neg),
+                          datum.coroots + (e, tuple(-v for v in e)),
+                          datum.simple_indices, label=datum.label + " 2b")
+
+
+def _certificate_data():
+    names = ([name for name in sorted(GRID_DATA)]
+             + [f"flip A{n}" for n in range(2, 10)]
+             + [f"unitary {kind} {n}" for kind in ("ramified", "unramified")
+                for n in range(2, 9)])
+    data = []
+    for name in names:
+        rg = resolve(preset=name)
+        data.append(rg.datum._replace(label=name))
+        if rg.action.tau.order > 1:
+            folded = restricted_root_data(rg.datum, rg.action.tau)
+            if folded.non_reduced:
+                data.append(folded.datum._replace(label=f"{name} full"))
+    return data
+
+
+def _certificate_cases():
+    cases = []
+    for k, datum in enumerate(_certificate_data()):
+        datum = shuffled(datum, k)
+        copies = corrupted_copies(datum)
+        cases += [datum, copies[0]] + copies[3:]
+        stray = with_stray_double(datum)
+        if stray is not None:
+            cases.append(stray)
+    gl3 = split_gl(3)
+    a1, a2 = gl3.simple_roots()
+    a12 = gl3.roots.index(tuple(x + y for x, y in zip(a1, a2)))
+    cases.append(gl3._replace(simple_indices=(gl3.simple_indices[0], a12),
+                              label="A2 with simples a1, a1 + a2"))
+    cases.append(BasedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0, 1),
+                                label="rank 1, dependent simples"))
+    cases.append(BasedRootDatum(2, BC2_ROOTS[1:], BC2_COROOTS[1:],
+                                (BC2_ROOTS.index((1, -1)) - 1,
+                                 BC2_ROOTS.index((0, 1)) - 1),
+                                label="BC2 without the double (2, 0)"))
+    cases.append(BasedRootDatum(2, (), (), (), label="rootless"))
+    return cases
+
+
+# BC2: +-e_i with coroot +-2e_i, +-2e_i with coroot +-e_i, +-e_1 +- e_2
+BC2_ROOTS = ((2, 0), (-2, 0), (0, 2), (0, -2), (1, 0), (-1, 0), (0, 1),
+             (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+BC2_COROOTS = ((1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0), (0, 2),
+               (0, -2)) + BC2_ROOTS[8:]
+
+
+def test_validate_matches_the_w_orbit_reference():
+    """On the datum presets, flip A2-A9, unitary 2-8 and the BC data of
+    their folds, each shuffled, on their corrupted copies and on the
+    special cases: the problems of the W-orbit certificate's `validate`,
+    and the positive side of the coefficient solver."""
+    cases = _certificate_cases()
+    valid = [d for d in cases if not reference_validate(BasedRootDatum(*d))]
+    assert 50 < len(valid) < len(cases) - 100
+    assert validate(BasedRootDatum(2, BC2_ROOTS, BC2_COROOTS, (10, 6))) == []
+    for datum in cases:
+        assert validate(datum) == reference_validate(BasedRootDatum(*datum)), \
+            datum.label
+        assert (datum.positive_indices
+                == BasedRootDatum(*datum).positive_indices), datum.label
+
+
+def _written_out(datum, path):
+    path.write_text(serialize_config(GroupConfig(
+        roots=datum.roots, coroots=datum.coroots,
+        simple=datum.simple_indices)))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["split GL4", "flip A5", "flip A4 full",
+                                  "unitary ramified 5 full"])
+def test_a_certified_config_solves_no_coefficients_of_its_roots(
+        name, monkeypatch, tmp_path, capsys):
+    """A valid config is decided by its closure: neither the
+    root-by-root report nor a coefficient solve of all its roots runs,
+    through `modulus`, which reads 2 rho.  A copy with a root dropped
+    reaches the report and exits 1."""
+    datum = next(d for d in _certificate_data() if d.label == name)
+    datum = shuffled(datum, 3)
+    solved = []
+    numerators = LinearSolver.numerators
+
+    def spy(self, vectors):
+        solved.append(list(vectors))
+        return numerators(self, vectors)
+
+    monkeypatch.setattr(LinearSolver, "numerators", spy)
+    _spy(monkeypatch, [], [], refuse=True)
+    path = _written_out(datum, tmp_path / "good.cfg")
+    assert main(["modulus", "--config", path]) == 0
+    assert main(["kottwitz", "--config", path]) == 0
+    assert list(datum.roots) not in solved
+    monkeypatch.undo()
+    monkeypatch.setattr(LinearSolver, "numerators", spy)
+    full = []
+    _spy(monkeypatch, [], full)
+    bad = corrupted_copies(datum)[0]
+    assert main(["modulus", "--config",
+                 _written_out(bad, tmp_path / "bad.cfg")]) == 1
+    assert "invalid root datum" in capsys.readouterr().err
+    assert [d.roots for d in full] == [bad.roots]
+    assert list(bad.roots) in solved
 
 
 # --- the root-set products against one root at a time ------------------------
