@@ -25,8 +25,8 @@ from itertools import chain, product as iter_product
 from math import gcd, lcm, prod
 
 from .circle import ExactCircle, render_value
-from .matrices import (IntMatrix, column_span_basis, hstack, kernel_basis,
-                       linear_solver, smith_normal_form)
+from .matrices import (IntMatrix, _is_identity, column_span_basis, hstack,
+                       kernel_basis, linear_solver, smith_normal_form)
 
 
 class FgAbGroup:
@@ -187,7 +187,13 @@ class GroupHom:
 
     def preimages(self, targets):
         """Per element of the target, some x with self(x) = it, or None:
-        one Smith form of [matrix | target relations] for the batch."""
+        one Smith form of [matrix | target relations] for the batch.  An
+        identity matrix between groups of equal generator orders is an
+        isomorphism, each element its own preimage: its reduction, with no
+        form taken."""
+        if (_is_identity(self.matrix) and self.source.generator_orders()
+                == self.target.generator_orders()):
+            return list(map(self.source.reduce, targets))
         solver = linear_solver(hstack(self.matrix,
                                       self.target.relation_matrix()))
         n = self.matrix.ncols
@@ -277,7 +283,12 @@ def kernel_of_hom(hom):
 
 
 def invariants_of_induced_action(group, endo):
-    """Fixed subgroup of an endomorphism: (subgroup, inclusion).
+    """Fixed subgroup of an endomorphism: (subgroup, inclusion), the
+    kernel of endo - 1.  When endo is the identity, its matrix reduced in
+    `group` (read by columns: the identity is its own transpose), the
+    fixed subgroup is all of `group`: its factors over an identity
+    presentation, included by the identity, as `kernel_of_hom` gives them
+    for the zero map, and no form is taken.
 
     >>> g = FgAbGroup((4,), 0)
     >>> triple = GroupHom(g, g, IntMatrix([[3]]))
@@ -287,6 +298,11 @@ def invariants_of_induced_action(group, endo):
     """
     if endo.source != group or endo.target != group:
         raise ValueError("endomorphism does not act on the given group")
+    n = group.ngens
+    if _is_identity(IntMatrix._trusted(
+            tuple(map(group.reduce, endo.matrix.columns())), n)):
+        whole = FgAbGroup(group.invariant_factors, group.free_rank)
+        return whole, GroupHom(whole, group, IntMatrix.identity(n))
     return kernel_of_hom(endo - GroupHom.identity(group))
 
 

@@ -64,7 +64,12 @@ class KottwitzGroup(namedtuple("KottwitzGroup", "torus coinvariants group"
 
 
 def kottwitz_group(torus):
-    """Compute T/T_0 for a torus with Galois action.
+    """Compute T/T_0 for a torus with Galois action: the coinvariants of
+    tau (one cokernel), then the invariants of the sigma they induce.
+    Where that sigma is the identity, as for a split group or a twist by
+    inertia alone, T/T_0 is the whole coinvariant group, included by the
+    identity (`invariants_of_induced_action`), and descending a map
+    through it solves nothing (`GroupHom.preimages`).
 
     >>> t = TorusWithAction(1, IntMatrix([[-1]]), IntMatrix([[1]]))
     >>> kottwitz_group(t).group.describe()
@@ -204,7 +209,8 @@ def descend_to_kottwitz(kg, ambient_matrices):
 def _descend(kg, induced, kg_target):
     """The maps T/T_0 -> T'/T'_0 of maps of coinvariants `induced`: each
     times the inclusion, the columns of all of them solved in T'/T'_0 in
-    one call."""
+    one call, which reduces them when T'/T'_0 is all of its coinvariants
+    and takes one Smith form otherwise."""
     columns = []
     for chom in induced:
         columns += (chom.matrix @ kg.inclusion.matrix).columns()

@@ -86,8 +86,8 @@ def _reflections(pairs):
 def search(seeds, generators, product, cap=None, stage=""):
     """Breadth-first search from `seeds` along x -> product(x, g), one
     step per generator g: the elements found, in the order found, as the
-    keys of a dict.  Raises CapExceeded when more than `cap` elements are
-    found."""
+    keys of a dict.  Raises CapExceeded, naming `stage` and the count
+    reached, when more than `cap` elements are found."""
     found = dict.fromkeys(seeds)
     frontier = list(found)
     while frontier:
@@ -99,7 +99,8 @@ def search(seeds, generators, product, cap=None, stage=""):
                     found[y] = None
                     nxt.append(y)
                     if cap is not None and len(found) > cap:
-                        raise CapExceeded(f"{stage} exceeded cap {cap}")
+                        raise CapExceeded(f"{stage}: reached {len(found)}"
+                                          f" elements, over the cap {cap}")
         frontier = nxt
     return found.keys()
 
@@ -175,7 +176,8 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
 def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     """All (root, coroot) pairs generated from the simple ones by the
     simple reflections, acting on both sides at once, sorted by root, and
-    the indices of the positive ones; raises CapExceeded past `cap` pairs.
+    the indices of the positive ones; raises CapExceeded past `cap` pairs,
+    naming the count reached.
 
     Only the positive side is closed: s_i permutes the positive roots
     other than alpha_i (Bourbaki, Lie VI 1.6), so each pair found is
@@ -207,7 +209,8 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
             seen[tuple([-x for x in b])] = tuple([-x for x in bv])
             found.append((b, bv))
             if len(seen) > cap:
-                raise CapExceeded(f"root generation exceeded cap {cap}")
+                raise CapExceeded(f"root generation: reached {len(seen)}"
+                                  f" roots, over the cap {cap}")
         elif prev != bv:
             raise ValueError("inconsistent coroots generated")
     roots = sorted(seen)
@@ -308,25 +311,27 @@ def validate(datum):
 def _reflected(datum, bases):
     """The reflection in each basis root (an index) applied, through
     `_reflections`, to every (root, coroot) pair of a datum of distinct
-    roots.  Per basis: its map of the root indices, None where a root
-    leaves the roots; and a set of "root" when a root leaves the roots,
-    and "coroot" when a coroot leaves the coroots."""
+    roots.  Per basis: its map of the root indices, sparse, as a dict
+    {i: image of root i} over the roots it may move (those `meeting`
+    it), the image None where a root leaves the roots; and a set of
+    "root" when a root leaves the roots, and "coroot" when a coroot
+    leaves the coroots."""
     roots, coroots = datum.roots, datum.coroots
     index = {r: i for i, r in enumerate(roots)}
     coroot_set = set(coroots)
     reflections, meeting = _reflections([(roots[i], coroots[i])
                                          for i in bases])
-    perms = [list(range(len(roots))) for _ in reflections]
+    moved = [{} for _ in reflections]
     leaves = [set() for _ in reflections]
     for idx, pair in enumerate(zip(roots, coroots)):
         for g in meeting(*pair):
             b, bv = reflections[g](*pair)
-            j = perms[g][idx] = index.get(b)
+            j = moved[g][idx] = index.get(b)
             if j is None:
                 leaves[g].add("root")
             if (j is None or coroots[j] != bv) and bv not in coroot_set:
                 leaves[g].add("coroot")
-    return perms, leaves
+    return moved, leaves
 
 
 def dual_datum(datum):
@@ -498,16 +503,18 @@ def weyl_walk(datum, cap=DEFAULT_WEYL_CAP):
     if order is not None and order > cap:
         raise CapExceeded(f"Weyl group enumeration: {type_name} has"
                           f" {order} elements, over the cap {cap}")
-    roots, simples = datum.roots, datum.simple_indices
-    negative = set(range(len(roots))).difference(datum.positive_indices)
-    gens, leaves = _reflected(datum, simples)
+    simples, ids = datum.simple_indices, range(len(datum.roots))
+    negative = set(ids).difference(datum.positive_indices)
+    moved, leaves = _reflected(datum, simples)
     if any("root" in left for left in leaves):
         raise FoldingError("matrix does not permute the roots")
     # per i: p -> w s_i, and p -> the images under w of alpha_i and of
-    # s_i alpha_j (j < i), which w must keep positive
+    # s_i alpha_j (j < i), which w must keep positive; s_i is the sparse
+    # map of its reflection read with every other root fixed
     moves = [(_gather(s), _gather((simples[i],) + _gather(simples[:i])(s)))
-             for i, s in enumerate(map(tuple, gens))]
-    stack = [tuple(range(len(roots)))]
+             for i, s in enumerate(tuple(map(m.get, ids, ids))
+                                   for m in moved)]
+    stack = [tuple(ids)]
     count = 0
     while stack:
         p = stack.pop()

@@ -886,7 +886,8 @@ def test_cli_caps_name_their_stage(tmp_path, capsys):
     cfg.write_text("preset = split GL2\nvalues = [(1,0),(0,0)]\n")
     assert main(["classify", "--config", str(cfg), "--max-orbit", "2"]) == 0
     assert main(["classify", "--config", str(cfg), "--max-orbit", "1"]) == 2
-    assert "orbit enumeration exceeded cap 1" in capsys.readouterr().err
+    assert ("orbit enumeration: reached 2 elements, over the cap 1"
+            in capsys.readouterr().err)
     assert main(["orbits", "--preset", "split GL4", "--torsion", "100"]) == 2
     assert "character enumeration" in capsys.readouterr().err
 

@@ -18,7 +18,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom, _follow,
                             _moves, _render_ident, all_characters,
                             character_classes, character_count,
-                            character_idents, induced_hom,
+                            character_idents, induced_hom, kernel_of_hom,
                             subgroup_coordinates)
 from satake.circle import ExactCircle, ONE
 from satake.cli import main
@@ -32,7 +32,7 @@ from satake.kottwitz import (
     parameters_equal, setting_for_datum, setting_for_torus, weyl_orbit,
 )
 from satake import __version__, matrices
-from satake.matrices import IntMatrix, images
+from satake.matrices import IntMatrix, hstack, images, linear_solver
 from satake.presets import cartan_a, flip_negate, split_gl
 from satake.rootdata import (
     BasedRootDatum, CapExceeded, FoldingError, GaloisAction,
@@ -978,6 +978,71 @@ def test_classification_needs_no_circle_arithmetic(preset, monkeypatch,
     assert outputs() == expected
 
 
+@st.composite
+def tori_fixing_their_coinvariants(draw):
+    """A torus of rank 0-6 whose tau is a signed permutation, so that its
+    coinvariants may have torsion, and whose sigma is 1, tau or a power
+    of tau: each acts trivially on the tau-coinvariants."""
+    n = draw(st.integers(0, 6))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    tau = IntMatrix([[signs[i] * (perm[i] == j) for j in range(n)]
+                     for i in range(n)], ncols=n)
+    sigma = draw(st.sampled_from((IntMatrix.identity(n), tau,
+                                  tau.power(draw(st.integers(2, 5))))))
+    return TorusWithAction(n, tau, sigma)
+
+
+def reference_preimages(hom, targets):
+    """Preimages solved by the Smith form of [matrix | target relations],
+    whatever the matrix."""
+    solver = linear_solver(hstack(hom.matrix, hom.target.relation_matrix()))
+    n = hom.matrix.ncols
+    return [None if x is None else hom.source.reduce(x[:n])
+            for x in solver.solve(list(map(hom.target.reduce, targets)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(torus=tori_fixing_their_coinvariants(), data=st.data())
+def test_trivial_frobenius_matches_the_kernel_of_the_zero_map(torus, data):
+    """Where sigma fixes the coinvariants, `kottwitz_group` gives what the
+    kernel of sigma - 1 gives: the factors, the presentation of T/T_0, its
+    inclusion into the coinvariants; and preimages under that identity
+    inclusion are the Smith-solved ones."""
+    kg = kottwitz_group(torus)
+    coinv = kg.coinvariants
+    sigma_bar = induced_hom(coinv, torus.sigma)
+    group, inclusion = kernel_of_hom(sigma_bar - GroupHom.identity(coinv))
+    assert (kg.group.invariant_factors, kg.group.free_rank) == (
+        group.invariant_factors, group.free_rank) == (
+        coinv.invariant_factors, coinv.free_rank)
+    assert (kg.group.proj, kg.group.lift) == (group.proj, group.lift)
+    assert kg.inclusion.matrix == inclusion.matrix
+    assert kg.inclusion.target is coinv and kg.inclusion.source is kg.group
+    orders = coinv.generator_orders()
+    targets = data.draw(st.lists(st.tuples(*(
+        st.integers(-2 * d - 3, 2 * d + 3) for d in orders)), max_size=4))
+    assert kg.inclusion.preimages(targets) == reference_preimages(
+        kg.inclusion, targets) == list(map(kg.group.reduce, targets))
+
+
+@pytest.mark.parametrize("name", [
+    "split GL5", "split Sp4", "split SO7", "flip A4", "flip D4",
+    "triality D4", "unitary ramified 4", "unitary unramified 4",
+    "norm-one", "torus n=0", "induced e=4 f=3 q=5"])
+def test_kottwitz_group_matches_the_kernel_on_the_presets(name):
+    """On split, inertia-twisted and Frobenius-twisted presets alike,
+    T/T_0 and its inclusion are those of the kernel of sigma - 1."""
+    kg = resolve(preset=name).setting().kottwitz
+    coinv = kg.coinvariants
+    group, inclusion = kernel_of_hom(
+        induced_hom(coinv, kg.torus.sigma) - GroupHom.identity(coinv))
+    assert (kg.group.invariant_factors, kg.group.free_rank, kg.group.proj,
+            kg.group.lift, kg.inclusion.matrix) == (
+        group.invariant_factors, group.free_rank, group.proj, group.lift,
+        inclusion.matrix)
+
+
 def test_split_torus_group():
     split3 = TorusWithAction(3, IntMatrix.identity(3), IntMatrix.identity(3))
     assert kottwitz_group(split3).group.describe() == "Z^3"
@@ -999,19 +1064,29 @@ def test_twist_relation_is_validated():
                         IntMatrix.identity(2), twist=2)
 
 
-@pytest.mark.parametrize("name", ["flip A5", "split GL4", "triality D4",
-                                  "unitary ramified 5"])
+# Smith forms to descend the folded generators: none where Frobenius
+# fixes the inertia coinvariants, so that T/T_0 is all of them
+INCLUSION_FORMS = {"flip A5": 0, "split GL4": 0, "triality D4": 0,
+                   "unitary ramified 5": 0, "unitary unramified 5": 1,
+                   "unitary unramified 6": 1}
+
+
+@pytest.mark.parametrize("name", list(INCLUSION_FORMS))
 def test_descending_generators_factors_the_inclusion_once(name, monkeypatch):
-    """Every folded generator descends through one Smith form of the
-    inclusion of T/T_0: all their columns are solved in one call."""
+    """Every folded generator descends through at most one Smith form of
+    the inclusion of T/T_0: all their columns are solved in one call.  An
+    identity inclusion, where Frobenius acts trivially on the inertia
+    coinvariants, takes none: each column is its own reduction."""
     from satake import matrices
 
+    forms = INCLUSION_FORMS[name]
     rg = resolve(preset=name)
     setting = rg.setting()
     gens = [w.transpose() for w in folded_generators(
         rg.datum, rg.action.tau, rg.action.sigma)]
     kg = kottwitz_group(setting.torus)   # a fresh inclusion, not yet factored
     assert len(gens) >= 2 and kg.group.ngens >= 2
+    assert matrices._is_identity(kg.inclusion.matrix) == (forms == 0)
     calls = []
     real = matrices.smith_normal_form
 
@@ -1023,9 +1098,31 @@ def test_descending_generators_factors_the_inclusion_once(name, monkeypatch):
         if getattr(module, "smith_normal_form", None) is real:
             monkeypatch.setattr(module, "smith_normal_form", counting)
     homs = descend_to_kottwitz(kg, gens)
-    assert len(calls) == 1
+    assert len(calls) == forms
     assert [h.matrix for h in homs] == [
         descend_to_kottwitz(setting.kottwitz, [w])[0].matrix for w in gens]
+
+
+@pytest.mark.parametrize("name, kernels", [
+    ("flip D4", 0), ("split GL4", 0), ("unitary ramified 5", 0),
+    ("unitary unramified 5", 1)])
+def test_trivial_frobenius_takes_no_kernel(name, kernels, monkeypatch,
+                                           capsys):
+    """`modulus` computes T/T_0 by one `kernel_of_hom` only where Frobenius
+    moves the inertia coinvariants; where it fixes them, T/T_0 is all of
+    them, and the output is the same."""
+    from satake import abelian
+
+    calls = []
+    real = abelian.kernel_of_hom
+
+    def counted(hom):
+        calls.append(hom)
+        return real(hom)
+    monkeypatch.setattr(abelian, "kernel_of_hom", counted)
+    assert main(["modulus", "--preset", name]) == 0
+    assert "result.values" in capsys.readouterr().out
+    assert len(calls) == kernels
 
 
 def test_twist_relation_is_checked_without_inverses():

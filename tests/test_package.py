@@ -410,8 +410,11 @@ def _compares_with_a_built_trivial(node, names):
 
 def test_trivial_matrices_are_recognised_in_one_place():
     """Identity factors and zero or identity Smith inputs are recognised
-    inside `matrices` (`_is_identity`, behind `@` and the Smith form) and
-    in the zero guard of `abelian.cokernel`; no other module compares a
+    inside `matrices` (`_is_identity`, behind `@` and the Smith form), an
+    identity endomorphism or isomorphism of groups by the same test in
+    `abelian` (the fixed subgroup of the identity, the preimages under an
+    identity inclusion), and zero in the guard of `abelian.cokernel`;
+    no other module compares a
     matrix with a built identity or zero matrix, or scans its rows for
     zero, to skip work.  `multiplicative_order` compares powers with the
     identity to find the order."""
@@ -425,6 +428,7 @@ def test_trivial_matrices_are_recognised_in_one_place():
         ("abelian", "cokernel"), ("matrices", "smith_normal_form")]
     assert _owners_in_src(lambda node: isinstance(node, ast.Call) and getattr(
         node.func, "id", None) == "_is_identity") == [
+        ("abelian", "invariants_of_induced_action"), ("abelian", "preimages"),
         ("matrices", "__matmul__"), ("matrices", "smith_normal_form")]
     assert set().union(*map(compares, sorted(SRC.glob("*.py")))) == {
         ("matrices", "multiplicative_order")}

@@ -1,6 +1,7 @@
 """Based root data, pinned automorphisms, Weyl groups, folding."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -350,7 +351,7 @@ def raw_identity_fold(simples, cosimples, k=None):
     b3_with_its_end_roots_swapped(),
     # affine A1: the closure of the simple pairs passes the 4 images
     raw_identity_fold([(1, 0), (0, 1)], [(2, -2), (-2, 2)])
-    + ("root generation exceeded cap 4",),
+    + ("root generation: reached 6 roots, over the cap 4",),
     # a second coroot for one root, before the cap
     raw_identity_fold([(-2, -2), (-2, -1)], [(-2, 1), (-2, 2)])
     + ("inconsistent coroots generated",),
@@ -1049,6 +1050,27 @@ def test_validate_matches_the_w_orbit_reference():
                 == BasedRootDatum(*datum).positive_indices), datum.label
 
 
+def test_reflected_moves_are_the_dense_permutations_sparse():
+    """`_reflected` keeps, per reflection, only the roots it may move:
+    read with every other root fixed, each map is the dense permutation
+    of the reference, None where a root leaves, on every certificate
+    case, for the simple roots and for every root."""
+    for datum in _certificate_cases():
+        if any(len(a) != datum.rank or len(av) != datum.rank
+               for a, av in zip(datum.roots, datum.coroots)):
+            continue
+        ids = range(len(datum.roots))
+        for bases in (datum.simple_indices, ids):
+            moved, _ = rootdata._reflected(datum, bases)
+            perms, _ = reference_reflected(datum, bases)
+            assert [list(map(m.get, ids, ids)) for m in moved] == perms, \
+                datum.label
+    # in GL8 the reflection in e_i - e_j moves the 26 roots with i or j
+    gl8 = split_gl(8)
+    moved, _ = rootdata._reflected(gl8, range(len(gl8.roots)))
+    assert {len(m) for m in moved} == {26} and len(gl8.roots) == 56
+
+
 def _written_out(datum, path):
     path.write_text(serialize_config(GroupConfig(
         roots=datum.roots, coroots=datum.coroots,
@@ -1207,15 +1229,18 @@ def test_each_pinned_problem_is_reached_by_both_sides():
 # --- every cap names its stage ------------------------------------------------
 
 def test_caps_name_their_stage():
-    """A cap of exactly the count found passes; one below names its stage."""
+    """A cap of exactly the count found passes; one below names its stage
+    and the count reached."""
     a2 = [(1, -1, 0), (0, 1, -1)]
     assert len(datum_from_simples(a2, a2, cap=6).roots) == 6
-    with pytest.raises(CapExceeded, match="root generation exceeded cap 3"):
+    with pytest.raises(CapExceeded, match="^root generation: reached 4"
+                       " roots, over the cap 3$"):
         datum_from_simples(a2, a2, cap=3)
     gl4 = split_gl(4)
     reflections = [gl4.reflection_matrix(i) for i in gl4.simple_indices]
     assert len(mulclose(reflections, cap=24)) == 24
-    with pytest.raises(CapExceeded, match="group enumeration exceeded cap 3"):
+    with pytest.raises(CapExceeded, match="^group enumeration: reached 4"
+                       " elements, over the cap 3$"):
         mulclose(reflections, cap=3)
     with pytest.raises(CapExceeded, match="over the cap 5"):
         weyl_group(gl4, cap=5)
@@ -1271,7 +1296,9 @@ def reference_root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
                     seen[nb] = nbv
                     nxt.append((nb, nbv))
                     if len(seen) > cap:
-                        raise CapExceeded(f"root generation exceeded cap {cap}")
+                        raise CapExceeded(f"root generation: reached"
+                                          f" {len(seen)} roots, over the"
+                                          f" cap {cap}")
                 elif prev != nbv:
                     raise ValueError("inconsistent coroots generated")
         frontier = nxt
@@ -1317,10 +1344,14 @@ def simple_systems(draw):
 
 
 def closure_outcome(closure, simples, cosimples, cap):
+    """The closure, or the exception's type and message; the count a cap
+    message names is left out, the positive closure counting each root
+    with its negative."""
     try:
         return closure(simples, cosimples, cap)
     except (CapExceeded, ValueError) as exc:
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__, re.sub(r"reached \d+", "reached N",
+                                          str(exc))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1351,7 +1382,8 @@ def test_root_closure_matches_the_reference(system, cap):
             assert validate(case) == validate_by_matrices(case)
     if got != expected:
         assert {got, expected} == {
-            ("CapExceeded", f"root generation exceeded cap {cap}"),
+            ("CapExceeded", f"root generation: reached N roots, over the"
+                            f" cap {cap}"),
             ("ValueError", "inconsistent coroots generated")}
 
 
