@@ -229,8 +229,8 @@ def cokernel(matrix):
     free_rows = [i for i in range(m) if i >= len(diag) or diag[i] == 0]
     factors = [diag[i] for i in torsion_rows]
     rows = torsion_rows + free_rows
-    proj = IntMatrix._trusted(tuple(sf.U.data[i] for i in rows), m)
-    lift = IntMatrix.from_columns([sf.U_inv.column(i) for i in rows], nrows=m)
+    proj = IntMatrix._trusted(sf.u_rows(rows), m)
+    lift = IntMatrix.from_columns(sf.u_inv_columns(rows), nrows=m)
     return FgAbGroup(factors, len(free_rows), proj=proj, lift=lift)
 
 
@@ -243,7 +243,11 @@ def coinvariants(matrix):
     >>> coinvariants(swap).describe()
     'Z'
     """
-    return cokernel(matrix - IntMatrix.identity(matrix.nrows))
+    if matrix.nrows != matrix.ncols:
+        raise ValueError("shape mismatch")
+    return cokernel(IntMatrix._trusted(
+        tuple(row[:i] + (row[i] - 1,) + row[i + 1:]
+              for i, row in enumerate(matrix.data)), matrix.ncols))
 
 
 def induced_hom(source, ambient, target=None):

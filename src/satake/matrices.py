@@ -301,23 +301,66 @@ def hstack(*mats):
     return IntMatrix._trusted(rows, sum(m.ncols for m in mats))
 
 
-class SmithForm(namedtuple("SmithForm", "U D V U_inv")):
-    """Smith normal form data: U @ M @ V == D.
+def _dense(vec, width):
+    """The int tuple of length `width` holding the vector {index: entry}."""
+    row = [0] * width
+    for k, x in vec.items():
+        row[k] = x
+    return tuple(row)
+
+
+class SmithForm(namedtuple("SmithForm", "pivots nrows ncols u uic vc")):
+    """Smith normal form data U M V = D of an nrows x ncols matrix M, as
+    the elimination leaves it.
 
     U, V are unimodular and U_inv is the inverse of U; D is diagonal
-    with nonnegative entries in a divisibility chain d1 | d2 | ... .
+    with nonnegative entries in a divisibility chain d1 | d2 | ..., whose
+    nonzero entries are the `pivots`.  U's rows and the columns of U_inv
+    and of V are kept sparse, as dicts {index: nonzero entry} (`vc` is
+    None when V was not tracked).  A reader builds only the rows or
+    columns it asks for (`u_rows`, `u_inv_columns`, `v_columns`); the
+    dense `U`, `D` and `V` are built each time they are read.
     """
 
     __slots__ = ()
 
     @property
     def diagonal(self):
-        k = min(self.D.nrows, self.D.ncols)
-        return tuple(self.D.data[i][i] for i in range(k))
+        return self.pivots + (0,) * (min(self.nrows, self.ncols)
+                                     - len(self.pivots))
 
     @property
     def rank(self):
-        return sum(1 for d in self.diagonal if d != 0)
+        return len(self.pivots)
+
+    def u_rows(self, indices):
+        """The rows of U at `indices`, as int tuples."""
+        return tuple(_dense(self.u[i], self.nrows) for i in indices)
+
+    def u_inv_columns(self, indices):
+        """The columns of U_inv at `indices`, as int tuples."""
+        return tuple(_dense(self.uic[j], self.nrows) for j in indices)
+
+    def v_columns(self, indices):
+        """The columns of V at `indices`, as int tuples."""
+        return tuple(_dense(self.vc[j], self.ncols) for j in indices)
+
+    @property
+    def U(self):
+        return IntMatrix._trusted(self.u_rows(range(self.nrows)), self.nrows)
+
+    @property
+    def D(self):
+        m, n = self.nrows, self.ncols
+        d = [0] * (m * n)  # row by row, the pivots on the diagonal
+        d[:len(self.pivots) * (n + 1):n + 1] = self.pivots
+        return IntMatrix._trusted(tuple(zip(*[iter(d)] * n)) if n
+                                  else ((),) * m, n)
+
+    @property
+    def V(self):
+        return None if self.vc is None else IntMatrix.from_columns(
+            self.v_columns(range(self.ncols)), nrows=self.ncols)
 
 
 def _axpy(x, y, q):
@@ -329,23 +372,30 @@ def _axpy(x, y, q):
             del x[k]
 
 
-def _frozen(vectors, width, by_columns=False):
-    """The matrix whose rows, or with `by_columns` columns, are the
-    vectors {index: nonzero entry} of length `width`."""
-    rows = []
-    for vec in vectors:
-        row = [0] * width
-        for k, x in vec.items():
-            row[k] = x
-        rows.append(tuple(row))
-    return (IntMatrix._trusted(tuple(zip(*rows)), len(rows)) if by_columns
-            else IntMatrix._trusted(tuple(rows), width))
-
-
 def smith_normal_form(matrix, with_v=True):
     """Smith normal form with unimodular transforms U, V and U_inv; with
     `with_v` false, V is not tracked and comes back None.  A zero or square
     identity matrix, on which no step would run, gets identities at once.
+
+    >>> sf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
+    >>> sf.diagonal
+    (2, 4)
+    >>> sf.U @ IntMatrix([[2, 4], [6, 8]]) @ sf.V == sf.D
+    True
+    """
+    if not isinstance(matrix, IntMatrix):
+        matrix = IntMatrix(matrix)
+    m, n = matrix.nrows, matrix.ncols
+    zero = not any(map(any, matrix.data))
+    if zero or _is_identity(matrix):
+        ident = [{i: 1} for i in range(m)]
+        return SmithForm(() if zero else (1,) * m, m, n, ident, ident,
+                         [{j: 1} for j in range(n)] if with_v else None)
+    return _eliminate(matrix, with_v)
+
+
+def _eliminate(matrix, with_v):
+    """The Smith form of `matrix` by elimination.
 
     Pivot selection: smallest nonzero absolute value in the trailing
     block, ties broken by (row, column) position; the row-major scan
@@ -357,19 +407,8 @@ def smith_normal_form(matrix, with_v=True):
     in `matrix`; `at` and `pos` map positions to labels and back, so a
     column swap moves two labels.  A column operation changes only row
     s, since column s is already zero off the pivot.
-
-    >>> sf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
-    >>> sf.diagonal
-    (2, 4)
-    >>> sf.U @ IntMatrix([[2, 4], [6, 8]]) @ sf.V == sf.D
-    True
     """
-    if not isinstance(matrix, IntMatrix):
-        matrix = IntMatrix(matrix)
     m, n = matrix.nrows, matrix.ncols
-    if not any(map(any, matrix.data)) or _is_identity(matrix):
-        return SmithForm(IntMatrix.identity(m), matrix, IntMatrix.identity(n)
-                         if with_v else None, IntMatrix.identity(m))
     a = [dict(compress(enumerate(row), row)) if any(row) else {}
          for row in matrix.data]
     u, uic = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]
@@ -450,14 +489,7 @@ def smith_normal_form(matrix, with_v=True):
                     vec[k] = -vec[k]
         pivots.append(abs(p))
 
-    d = [0] * (m * n)  # D row by row, the pivots on its diagonal
-    d[:len(pivots) * (n + 1):n + 1] = pivots
-    U = _frozen(u, m)
-    # U_inv is U's transpose exactly when U's rows are U_inv's columns
-    return SmithForm(U, IntMatrix._trusted(tuple(zip(*[iter(d)] * n)) if n
-                                           else ((),) * m, n),
-                     _frozen(vc, n, True) if with_v else None,
-                     U.transpose() if u == uic else _frozen(uic, m, True))
+    return SmithForm(tuple(pivots), m, n, u, uic, vc if with_v else None)
 
 
 def images(matrix, vectors):
@@ -506,28 +538,28 @@ def linear_solver(matrix):
     ([(2, 3), None], [(3, 0)])
     """
     sf = smith_normal_form(matrix)
-    m, r = matrix.nrows, sf.rank
-    diag = sf.diagonal[:r]
+    m, r, diag = matrix.nrows, sf.rank, sf.pivots
     den = diag[-1] if r else 1
-    v_r = IntMatrix._trusted(tuple(row[:r] for row in sf.V.data), r)
+    u = sf.u_rows(range(m))
+    v_r = IntMatrix.from_columns(sf.v_columns(range(r)), nrows=matrix.ncols)
     scaled_u = IntMatrix._trusted(tuple(tuple(den // d * x for x in row)
-                                        for row, d in zip(sf.U.data, diag)), m)
-    return LinearSolver(v_r @ scaled_u, den,
-                        IntMatrix._trusted(sf.U.data[r:], m))
+                                        for row, d in zip(u, diag)), m)
+    return LinearSolver(v_r @ scaled_u, den, IntMatrix._trusted(u[r:], m))
 
 
 def kernel_basis(matrix):
     """Columns form a basis of ker(matrix) on the source side (saturated):
     the columns of V past the rank."""
     sf = smith_normal_form(matrix)
-    r = sf.rank
-    return IntMatrix._trusted(tuple(row[r:] for row in sf.V.data),
-                              matrix.ncols - r)
+    n = matrix.ncols
+    return IntMatrix.from_columns(sf.v_columns(range(sf.rank, n)), nrows=n)
 
 
 def column_span_basis(matrix):
-    """Basis (as columns) of the column span of `matrix` (not saturated)."""
+    """Basis (as columns) of the column span of `matrix` (not saturated):
+    d times column i of U_inv for each pivot d = d_i."""
     sf = smith_normal_form(matrix, with_v=False)
-    return IntMatrix.from_columns([tuple(d * x for x in sf.U_inv.column(i))
-                                   for i, d in enumerate(sf.diagonal) if d],
-                                  nrows=matrix.nrows)
+    return IntMatrix.from_columns(
+        [tuple(d * x for x in col) for d, col in
+         zip(sf.pivots, sf.u_inv_columns(range(sf.rank)))],
+        nrows=matrix.nrows)

@@ -26,7 +26,8 @@ def test_cokernel_of_no_columns_is_the_smith_path(m):
     assert sf.diagonal == () and group == FgAbGroup((), m)
     assert (group.invariant_factors, group.free_rank) == ((), m)
     assert group.proj == sf.U == IntMatrix.identity(m)
-    assert group.lift == sf.U_inv == IntMatrix.identity(m)
+    assert group.lift == IntMatrix.from_columns(
+        sf.u_inv_columns(range(m)), nrows=m) == IntMatrix.identity(m)
 
 
 @st.composite
@@ -111,6 +112,27 @@ def test_coinvariants_examples():
     assert coinvariants(IntMatrix([[2]])).describe() == "0"
     with pytest.raises(ValueError, match="shape"):
         coinvariants(IntMatrix([[1, 0]]))
+
+
+@st.composite
+def square_matrices(draw, max_dim=8):
+    """A square matrix of size 0 to 8, entries in [-2, 2] and often 0."""
+    n = draw(st.integers(0, max_dim))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+    return IntMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=n, max_size=n)), ncols=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=st.one_of(square_matrices(),
+                     st.integers(0, 8).map(IntMatrix.identity)))
+def test_coinvariants_are_the_cokernel_of_matrix_minus_one(mat):
+    """tau - 1 formed one diagonal entry at a time is the dense difference."""
+    got = coinvariants(mat)
+    want = cokernel(mat - IntMatrix.identity(mat.nrows))
+    assert (got.invariant_factors, got.free_rank, got.proj.key(),
+            got.lift.key()) == (want.invariant_factors, want.free_rank,
+                                want.proj.key(), want.lift.key())
 
 
 def test_hom_construction_checks_relations():

@@ -1476,18 +1476,17 @@ GL5_VALUES = "[(1/2,7/8),(1,1/8),(1/2,7/8),(0,1/8),(0,1/2)]"
 
 
 def eliminations(monkeypatch, tmp_path, capsys, argv):
-    """The `_frozen` calls of one command: each Smith form that runs the
-    elimination makes at least one, and a trivial form makes none."""
+    """The Smith eliminations of one command: a trivial form runs none."""
     cfg = tmp_path / "values.cfg"
     cfg.write_text(f"values = {GL5_VALUES}\n")
     calls = []
-    frozen = matrices._frozen
+    eliminate = matrices._eliminate
 
     def counted(*args):
         calls.append(args)
-        return frozen(*args)
+        return eliminate(*args)
 
-    monkeypatch.setattr(matrices, "_frozen", counted)
+    monkeypatch.setattr(matrices, "_eliminate", counted)
     assert main([str(cfg) if a == "CFG" else a for a in argv]) == 0
     capsys.readouterr()
     return len(calls)

@@ -15,7 +15,8 @@ from satake.matrices import (
     IntMatrix, column_span_basis, hstack, images, kernel_basis,
     linear_solver, smith_normal_form,
 )
-from satake.abelian import FgAbGroup, GroupHom
+from satake.abelian import FgAbGroup, GroupHom, cokernel
+from satake.cli import main
 from satake.kottwitz import build_induced_torus
 
 
@@ -26,10 +27,16 @@ def random_matrix(rng, max_dim=6, bound=9):
                       for _ in range(m)])
 
 
+def u_inv(sf):
+    """The dense U_inv of a Smith form, built from its column reader."""
+    return IntMatrix.from_columns(sf.u_inv_columns(range(sf.nrows)),
+                                  nrows=sf.nrows)
+
+
 def assert_snf_contract(mat, sf):
     assert sf.U @ mat @ sf.V == sf.D
     assert sf.U.is_unimodular() and sf.V.is_unimodular()
-    assert sf.U_inv @ sf.U == IntMatrix.identity(sf.U.nrows)
+    assert u_inv(sf) @ sf.U == IntMatrix.identity(sf.U.nrows)
     diag = sf.diagonal
     for i in range(sf.D.nrows):
         for j in range(sf.D.ncols):
@@ -294,7 +301,7 @@ def reference_smith(matrix):
 
 
 def as_tuples(sf):
-    return tuple(x.data for x in (sf.U, sf.D, sf.V, sf.U_inv))
+    return tuple(x.data for x in (sf.U, sf.D, sf.V, u_inv(sf)))
 
 
 @st.composite
@@ -391,7 +398,76 @@ def test_smith_without_v_keeps_the_other_transforms(mat):
     full = smith_normal_form(mat)
     lean = smith_normal_form(mat, with_v=False)
     assert lean.V is None
-    assert (lean.U, lean.D, lean.U_inv) == (full.U, full.D, full.U_inv)
+    assert (lean.U, lean.D, u_inv(lean)) == (full.U, full.D, u_inv(full))
+
+
+def reference_readings(mat):
+    """What each reader of a Smith form gives, by the formulas it used on
+    the dense (U, D, V, U_inv) of `reference_smith`, as `readings` lists
+    it: cokernel, kernel basis, column span basis, linear solver."""
+    u, d, v, ui = reference_smith(mat)
+    m, n = mat.nrows, mat.ncols
+    diag = tuple(d[i][i] for i in range(min(m, n)))
+    r = sum(1 for x in diag if x)
+    torsion = [i for i, x in enumerate(diag) if x >= 2]
+    free = [i for i in range(m) if i >= len(diag) or diag[i] == 0]
+    rows = torsion + free
+    den = diag[r - 1] if r else 1
+    left = tuple(tuple(sum(v[a][i] * (den // diag[i]) * u[i][b]
+                           for i in range(r)) for b in range(m))
+                 for a in range(n))
+    return ((tuple(diag[i] for i in torsion), len(free),
+             (len(rows), m, tuple(u[i] for i in rows)),
+             (m, len(rows), tuple(tuple(row[i] for i in rows) for row in ui))),
+            (n, n - r, tuple(row[r:] for row in v)),
+            (m, r, tuple(tuple(diag[i] * row[i] for i in range(r))
+                         for row in ui)),
+            ((n, m, left), den, (m - r, m, u[r:])))
+
+
+def readings(mat):
+    group, solver = cokernel(mat), linear_solver(mat)
+    return ((group.invariant_factors, group.free_rank, group.proj.key(),
+             group.lift.key()),
+            kernel_basis(mat).key(), column_span_basis(mat).key(),
+            (solver.left.key(), solver.den, solver.consistency.key()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=st.one_of(sparse_matrices(), dense_matrices(max_dim=8),
+                     signed_permutations()))
+def test_readers_match_the_dense_reference(mat):
+    """Each reader reads only the rows and columns it keeps, and gets
+    what it read off the dense transforms."""
+    assert readings(mat) == reference_readings(mat)
+
+
+@pytest.mark.parametrize("e,f,q", INDUCED_TORI)
+def test_readers_match_the_dense_reference_on_induced_tori(e, f, q):
+    torus = build_induced_torus(e, f, q)
+    one = IntMatrix.identity(torus.rank)
+    for mat in (torus.tau - one, torus.sigma - one):
+        assert readings(mat) == reference_readings(mat)
+
+
+def refuse_dense(sf):
+    raise AssertionError("a dense transform was built")
+
+
+@pytest.mark.parametrize("command", ["kottwitz", "compact", "cocycle"])
+def test_the_structure_commands_build_no_dense_transform(command, capsys):
+    """On the largest induced torus of the structure workload, every
+    reader reads its rows and columns off the sparse form: no dense U, D
+    or V is built (U_inv has no dense builder)."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("U", "D", "V"):
+            patch.setattr(matrices.SmithForm, name, property(refuse_dense))
+        assert main([command, "--preset", "induced e=8 f=8 q=3"]) == 0
+    assert capsys.readouterr().out
+    with pytest.raises(AssertionError, match="dense"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrices.SmithForm, "U", property(refuse_dense))
+            smith_normal_form(IntMatrix([[2]])).U
 
 
 @st.composite
@@ -722,10 +798,10 @@ def test_smith_of_zero_and_identity_matrices_matches_reference(mat):
     """A zero or identity matrix gets the form the elimination would have
     given, with V and without, and no elimination runs."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrices, "_frozen", refuse_elimination)
+        patch.setattr(matrices, "_eliminate", refuse_elimination)
         full = smith_normal_form(mat)
         lean = smith_normal_form(mat, with_v=False)
     assert as_tuples(full) == reference_smith(mat)
     assert_snf_contract(mat, full)
     assert lean.V is None
-    assert (lean.U, lean.D, lean.U_inv) == (full.U, full.D, full.U_inv)
+    assert (lean.U, lean.D, u_inv(lean)) == (full.U, full.D, u_inv(full))

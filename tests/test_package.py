@@ -208,6 +208,35 @@ def test_every_solution_is_read_off_a_smith_form_in_one_place():
                        ("matrices", "linear_solver")]
 
 
+DENSE_TRANSFORMS = ("U", "D", "V", "U_inv")
+
+
+def _dense_transform_reads(tree):
+    """The owners of every read of `.U`, `.D`, `.V` or `.U_inv`."""
+    return _owners(tree, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in DENSE_TRANSFORMS)
+
+
+def test_readers_of_a_smith_form_build_no_dense_transform():
+    """A reader of a Smith form reads the rows and columns it keeps
+    (`u_rows`, `u_inv_columns`, `v_columns`): no function in the package
+    outside `SmithForm` reads the dense `U`, `D`, `V` or `U_inv` off a
+    form, so no reader can bring the dense path back."""
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        kept = [node for node in tree.body if not (
+            isinstance(node, ast.ClassDef) and node.name == "SmithForm")]
+        assert len(kept) == len(tree.body) - (path.name == "matrices.py")
+        tree.body = kept
+        reads += [(path.stem, owner) for owner in _dense_transform_reads(tree)]
+    assert reads == []
+    for probe in ("def f(sf):\n    return sf.U_inv.column(0)\n",
+                  "def f(sf):\n    return sf.U.data[0]\n",
+                  "def f(sf):\n    return [row[1:] for row in sf.V.data]\n"):
+        assert _dense_transform_reads(ast.parse(probe)) == ["f"]
+
+
 def _owners_in_src(match):
     return sorted({(path.stem, owner) for path in sorted(SRC.glob("*.py"))
                    for owner in _owners(_tree(path.name), match)})
