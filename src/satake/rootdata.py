@@ -5,18 +5,19 @@ standard dot pairing against the cocharacter side, roots and coroots are
 integer vectors, and a marked subset of the roots is simple.  The cocharacter
 side of a datum is its `dual_datum`.  Relative Weyl groups are described
 by generators (`folded_generators`).  Only where the enumeration itself is
-the certificate is the full Weyl group enumerated, by one descent walk
-over root permutations (`weyl_walk`), refused up front when the order of
-the Cartan type passes the cap.  The orbits and Dynkin components here,
-and the orbits of parameters, run through one breadth-first `search`.
+the certificate is the full Weyl group enumerated, as root permutations
+by products over parabolic coset representatives (`weyl_walk`), refused
+up front when the order of the Cartan type passes the cap.  The orbits
+and Dynkin components here, and the orbits of parameters, run through
+one breadth-first `search`.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress
+from functools import cached_property, reduce
+from itertools import chain, compress, islice
 from math import factorial, gcd
-from operator import itemgetter, matmul, mul
+from operator import itemgetter, matmul, mul, or_
 
 from .abelian import coinvariants
 from .matrices import IntMatrix, images, linear_solver
@@ -47,40 +48,47 @@ def _shift(x, p, a):
 
 
 def _reflections(pairs):
-    """For (root, coroot) pairs (a, a^) of one length: per pair, the map
-    (b, b^) -> (s_a b, s_a^T b^) = (b - <b, a^> a, b^ - <a, b^> a^),
-    reading only the nonzeros of a and a^; and `meeting(b, b^)`, the
-    indices, in order, of the pairs whose a^ meets the support of b or
-    whose a meets that of b^.  Every other reflection fixes (b, b^), both
-    pairings being 0."""
-    def reflection(a, av):
-        a, av = (list(compress(enumerate(v), v)) for v in (a, av))
-
-        def reflect(b, bv):
-            p = sum([b[j] * v for j, v in av])
-            q = sum([bv[j] * v for j, v in a])
-            return (_shift(b, p, a) if p else b,
-                    _shift(bv, q, av) if q else bv)
-        return reflect
-
+    """For (root, coroot) pairs (a, a^) of one length, `moves(b, b^)`:
+    (i, s_a b, s_a^T b^) = (i, b - <b, a^> a, b^ - <a, b^> a^) for each
+    pair i, in increasing order, whose a^ meets the support of b or whose
+    a meets that of b^, the pairings read over the nonzeros of a and a^.
+    Every other reflection fixes (b, b^), both pairings being 0.  With no
+    b^ only the root side is read: the pairs whose a^ meets supp b, and
+    (i, s_a b, None)."""
     coords = range(len(pairs[0][0]) if pairs else 0)
-    # per coordinate j, the pairs that b (resp. b^) meets when b_j != 0
-    by_root, by_coroot = [[] for _ in coords], [[] for _ in coords]
+    # per coordinate j, the bit mask of the pairs that b (resp. b^) meets
+    # when b_j != 0
+    by_root, by_coroot = [0 for _ in coords], [0 for _ in coords]
     for i, (a, av) in enumerate(pairs):
         for j in compress(coords, av):
-            by_root[j].append(i)
+            by_root[j] |= 1 << i
         for j in compress(coords, a):
-            by_coroot[j].append(i)
+            by_coroot[j] |= 1 << i
+    sparse = [[list(compress(enumerate(v), v)) for v in pair]
+              for pair in pairs]
 
-    def meeting(b, bv):
-        hits = set()
-        for j in compress(coords, b):
-            hits.update(by_root[j])
-        for j in compress(coords, bv):
-            hits.update(by_coroot[j])
-        return sorted(hits)
+    def moves(b, bv=None):
+        hits = reduce(or_, compress(by_root, b), 0)
+        if bv is not None:
+            hits = reduce(or_, compress(by_coroot, bv), hits)
+        base = -1
+        while hits:  # 64 bits at a time, so no step copies a long mask
+            word, hits = hits & 0xFFFFFFFFFFFFFFFF, hits >> 64
+            while word:
+                low = word & -word
+                word ^= low
+                i = base + low.bit_length()
+                a, av = sparse[i]
+                p = sum([b[j] * v for j, v in av])
+                c = _shift(b, p, a) if p else b
+                if bv is None:
+                    yield i, c, None
+                else:
+                    q = sum([bv[j] * v for j, v in a])
+                    yield i, c, _shift(bv, q, av) if q else bv
+            base += 64
 
-    return [reflection(a, av) for a, av in pairs], meeting
+    return moves
 
 
 def search(seeds, generators, product, cap=None, stage=""):
@@ -198,10 +206,10 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
     for a, av in pairs:
         if _dot(a, av) != 2:
             raise ValueError("simple pairing <alpha, alpha^> must be 2")
-    reflections, meeting = _reflections(pairs)
+    moves = _reflections(pairs)
     seen, found = {}, []
-    reflected = (reflections[i](b, bv) for b, bv in found
-                 for i in meeting(b, bv) if b != simples[i])
+    reflected = ((c, cv) for b, bv in found
+                 for i, c, cv in moves(b, bv) if b != simples[i])
     for b, bv in chain(pairs, reflected):
         prev = seen.get(b)
         if prev is None:
@@ -308,28 +316,28 @@ def validate(datum):
     return problems
 
 
-def _reflected(datum, bases):
+def _reflected(datum, bases, coroot_side=True):
     """The reflection in each basis root (an index) applied, through
     `_reflections`, to every (root, coroot) pair of a datum of distinct
-    roots.  Per basis: its map of the root indices, sparse, as a dict
-    {i: image of root i} over the roots it may move (those `meeting`
-    it), the image None where a root leaves the roots; and a set of
-    "root" when a root leaves the roots, and "coroot" when a coroot
-    leaves the coroots."""
+    roots, or with `coroot_side` false to every root alone.  Per basis:
+    its map of the root indices, sparse, as a dict {i: image of root i}
+    over the roots it may move (those it meets), the image None where a
+    root leaves the roots; and a set of "root" when a root leaves the
+    roots, and "coroot" when a coroot leaves the coroots."""
     roots, coroots = datum.roots, datum.coroots
     index = {r: i for i, r in enumerate(roots)}
     coroot_set = set(coroots)
-    reflections, meeting = _reflections([(roots[i], coroots[i])
-                                         for i in bases])
-    moved = [{} for _ in reflections]
-    leaves = [set() for _ in reflections]
-    for idx, pair in enumerate(zip(roots, coroots)):
-        for g in meeting(*pair):
-            b, bv = reflections[g](*pair)
+    moves = _reflections([(roots[i], coroots[i]) for i in bases])
+    moved = [{} for _ in bases]
+    leaves = [set() for _ in bases]
+    sides = zip(roots, coroots) if coroot_side else zip(roots)
+    for idx, pair in enumerate(sides):
+        for g, b, bv in moves(*pair):
             j = moved[g][idx] = index.get(b)
             if j is None:
                 leaves[g].add("root")
-            if (j is None or coroots[j] != bv) and bv not in coroot_set:
+            if (bv is not None and (j is None or coroots[j] != bv)
+                    and bv not in coroot_set):
                 leaves[g].add("coroot")
     return moved, leaves
 
@@ -491,13 +499,24 @@ def weyl_order(type_name):
     return order
 
 
+def _products(elements, gathers):
+    """The permutation of u v for each u of `elements`, in turn, and each
+    v of `gathers`, which map that of u to that of u v."""
+    for u in elements:
+        for v in gathers:
+            yield v(u)
+
+
 def weyl_walk(datum, cap=DEFAULT_WEYL_CAP):
-    """Each element of W once, as its permutation of the roots: a
-    depth-first walk from 1 that keeps nothing it has yielded
-    (Bjorner-Brenti, GTM 231, 3.4).  The child w s_i is taken only when
-    i is its least right descent: w(alpha_i) > 0 and w(s_i alpha_j) > 0
-    for j < i.  Refused up front when the order of the Cartan type passes
-    `cap`; CapExceeded names the count reached when the walk passes it."""
+    """Each element of W once, as its permutation of the roots, keeping
+    nothing it has yielded: with W_m generated by the first m simple
+    reflections, each w in W_m is one product u v, u in W_{m-1} and v the
+    least element of the coset W_{m-1} v (Bjorner-Brenti, GTM 231, 2.4).
+    The inverses x of those v are the x in W_m with x(alpha_j) > 0 for
+    j < m - 1, found from 1 by left multiplication, which by Deodhar's
+    lemma reaches them all.  Refused up front when the order of the
+    Cartan type passes `cap`; CapExceeded names the count reached when
+    the walk, or one level of representatives, passes it."""
     type_name = detect_type(datum)
     order = weyl_order(type_name)
     if order is not None and order > cap:
@@ -505,26 +524,32 @@ def weyl_walk(datum, cap=DEFAULT_WEYL_CAP):
                           f" {order} elements, over the cap {cap}")
     simples, ids = datum.simple_indices, range(len(datum.roots))
     negative = set(ids).difference(datum.positive_indices)
-    moved, leaves = _reflected(datum, simples)
-    if any("root" in left for left in leaves):
+    moved, leaves = _reflected(datum, simples, coroot_side=False)
+    if any(leaves):
         raise FoldingError("matrix does not permute the roots")
-    # per i: p -> w s_i, and p -> the images under w of alpha_i and of
-    # s_i alpha_j (j < i), which w must keep positive; s_i is the sparse
-    # map of its reflection read with every other root fixed
-    moves = [(_gather(s), _gather((simples[i],) + _gather(simples[:i])(s)))
-             for i, s in enumerate(tuple(map(m.get, ids, ids))
-                                   for m in moved)]
-    stack = [tuple(ids)]
-    count = 0
-    while stack:
-        p = stack.pop()
-        count += 1
-        if count > cap:
-            raise CapExceeded(f"Weyl group enumeration: reached {count}"
-                              f" elements, over the cap {cap}")
-        yield p
-        stack.extend(move(p) for move, guard in moves
-                     if negative.isdisjoint(guard(p)))
+    reflections = [(s, _gather(s)) for s in (tuple(map(d.get, ids, ids))
+                                             for d in moved)]
+    elements = iter([tuple(ids)])
+    for m in range(1, len(simples) + 1):
+        # x in W_m is keyed by x(alpha_j), j < m, and mapped to the root
+        # permutation of v = x^-1; that of (s x)^-1 = v s is a gather of v
+        inverse = {simples[:m]: tuple(ids)}
+
+        def left(x, reflection):  # s x if it is a representative, else x
+            s, at_s = reflection
+            if not negative.isdisjoint(map(s.__getitem__, islice(x, m - 1))):
+                return x
+            y = tuple(map(s.__getitem__, x))
+            if y not in inverse:
+                inverse[y] = at_s(inverse[x])
+            return y
+        search([simples[:m]], reflections[:m], left, cap,
+               "Weyl group enumeration")
+        elements = _products(elements, list(map(_gather, inverse.values())))
+    yield from islice(elements, cap)
+    if next(elements, None) is not None:
+        raise CapExceeded(f"Weyl group enumeration: reached {cap + 1}"
+                          f" elements, over the cap {cap}")
 
 
 def weyl_group(datum, cap=DEFAULT_WEYL_CAP):

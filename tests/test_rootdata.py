@@ -4,6 +4,8 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -624,15 +626,62 @@ def test_weyl_order_of_the_type_matches_enumeration(name):
     assert weyl_order("torus") == 1 and weyl_order("unknown") is None
 
 
-@pytest.mark.parametrize("name", ORDER_PRESETS)
-def test_weyl_walk_matches_breadth_first_closure(name):
+def product_datum(first, second):
+    """The direct product of two based root data: their simple systems
+    side by side in the sum of their lattices, closed again."""
+    n, m = first.rank, second.rank
+    pad = [lambda v: v + (0,) * m, lambda v: (0,) * n + v]
+    simples, cosimples = [], []
+    for side, datum in zip(pad, (first, second)):
+        simples += [side(datum.roots[i]) for i in datum.simple_indices]
+        cosimples += [side(datum.coroots[i]) for i in datum.simple_indices]
+    return datum_from_simples(simples, cosimples)
+
+
+def reduced_fold(name):
+    rg = resolve(preset=name)
+    return restricted_root_data(rg.datum, rg.action.tau).reduced_datum
+
+
+# the datum presets, the reduced data of the flip and triality folds (C3
+# from flip A5, B3 from flip A6, the reduced side of its BC3, and from
+# flip D4, G2 from triality D4), and products
+WALK_DATA = dict(
+    {name: lambda name=name: resolve(preset=name).datum
+     for name in ORDER_PRESETS},
+    **{f"fold {name}": lambda name=name: reduced_fold(name)
+       for name in ("flip A5", "flip A6", "flip D4", "triality D4")},
+    **{"G2 x A1": lambda: product_datum(reduced_fold("triality D4"), SL2),
+       "A1 x A1": lambda: product_datum(SL2, split_gl(2))})
+
+
+@pytest.mark.parametrize("name", sorted(WALK_DATA))
+def test_weyl_walk_matches_breadth_first_closure(name, monkeypatch):
     """On both sides the walk yields each element of W once, and the
-    elements are those of the breadth-first closure."""
-    datum = resolve(preset=name).datum
+    elements are those of the breadth-first closure.  With W_m generated
+    by the first m simple reflections, level m of the walk has
+    |W_m| / |W_{m-1}| coset representatives, each order that of the
+    Cartan type of W_m."""
+    levels = []
+
+    def spy(seeds, generators, product, cap=None, stage=""):
+        found = search(seeds, generators, product, cap, stage)
+        if stage == "Weyl group enumeration":
+            levels.append(len(found))
+        return found
+
+    monkeypatch.setattr(rootdata, "search", spy)
+    datum = WALK_DATA[name]()
     for side in (datum, dual_datum(datum)):
+        levels.clear()
         walked = list(weyl_walk(side))
         assert len(walked) == len(set(walked))
         assert set(walked) == bfs_weyl_group(side).permutations
+        orders = [weyl_order(detect_type(side._replace(
+            simple_indices=side.simple_indices[:m])))
+            for m in range(len(side.simple_indices) + 1)]
+        assert levels == [orders[m] // orders[m - 1]
+                          for m in range(1, len(orders))]
 
 
 @pytest.mark.parametrize("name", ORDER_PRESETS)
@@ -654,13 +703,45 @@ def test_fixed_weyl_filter_matches_commuting_oracle(name):
 def test_walk_without_a_known_order_stops_at_the_cap(monkeypatch):
     """For a type whose order is unknown the walk itself counts: a cap of
     exactly |W| passes, a smaller one names the stage and the count
-    reached."""
+    reached, and so does one below the size of a level of coset
+    representatives, whose search it bounds."""
     monkeypatch.setattr(rootdata, "weyl_order", lambda type_name: None)
     gl4 = split_gl(4)
     assert len(list(weyl_walk(gl4, cap=24))) == 24
     with pytest.raises(CapExceeded, match="Weyl group enumeration: reached"
                        " 6 elements, over the cap 5"):
         weyl_group(gl4, cap=5)
+    # the third level has the 4 representatives of A3 / A2
+    with pytest.raises(CapExceeded, match="Weyl group enumeration: reached"
+                       " 4 elements, over the cap 3"):
+        weyl_group(gl4, cap=3)
+
+
+def test_walk_asks_the_kernel_for_no_coroot_image(monkeypatch, capsys):
+    """verify-ks on flip D4 walks W from the root side alone: every move
+    of the reflection kernel that `weyl_walk` builds (through
+    `_reflected`) carries no coroot image, while those of the closures
+    behind the preset and the fold carry theirs."""
+    kernel = rootdata._reflections
+    coroot_images = {}
+
+    def spy(pairs):
+        moves = kernel(pairs)
+        seen = coroot_images.setdefault(sys._getframe(2).f_code.co_name, [])
+
+        def spied(*sides):
+            for i, b, bv in moves(*sides):
+                seen.append(bv)
+                yield i, b, bv
+        return spied
+
+    monkeypatch.setattr(rootdata, "_reflections", spy)
+    assert main(["verify-ks", "--preset", "flip D4"]) == 0
+    capsys.readouterr()
+    assert coroot_images["weyl_walk"]
+    assert set(coroot_images["weyl_walk"]) == {None}
+    assert coroot_images["datum_from_simples"]
+    assert None not in coroot_images["datum_from_simples"]
 
 
 @pytest.mark.parametrize("name", WEYL_PRESETS)
@@ -885,23 +966,31 @@ def test_non_reduced_bc1_validates_by_the_certificate(monkeypatch):
 # --- the closure certificate against the W-orbit certificate ---------------
 
 def reference_reflected(datum, bases):
-    """`_reflected` as it was with its "pair" kind: a root sent to a root
-    whose coroot is not the image of its own."""
+    """`_reflected` as it was with its "pair" kind (a root sent to a root
+    whose coroot is not the image of its own), each pair reflected by the
+    dense formula (b - <b, a^> a, b^ - <a, b^> a^).  A pair whose supports
+    meet neither a^ nor a, so that both pairings vanish term by term, is
+    left fixed as its own index."""
     roots, coroots = datum.roots, datum.coroots
     index = {r: i for i, r in enumerate(roots)}
     coroot_set = set(coroots)
-    reflections, meeting = rootdata._reflections(
-        [(roots[i], coroots[i]) for i in bases])
-    perms = [list(range(len(roots))) for _ in reflections]
-    leaves = [set() for _ in reflections]
-    for idx, pair in enumerate(zip(roots, coroots)):
-        for g in meeting(*pair):
-            b, bv = reflections[g](*pair)
-            j = perms[g][idx] = index.get(b)
-            if j is None or coroots[j] != bv:
-                leaves[g].add("root" if j is None else "pair")
-                if bv not in coroot_set:
-                    leaves[g].add("coroot")
+    perms, leaves = [], []
+    for g in bases:
+        a, av = roots[g], coroots[g]
+        perm, left = list(range(len(roots))), set()
+        for idx, (b, bv) in enumerate(zip(roots, coroots)):
+            if not any(chain(map(mul, b, av), map(mul, a, bv))):
+                continue
+            p, q = sum(map(mul, b, av)), sum(map(mul, a, bv))
+            image = tuple(x - p * y for x, y in zip(b, a))
+            co_image = tuple(x - q * y for x, y in zip(bv, av))
+            j = perm[idx] = index.get(image)
+            if j is None or coroots[j] != co_image:
+                left.add("root" if j is None else "pair")
+                if co_image not in coroot_set:
+                    left.add("coroot")
+        perms.append(perm)
+        leaves.append(left)
     return perms, leaves
 
 
@@ -1053,18 +1142,26 @@ def test_validate_matches_the_w_orbit_reference():
 def test_reflected_moves_are_the_dense_permutations_sparse():
     """`_reflected` keeps, per reflection, only the roots it may move:
     read with every other root fixed, each map is the dense permutation
-    of the reference, None where a root leaves, on every certificate
-    case, for the simple roots and for every root."""
+    of the reference, None where a root leaves, and it leaves the datum
+    as the reference does, on every certificate case, for the simple
+    roots and for every root.  On the root side
+    alone, as the walk reads it, a datum of distinct roots gets the same
+    maps and only the "root" leaves."""
     for datum in _certificate_cases():
         if any(len(a) != datum.rank or len(av) != datum.rank
                for a, av in zip(datum.roots, datum.coroots)):
             continue
         ids = range(len(datum.roots))
         for bases in (datum.simple_indices, ids):
-            moved, _ = rootdata._reflected(datum, bases)
-            perms, _ = reference_reflected(datum, bases)
+            moved, left = rootdata._reflected(datum, bases)
+            perms, leaves = reference_reflected(datum, bases)
             assert [list(map(m.get, ids, ids)) for m in moved] == perms, \
                 datum.label
+            assert left == [side - {"pair"} for side in leaves], datum.label
+            if len(set(datum.roots)) == len(ids):
+                moved, left = rootdata._reflected(datum, bases, False)
+                assert [list(map(m.get, ids, ids)) for m in moved] == perms
+                assert left == [side & {"root"} for side in leaves]
     # in GL8 the reflection in e_i - e_j moves the 26 roots with i or j
     gl8 = split_gl(8)
     moved, _ = rootdata._reflected(gl8, range(len(gl8.roots)))
