@@ -181,28 +181,31 @@ class GroupHom:
             raise ValueError("difference of mismatched homomorphisms")
         return GroupHom(self.source, self.target, self.matrix - other.matrix)
 
+    def is_identity(self):
+        """Equal generator orders, and the columns, reduced in the target,
+        are the unit vectors (read as rows: I is its own transpose)."""
+        return (self.source.generator_orders()
+                == self.target.generator_orders() and _is_identity(
+                    IntMatrix._trusted(tuple(map(self.target.reduce,
+                                                 self.matrix.columns())),
+                                       self.target.ngens)))
+
     def is_zero(self):
         return all(self(tuple(int(i == j) for i in range(self.source.ngens)))
                    == self.target.zero() for j in range(self.source.ngens))
 
     def preimages(self, targets):
         """Per element of the target, some x with self(x) = it, or None:
-        one Smith form of [matrix | target relations] for the batch.  An
-        identity matrix between groups of equal generator orders is an
-        isomorphism, each element its own preimage: its reduction, with no
-        form taken."""
-        if (_is_identity(self.matrix) and self.source.generator_orders()
-                == self.target.generator_orders()):
+        one Smith form of [matrix | target relations] for the batch.  The
+        identity (`is_identity`) takes each element to its own preimage,
+        its reduction, with no form taken."""
+        if self.is_identity():
             return list(map(self.source.reduce, targets))
         solver = linear_solver(hstack(self.matrix,
                                       self.target.relation_matrix()))
         n = self.matrix.ncols
         return [None if x is None else self.source.reduce(x[:n]) for x in
                 solver.solve(list(map(self.target.reduce, targets)))]
-
-    def preimage(self, coords):
-        """Some x with self(x) = coords, or None."""
-        return self.preimages([coords])[0]
 
     def cokernel_group(self):
         """target / image(self) with the quotient projection retained."""
@@ -288,8 +291,7 @@ def kernel_of_hom(hom):
 
 def invariants_of_induced_action(group, endo):
     """Fixed subgroup of an endomorphism: (subgroup, inclusion), the
-    kernel of endo - 1.  When endo is the identity, its matrix reduced in
-    `group` (read by columns: the identity is its own transpose), the
+    kernel of endo - 1.  When endo is the identity (`is_identity`), the
     fixed subgroup is all of `group`: its factors over an identity
     presentation, included by the identity, as `kernel_of_hom` gives them
     for the zero map, and no form is taken.
@@ -302,17 +304,15 @@ def invariants_of_induced_action(group, endo):
     """
     if endo.source != group or endo.target != group:
         raise ValueError("endomorphism does not act on the given group")
-    n = group.ngens
-    if _is_identity(IntMatrix._trusted(
-            tuple(map(group.reduce, endo.matrix.columns())), n)):
+    if endo.is_identity():
         whole = FgAbGroup(group.invariant_factors, group.free_rank)
-        return whole, GroupHom(whole, group, IntMatrix.identity(n))
+        return whole, GroupHom(whole, group, IntMatrix.identity(group.ngens))
     return kernel_of_hom(endo - GroupHom.identity(group))
 
 
 def subgroup_coordinates(inclusion, coords):
     """Coordinates in the subgroup of an element known to lie in its image."""
-    x = inclusion.preimage(coords)
+    x, = inclusion.preimages([coords])
     if x is None:
         raise ValueError("element does not lie in the subgroup")
     return x

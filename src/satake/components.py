@@ -11,8 +11,8 @@ enumeration.
 
 from collections import namedtuple
 
-from .abelian import GroupHom, coinvariants, cokernel, induced_hom
-from .matrices import IntMatrix
+from .abelian import coinvariants, cokernel, induced_hom
+from .matrices import IntMatrix, hstack
 from .rootdata import (DEFAULT_WEYL_CAP, _gather, folded_generators,
                        root_permutation, search, weyl_walk)
 
@@ -68,16 +68,16 @@ def check_center_covers_components(datum, tau):
 
     Dual formulation: the torsion of the cochar coinvariants must inject
     into the coinvariants of the central quotient (cochars modulo the
-    coroot span); checked by enumerating the finite torsion subgroup.
+    coroot span Q^, which the simple coroots span), X^ / (Q^ + (tau^ - 1)
+    X^); checked by enumerating the finite torsion subgroup.
     """
     n = datum.rank
     dual_tau = tau.dual()
     ct = coinvariants(dual_tau)
-    central = cokernel(IntMatrix.from_columns(datum.coroots, nrows=n))
-    tau_central = induced_hom(central, dual_tau)
-    cz = (tau_central - GroupHom.identity(central)).cokernel_group()
-    # composed map: coinvariants of X^ -> central quotient -> its coinvariants
-    hom = induced_hom(ct, central.proj, cz)
+    coroots = [datum.coroots[i] for i in datum.simple_indices]
+    cz = cokernel(hstack(IntMatrix.from_columns(coroots, nrows=n),
+                         dual_tau - IntMatrix.identity(n)))
+    hom = induced_hom(ct, IntMatrix.identity(n), cz)
     torsion, incl = ct.torsion_subgroup()
     witness = ()
     for el in torsion.elements():

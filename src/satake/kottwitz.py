@@ -187,32 +187,30 @@ class ParameterClass(namedtuple("ParameterClass",
         return self.representative.key()
 
 
-def _action_key(hom):
-    """The images of the canonical generators, which determine `hom`:
-    the columns of its matrix, reduced in the target."""
-    return tuple(map(hom.target.reduce, hom.matrix.columns()))
-
-
 def descend_to_kottwitz(kg, ambient_matrices):
-    """The endomorphisms of T/T_0 of cochar-lattice maps commuting with
-    tau (so each induces a map of coinvariants, `induced_hom`) and sigma
-    (so it carries T/T_0 into itself): each induced map times the
-    inclusion, the columns of all of them solved in T/T_0 in one call.
-    Not reducing between the factors is exact, the induced map being a
-    checked GroupHom."""
+    """The endomorphisms of T/T_0 of equivariant cochar-lattice maps
+    (`_descend`), each checked to start on the source lattice."""
     if any(m.ncols != kg.torus.rank for m in ambient_matrices):
         raise ValueError("a map does not start on the source lattice")
-    return _descend(kg, [induced_hom(kg.coinvariants, m, kg.coinvariants)
-                         for m in ambient_matrices], kg)
+    return _descend(kg, ambient_matrices, kg)
 
 
-def _descend(kg, induced, kg_target):
-    """The maps T/T_0 -> T'/T'_0 of maps of coinvariants `induced`: each
-    times the inclusion, the columns of all of them solved in T'/T'_0 in
-    one call, which reduces them when T'/T'_0 is all of its coinvariants
-    and takes one Smith form otherwise."""
+def _descend(kg, matrices, kg_target):
+    """The maps T/T_0 -> T'/T'_0 of cochar-lattice maps, each checked to
+    commute with tau (so it induces a map of coinvariants, `induced_hom`)
+    and sigma (so it carries T/T_0 into T'/T'_0): each induced map times
+    the inclusion (exact unreduced, the induced map being a checked
+    GroupHom), the columns of all of them solved in T'/T'_0 in one call,
+    which reduces them when T'/T'_0 is all of its coinvariants and takes
+    one Smith form otherwise."""
+    ts, tt = kg.torus, kg_target.torus
     columns = []
-    for chom in induced:
+    for m in matrices:
+        if m @ ts.tau != tt.tau @ m:
+            raise ValueError("map is not tau-equivariant")
+        if m @ ts.sigma != tt.sigma @ m:
+            raise ValueError("map is not sigma-equivariant")
+        chom = induced_hom(kg.coinvariants, m, kg_target.coinvariants)
         columns += (chom.matrix @ kg.inclusion.matrix).columns()
     cols = kg_target.inclusion.preimages(columns)
     if None in cols:
@@ -220,7 +218,7 @@ def _descend(kg, induced, kg_target):
     g = kg.group.ngens
     return [GroupHom(kg.group, kg_target.group, IntMatrix.from_columns(
         cols[i * g:(i + 1) * g], nrows=kg_target.group.ngens))
-            for i in range(len(induced))]
+            for i in range(len(matrices))]
 
 
 class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
@@ -239,33 +237,24 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
 
     @property
     def weyl_generators(self):
-        """Automorphisms of T/T_0 (deduplicated, identity left out) that
-        generate the relative Weyl group, the tau,sigma-fixed Weyl
-        subgroup: its folded generators w, each an involution, so acting
-        on the cocharacter lattice by w^-T = w^T, descended all at once.
-        Each must square to the identity on T/T_0 (FoldingError
-        otherwise), so it is an automorphism, which `weyl_orbit` relies
-        on; M @ M reduced once is exact, M being a checked GroupHom."""
+        """Automorphisms of T/T_0 that generate the relative Weyl group,
+        the tau,sigma-fixed Weyl subgroup: its folded generators w, each
+        an involution, so acting on the cocharacter lattice by
+        w^-T = w^T, descended all at once.  They are the relative simple
+        reflections, and W^Gamma acts faithfully on X_*(S)_Q, so they are
+        pairwise distinct and none is the identity.  Each must square to
+        the identity on T/T_0 (FoldingError otherwise), so it is an
+        automorphism, which `weyl_orbit` relies on; M @ M reduced once is
+        exact, M being a checked GroupHom."""
         if self.datum is None:
             return ()
-        torus, kg = self.torus, self.kottwitz
-        gens = [w.transpose() for w in folded_generators(
-            self.datum, self.action.tau, self.action.sigma)]
-        for w in gens:
-            if any(g @ w != w @ g for g in (torus.tau, torus.sigma)):
-                raise FoldingError("folded generator does not centralize the"
-                                   " Galois action")
-        identity = _action_key(GroupHom.identity(kg.group))
-        homs = {}
-        for hom in descend_to_kottwitz(kg, gens):
-            key = _action_key(hom)
-            if key == identity or key in homs:
-                continue
-            if _action_key(hom.compose(hom)) != identity:
-                raise FoldingError("folded generator does not act on T/T_0"
-                                   " as an involution")
-            homs[key] = hom
-        return tuple(homs.values())
+        homs = descend_to_kottwitz(self.kottwitz, [
+            w.transpose() for w in folded_generators(
+                self.datum, self.action.tau, self.action.sigma)])
+        if not all(hom.compose(hom).is_identity() for hom in homs):
+            raise FoldingError("folded generator does not act on T/T_0"
+                               " as an involution")
+        return tuple(homs)
 
     @property
     def orbit_moves(self):
@@ -333,16 +322,12 @@ def modulus_character(setting):
 
 
 def kottwitz_hom(matrix, kg_source, kg_target):
-    """Functorial maps induced by an equivariant cochar-lattice map:
-    returns (map on Kottwitz groups, map on coinvariants)."""
-    ts, tt = kg_source.torus, kg_target.torus
-    if matrix @ ts.tau != tt.tau @ matrix:
-        raise ValueError("map is not tau-equivariant")
-    if matrix @ ts.sigma != tt.sigma @ matrix:
-        raise ValueError("map is not sigma-equivariant")
-    chom = induced_hom(kg_source.coinvariants, matrix,
-                       kg_target.coinvariants)
-    return _descend(kg_source, [chom], kg_target)[0], chom
+    """Functorial maps induced by an equivariant cochar-lattice map
+    (`_descend` checks it): returns (map on Kottwitz groups, map on
+    coinvariants)."""
+    return (_descend(kg_source, [matrix], kg_target)[0],
+            induced_hom(kg_source.coinvariants, matrix,
+                        kg_target.coinvariants))
 
 
 class Envelope(namedtuple("Envelope", "torus prime embed norm degree")):

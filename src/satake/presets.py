@@ -25,15 +25,22 @@ def flip_negate(n):
                       for i in range(n)])
 
 
+def _chain(m):
+    """e_i - e_{i+1} for i < m - 1 on Z^m: the simple roots of the type A
+    Dynkin chain, which are also its simple coroots."""
+    chain = []
+    for i in range(m - 1):
+        v = [0] * m
+        v[i], v[i + 1] = 1, -1
+        chain.append(tuple(v))
+    return chain
+
+
 def split_gl(n):
     """GL_n on its standard character lattice Z^n."""
     if n < 2:
         raise ValueError("GL presets need n >= 2")
-    simples = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        simples.append(tuple(v))
+    simples = _chain(n)
     return datum_from_simples(simples, simples, label=f"GL{n}")
 
 
@@ -68,14 +75,9 @@ def split_sp(n):
     if n < 4 or n % 2:
         raise ValueError("Sp presets need even n >= 4")
     m = n // 2
-    simples, cosimples = [], []
-    for i in range(m - 1):
-        v = [0] * m
-        v[i], v[i + 1] = 1, -1
-        simples.append(tuple(v))
-        cosimples.append(tuple(v))
-    simples.append(tuple(2 * x for x in standard_basis(m, m - 1)))
-    cosimples.append(standard_basis(m, m - 1))
+    chain = _chain(m)
+    simples = chain + [tuple(2 * x for x in standard_basis(m, m - 1))]
+    cosimples = chain + [standard_basis(m, m - 1)]
     return datum_from_simples(simples, cosimples, label=f"Sp{n}")
 
 
@@ -84,20 +86,14 @@ def split_so(n):
     if n < 5:
         raise ValueError("SO presets need n >= 5")
     m = n // 2
-    simples, cosimples = [], []
-    for i in range(m - 1):
-        v = [0] * m
-        v[i], v[i + 1] = 1, -1
-        simples.append(tuple(v))
-        cosimples.append(tuple(v))
+    chain = _chain(m)
     if n % 2:
-        simples.append(standard_basis(m, m - 1))
-        cosimples.append(tuple(2 * x for x in standard_basis(m, m - 1)))
+        simples = chain + [standard_basis(m, m - 1)]
+        cosimples = chain + [tuple(2 * x for x in standard_basis(m, m - 1))]
     else:
         v = [0] * m
         v[m - 2], v[m - 1] = 1, 1
-        simples.append(tuple(v))
-        cosimples.append(tuple(v))
+        simples = cosimples = chain + [tuple(v)]
     return datum_from_simples(simples, cosimples, label=f"SO{n}")
 
 

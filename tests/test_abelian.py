@@ -146,8 +146,7 @@ def test_hom_construction_checks_relations():
     assert kernel_of_hom(double)[0].is_trivial()
     assert not double.is_surjective()
     assert double.cokernel_group().describe() == "Z/2"
-    assert double.preimage((3,)) is None
-    assert double.preimage((4,)) == (2,)
+    assert double.preimages([(3,), (4,)]) == [None, (2,)]
 
 
 def test_compose_is_self_after_other():

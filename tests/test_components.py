@@ -1,11 +1,14 @@
 """Component group certificates and the built-in presets."""
 
 import pytest
+from hypothesis import given, settings
 
+from satake.abelian import GroupHom, coinvariants, cokernel, induced_hom
 from satake.components import (
-    check_center_covers_components, check_fixed_weyl_is_folded,
-    check_tad_connected, pi0_fixed,
+    CenterCoverCheck, check_center_covers_components,
+    check_fixed_weyl_is_folded, check_tad_connected, pi0_fixed,
 )
+from satake.config import resolve
 from satake.kottwitz import kottwitz_group, setting_for_datum
 from satake.matrices import IntMatrix
 from satake.presets import (
@@ -13,9 +16,12 @@ from satake.presets import (
     split_pgl, split_sl, split_so, split_sp, split_torus,
 )
 from satake.rootdata import (
-    galois_action, pinned_automorphism, restricted_root_data, validate,
-    weyl_group,
+    PinnedAutomorphism, datum_from_simples, galois_action,
+    pinned_automorphism, restricted_root_data, validate, weyl_group,
 )
+
+from test_grid import GRID
+from test_kottwitz import random_twisted_data
 
 # fixed subgroup order and folded type per acceptance preset
 KS_EXPECT = {
@@ -69,6 +75,106 @@ def test_d4_flip_has_covered_torus_components():
     cover = check_center_covers_components(preset.datum, tau)
     assert cover.pi0_torus.describe() == "Z/2"
     assert cover.pi0_center.describe() == "Z/2"
+
+
+def chain_by_loop(m):
+    """e_i - e_{i+1} for i < m - 1, one vector per pass of the loop."""
+    simples = []
+    for i in range(m - 1):
+        v = [0] * m
+        v[i], v[i + 1] = 1, -1
+        simples.append(tuple(v))
+    return simples
+
+
+def split_data_by_loops(family, n):
+    """The reference for the split GL, Sp and SO presets: each simple
+    system written out on its own."""
+    if family == "GL":
+        simples = chain_by_loop(n)
+        return datum_from_simples(simples, simples, label=f"GL{n}")
+    m = n // 2
+    last = [0] * m
+    simples, cosimples = chain_by_loop(m), chain_by_loop(m)
+    if family == "Sp":
+        last[m - 1] = 1
+        simples.append(tuple(2 * x for x in last))
+        cosimples.append(tuple(last))
+    elif n % 2:
+        last[m - 1] = 1
+        simples.append(tuple(last))
+        cosimples.append(tuple(2 * x for x in last))
+    else:
+        last[m - 2] = last[m - 1] = 1
+        simples.append(tuple(last))
+        cosimples.append(tuple(last))
+    return datum_from_simples(simples, cosimples, label=f"{family}{n}")
+
+
+@pytest.mark.parametrize("family, build, sizes", [
+    ("GL", split_gl, [*range(2, 12), 100]),
+    ("Sp", split_sp, range(4, 21, 2)),
+    ("SO", split_so, range(5, 22)),
+])
+def test_split_presets_match_their_simple_systems(family, build, sizes):
+    for n in sizes:
+        got, want = build(n), split_data_by_loops(family, n)
+        assert got == want, got.label
+        assert got.positive_indices == want.positive_indices, got.label
+
+
+def center_cover_by_two_quotients(datum, tau):
+    """The reference for `check_center_covers_components`: the central
+    quotient X^ / (all coroots) first, then its coinvariants, the
+    cokernel of the tau it induces minus the identity."""
+    n = datum.rank
+    dual_tau = tau.dual()
+    ct = coinvariants(dual_tau)
+    central = cokernel(IntMatrix.from_columns(datum.coroots, nrows=n))
+    tau_central = induced_hom(central, dual_tau)
+    cz = (tau_central - GroupHom.identity(central)).cokernel_group()
+    hom = induced_hom(ct, central.proj, cz)
+    torsion, incl = ct.torsion_subgroup()
+    witness = next((el for el in torsion.elements()
+                    if any(el) and hom(incl(el)) == cz.zero()), ())
+    return CenterCoverCheck(not witness, torsion, cz.torsion_subgroup()[0],
+                            witness)
+
+
+def assert_center_check_matches_two_quotients(datum, tau):
+    got = check_center_covers_components(datum, tau)
+    want = center_cover_by_two_quotients(datum, tau)
+    for field in CenterCoverCheck._fields:
+        assert getattr(got, field) == getattr(want, field), field
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in GRID if resolve(preset=name).datum is not None))
+def test_center_check_matches_two_quotients_on_the_grid(name):
+    rg = resolve(preset=name)
+    assert_center_check_matches_two_quotients(rg.datum, rg.action.tau)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=random_twisted_data())
+def test_center_check_matches_two_quotients_on_random_data(config):
+    rg = resolve(config)
+    assert_center_check_matches_two_quotients(rg.datum, rg.action.tau)
+
+
+@pytest.mark.parametrize("datum, matrix, witness", [
+    (split_sl(2), IntMatrix([[-1]]), (1,)),
+    (split_gl(2), IntMatrix.diagonal([-1, -1]), (1, 1)),
+])
+def test_an_unpinned_minus_one_leaves_torus_components_uncovered(
+        datum, matrix, witness):
+    """tau = -1 swaps the positive and negative roots, so it is not
+    pinned: the witness branch, which no preset reaches."""
+    cover = assert_center_check_matches_two_quotients(
+        datum, PinnedAutomorphism(matrix, 2))
+    assert not cover.surjective
+    assert cover.kernel_witness == witness
 
 
 def test_identity_automorphism_certificates():

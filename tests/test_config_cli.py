@@ -53,6 +53,11 @@ def test_integer_tokens_are_ints_and_fractions_are_written_a_over_b():
     assert type(parse_config("rank = 4/2\n").rank) is int
     with pytest.raises(ConfigError, match="rank must be an integer"):
         parse_config("rank = 1/2\n")
+    # a vector holding a Fraction is checked entry by entry
+    assert parse_config("roots = [[4/2, -2]]\n").roots == ((2, -2),)
+    assert type(parse_config("roots = [[4/2]]\n").roots[0][0]) is int
+    with pytest.raises(ConfigError, match="roots entry must be an integer"):
+        parse_config("roots = [[1/2, 0]]\n")
     for bad in ("-", "+", "1/0", "1/", "1//2"):
         with pytest.raises(ConfigError, match="bad number"):
             _tokenize(bad, 1)

@@ -24,7 +24,7 @@ from satake.circle import ExactCircle, ONE
 from satake.cli import main
 from satake.config import GroupConfig, resolve, serialize_config
 from satake.kottwitz import (
-    TorusWithAction, _action_key, build_induced_torus,
+    TorusWithAction, build_induced_torus,
     character_from_dual_point, classify, descend_to_kottwitz,
     induced_character, induced_envelope,
     induced_torus_cocycle, kottwitz_group, kottwitz_hom,
@@ -190,6 +190,12 @@ def test_orbits_class_count_is_burnside(name, torsion, capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["character_count"] == len(chars)
     assert result["class_count"] == fixed // len(homs)
+
+
+def _action_key(hom):
+    """The images of the canonical generators, which determine `hom`:
+    the columns of its matrix, reduced in the target."""
+    return tuple(map(hom.target.reduce, hom.matrix.columns()))
 
 
 def burnside_class_count(setting, torsion):
@@ -826,6 +832,18 @@ def test_the_grid_descends_onto_torsion_groups():
             "unitary ramified 5"} <= torsion
 
 
+def assert_relative_simple_reflections(setting):
+    """The descended generators are the relative simple reflections, one
+    per folded generator: W^Gamma acts faithfully on X_*(S)_Q, so they
+    are pairwise distinct and none is the identity."""
+    keys = [action_key_by_unit(hom) for hom in setting.weyl_generators]
+    identity = action_key_by_unit(GroupHom.identity(setting.group))
+    assert len(keys) == len(folded_generators(
+        setting.datum, setting.action.tau, setting.action.sigma))
+    assert len(set(keys)) == len(keys)
+    assert identity not in keys
+
+
 @pytest.mark.parametrize("name", sorted(GRID_SETTINGS))
 def test_weyl_descent_matches_unit_vectors_on_the_grid(name):
     """weyl_generators, and kottwitz_hom on -1 and on every folded
@@ -833,6 +851,7 @@ def test_weyl_descent_matches_unit_vectors_on_the_grid(name):
     setting = GRID_SETTINGS[name]
     assert ([hom.matrix for hom in setting.weyl_generators]
             == weyl_generator_matrices_by_unit(setting))
+    assert_relative_simple_reflections(setting)
     kg = setting.kottwitz
     maps = [-IntMatrix.identity(setting.torus.rank)] + [
         w.transpose() for w in folded_generators(
@@ -904,6 +923,25 @@ def test_folded_generators_match_reflection_products_on_random_data(config):
                 == folded_generators_by_products(rg.datum, *auts))
 
 
+@settings(max_examples=25, deadline=None)
+@given(config=random_twisted_data())
+def test_weyl_generators_are_distinct_reflections_on_random_data(config):
+    assert_relative_simple_reflections(resolve(config).setting())
+
+
+def test_a_map_that_does_not_commute_with_tau_is_refused():
+    """Every descent checks equivariance, the batch of `weyl_generators`
+    as well as the one map of `kottwitz_hom`."""
+    setting = resolve(preset="unitary ramified 3").setting()
+    kg, tau = setting.kottwitz, setting.torus.tau
+    shear = IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert shear @ tau != tau @ shear
+    with pytest.raises(ValueError, match="tau-equivariant"):
+        descend_to_kottwitz(kg, [IntMatrix.identity(3), shear])
+    with pytest.raises(ValueError, match="tau-equivariant"):
+        kottwitz_hom(shear, kg, kg)
+
+
 @st.composite
 def endomorphisms(draw):
     """An endomorphism of Z/2 + Z/4 + Z: a column of an order-d generator
@@ -922,10 +960,37 @@ def endomorphisms(draw):
 @given(hom=endomorphisms())
 def test_action_key_and_square_match_unit_vectors_on_torsion(hom):
     """Most draws are not involutions; the matrix-level square sees each
-    of them as applying the hom to its own images does."""
+    of them as applying the hom to its own images does, and so does
+    `is_identity`."""
+    units = action_key_by_unit(GroupHom.identity(hom.source))
     assert _action_key(hom) == action_key_by_unit(hom)
     assert (_action_key(hom.compose(hom))
             == tuple(map(hom, action_key_by_unit(hom))))
+    assert hom.is_identity() == (action_key_by_unit(hom) == units)
+    assert hom.compose(hom).is_identity() == (
+        tuple(map(hom, action_key_by_unit(hom))) == units)
+
+
+@pytest.mark.parametrize("source, target, rows", [
+    (FgAbGroup((2, 4), 1), None, [[3, 0, 0], [0, 5, 0], [0, 0, 1]]),
+    (FgAbGroup((2, 4), 1), None, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    (FgAbGroup((2, 4), 1), None, [[1, 0, 0], [0, 1, 4], [0, 0, 1]]),
+    (FgAbGroup((4,), 0), None, [[-3]]),
+    (FgAbGroup((), 2), None, [[1, 0], [0, 1]]),
+    (FgAbGroup((), 1), FgAbGroup((3,), 0), [[1]]),
+    (FgAbGroup((2,), 0), FgAbGroup((4,), 0), [[2]]),
+    (FgAbGroup((2,), 1), FgAbGroup((), 2), [[0, 0], [0, 1]]),
+    (FgAbGroup((), 0), None, []),
+])
+def test_is_identity_matches_unit_vectors(source, target, rows):
+    """The identity up to torsion counts; equal images between groups of
+    unequal generator orders do not."""
+    target = source if target is None else target
+    hom = GroupHom(source, target, IntMatrix(rows, ncols=source.ngens))
+    units = action_key_by_unit(GroupHom.identity(source))
+    assert hom.is_identity() == (source.generator_orders()
+                                 == target.generator_orders()
+                                 and action_key_by_unit(hom) == units)
 
 
 @settings(max_examples=60, deadline=None)

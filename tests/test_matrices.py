@@ -138,12 +138,12 @@ def test_solve_and_preimage_mod_relations():
     assert linear_solver(mat).solve([(4, 9)]) == [(2, 3)]
     assert linear_solver(mat).solve([(1, 0)]) == [None]
     # 2x = 4 mod 6 has the solution x = 2
-    sol = GroupHom(FgAbGroup((), 1), FgAbGroup((6,), 0),
-                   IntMatrix([[2]])).preimage((4,))
+    sol, = GroupHom(FgAbGroup((), 1), FgAbGroup((6,), 0),
+                    IntMatrix([[2]])).preimages([(4,)])
     assert sol is not None
     assert (2 * sol[0] - 4) % 6 == 0
     assert GroupHom(FgAbGroup((), 1), FgAbGroup((4,), 0),
-                    IntMatrix([[2]])).preimage((1,)) is None
+                    IntMatrix([[2]])).preimages([(1,)]) == [None]
     rng = random.Random(301)
     for _ in range(50):
         mat = random_matrix(rng, max_dim=4, bound=4)

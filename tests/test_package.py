@@ -4,7 +4,8 @@ precomposition kernel and value renderer of a character, the one class
 listing of `orbits` and the one induced-map formula kept in the source,
 one reflection kernel and one certificate behind the root layer, a
 config reader without nested functions, one place that recognises
-identity and zero matrices, modules that parse at the
+identity and zero matrices, one equivariance check and one quotient
+for the center certificate, modules that parse at the
 declared Python floor, a start-up that loads no `dataclasses`, records
 that stay read-only, and a `test` extra that lists what the tests
 import."""
@@ -355,6 +356,36 @@ def test_induced_hom_is_the_one_induced_map_formula():
     assert GroupHom.__slots__ == ("source", "target", "matrix")
 
 
+def _compares_products(node):
+    """A comparison with a matrix product on each side, such as
+    `m @ tau != tau @ m`."""
+    return isinstance(node, ast.Compare) and all(
+        isinstance(o, ast.BinOp) and isinstance(o.op, ast.MatMult)
+        for o in [node.left, *node.comparators])
+
+
+def test_each_question_of_the_descent_is_answered_in_one_place():
+    """A lattice map is checked to commute with tau and sigma only in
+    `kottwitz._descend` (the envelope checks the maps it builds, and the
+    twist relation compares tau with its conjugate); the map keys of the
+    Weyl generators and the one-element preimage are gone; and the
+    center's coinvariants are one cokernel, with no difference of maps."""
+    assert _owners_in_src(_compares_products) == [
+        ("kottwitz", "_descend"), ("kottwitz", "induced_envelope"),
+        ("rootdata", "check_twist_relation")]
+    assert _owners_in_src(lambda node: isinstance(node, ast.Constant) and (
+        str(node.value).endswith("-equivariant"))) == [("kottwitz",
+                                                        "_descend")]
+    assert not hasattr(satake.kottwitz, "_action_key")
+    assert not hasattr(GroupHom, "preimage")
+    tree = _tree("components.py")
+    assert _callers(tree, "cokernel") == ["check_center_covers_components"]
+    assert _callers(tree, "cokernel_group") == []
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "GroupHom" not in imported
+
+
 def test_orbits_builds_no_character_and_classify_one(monkeypatch, capsys):
     """`orbits` prints each class from its least ident, building no
     `GroupCharacter` or `ExactCircle`; `classify` builds its one
@@ -440,9 +471,10 @@ def _compares_with_a_built_trivial(node, names):
 def test_trivial_matrices_are_recognised_in_one_place():
     """Identity factors and zero or identity Smith inputs are recognised
     inside `matrices` (`_is_identity`, behind `@` and the Smith form), an
-    identity endomorphism or isomorphism of groups by the same test in
-    `abelian` (the fixed subgroup of the identity, the preimages under an
-    identity inclusion), and zero in the guard of `abelian.cokernel`;
+    identity map of groups by the same test in `GroupHom.is_identity` (which
+    the fixed subgroup of the identity, the preimages under an identity
+    inclusion and the involution check of the Weyl generators call), and
+    zero in the guard of `abelian.cokernel`;
     no other module compares a
     matrix with a built identity or zero matrix, or scans its rows for
     zero, to skip work.  `multiplicative_order` compares powers with the
@@ -457,8 +489,8 @@ def test_trivial_matrices_are_recognised_in_one_place():
         ("abelian", "cokernel"), ("matrices", "smith_normal_form")]
     assert _owners_in_src(lambda node: isinstance(node, ast.Call) and getattr(
         node.func, "id", None) == "_is_identity") == [
-        ("abelian", "invariants_of_induced_action"), ("abelian", "preimages"),
-        ("matrices", "__matmul__"), ("matrices", "smith_normal_form")]
+        ("abelian", "is_identity"), ("matrices", "__matmul__"),
+        ("matrices", "smith_normal_form")]
     assert set().union(*map(compares, sorted(SRC.glob("*.py")))) == {
         ("matrices", "multiplicative_order")}
     for probe in ("any(map(any, m.data))", "not any(x for r in m.data for x"

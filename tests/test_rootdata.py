@@ -384,7 +384,34 @@ def test_a_double_takes_half_the_coroot_of_its_root():
     assert reference_restricted_root_data(datum, tau).non_reduced
 
 
+# coroot j is column j, so cartan_entry(i, j) = F4_CARTAN[i][j]
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+def _unit_simples(cartan):
+    """The simple roots (unit vectors) and coroots (the columns of the
+    Cartan matrix) in simple-root coordinates."""
+    n = len(cartan)
+    return ([tuple(int(i == j) for j in range(n)) for i in range(n)],
+            [tuple(row[j] for row in cartan) for j in range(n)])
+
+
+def split_f4():
+    return datum_from_simples(*_unit_simples(F4_CARTAN), label="F4")
+
+
 def test_detect_type_families():
+    f4 = split_f4()
+    assert detect_type(f4) == "F4" and len(f4.roots) == 48
+    assert len(list(weyl_walk(f4))) == 1152
+    # the double bond inside a longer chain (affine F4), and two double
+    # bonds (affine C2), are no finite type
+    for cartan in ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -2, 0],
+                    [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]],
+                   [[2, -1, 0], [-2, 2, -2], [0, -1, 2]]):
+        simples, cosimples = _unit_simples(cartan)
+        assert detect_type(BasedRootDatum(len(cartan), simples, cosimples,
+                                          range(len(cartan)))) == "unknown"
     assert detect_type(SL2) == "A1"
     assert detect_type(split_gl(3)) == "A2"
     assert detect_type(split_gl(4)) == "A3"
@@ -652,7 +679,8 @@ WALK_DATA = dict(
     **{f"fold {name}": lambda name=name: reduced_fold(name)
        for name in ("flip A5", "flip A6", "flip D4", "triality D4")},
     **{"G2 x A1": lambda: product_datum(reduced_fold("triality D4"), SL2),
-       "A1 x A1": lambda: product_datum(SL2, split_gl(2))})
+       "A1 x A1": lambda: product_datum(SL2, split_gl(2)),
+       "F4": split_f4})
 
 
 @pytest.mark.parametrize("name", sorted(WALK_DATA))
@@ -715,6 +743,18 @@ def test_walk_without_a_known_order_stops_at_the_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="Weyl group enumeration: reached"
                        " 4 elements, over the cap 3"):
         weyl_group(gl4, cap=3)
+
+
+def test_walk_refuses_a_simple_reflection_off_the_roots():
+    """A raw A2 datum holding only +-alpha and +-beta: s_alpha sends beta
+    to alpha + beta, which is not a root, so the walk stops before its
+    first level, as `validate` reports."""
+    roots = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    coroots = ((2, -1), (-2, 1), (-1, 2), (1, -2))
+    raw = BasedRootDatum(2, roots, coroots, (0, 2))
+    assert "reflection in root 0 does not permute the roots" in validate(raw)
+    with pytest.raises(FoldingError, match="does not permute the roots"):
+        list(weyl_walk(raw))
 
 
 def test_walk_asks_the_kernel_for_no_coroot_image(monkeypatch, capsys):
@@ -961,6 +1001,11 @@ def test_non_reduced_bc1_validates_by_the_certificate(monkeypatch):
     assert resolve(config).datum == bc1._replace(label="custom")
     monkeypatch.undo()
     assert validate_by_matrices(bc1) == []
+    # based at the long root instead, the short roots +-e are halves
+    long_based = bc1._replace(simple_indices=(2,))
+    assert validate(long_based) == validate_by_matrices(long_based) == [
+        f"root {i} is not an integer combination of simple roots"
+        for i in (0, 1)]
 
 
 # --- the closure certificate against the W-orbit certificate ---------------
