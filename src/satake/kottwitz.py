@@ -192,7 +192,7 @@ def descend_to_kottwitz(kg, ambient_matrices):
     (`_descend`), each checked to start on the source lattice."""
     if any(m.ncols != kg.torus.rank for m in ambient_matrices):
         raise ValueError("a map does not start on the source lattice")
-    return _descend(kg, ambient_matrices, kg)
+    return _descend(kg, ambient_matrices, kg)[0]
 
 
 def _descend(kg, matrices, kg_target):
@@ -202,23 +202,24 @@ def _descend(kg, matrices, kg_target):
     the inclusion (exact unreduced, the induced map being a checked
     GroupHom), the columns of all of them solved in T'/T'_0 in one call,
     which reduces them when T'/T'_0 is all of its coinvariants and takes
-    one Smith form otherwise."""
+    one Smith form otherwise.  Returns those maps and the induced maps
+    of coinvariants."""
     ts, tt = kg.torus, kg_target.torus
-    columns = []
+    choms, columns = [], []
     for m in matrices:
         if m @ ts.tau != tt.tau @ m:
             raise ValueError("map is not tau-equivariant")
         if m @ ts.sigma != tt.sigma @ m:
             raise ValueError("map is not sigma-equivariant")
-        chom = induced_hom(kg.coinvariants, m, kg_target.coinvariants)
-        columns += (chom.matrix @ kg.inclusion.matrix).columns()
+        choms.append(induced_hom(kg.coinvariants, m, kg_target.coinvariants))
+        columns += (choms[-1].matrix @ kg.inclusion.matrix).columns()
     cols = kg_target.inclusion.preimages(columns)
     if None in cols:
         raise ValueError("the map does not carry T/T_0 into T'/T'_0")
     g = kg.group.ngens
     return [GroupHom(kg.group, kg_target.group, IntMatrix.from_columns(
         cols[i * g:(i + 1) * g], nrows=kg_target.group.ngens))
-            for i in range(len(matrices))]
+            for i in range(len(matrices))], choms
 
 
 class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
@@ -325,9 +326,8 @@ def kottwitz_hom(matrix, kg_source, kg_target):
     """Functorial maps induced by an equivariant cochar-lattice map
     (`_descend` checks it): returns (map on Kottwitz groups, map on
     coinvariants)."""
-    return (_descend(kg_source, [matrix], kg_target)[0],
-            induced_hom(kg_source.coinvariants, matrix,
-                        kg_target.coinvariants))
+    khoms, choms = _descend(kg_source, [matrix], kg_target)
+    return khoms[0], choms[0]
 
 
 class Envelope(namedtuple("Envelope", "torus prime embed norm degree")):

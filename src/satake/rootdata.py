@@ -240,6 +240,15 @@ def datum_from_simples(simple_roots, simple_coroots, label="", cap=ROOT_CAP):
     return datum
 
 
+def closure_seeds(simples, coroot):
+    """The simple roots and the doubles 2 alpha_i that are roots (keys of
+    the root -> coroot dict `coroot`).  Their pairs generate the datum by
+    reflections, and their coroots span the coroot lattice Q^: when
+    2 alpha is a root, its coroot alpha^ / 2 is not in the simple span."""
+    doubles = (tuple([2 * v for v in a]) for a in simples)
+    return simples + [b for b in doubles if b in coroot]
+
+
 def validate(datum):
     """Structural checks; returns a list of violation strings (empty = valid).
 
@@ -285,8 +294,7 @@ def validate(datum):
     if all(c <= 0 and (c == 0) == (cartan[j][i] == 0)
            for i, row in enumerate(cartan)
            for j, c in enumerate(row) if i != j):
-        doubles = (tuple([2 * v for v in a]) for a in simples)
-        bases = simples + [b for b in doubles if b in coroot]
+        bases = closure_seeds(simples, coroot)
         try:
             roots, coroots, positive = root_closure(
                 bases, map(coroot.get, bases), cap=len(datum.roots))

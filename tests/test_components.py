@@ -16,8 +16,9 @@ from satake.presets import (
     split_pgl, split_sl, split_so, split_sp, split_torus,
 )
 from satake.rootdata import (
-    PinnedAutomorphism, datum_from_simples, galois_action,
-    pinned_automorphism, restricted_root_data, validate, weyl_group,
+    BasedRootDatum, PinnedAutomorphism, datum_from_simples, galois_action,
+    pinned_automorphism, restricted_root_data, root_closure, validate,
+    weyl_group,
 )
 
 from test_grid import GRID
@@ -161,6 +162,46 @@ def test_center_check_matches_two_quotients_on_the_grid(name):
 def test_center_check_matches_two_quotients_on_random_data(config):
     rg = resolve(config)
     assert_center_check_matches_two_quotients(rg.datum, rg.action.tau)
+
+
+def bc_datum(n, central):
+    """BC_n on Z^(n + central), the last `central` coordinates a central
+    torus: roots +-e_i +- e_j, +-e_i and +-2e_i (i, j <= n), the coroot
+    of e_i being 2e_i^ and that of 2e_i being e_i^, based at
+    e_1 - e_2, ..., e_(n-1) - e_n, e_n.  The simple coroots span only
+    an index-2 sublattice of Q^."""
+    rank = n + central
+    chain = chain_by_loop(n)
+    unit = tuple(int(i == n - 1) for i in range(n))
+    pad = (0,) * central
+    simples = [v + pad for v in chain + [unit]]
+    seeds = simples + [tuple(2 * v for v in unit) + pad]
+    coseeds = chain + [tuple(2 * v for v in unit), unit]
+    roots, coroots, _ = root_closure(seeds, [v + pad for v in coseeds])
+    index = {r: i for i, r in enumerate(roots)}
+    datum = BasedRootDatum(rank, roots, coroots,
+                           [index[r] for r in simples], label=f"BC{n}")
+    assert validate(datum) == [] and len(datum.roots) == 2 * n * (n + 1)
+    return datum
+
+
+@pytest.mark.parametrize("n, central, signs, center", [
+    (1, 0, [1], "0"),
+    (2, 1, [1, 1, 1], "0"),
+    (2, 1, [1, 1, -1], "Z/2"),
+    (3, 2, [1, 1, 1, -1, 1], "Z/2"),
+])
+def test_center_check_matches_two_quotients_on_non_reduced_data(
+        n, central, signs, center):
+    """Q^ holds the coroot e_n^ of 2e_n, which the simple coroots miss,
+    so X^ / Q^ is the central torus's cochars alone and tau = -1 on the
+    center leaves pi_0 of Z^tau at Z/2 per sign flip, not twice that."""
+    datum = bc_datum(n, central)
+    tau = PinnedAutomorphism(IntMatrix.diagonal(signs),
+                             1 if min(signs) > 0 else 2)
+    cover = assert_center_check_matches_two_quotients(datum, tau)
+    assert cover.surjective
+    assert cover.pi0_center.describe() == center
 
 
 @pytest.mark.parametrize("datum, matrix, witness", [

@@ -474,6 +474,19 @@ def test_cli_fold_and_verify(capsys):
     assert "result.fixed_order = 12" in out
 
 
+def test_cli_verify_ks_on_non_reduced_bc1(tmp_path, capsys):
+    """The long root 2e has the coroot e^, so the coroots span all of
+    X^ and the center's component group is trivial, though the simple
+    coroot 2e^ alone spans an index-2 sublattice."""
+    cfg = tmp_path / "bc1.cfg"
+    cfg.write_text("roots = [[1], [-1], [2], [-2]]\n"
+                   "coroots = [[2], [-2], [1], [-1]]\nsimple = [0]\n")
+    assert main(["verify-ks", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "result.pi0_center = 0" in out
+    assert "result.center_covers = true" in out
+
+
 def test_cli_orbits_requires_torsion(capsys):
     assert main(["orbits", "--preset", "norm-one"]) == 1
     assert main(["orbits", "--preset", "norm-one", "--torsion", "4"]) == 0

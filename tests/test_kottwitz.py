@@ -192,25 +192,19 @@ def test_orbits_class_count_is_burnside(name, torsion, capsys):
     assert result["class_count"] == fixed // len(homs)
 
 
-def _action_key(hom):
-    """The images of the canonical generators, which determine `hom`:
-    the columns of its matrix, reduced in the target."""
-    return tuple(map(hom.target.reduce, hom.matrix.columns()))
-
-
 def burnside_class_count(setting, torsion):
     """(1/|Gamma|) sum_h #Hom(coker(h - 1), Z/t) over the image Gamma of
     W^Gamma in Aut(T/T_0): the generators' closure under composition.
     A character is fixed by h iff it factors through coker(h - 1), so
     this counts the orbits of t-torsion characters without listing one."""
     identity = GroupHom.identity(setting.group)
-    gamma = {_action_key(identity): identity}
+    gamma = {action_key_by_unit(identity): identity}
     frontier = [identity]
     while frontier:
         h = frontier.pop()
         for g in setting.weyl_generators:
             hg = h.compose(g)
-            key = _action_key(hg)
+            key = action_key_by_unit(hg)
             if key not in gamma:
                 gamma[key] = hg
                 frontier.append(hg)
@@ -781,8 +775,9 @@ def test_an_involution_modulo_torsion_is_kept(monkeypatch):
 # --- the matrix-level descent against one unit vector at a time -------------
 
 def action_key_by_unit(hom):
-    """The reference for `_action_key`: the hom applied to each unit
-    vector, reducing on both sides."""
+    """The images of the unit vectors, reducing on both sides: they
+    determine the hom, and they are the unit vectors iff it is the
+    identity."""
     n = hom.source.ngens
     return tuple(hom(tuple(int(i == j) for i in range(n))) for j in range(n))
 
@@ -860,9 +855,10 @@ def test_weyl_descent_matches_unit_vectors_on_the_grid(name):
         khom, chom = kottwitz_hom(matrix, kg, kg)
         assert khom.matrix == restrict_by_unit(chom, kg, kg).matrix
         for hom in (khom, chom):
-            assert _action_key(hom) == action_key_by_unit(hom)
-            assert (_action_key(hom.compose(hom))
-                    == tuple(map(hom, action_key_by_unit(hom))))
+            units = action_key_by_unit(GroupHom.identity(hom.source))
+            assert hom.is_identity() == (action_key_by_unit(hom) == units)
+            assert hom.compose(hom).is_identity() == (
+                tuple(map(hom, action_key_by_unit(hom))) == units)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -959,13 +955,10 @@ def endomorphisms(draw):
 @settings(max_examples=150, deadline=None)
 @given(hom=endomorphisms())
 def test_action_key_and_square_match_unit_vectors_on_torsion(hom):
-    """Most draws are not involutions; the matrix-level square sees each
-    of them as applying the hom to its own images does, and so does
-    `is_identity`."""
+    """Most draws are not involutions: `is_identity` of the hom and of
+    its matrix-level square agrees with the unit vectors' images, and
+    with the hom applied to its own images."""
     units = action_key_by_unit(GroupHom.identity(hom.source))
-    assert _action_key(hom) == action_key_by_unit(hom)
-    assert (_action_key(hom.compose(hom))
-            == tuple(map(hom, action_key_by_unit(hom))))
     assert hom.is_identity() == (action_key_by_unit(hom) == units)
     assert hom.compose(hom).is_identity() == (
         tuple(map(hom, action_key_by_unit(hom))) == units)

@@ -386,6 +386,17 @@ def test_each_question_of_the_descent_is_answered_in_one_place():
     assert "GroupHom" not in imported
 
 
+def test_the_coroot_span_is_seeded_in_one_place():
+    """The roots whose coroots span Q^, the simple roots and the doubles
+    2 alpha_i that are roots, are chosen only by `rootdata.closure_seeds`:
+    `validate` closes their pairs, and the center check spans Q^ by
+    their coroots, on non-reduced data too."""
+    assert _owners_in_src(lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "closure_seeds")) == [
+        ("components", "check_center_covers_components"),
+        ("rootdata", "validate")]
+
+
 def test_orbits_builds_no_character_and_classify_one(monkeypatch, capsys):
     """`orbits` prints each class from its least ident, building no
     `GroupCharacter` or `ExactCircle`; `classify` builds its one
