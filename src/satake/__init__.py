@@ -32,9 +32,9 @@ from .matrices import IntMatrix, LinearSolver, SmithForm, column_span_basis, \
 from .rootdata import BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP, \
     FoldingError, GaloisAction, PinnedAutomorphism, RestrictedRootData, \
     WeylGroup, check_twist_relation, datum_from_simples, detect_type, \
-    dual_datum, folded_generators, galois_action, mulclose, \
-    pinned_automorphism, restricted_root_data, root_closure, search, \
-    validate, weyl_group
+    dual_datum, folded_generators, galois_action, generated_datum, \
+    mulclose, pinned_automorphism, restricted_root_data, root_closure, \
+    search, validate, weyl_group
 
 __all__ = [name for name, obj in globals().items()
            if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -269,6 +269,8 @@ def kernel_of_hom(hom):
 
     Solved by an integer system augmented with the target's relation
     columns; the subgroup is then presented modulo the source relations.
+    Each of those, d_i e_i, maps to zero, so it lies in the solution
+    lattice and has coordinates in its basis: the solve never fails.
     """
     src, tgt = hom.source, hom.target
     n = src.ngens
@@ -280,8 +282,6 @@ def kernel_of_hom(hom):
     # present the subgroup modulo the source relations, which it contains
     rel_cols = (linear_solver(basis).solve(src.relation_matrix().columns())
                 if src.torsion_count else [])
-    if None in rel_cols:
-        raise ValueError("source relation escapes the solution lattice")
     rel_in_basis = IntMatrix.from_columns(rel_cols, nrows=basis.ncols)
     grp = cokernel(rel_in_basis)
     incl_cols = list(map(src.reduce, (basis @ grp.lift).columns()))

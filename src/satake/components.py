@@ -13,9 +13,8 @@ from collections import namedtuple
 
 from .abelian import coinvariants, cokernel, induced_hom
 from .matrices import IntMatrix, hstack
-from .rootdata import (DEFAULT_WEYL_CAP, _gather, closure_seeds,
-                       folded_generators, root_permutation, search,
-                       weyl_walk)
+from .rootdata import (DEFAULT_WEYL_CAP, _gather, folded_generators,
+                       root_permutation, search, weyl_walk)
 
 
 class Pi0Certificate(namedtuple("Pi0Certificate", "group coinvariants")):
@@ -69,15 +68,14 @@ def check_center_covers_components(datum, tau):
 
     Dual formulation: the torsion of the cochar coinvariants must inject
     into the coinvariants of the central quotient (cochars modulo the
-    coroot span Q^, which the coroots of the `closure_seeds` span, also
-    for non-reduced data), X^ / (Q^ + (tau^ - 1) X^); checked by
+    coroot span Q^, which the coroots of the datum's `seed_pairs` span,
+    also for non-reduced data), X^ / (Q^ + (tau^ - 1) X^); checked by
     enumerating the finite torsion subgroup.
     """
     n = datum.rank
     dual_tau = tau.dual()
     ct = coinvariants(dual_tau)
-    coroot = dict(zip(datum.roots, datum.coroots))
-    coroots = [coroot[b] for b in closure_seeds(datum.simple_roots(), coroot)]
+    coroots = [bv for _, bv in datum.seed_pairs()]
     cz = cokernel(hstack(IntMatrix.from_columns(coroots, nrows=n),
                          dual_tau - IntMatrix.identity(n)))
     hom = induced_hom(ct, IntMatrix.identity(n), cz)

@@ -1,10 +1,11 @@
 """Built-in group presets, resolvable from short text names.
 
-Datum-level presets give a based root datum plus character-lattice
-matrices for tau and sigma; torus presets give the cocharacter-side
-TorusWithAction directly.  Names are parsed from whitespace-separated
-tokens, e.g. "split SL2", "induced e=2 f=1 q=3", "flip A3",
-"triality D4", "unitary ramified 3", "norm-one", "torus n=2".
+Datum-level presets give a based root datum, built from its simple pairs
+alone (`generated_datum`), plus character-lattice matrices for tau and
+sigma; torus presets give the cocharacter-side TorusWithAction directly.
+Names are parsed from whitespace-separated tokens, e.g. "split SL2",
+"induced e=2 f=1 q=3", "flip A3", "triality D4", "unitary ramified 3",
+"norm-one", "torus n=2".
 """
 
 import re
@@ -12,7 +13,7 @@ from collections import namedtuple
 
 from .kottwitz import TorusWithAction, build_induced_torus
 from .matrices import IntMatrix
-from .rootdata import RANK_CAP, ROOT_CAP, CapExceeded, datum_from_simples
+from .rootdata import RANK_CAP, ROOT_CAP, CapExceeded, generated_datum
 
 
 def standard_basis(n, i):
@@ -41,7 +42,7 @@ def split_gl(n):
     if n < 2:
         raise ValueError("GL presets need n >= 2")
     simples = _chain(n)
-    return datum_from_simples(simples, simples, label=f"GL{n}")
+    return generated_datum(simples, simples, label=f"GL{n}")
 
 
 def cartan_a(r):
@@ -56,7 +57,7 @@ def split_sl(n):
     cartan = cartan_a(n - 1)
     simples = [tuple(cartan[i]) for i in range(n - 1)]
     cosimples = [standard_basis(n - 1, i) for i in range(n - 1)]
-    return datum_from_simples(simples, cosimples, label=f"SL{n}")
+    return generated_datum(simples, cosimples, label=f"SL{n}")
 
 
 def split_pgl(n):
@@ -67,7 +68,7 @@ def split_pgl(n):
     simples = [standard_basis(n - 1, i) for i in range(n - 1)]
     cosimples = [tuple(cartan[j][i] for j in range(n - 1))
                  for i in range(n - 1)]
-    return datum_from_simples(simples, cosimples, label=f"PGL{n}")
+    return generated_datum(simples, cosimples, label=f"PGL{n}")
 
 
 def split_sp(n):
@@ -78,7 +79,7 @@ def split_sp(n):
     chain = _chain(m)
     simples = chain + [tuple(2 * x for x in standard_basis(m, m - 1))]
     cosimples = chain + [standard_basis(m, m - 1)]
-    return datum_from_simples(simples, cosimples, label=f"Sp{n}")
+    return generated_datum(simples, cosimples, label=f"Sp{n}")
 
 
 def split_so(n):
@@ -94,7 +95,7 @@ def split_so(n):
         v = [0] * m
         v[m - 2], v[m - 1] = 1, 1
         simples = cosimples = chain + [tuple(v)]
-    return datum_from_simples(simples, cosimples, label=f"SO{n}")
+    return generated_datum(simples, cosimples, label=f"SO{n}")
 
 
 def adjoint_d4():
@@ -102,7 +103,7 @@ def adjoint_d4():
     cartan = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
     simples = [standard_basis(4, i) for i in range(4)]
     cosimples = [tuple(cartan[j][i] for j in range(4)) for i in range(4)]
-    return datum_from_simples(simples, cosimples, label="D4 adjoint")
+    return generated_datum(simples, cosimples, label="D4 adjoint")
 
 
 def d4_flip_matrix():

@@ -10,6 +10,15 @@ by products over parabolic coset representatives (`weyl_walk`), refused
 up front when the order of the Cartan type passes the cap.  The orbits
 and Dynkin components here, and the orbits of parameters, run through
 one breadth-first `search`.
+
+A datum is read from its simple system first.  A preset hands out its
+simple pairs alone (`generated_datum`); the `root_closure` of the pairs,
+its other roots, is built on their first read, which only `fold`,
+`verify-ks` and `modulus` (2 rho) make.  A pinned automorphism passes by
+the `_seed_certificate` on the seed pairs, and `folded_generators`
+descends on simple coefficients, so `classify`, `equal`, `orbits`,
+`kottwitz` and `compact` read no other root.  A config datum keeps the
+lists it was given.
 """
 
 from collections import namedtuple
@@ -118,7 +127,12 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
     """(X, roots, X^, coroots) with a marked simple system.
 
     X and X^ are dual lattices Z^rank; `roots[i]` pairs with `coroots[i]`
-    by the standard dot product of their coordinate vectors.
+    by the standard dot product of their coordinate vectors.  A datum
+    given by its lists keeps them as given.  One from `generated_datum`
+    holds only its simple pairs, its three list slots empty, until its
+    roots, coroots, simple or positive indices are first read: then the
+    `root_closure` of the pairs fills them all.  Iteration, comparison,
+    hashing and `repr` read the lists, and so build them.
     """
 
     def __new__(cls, rank, roots, coroots, simple_indices, label=""):
@@ -133,13 +147,71 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
         # the instance dict is only for the cached properties
         raise AttributeError(f"{type(self).__name__} is read-only")
 
+    @cached_property
+    def _lists(self):
+        """(roots, coroots, simple_indices, positive indices or None): the
+        lists given, or the closure of the simple pairs with its positive
+        side."""
+        given = tuple.__getitem__(self, slice(1, 4))
+        if given[0] is not None:
+            return given + (None,)
+        simples = [a for a, _ in self.simple_pairs]
+        return _closed(root_closure(simples, [av for _, av in
+                                              self.simple_pairs], ROOT_CAP),
+                       simples)
+
+    @property
+    def roots(self):
+        return self._lists[0]
+
+    @property
+    def coroots(self):
+        return self._lists[1]
+
+    @property
+    def simple_indices(self):
+        return self._lists[2]
+
+    def __iter__(self):
+        return iter((self.rank, *self._lists[:3], self.label))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, tuple) \
+            else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):  # the namedtuple's, of a copy holding the lists
+        return super(BasedRootDatum, self._make(self)).__repr__()
+
+    @cached_property
+    def simple_pairs(self):
+        """The simple (root, coroot) pairs, in the order of the simple
+        indices."""
+        return tuple((self.roots[i], self.coroots[i])
+                     for i in self.simple_indices)
+
+    def seed_pairs(self):
+        """The pairs that generate the datum by reflections: the simple
+        pairs of a generated datum, else the pairs of its `closure_seeds`,
+        which generate a valid datum (`validate` certifies that they
+        do)."""
+        if tuple.__getitem__(self, 1) is None:
+            return self.simple_pairs
+        coroot = dict(zip(self.roots, self.coroots))
+        return [(b, coroot[b])
+                for b in closure_seeds(self.simple_roots(), coroot)]
+
     def simple_roots(self):
-        return [self.roots[i] for i in self.simple_indices]
+        return [a for a, _ in self.simple_pairs]
 
     def cartan_entry(self, i, j):
         """<alpha_i, alpha_j^> over the simple system."""
-        return _dot(self.roots[self.simple_indices[i]],
-                    self.coroots[self.simple_indices[j]])
+        return _dot(self.simple_pairs[i][0], self.simple_pairs[j][1])
 
     def reflection_matrix(self, root_index):
         """s_alpha on the character lattice: x - <x, alpha^> alpha."""
@@ -167,7 +239,11 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
     @cached_property
     def positive_indices(self):
         """Indices of the roots whose simple coefficients are all >= 0,
-        computed once per datum."""
+        computed once per datum; the closure's positive side for a
+        generated datum."""
+        positive = self._lists[3]
+        if positive is not None:
+            return positive
         coefficients = self._coefficient_solver.numerators(self.roots)
         return tuple(i for i, nums in enumerate(coefficients)
                      if nums is not None and all(c >= 0 for c in nums))
@@ -227,16 +303,35 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
             tuple(i for i, r in enumerate(roots) if r in positive))
 
 
-def datum_from_simples(simple_roots, simple_coroots, label="", cap=ROOT_CAP):
-    """Based root datum generated by reflection closure of a simple system,
-    built from the closure's tuples, its positive side `positive_indices`."""
-    roots, coroots, positive = root_closure(simple_roots, simple_coroots, cap)
-    rank = len(simple_roots[0]) if simple_roots else 0
+def _closed(closure, simples):
+    """A `root_closure` as the lists of a datum with the simple roots
+    `simples`: roots, coroots, simple indices, positive indices."""
+    roots, coroots, positive = closure
     index = {r: i for i, r in enumerate(roots)}
-    simple_idx = tuple(index[tuple(int(v) for v in r)] for r in simple_roots)
-    datum = BasedRootDatum._make((rank, tuple(roots), tuple(coroots),
-                                  simple_idx, label))
-    datum.__dict__["positive_indices"] = positive
+    return tuple(roots), tuple(coroots), tuple(index[a] for a in simples), \
+        positive
+
+
+def generated_datum(simple_roots, simple_coroots, label=""):
+    """The based root datum generated by reflections from a simple system,
+    holding only its simple pairs until its other roots are read; their
+    closure is then capped at ROOT_CAP."""
+    simples = [tuple(int(v) for v in r) for r in simple_roots]
+    cosimples = [tuple(int(v) for v in r) for r in simple_coroots]
+    if len(simples) != len(cosimples):
+        raise ValueError("one coroot per simple root is required")
+    rank = len(simples[0]) if simples else 0
+    datum = BasedRootDatum._make((rank, None, None, None, label))
+    datum.__dict__["simple_pairs"] = tuple(zip(simples, cosimples))
+    return datum
+
+
+def datum_from_simples(simple_roots, simple_coroots, label="", cap=ROOT_CAP):
+    """`generated_datum`, its closure built at once under `cap`: it raises
+    here when the pairs do not close, as a fold needs."""
+    closure = root_closure(simple_roots, simple_coroots, cap)
+    datum = generated_datum(simple_roots, simple_coroots, label)
+    datum.__dict__["_lists"] = _closed(closure, datum.simple_roots())
     return datum
 
 
@@ -381,15 +476,37 @@ class PinnedAutomorphism(namedtuple("PinnedAutomorphism", "matrix order")):
 
 def pinned_automorphism(datum, matrix):
     """Build a PinnedAutomorphism, checking it permutes roots, coroots and
-    the simple set; for a torus datum (no roots) only finite order is checked."""
+    the simple set; for a torus datum (no roots) only finite order is
+    checked.  The `_seed_certificate` decides without reading the other
+    roots; only where it fails does `pinned_violations` report why."""
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
     aut = PinnedAutomorphism(matrix, automorphism_order(
         matrix, datum.rank, "pinned automorphism"))
-    problems = pinned_violations(datum, aut)
-    if problems:
-        raise ValueError("; ".join(problems))
+    if not _seed_certificate(datum, aut):
+        problems = pinned_violations(datum, aut)
+        if problems:
+            raise ValueError("; ".join(problems))
     return aut
+
+
+def _seed_certificate(datum, aut):
+    """Whether `aut` sends each of the datum's `seed_pairs` (a, a^) to a
+    seed pair (tau a, tau^-T a^).  Then it preserves the based datum:
+    tau s_a tau^-1 = s_{tau a} on X and dually on X^ (Bourbaki, Lie VI
+    1.1), so tau carries the reflection closure of the seeds, which is
+    the datum, onto that of their images, the same pairs; and it permutes
+    the simple roots among the seeds, since a simple root sent to a
+    double 2 alpha_j would be twice the seed tau^-1 alpha_j, against the
+    independence of the simple roots.
+    Conversely a tau that preserves the datum permutes the simple pairs
+    and so the doubles that are roots."""
+    if aut.order == 1:
+        return True
+    coroot = dict(datum.seed_pairs())
+    root_images = images(aut.matrix, list(coroot))
+    co_images = images(aut.dual(), list(coroot.values()))
+    return all(coroot.get(b) == bv for b, bv in zip(root_images, co_images))
 
 
 def pinned_violations(datum, aut):
@@ -533,8 +650,11 @@ def weyl_walk(datum, cap=DEFAULT_WEYL_CAP):
     simples, ids = datum.simple_indices, range(len(datum.roots))
     negative = set(ids).difference(datum.positive_indices)
     moved, leaves = _reflected(datum, simples, coroot_side=False)
-    if any(leaves):
-        raise FoldingError("matrix does not permute the roots")
+    for i, left in zip(simples, leaves):
+        if left:
+            raise FoldingError(f"Weyl group enumeration: the reflection in"
+                               f" simple root {i} does not permute the"
+                               f" roots")
     reflections = [(s, _gather(s)) for s in (tuple(map(d.get, ids, ids))
                                              for d in moved)]
     elements = iter([tuple(ids)])
@@ -579,40 +699,57 @@ def _orbits(indices, generators):
     return orbits
 
 
-def _simple_orbit_partition(datum, *automorphisms):
-    """Orbits on the simple indices of the group the pinned automorphisms
-    generate, as index tuples ordered by their first member in
-    `simple_indices`.  Only the simple roots are moved."""
+def _simple_orbits(datum, *automorphisms):
+    """Orbits on the positions of the simple roots (in `simple_pairs`) of
+    the group the pinned automorphisms generate, ordered by their first
+    member.  Only the simple roots are moved."""
     simples = datum.simple_roots()
     perms = [root_permutation(aut.matrix, simples) for aut in automorphisms]
+    return _orbits(range(len(simples)), perms)
+
+
+def _simple_orbit_partition(datum, *automorphisms):
+    """`_simple_orbits` as tuples of indices into the roots."""
     return [tuple(datum.simple_indices[i] for i in orbit)
-            for orbit in _orbits(range(len(simples)), perms)]
+            for orbit in _simple_orbits(datum, *automorphisms)]
 
 
 def folded_generators(datum, *automorphisms):
-    """Longest elements of the orbit parabolics: one matrix per orbit of
+    """Longest elements of the orbit parabolics: one matrix per orbit J of
     the simple roots under the group the automorphisms generate.
 
     By Steinberg these generate the automorphism-fixed Weyl subgroup.  Each
-    longest element is built by descent: starting from the identity, keep
-    appending a simple reflection s_j of the orbit while w(alpha_j) is a
-    positive root, as w s_j = w - (w alpha_j)(alpha_j^)^T.
+    longest element w_J is built by descent: starting from the identity,
+    keep appending a simple reflection s_j, j in J, while w(alpha_j) > 0,
+    as w s_j = w - (w alpha_j)(alpha_j^)^T; it ends at w_J, the one w in
+    W_J with every w(alpha_j) < 0 (Humphreys, Reflection groups and
+    Coxeter groups, 1.6-1.8).  As w is in W_J, w(alpha_j) is a root with
+    coefficients over alpha_J of one sign, kept per j along the way, as
+    in the geometric representation of W_J (5.3):
+    w s_j (alpha_i) = w(alpha_i) - <alpha_i, alpha_j^> w(alpha_j).  So only
+    the simple pairs are read.
     """
-    roots, coroots, n = datum.roots, datum.coroots, datum.rank
-    positive = {roots[i] for i in datum.positive_indices}
+    pairs, n = datum.simple_pairs, datum.rank
     out = []
-    for orbit in _simple_orbit_partition(datum, *automorphisms):
-        members = sorted(orbit)
+    for orbit in _simple_orbits(datum, *automorphisms):
+        cartan = [[_dot(pairs[i][0], pairs[j][1]) for j in orbit]
+                  for i in orbit]
+        # row b: the coefficients of w(alpha_{orbit[b]}) over alpha_J
+        coefficients = [[int(b == c) for c in range(len(orbit))]
+                        for b in range(len(orbit))]
         w = IntMatrix.identity(n).data
         while True:
-            for j in members:
-                image = tuple(_dot(row, roots[j]) for row in w)
-                if image in positive:
-                    break
-            else:
+            j = next((b for b, row in enumerate(coefficients)
+                      if max(row) > 0), None)
+            if j is None:
                 break
-            w = tuple(tuple([x - c * y for x, y in zip(row, coroots[j])])
+            root, coroot = pairs[orbit[j]]
+            image = tuple(_dot(row, root) for row in w)
+            w = tuple(tuple([x - c * y for x, y in zip(row, coroot)])
                       if c else row for row, c in zip(w, image))
+            coefficients = [[x - cartan[b][j] * y
+                             for x, y in zip(row, coefficients[j])]
+                            for b, row in enumerate(coefficients)]
         out.append(IntMatrix._trusted(w, n))
     return out
 
@@ -700,7 +837,7 @@ def detect_type(datum):
     Rank-2 double-bond systems are reported as C2 (= B2).  Unrecognized
     shapes come back as 'unknown'.
     """
-    k = len(datum.simple_indices)
+    k = len(datum.simple_pairs)
     if k == 0:
         return "torus"
     cartan = [[datum.cartan_entry(i, j) for j in range(k)] for i in range(k)]

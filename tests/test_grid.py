@@ -49,7 +49,7 @@ def _load_benchmark_module(name):
 
 
 @pytest.mark.parametrize("workload", ["setting", "orbits", "structure"])
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_workload_commands_pass_their_checks(workload, seed, tmp_path):
     _load_benchmark_module("checks")
     workloads = _load_benchmark_module("workloads")

@@ -2,8 +2,8 @@
 one-exact-solver decision (the Smith form), the one stored form,
 precomposition kernel and value renderer of a character, the one class
 listing of `orbits` and the one induced-map formula kept in the source,
-one reflection kernel and one certificate behind the root layer, a
-config reader without nested functions, one place that recognises
+one reflection kernel and one certificate behind the root layer, the
+commands that may start a root closure, a config reader without nested functions, one place that recognises
 identity and zero matrices, one equivariance check and one quotient
 for the center certificate, modules that parse at the
 declared Python floor, a start-up that loads no `dataclasses`, records
@@ -22,6 +22,7 @@ from types import ModuleType
 import pytest
 
 import satake
+from satake import rootdata
 from satake.abelian import GroupCharacter, GroupHom, all_characters
 from satake.circle import ExactCircle
 from satake.cli import main
@@ -32,6 +33,7 @@ from satake.kottwitz import SatakeParameter, classify, induced_envelope
 from satake.presets import norm_one_ramified_quadratic, resolve_preset
 from satake.report import build_report
 from satake.rootdata import restricted_root_data, weyl_group
+from test_grid import GRID, _values
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "satake"
@@ -136,8 +138,9 @@ def test_one_reflection_pass_behind_the_root_layer():
     """`_reflections` is the one reflection kernel: the closure calls it,
     and `_reflected`, the pass behind `validate`'s root-by-root report
     (called once) and `weyl_walk`'s generators.  `root_closure` is the
-    one certificate of a datum, of a preset or fold through
-    `datum_from_simples` and of a config in `validate`.  No function in
+    one certificate of a datum, and only three functions start it: a
+    preset's `_lists`, on the first read of its roots, a fold's
+    `datum_from_simples` and a config's `validate`.  No function in
     the package builds a `reflection_matrix`, and the dense fallback is
     gone."""
     def callers(name):
@@ -149,7 +152,8 @@ def test_one_reflection_pass_behind_the_root_layer():
     assert sorted(callers("_reflected")) == [("rootdata", "validate"),
                                              ("rootdata", "weyl_walk")]
     assert sorted(callers("root_closure")) == [
-        ("rootdata", "datum_from_simples"), ("rootdata", "validate")]
+        ("rootdata", "_lists"), ("rootdata", "datum_from_simples"),
+        ("rootdata", "validate")]
     assert callers("reflection_matrix") == []
     names = {name for path in sorted(SRC.glob("*.py"))
              for name in _referenced(_tree(path.name))}
@@ -389,12 +393,69 @@ def test_each_question_of_the_descent_is_answered_in_one_place():
 def test_the_coroot_span_is_seeded_in_one_place():
     """The roots whose coroots span Q^, the simple roots and the doubles
     2 alpha_i that are roots, are chosen only by `rootdata.closure_seeds`:
-    `validate` closes their pairs, and the center check spans Q^ by
-    their coroots, on non-reduced data too."""
+    `validate` closes their pairs, and `BasedRootDatum.seed_pairs` hands
+    them out, to the pinning certificate and to the center check, which
+    spans Q^ by their coroots, on non-reduced data too."""
     assert _owners_in_src(lambda node: isinstance(node, ast.Call) and (
         getattr(node.func, "id", None) == "closure_seeds")) == [
+        ("rootdata", "seed_pairs"), ("rootdata", "validate")]
+    assert _owners_in_src(lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "attr", None) == "seed_pairs")) == [
         ("components", "check_center_covers_components"),
-        ("rootdata", "validate")]
+        ("rootdata", "_seed_certificate")]
+
+
+DATUM_PRESETS = sorted(name for name in GRID
+                       if resolve_preset(name).datum is not None)
+
+
+def _count_root_reads(monkeypatch):
+    """Count the calls of `rootdata.root_closure` and of the root-by-root
+    `rootdata.pinned_violations`."""
+    calls = dict.fromkeys(("root_closure", "pinned_violations"), 0)
+    for name in calls:
+        def counted(*args, name=name, original=getattr(rootdata, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(rootdata, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", DATUM_PRESETS)
+def test_only_fold_verify_ks_and_modulus_build_a_preset_closure(
+        name, monkeypatch, tmp_path, capsys):
+    """A datum preset hands out its simple pairs: `classify`, `equal`,
+    `orbits`, `kottwitz` and `compact` build no `root_closure`, and the
+    seed certificate passes each pinned automorphism without the
+    root-by-root report.  `modulus` (2 rho) and `verify-ks` read every
+    root, so each builds the preset's closure once; `fold` builds that
+    and the closure of the folded simple system."""
+    torsion, free = GRID[name]
+    cfg = tmp_path / "values.cfg"
+    cfg.write_text(f"values = {_values(torsion, free)}\n"
+                   f"values2 = {_values(torsion, free, shift=1)}\n")
+    calls = _count_root_reads(monkeypatch)
+    for argv in (["classify", "--config", str(cfg)],
+                 ["equal", "--config", str(cfg)],
+                 ["orbits", "--torsion", "2"], ["kottwitz"], ["compact"]):
+        assert main([*argv, "--preset", name]) == 0
+        assert calls == {"root_closure": 0, "pinned_violations": 0}, argv
+    for command, closures in (("modulus", 1), ("verify-ks", 1), ("fold", 2)):
+        calls["root_closure"] = 0
+        assert main([command, "--preset", name]) == 0
+        assert calls == {"root_closure": closures, "pinned_violations": 0}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["split GL100", "flip A99",
+                                  "unitary unramified 100"])
+def test_t_mod_t0_at_rank_100_builds_no_closure(name, monkeypatch, capsys):
+    """The 9900 roots of a rank-100 preset are never built for T/T_0."""
+    calls = _count_root_reads(monkeypatch)
+    for command in ("kottwitz", "compact"):
+        assert main([command, "--preset", name]) == 0
+    assert calls == {"root_closure": 0, "pinned_violations": 0}
+    capsys.readouterr()
 
 
 def test_orbits_builds_no_character_and_classify_one(monkeypatch, capsys):

@@ -757,11 +757,24 @@ def test_walk_refuses_a_simple_reflection_off_the_roots():
         list(weyl_walk(raw))
 
 
+def test_the_walk_names_the_simple_reflection_off_the_roots():
+    """The walk's refusal is its own, naming the stage and the first
+    simple root whose reflection leaves the roots, by its index as
+    `validate` names it; no matrix was given to blame."""
+    roots = ((0, 1), (0, -1), (1, 0), (-1, 0))
+    coroots = ((-1, 2), (1, -2), (2, -1), (-2, 1))
+    raw = BasedRootDatum(2, roots, coroots, (2, 0))
+    with pytest.raises(FoldingError) as refusal:
+        list(weyl_walk(raw))
+    assert str(refusal.value) == ("Weyl group enumeration: the reflection in"
+                                  " simple root 2 does not permute the roots")
+
+
 def test_walk_asks_the_kernel_for_no_coroot_image(monkeypatch, capsys):
     """verify-ks on flip D4 walks W from the root side alone: every move
     of the reflection kernel that `weyl_walk` builds (through
-    `_reflected`) carries no coroot image, while those of the closures
-    behind the preset and the fold carry theirs."""
+    `_reflected`) carries no coroot image, while those of the preset's
+    closure, built on the first read of its roots, carry theirs."""
     kernel = rootdata._reflections
     coroot_images = {}
 
@@ -780,8 +793,8 @@ def test_walk_asks_the_kernel_for_no_coroot_image(monkeypatch, capsys):
     capsys.readouterr()
     assert coroot_images["weyl_walk"]
     assert set(coroot_images["weyl_walk"]) == {None}
-    assert coroot_images["datum_from_simples"]
-    assert None not in coroot_images["datum_from_simples"]
+    assert coroot_images["_lists"]
+    assert None not in coroot_images["_lists"]
 
 
 @pytest.mark.parametrize("name", WEYL_PRESETS)
@@ -950,6 +963,8 @@ def test_the_certificate_decides_every_valid_datum(monkeypatch):
     every corrupted copy that passes the pairing checks reaches the
     report, and every copy with a root dropped or a coroot moved does."""
     data = _valid_cases()
+    for datum in data:
+        datum.roots  # a preset's own closure, built on this first read
     certified, full = [], []
     _spy(monkeypatch, certified, full, refuse=True)
     assert all(validate(datum) == [] for datum in data)
