@@ -25,7 +25,8 @@ from itertools import chain, product as iter_product
 from math import gcd, lcm, prod
 
 from .circle import ExactCircle, render_value
-from .matrices import (IntMatrix, _is_identity, column_span_basis, hstack,
+from .matrices import (IntMatrix, _cycles, _dense, _is_identity,
+                       _permutation_images, column_span_basis, hstack,
                        kernel_basis, linear_solver, smith_normal_form)
 
 
@@ -242,15 +243,29 @@ def coinvariants(matrix):
     trivially: the cokernel of matrix - 1.  Only the shape is checked
     here; `rootdata.automorphism_order` checks the rest.
 
+    A permutation other than the identity takes no Smith form: matrix - 1
+    spans the vectors summing to 0 on each orbit, so the coinvariants are
+    Z^{#orbits}, `proj` rows the orbit indicators, `lift` the unit vector
+    at each orbit's largest index (the elimination's lift, whose columns
+    it may list in another order), orbits in the order of that index.
+
     >>> swap = IntMatrix([[0, 1], [1, 0]])
-    >>> coinvariants(swap).describe()
-    'Z'
+    >>> coinvariants(swap).describe(), coinvariants(swap).lift.data
+    ('Z', ((0,), (1,)))
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("shape mismatch")
+    n = matrix.ncols
+    images = None if _is_identity(matrix) else _permutation_images(
+        matrix.data)
+    if images is not None:
+        orbits = sorted(_cycles(images), key=max)
+        return FgAbGroup((), len(orbits), IntMatrix._trusted(tuple(
+            _dense(dict.fromkeys(o, 1), n) for o in orbits), n),
+            IntMatrix.from_columns([_dense({max(o): 1}, n) for o in orbits]))
     return cokernel(IntMatrix._trusted(
         tuple(row[:i] + (row[i] - 1,) + row[i + 1:]
-              for i, row in enumerate(matrix.data)), matrix.ncols))
+              for i, row in enumerate(matrix.data)), n))
 
 
 def induced_hom(source, ambient, target=None):
@@ -294,7 +309,9 @@ def invariants_of_induced_action(group, endo):
     kernel of endo - 1.  When endo is the identity (`is_identity`), the
     fixed subgroup is all of `group`: its factors over an identity
     presentation, included by the identity, as `kernel_of_hom` gives them
-    for the zero map, and no form is taken.
+    for the zero map, and no form is taken.  Nor is one on a free group
+    whose generators endo permutes: the fixed subgroup is free on the
+    orbit sums, included by orbit indicators in order of least index.
 
     >>> g = FgAbGroup((4,), 0)
     >>> triple = GroupHom(g, g, IntMatrix([[3]]))
@@ -307,6 +324,13 @@ def invariants_of_induced_action(group, endo):
     if endo.is_identity():
         whole = FgAbGroup(group.invariant_factors, group.free_rank)
         return whole, GroupHom(whole, group, IntMatrix.identity(group.ngens))
+    images = None if group.torsion_count else _permutation_images(
+        endo.matrix.data)
+    if images is not None:
+        n, orbits = group.ngens, _cycles(images)
+        fixed = FgAbGroup((), len(orbits))
+        return fixed, GroupHom(fixed, group, IntMatrix.from_columns(
+            [_dense(dict.fromkeys(o, 1), n) for o in orbits]))
     return kernel_of_hom(endo - GroupHom.identity(group))
 
 

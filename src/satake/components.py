@@ -46,9 +46,9 @@ def check_tad_connected(datum, tau):
     """pi_0 of the tau-fixed points of the adjoint-side torus.
 
     Its character group is the span of the coroots, on which a pinned tau
-    permutes the simple-coroot basis as it permutes the simple roots; the
-    certificate reports the torsion of those coinvariants (empty =
-    connected).
+    permutes the simple-coroot basis as it permutes the simple roots: the
+    coinvariants of a permutation lattice are Z^{#orbits}, torsion-free,
+    so the certificate reports connected for every pinned tau.
     """
     return pi0_fixed(IntMatrix.permutation(
         root_permutation(tau.matrix, datum.simple_roots())))

@@ -65,11 +65,12 @@ class KottwitzGroup(namedtuple("KottwitzGroup", "torus coinvariants group"
 
 def kottwitz_group(torus):
     """Compute T/T_0 for a torus with Galois action: the coinvariants of
-    tau (one cokernel), then the invariants of the sigma they induce.
-    Where that sigma is the identity, as for a split group or a twist by
-    inertia alone, T/T_0 is the whole coinvariant group, included by the
-    identity (`invariants_of_induced_action`), and descending a map
-    through it solves nothing (`GroupHom.preimages`).
+    tau (one cokernel, or the orbits of a permutation), then the
+    invariants of the sigma they induce.  Where that sigma is the
+    identity, as for a split group or a twist by inertia alone, T/T_0 is
+    the whole coinvariant group, included by the identity
+    (`invariants_of_induced_action`), and descending a map through it
+    solves nothing (`GroupHom.preimages`).
 
     >>> t = TorusWithAction(1, IntMatrix([[-1]]), IntMatrix([[1]]))
     >>> kottwitz_group(t).group.describe()

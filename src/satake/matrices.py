@@ -233,8 +233,8 @@ class IntMatrix:
         if self.nrows != self.ncols:
             raise ValueError("order of a non-square matrix")
         n = self.nrows
-        order = _permutation_order(self.data)
-        if order is not None:
+        if (images := _permutation_images(self.data)) is not None:
+            order = lcm(*map(len, _cycles(images)))
             if order > cap:
                 raise ValueError("matrix order exceeds cap; not finite order?")
             return order
@@ -270,25 +270,30 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
 
-def _permutation_order(data):
-    """The lcm of the cycle lengths when every row and every column holds
-    exactly one 1 and zeros elsewhere; None for any other matrix."""
-    images = [None] * len(data)
+def _permutation_images(data):
+    """images[j] = i when column j of the square `data` is e_i: each row
+    holds one 1 and zeros elsewhere (C-level row scans), and no column
+    is missed; None for any other matrix."""
+    n = len(data)
+    images = [None] * n
     for i, row in enumerate(data):
-        support = [j for j, x in enumerate(row) if x]
-        if (len(support) != 1 or row[support[0]] != 1
-                or images[support[0]] is not None):
+        if row.count(0) != n - 1 or 1 not in row:
             return None
-        images[support[0]] = i
-    order = 1
+        images[row.index(1)] = i
+    return None if None in images else images
+
+
+def _cycles(images):
+    """The cycles of j -> images[j], each from its least index, in order."""
+    cycles, seen = [], set()
     for start in range(len(images)):
-        length, j = 0, start
-        while images[j] is not None:
-            images[j], j = None, images[j]
-            length += 1
-        if length:
-            order = lcm(order, length)
-    return order
+        if start not in seen:
+            cycle = [start]
+            while images[cycle[-1]] != start:
+                cycle.append(images[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
 
 
 def hstack(*mats):

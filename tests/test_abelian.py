@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from satake.abelian import (
     FgAbGroup, GroupCharacter, GroupHom, all_characters, character_count,
@@ -133,6 +133,67 @@ def test_coinvariants_are_the_cokernel_of_matrix_minus_one(mat):
     assert (got.invariant_factors, got.free_rank, got.proj.key(),
             got.lift.key()) == (want.invariant_factors, want.free_rank,
                                 want.proj.key(), want.lift.key())
+
+
+# the images of a permutation of range(n), 1 <= n <= 12
+PERMUTATIONS = st.integers(1, 12).flatmap(lambda n: st.permutations(range(n)))
+IDENTITY, FIXED_POINTS = [0, 1, 2, 3], [0, 2, 1, 3, 4]
+LONG_CYCLE = list(range(1, 12)) + [0]
+# the elimination lists these orbits in another order: {1} before {0},
+# and the lifts of {7}, {1, 8}, {2}, {long} in that order
+REORDERED = ([0, 1, 3, 2], [4, 8, 2, 10, 5, 9, 0, 7, 1, 3, 6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(images=PERMUTATIONS)
+@example(images=IDENTITY)
+@example(images=FIXED_POINTS)
+@example(images=LONG_CYCLE)
+@example(images=REORDERED[0])
+@example(images=REORDERED[1])
+def test_orbit_coinvariants_present_the_cokernel(images):
+    """The orbit presentation of a permutation's coinvariants against the
+    elimination's cokernel of tau - 1: the same factors, proj lift = I,
+    proj (tau - 1) = 0, the same lift up to column order, and the two
+    presentations differ by a unimodular change of generators."""
+    n = len(images)
+    tau = IntMatrix.permutation(images)
+    tau_minus_1 = tau - IntMatrix.identity(n)
+    got = coinvariants(tau)
+    want = cokernel(tau_minus_1)
+    assert (got.invariant_factors, got.free_rank) == (
+        want.invariant_factors, want.free_rank)
+    assert got.torsion_count == 0
+    assert got.proj @ got.lift == IntMatrix.identity(got.ngens)
+    assert not any(map(any, (got.proj @ tau_minus_1).data))
+    assert sorted(got.lift.columns()) == sorted(want.lift.columns())
+    assert (want.proj @ got.lift).is_unimodular()
+    # proj rows are the orbit indicators, ordered by largest index
+    tops = [max(i for i, x in enumerate(row) if x) for row in got.proj.data]
+    assert tops == sorted(tops)
+    assert all(row[images[i]] == row[i] for row in got.proj.data
+               for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(images=PERMUTATIONS)
+@example(images=IDENTITY)
+@example(images=FIXED_POINTS)
+@example(images=LONG_CYCLE)
+@example(images=REORDERED[1])
+def test_orbit_sum_invariants_are_the_kernel(images):
+    """The fixed subgroup of a permutation of free generators, free on
+    the orbit sums, against `kernel_of_hom` of endo - 1: the same
+    subgroup, included column for column as it is."""
+    n = len(images)
+    group = FgAbGroup((), n)
+    endo = GroupHom(group, group, IntMatrix.permutation(images))
+    got, incl = invariants_of_induced_action(group, endo)
+    want, want_incl = kernel_of_hom(endo - GroupHom.identity(group))
+    assert got == want and got.torsion_count == 0
+    assert incl.matrix == want_incl.matrix
+    assert all(col[images[i]] == col[i] for col in incl.matrix.columns()
+               for i in range(n))
 
 
 def test_hom_construction_checks_relations():

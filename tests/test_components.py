@@ -8,6 +8,7 @@ from satake.components import (
     CenterCoverCheck, check_center_covers_components,
     check_fixed_weyl_is_folded, check_tad_connected, pi0_fixed,
 )
+from satake import matrices
 from satake.config import resolve
 from satake.kottwitz import kottwitz_group, setting_for_datum
 from satake.matrices import IntMatrix
@@ -17,8 +18,8 @@ from satake.presets import (
 )
 from satake.rootdata import (
     BasedRootDatum, PinnedAutomorphism, datum_from_simples, galois_action,
-    pinned_automorphism, restricted_root_data, root_closure, validate,
-    weyl_group,
+    pinned_automorphism, restricted_root_data, root_closure,
+    root_permutation, validate, weyl_group,
 )
 
 from test_grid import GRID
@@ -216,6 +217,44 @@ def test_an_unpinned_minus_one_leaves_torus_components_uncovered(
         datum, PinnedAutomorphism(matrix, 2))
     assert not cover.surjective
     assert cover.kernel_witness == witness
+
+
+def assert_tad_connected_by_orbits(datum, tau):
+    """The certificate reports connected: its coinvariants are free of
+    rank the number of tau-orbits on the simple roots, as the cokernel of
+    the permutation minus 1 (the elimination) gives them."""
+    cert = check_tad_connected(datum, tau)
+    assert cert.is_connected()
+    perm = IntMatrix.permutation(root_permutation(tau.matrix,
+                                                  datum.simple_roots()))
+    want = cokernel(perm - IntMatrix.identity(perm.nrows))
+    assert (cert.coinvariants.invariant_factors,
+            cert.coinvariants.free_rank) == ((), want.free_rank)
+    assert want.torsion_count == 0
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in GRID if resolve(preset=name).datum is not None))
+def test_tad_connected_on_the_grid_runs_no_elimination(name, monkeypatch):
+    rg = resolve(preset=name)
+    calls = []
+    eliminate = matrices._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(matrices, "_eliminate", counted)
+    check_tad_connected(rg.datum, rg.action.tau)
+    assert calls == []
+    assert_tad_connected_by_orbits(rg.datum, rg.action.tau)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=random_twisted_data())
+def test_tad_connected_on_random_data(config):
+    rg = resolve(config)
+    assert_tad_connected_by_orbits(rg.datum, rg.action.tau)
 
 
 def test_identity_automorphism_certificates():

@@ -18,8 +18,8 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 from satake.abelian import (FgAbGroup, GroupCharacter, GroupHom, _follow,
                             _moves, _render_ident, all_characters,
                             character_classes, character_count,
-                            character_idents, induced_hom, kernel_of_hom,
-                            subgroup_coordinates)
+                            character_idents, cokernel, induced_hom,
+                            kernel_of_hom, subgroup_coordinates)
 from satake.circle import ExactCircle, ONE
 from satake.cli import main
 from satake.config import GroupConfig, resolve, serialize_config
@@ -1122,6 +1122,94 @@ def test_twist_relation_is_validated():
                         IntMatrix.identity(2), twist=2)
 
 
+def smith_path_generators(torus):
+    """T/T_0 by elimination alone: the cokernel of tau - 1, then the
+    kernel of the sigma it induces, minus 1; its generators as cochar
+    vectors (coinvariant lift times inclusion), with the group."""
+    coinv = cokernel(torus.tau - IntMatrix.identity(torus.rank))
+    sigma_bar = induced_hom(coinv, torus.sigma)
+    group, incl = kernel_of_hom(sigma_bar - GroupHom.identity(coinv))
+    return group, (coinv.lift @ incl.matrix).columns()
+
+
+def orbit_path_generators(torus):
+    kg = kottwitz_group(torus)
+    return kg.group, (kg.coinvariants.lift @ kg.inclusion.matrix).columns()
+
+
+@st.composite
+def permutation_tori(draw):
+    """Z^n, 1 <= n <= 12, with tau a random permutation and sigma one
+    commuting with it: sigma carries each tau-cycle onto a cycle of the
+    same length, rotated."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    cycles = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    tau, sigma = [None] * n, [None] * n
+    for c in cycles:
+        for i, x in enumerate(c):
+            tau[x] = c[(i + 1) % len(c)]
+    for length in {len(c) for c in cycles}:
+        alike = [c for c in cycles if len(c) == length]
+        for c, d in zip(alike, draw(st.permutations(alike))):
+            turn = draw(st.integers(0, length - 1))
+            for i, x in enumerate(c):
+                sigma[x] = d[(i + turn) % length]
+    return TorusWithAction(n, IntMatrix.permutation(tau),
+                           IntMatrix.permutation(sigma))
+
+
+@settings(max_examples=100, deadline=None)
+@given(torus=permutation_tori())
+@example(torus=TorusWithAction(4, IntMatrix.permutation([0, 1, 3, 2]),
+                               IntMatrix.permutation([0, 1, 3, 2])))
+@example(torus=TorusWithAction(6, IntMatrix.permutation([1, 0, 3, 2, 5, 4]),
+                               IntMatrix.permutation([2, 3, 4, 5, 0, 1])))
+def test_permutation_tori_keep_the_smith_path_generators(torus):
+    """On a permutation torus with commuting sigma, T/T_0 by orbits has
+    the group and the generators of the elimination, up to order."""
+    got_group, got = orbit_path_generators(torus)
+    want_group, want = smith_path_generators(torus)
+    assert got_group == want_group
+    assert sorted(got) == sorted(want)
+
+
+INDUCED_UP_TO_8 = [(e, f, q) for e in range(1, 9) for f in range(1, 9)
+                   for q in (2, 3, 5) if gcd(q, e) == 1]
+
+
+def test_induced_tori_keep_the_smith_path_generators_in_order():
+    """On the induced tori with e, f <= 8 the orbit path gives T/T_0 the
+    generator of the elimination, though it may list the coinvariants'
+    orbits in another order (first at e = 2, f = 3)."""
+    for e, f, q in INDUCED_UP_TO_8:
+        torus = build_induced_torus(e, f, q)
+        assert orbit_path_generators(torus) == smith_path_generators(
+            torus), (e, f, q)
+
+
+@pytest.mark.parametrize("preset", sorted(GRID))
+def test_grid_presets_keep_the_smith_path_generators_in_order(preset):
+    torus = resolve(preset=preset).setting().torus
+    assert orbit_path_generators(torus) == smith_path_generators(torus)
+
+
+def test_permutation_coinvariants_list_orbits_by_largest_index():
+    """tau = sigma swapping e_2 and e_3: the orbits {0}, {1}, {2, 3} in
+    the order of their largest index, each lifted to the unit vector
+    there, so T/T_0 = Z^3 is generated by the classes of e_0, e_1, e_3.
+    (The elimination listed e_1 before e_0.)"""
+    swap = IntMatrix.permutation([0, 1, 3, 2])
+    kg = kottwitz_group(TorusWithAction(4, swap, swap))
+    assert kg.group.describe() == "Z^3"
+    assert kg.coinvariants.proj.data == ((1, 0, 0, 0), (0, 1, 0, 0),
+                                         (0, 0, 1, 1))
+    assert kg.coinvariants.lift.columns() == [(1, 0, 0, 0), (0, 1, 0, 0),
+                                              (0, 0, 0, 1)]
+    assert kg.inclusion.matrix == IntMatrix.identity(3)
+
+
 # Smith forms to descend the folded generators: none where Frobenius
 # fixes the inertia coinvariants, so that T/T_0 is all of them
 INCLUSION_FORMS = {"flip A5": 0, "split GL4": 0, "triality D4": 0,
@@ -1567,6 +1655,15 @@ def test_a_ramified_action_still_runs_the_elimination(monkeypatch, tmp_path,
                                                       capsys):
     assert eliminations(monkeypatch, tmp_path, capsys,
                         ["modulus", "--preset", "unitary ramified 5"]) > 0
+
+
+@pytest.mark.parametrize("command", ["kottwitz", "compact"])
+def test_induced_tori_run_no_smith_elimination(command, monkeypatch, tmp_path,
+                                               capsys):
+    """tau and sigma permute the basis of an induced torus: T/T_0 is read
+    off the orbits, with no elimination."""
+    assert eliminations(monkeypatch, tmp_path, capsys,
+                        [command, "--preset", "induced e=8 f=8 q=3"]) == 0
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -545,12 +545,16 @@ def test_trivial_matrices_are_recognised_in_one_place():
     inside `matrices` (`_is_identity`, behind `@` and the Smith form), an
     identity map of groups by the same test in `GroupHom.is_identity` (which
     the fixed subgroup of the identity, the preimages under an identity
-    inclusion and the involution check of the Weyl generators call), and
-    zero in the guard of `abelian.cokernel`;
+    inclusion and the involution check of the Weyl generators call), an
+    identity automorphism by it in `coinvariants` (ahead of the orbit
+    path, so that it keeps the zero guard of `abelian.cokernel`), and
+    zero in that guard;
     no other module compares a
     matrix with a built identity or zero matrix, or scans its rows for
     zero, to skip work.  `multiplicative_order` compares powers with the
-    identity to find the order."""
+    identity to find the order.  Permutation matrices are recognised by
+    one scan, `matrices._permutation_images`, which the order, the
+    coinvariants and the fixed subgroup call."""
     def compares(path):
         tree = _tree(path.name)
         names = _built_trivial_names(tree)
@@ -561,8 +565,13 @@ def test_trivial_matrices_are_recognised_in_one_place():
         ("abelian", "cokernel"), ("matrices", "smith_normal_form")]
     assert _owners_in_src(lambda node: isinstance(node, ast.Call) and getattr(
         node.func, "id", None) == "_is_identity") == [
-        ("abelian", "is_identity"), ("matrices", "__matmul__"),
-        ("matrices", "smith_normal_form")]
+        ("abelian", "coinvariants"), ("abelian", "is_identity"),
+        ("matrices", "__matmul__"), ("matrices", "smith_normal_form")]
+    assert _owners_in_src(lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", None) == "_permutation_images") == [
+        ("abelian", "coinvariants"),
+        ("abelian", "invariants_of_induced_action"),
+        ("matrices", "multiplicative_order")]
     assert set().union(*map(compares, sorted(SRC.glob("*.py")))) == {
         ("matrices", "multiplicative_order")}
     for probe in ("any(map(any, m.data))", "not any(x for r in m.data for x"
