@@ -15,9 +15,8 @@ from .abelian import FgAbGroup, GroupCharacter, GroupHom, all_characters, \
     character_count, character_idents, coinvariants, cokernel, induced_hom, \
     invariants_of_induced_action, kernel_of_hom, subgroup_coordinates
 from .circle import ExactCircle
-from .components import CenterCoverCheck, FoldCheck, Pi0Certificate, \
-    check_center_covers_components, check_fixed_weyl_is_folded, \
-    check_tad_connected, pi0_fixed
+from .components import CenterCoverCheck, FoldCheck, \
+    check_center_covers_components, check_fixed_weyl_is_folded
 from .config import ConfigError, GroupConfig, ResolvedGroup, parse_config, \
     resolve, serialize_config
 from .kottwitz import Envelope, KottwitzGroup, ParameterClass, \
@@ -31,10 +30,10 @@ from .matrices import IntMatrix, LinearSolver, SmithForm, column_span_basis, \
     kernel_basis, linear_solver, smith_normal_form
 from .rootdata import BasedRootDatum, CapExceeded, DEFAULT_WEYL_CAP, \
     FoldingError, GaloisAction, PinnedAutomorphism, RestrictedRootData, \
-    WeylGroup, check_twist_relation, datum_from_simples, detect_type, \
-    dual_datum, folded_generators, galois_action, generated_datum, \
-    mulclose, pinned_automorphism, restricted_root_data, root_closure, \
-    search, validate, weyl_group
+    check_twist_relation, datum_from_simples, detect_type, dual_datum, \
+    folded_generators, galois_action, generated_datum, mulclose, \
+    pinned_automorphism, restricted_root_data, root_closure, search, \
+    validate
 
 __all__ = [name for name, obj in globals().items()
            if not name.startswith("_") and not isinstance(obj, _ModuleType)]

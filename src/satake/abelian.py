@@ -105,13 +105,6 @@ class FgAbGroup:
     def is_finite(self):
         return self.free_rank == 0
 
-    def elements(self):
-        """All elements of a finite group, in lexicographic coordinate order."""
-        if not self.is_finite():
-            raise ValueError("infinite group")
-        for tup in iter_product(*(range(d) for d in self.invariant_factors)):
-            yield tup
-
     def torsion_subgroup(self):
         """(subgroup, inclusion) for the torsion part."""
         k = self.torsion_count

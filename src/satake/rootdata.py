@@ -559,22 +559,6 @@ def galois_action(datum, tau_matrix, sigma_matrix, twist=1):
     return GaloisAction(tau, sigma, twist)
 
 
-class WeylGroup(namedtuple("WeylGroup", "permutations roots coroots")):
-    """The Weyl group of a datum, each element recorded as the
-    permutation it induces on the roots (W acts faithfully on them).
-
-    A permutation p (in the frozenset `permutations`) lists the indices in
-    `roots` of the images of the roots; `coroots` are the paired
-    coroots.
-    """
-
-    __slots__ = ()
-
-    @property
-    def order(self):
-        return len(self.permutations)
-
-
 def mulclose(generators, cap=DEFAULT_WEYL_CAP):
     """Closure of a nonempty list of square matrices under multiplication."""
     return set(search([IntMatrix.identity(generators[0].nrows)], generators,
@@ -678,12 +662,6 @@ def weyl_walk(datum, cap=DEFAULT_WEYL_CAP):
     if next(elements, None) is not None:
         raise CapExceeded(f"Weyl group enumeration: reached {cap + 1}"
                           f" elements, over the cap {cap}")
-
-
-def weyl_group(datum, cap=DEFAULT_WEYL_CAP):
-    """`weyl_walk` collected; `dual_datum(datum)` gives the coroot side."""
-    return WeylGroup(frozenset(weyl_walk(datum, cap)), datum.roots,
-                     datum.coroots)
 
 
 def _orbits(indices, generators):

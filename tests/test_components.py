@@ -1,12 +1,15 @@
 """Component group certificates and the built-in presets."""
 
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from satake.abelian import GroupHom, coinvariants, cokernel, induced_hom
+from satake.cli import main
 from satake.components import (
     CenterCoverCheck, check_center_covers_components,
-    check_fixed_weyl_is_folded, check_tad_connected, pi0_fixed,
+    check_fixed_weyl_is_folded,
 )
 from satake import matrices
 from satake.config import resolve
@@ -19,11 +22,13 @@ from satake.presets import (
 from satake.rootdata import (
     BasedRootDatum, PinnedAutomorphism, datum_from_simples, galois_action,
     pinned_automorphism, restricted_root_data, root_closure,
-    root_permutation, validate, weyl_group,
+    root_permutation, validate,
 )
 
+from test_abelian import pi0_fixed
 from test_grid import GRID
 from test_kottwitz import random_twisted_data
+from test_rootdata import weyl_group
 
 # fixed subgroup order and folded type per acceptance preset
 KS_EXPECT = {
@@ -37,11 +42,19 @@ KS_EXPECT = {
 
 
 def test_pi0_of_diagonalizable_groups():
-    assert pi0_fixed(IntMatrix([[-1]])).group.describe() == "Z/2"
-    assert pi0_fixed(IntMatrix([[0, 1], [1, 0]])).is_connected()
-    assert pi0_fixed(IntMatrix.identity(2)).is_connected()
+    assert pi0_fixed(IntMatrix([[-1]])).describe() == "Z/2"
+    assert pi0_fixed(IntMatrix([[0, 1], [1, 0]])).is_trivial()
+    assert pi0_fixed(IntMatrix.identity(2)).is_trivial()
     block = IntMatrix([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    assert pi0_fixed(block).group.describe() == "Z/2"
+    assert pi0_fixed(block).describe() == "Z/2"
+
+
+def tad_permutation(datum, tau):
+    """tau on the character lattice of the adjoint torus, in the basis of
+    the simple coroots, which a pinned tau permutes as it permutes the
+    simple roots."""
+    return IntMatrix.permutation(root_permutation(tau.matrix,
+                                                  datum.simple_roots()))
 
 
 def test_preset_data_are_valid():
@@ -62,7 +75,7 @@ def test_ks_suite(name):
     assert fold.match
     assert fold.fixed_order == worder
     assert fold.folded_order == worder
-    assert check_tad_connected(preset.datum, tau).is_connected()
+    assert pi0_fixed(tad_permutation(preset.datum, tau)).is_trivial()
     cover = check_center_covers_components(preset.datum, tau)
     assert cover.surjective
     assert cover.kernel_witness == ()
@@ -128,7 +141,10 @@ def test_split_presets_match_their_simple_systems(family, build, sizes):
 def center_cover_by_two_quotients(datum, tau):
     """The reference for `check_center_covers_components`: the central
     quotient X^ / (all coroots) first, then its coinvariants, the
-    cokernel of the tau it induces minus the identity."""
+    cokernel of the tau it induces minus the identity.  The torsion map
+    is tested on every torsion element, the lexicographically first one
+    dying in the quotient the witness.  Returned with the test of dying,
+    by which a witness that the kernel gives is checked."""
     n = datum.rank
     dual_tau = tau.dual()
     ct = coinvariants(dual_tau)
@@ -137,22 +153,38 @@ def center_cover_by_two_quotients(datum, tau):
     cz = (tau_central - GroupHom.identity(central)).cokernel_group()
     hom = induced_hom(ct, central.proj, cz)
     torsion, incl = ct.torsion_subgroup()
-    witness = next((el for el in torsion.elements()
-                    if any(el) and hom(incl(el)) == cz.zero()), ())
+
+    def dies(el):
+        return hom(incl(el)) == cz.zero()
+
+    elements = product(*(range(d) for d in torsion.invariant_factors))
+    witness = next((el for el in elements if any(el) and dies(el)), ())
     return CenterCoverCheck(not witness, torsion, cz.torsion_subgroup()[0],
-                            witness)
+                            witness), dies
+
+
+DATUM_PRESETS = sorted(name for name in GRID
+                       if resolve(preset=name).datum is not None)
 
 
 def assert_center_check_matches_two_quotients(datum, tau):
+    """The verdict and both component groups are the oracle's; a witness
+    is there exactly when the oracle finds one, and it is a nonzero
+    element of the torsion of the cochar coinvariants that dies in the
+    central quotient's."""
     got = check_center_covers_components(datum, tau)
-    want = center_cover_by_two_quotients(datum, tau)
-    for field in CenterCoverCheck._fields:
+    want, dies = center_cover_by_two_quotients(datum, tau)
+    for field in ("surjective", "pi0_torus", "pi0_center"):
         assert getattr(got, field) == getattr(want, field), field
+    witness = got.kernel_witness
+    assert bool(witness) == bool(want.kernel_witness)
+    if witness:
+        assert any(witness) and got.pi0_torus.reduce(witness) == witness
+        assert dies(witness)
     return got
 
 
-@pytest.mark.parametrize("name", sorted(
-    name for name in GRID if resolve(preset=name).datum is not None))
+@pytest.mark.parametrize("name", DATUM_PRESETS)
 def test_center_check_matches_two_quotients_on_the_grid(name):
     rg = resolve(preset=name)
     assert_center_check_matches_two_quotients(rg.datum, rg.action.tau)
@@ -219,23 +251,78 @@ def test_an_unpinned_minus_one_leaves_torus_components_uncovered(
     assert cover.kernel_witness == witness
 
 
+def sl2_times_torus(k):
+    """SL2 x T^k on Z^(1 + k): the root 2e_1, its coroot e_1^."""
+    e1 = (1,) + (0,) * k
+    return BasedRootDatum(1 + k, ((2,) + e1[1:], (-2,) + e1[1:]),
+                          (e1, (-1,) + e1[1:]), (0,), label=f"SL2 x T^{k}")
+
+
+def signs(values):
+    """diag(values) as an automorphism of order 1 or 2, pinned or not."""
+    return PinnedAutomorphism(IntMatrix.diagonal(values),
+                              1 if min(values) > 0 else 2)
+
+
+def sign_lists(rank):
+    return st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank)
+
+
+def resolved_pair(rg):
+    return rg.datum, rg.action.tau
+
+
+# (datum, tau) of rank at most 12, tau preserving the coroot span: the
+# grid presets, random twisted data, BC_n times a torus and, where the
+# check must fail, SL2 x T^k and GL_n under sign changes that are not
+# pinned
+CENTER_CHECK_CASES = st.one_of(
+    st.sampled_from(DATUM_PRESETS).map(
+        lambda name: resolved_pair(resolve(preset=name))),
+    random_twisted_data().map(lambda config: resolved_pair(resolve(config))),
+    st.tuples(st.integers(1, 3), st.integers(0, 2)).flatmap(
+        lambda shape: st.tuples(st.just(bc_datum(*shape)),
+                                sign_lists(sum(shape)).map(signs))),
+    st.integers(0, 11).flatmap(
+        lambda k: st.tuples(st.just(sl2_times_torus(k)),
+                            sign_lists(1 + k).map(signs))),
+    st.tuples(st.integers(2, 12), st.sampled_from((1, -1))).map(
+        lambda case: (split_gl(case[0]), signs([case[1]] * case[0]))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=CENTER_CHECK_CASES)
+@example(case=(split_sl(2), signs([-1])))
+@example(case=(split_gl(2), signs([-1, -1])))
+@example(case=(sl2_times_torus(11), signs([-1] * 12)))
+def test_kernel_verdict_matches_the_enumeration(case):
+    """The one-kernel center check against the oracle that tests every
+    torsion element: the same verdict and component groups, and a
+    witness exactly when the enumeration finds one."""
+    datum, tau = case
+    assert datum.rank <= 12
+    assert_center_check_matches_two_quotients(datum, tau)
+
+
 def assert_tad_connected_by_orbits(datum, tau):
-    """The certificate reports connected: its coinvariants are free of
-    rank the number of tau-orbits on the simple roots, as the cokernel of
-    the permutation minus 1 (the elimination) gives them."""
-    cert = check_tad_connected(datum, tau)
-    assert cert.is_connected()
-    perm = IntMatrix.permutation(root_permutation(tau.matrix,
-                                                  datum.simple_roots()))
+    """T_ad^tau is connected, as verify-ks reports for every pinned tau:
+    the coinvariants of tau's permutation of the simple coroots are free
+    of rank the number of its orbits, read off the orbits and as the
+    cokernel of the permutation minus 1 (the elimination) alike."""
+    perm = tad_permutation(datum, tau)
+    got = coinvariants(perm)
     want = cokernel(perm - IntMatrix.identity(perm.nrows))
-    assert (cert.coinvariants.invariant_factors,
-            cert.coinvariants.free_rank) == ((), want.free_rank)
+    assert (got.invariant_factors, got.free_rank) == ((), want.free_rank)
     assert want.torsion_count == 0
 
 
-@pytest.mark.parametrize("name", sorted(
-    name for name in GRID if resolve(preset=name).datum is not None))
-def test_tad_connected_on_the_grid_runs_no_elimination(name, monkeypatch):
+@pytest.mark.parametrize("name", DATUM_PRESETS)
+def test_tad_connected_on_the_grid_runs_no_elimination(name, monkeypatch,
+                                                       capsys):
+    """verify-ks reports connected from the pinning alone, and the
+    oracle agrees without an elimination: the coinvariants of a
+    permutation are read off its orbits."""
     rg = resolve(preset=name)
     calls = []
     eliminate = matrices._eliminate
@@ -245,9 +332,12 @@ def test_tad_connected_on_the_grid_runs_no_elimination(name, monkeypatch):
         return eliminate(*args)
 
     monkeypatch.setattr(matrices, "_eliminate", counted)
-    check_tad_connected(rg.datum, rg.action.tau)
+    assert pi0_fixed(tad_permutation(rg.datum, rg.action.tau)).is_trivial()
     assert calls == []
+    monkeypatch.undo()
     assert_tad_connected_by_orbits(rg.datum, rg.action.tau)
+    assert main(["verify-ks", "--preset", name]) == 0
+    assert "result.tad_connected = true" in capsys.readouterr().out
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,7 +350,7 @@ def test_tad_connected_on_random_data(config):
 def test_identity_automorphism_certificates():
     gl3 = split_gl(3)
     ident = pinned_automorphism(gl3, IntMatrix.identity(3))
-    assert check_tad_connected(gl3, ident).is_connected()
+    assert pi0_fixed(tad_permutation(gl3, ident)).is_trivial()
     assert check_center_covers_components(gl3, ident).surjective
     fold = check_fixed_weyl_is_folded(gl3, ident)
     assert fold.match and fold.fixed_order == 6

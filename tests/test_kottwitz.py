@@ -40,7 +40,7 @@ from satake.rootdata import (
     automorphism_order, check_twist_relation, datum_from_simples, dual_datum,
     _simple_orbit_partition, folded_generators, galois_action, mulclose,
     pinned_automorphism, restricted_root_data, root_closure, search,
-    validate, weyl_group,
+    validate,
 )
 from test_abelian import evaluate
 from test_acceptance import TWISTED_SUITE
@@ -50,7 +50,8 @@ from test_matrices import INDUCED_TORI, sympy_inverse
 from test_rootdata import (GRID_DATA, bfs_weyl_group, corrupted_copies,
                            fixed_weyl_subgroup,
                            reference_restricted_root_data,
-                           simple_coefficients_oracle, validate_by_matrices)
+                           simple_coefficients_oracle, validate_by_matrices,
+                           weyl_group)
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()

@@ -23,16 +23,17 @@ import pytest
 
 import satake
 from satake import rootdata
-from satake.abelian import GroupCharacter, GroupHom, all_characters
+from satake.abelian import FgAbGroup, GroupCharacter, GroupHom, \
+    all_characters
 from satake.circle import ExactCircle
 from satake.cli import main
 from satake.components import check_center_covers_components, \
-    check_fixed_weyl_is_folded, check_tad_connected
+    check_fixed_weyl_is_folded
 from satake.config import parse_config, resolve
 from satake.kottwitz import SatakeParameter, classify, induced_envelope
 from satake.presets import norm_one_ramified_quadratic, resolve_preset
 from satake.report import build_report
-from satake.rootdata import restricted_root_data, weyl_group
+from satake.rootdata import restricted_root_data
 from test_grid import GRID, _values
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,17 +122,25 @@ def _callers(tree, name):
 
 
 def test_only_verify_ks_enumerates_the_weyl_group():
-    """`weyl_walk` enumerates W, and only two functions call it: the
-    brute-force certificate `components.check_fixed_weyl_is_folded`, and
-    `weyl_group`, which nothing in the package calls."""
+    """`weyl_walk` enumerates W, and one function calls it: the
+    brute-force certificate `components.check_fixed_weyl_is_folded`.
+    Nothing else holds W, and no certificate enumerates a finite abelian
+    group or computes pi_0 of the adjoint torus, which the pinning
+    decides: the names that did are gone."""
     def callers(name):
         return [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
                 for owner in _callers(_tree(path.name), name)]
 
     assert callers("weyl_walk") == [
-        ("components", "check_fixed_weyl_is_folded"),
-        ("rootdata", "weyl_group")]
-    assert callers("weyl_group") == []
+        ("components", "check_fixed_weyl_is_folded")]
+    defined = {node.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(_tree(path.name))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for gone in ("weyl_group", "WeylGroup", "pi0_fixed", "Pi0Certificate",
+                 "check_tad_connected"):
+        assert gone not in defined, gone
+        assert not hasattr(satake, gone), gone
+    assert not hasattr(FgAbGroup, "elements")
 
 
 def test_one_reflection_pass_behind_the_root_layer():
@@ -621,7 +630,6 @@ def _records():
         (rg.datum, "roots"),
         (rg.action, "twist"),
         (rg.action.tau, "order"),
-        (weyl_group(rg.datum), "permutations"),
         (restricted_root_data(rg.datum, rg.action.tau), "type_name"),
         (rg.torus, "tau"),
         (setting, "datum"),
@@ -629,7 +637,6 @@ def _records():
         (parameter, "character"),
         (classify(setting, parameter), "orbit_size"),
         (induced_envelope(norm_one_ramified_quadratic(), 2), "degree"),
-        (check_tad_connected(rg.datum, rg.action.tau), "group"),
         (check_center_covers_components(rg.datum, rg.action.tau),
          "surjective"),
         (check_fixed_weyl_is_folded(rg.datum, rg.action.tau), "match"),

@@ -3,6 +3,7 @@
 import random
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -23,12 +24,12 @@ from satake.presets import (
 from satake import rootdata
 from satake.components import check_fixed_weyl_is_folded
 from satake.rootdata import (
-    ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError, PinnedAutomorphism,
-    RestrictedRootData, WeylGroup, _simple_orbit_partition,
+    DEFAULT_WEYL_CAP, ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError,
+    PinnedAutomorphism, RestrictedRootData, _simple_orbit_partition,
     datum_from_simples, detect_type, dual_datum,
     folded_generators, galois_action, mulclose, pinned_automorphism,
     pinned_violations, restricted_root_data, root_closure, root_permutation,
-    search, validate, weyl_group, weyl_order, weyl_walk,
+    search, validate, weyl_order, weyl_walk,
 )
 from test_acceptance import TWISTED_SUITE
 from test_grid import GRID
@@ -565,6 +566,25 @@ def test_simple_coefficients_outside_the_span_of_gl(n, data):
 
 
 # --- oracles: the breadth-first Weyl closure and its commuting filter --------
+
+class WeylGroup(namedtuple("WeylGroup", "permutations roots coroots")):
+    """A set of elements of the Weyl group of a datum, each recorded as
+    the permutation it induces on the roots (W acts faithfully on them):
+    a permutation p lists the indices in `roots` of the images of the
+    roots; `coroots` are the paired coroots."""
+
+    __slots__ = ()
+
+    @property
+    def order(self):
+        return len(self.permutations)
+
+
+def weyl_group(datum, cap=DEFAULT_WEYL_CAP):
+    """`weyl_walk` collected; `dual_datum(datum)` gives the coroot side."""
+    return WeylGroup(frozenset(weyl_walk(datum, cap)), datum.roots,
+                     datum.coroots)
+
 
 def compose(p, q):
     """The root permutation of a product w g from p of w and q of g:
