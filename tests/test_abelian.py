@@ -108,7 +108,11 @@ def pi0_fixed(matrix):
 
     The oracle for verify-ks's `tad_connected`, which the pinning
     decides: tau permutes the simple coroots, a basis of the character
-    lattice of the adjoint torus, so its pi_0 is trivial."""
+    lattice of the adjoint torus, so its pi_0 is trivial.
+
+    >>> pi0_fixed(IntMatrix([[-1]])).describe()
+    'Z/2'
+    """
     return coinvariants(matrix).torsion_subgroup()[0]
 
 
