@@ -265,8 +265,11 @@ def induced_hom(source, ambient, target=None):
     """The map of presented groups (into `source` itself by default) that
     an ambient lattice map induces: target.proj (ambient source.lift).
 
-    Raises unless it carries relations to relations, i.e. the ambient map
-    descends.
+    The caller must know that the ambient map carries the relations of
+    `source` into those of `target`, as `GroupHom` checks the torsion
+    relations only: in `kottwitz_group`, sigma tau sigma^-1 = tau^j keeps
+    (tau - 1) X; `kottwitz._descend` checks tau-equivariance first; and
+    the center check maps by the identity onto a coarser quotient.
     """
     target = source if target is None else target
     return GroupHom(source, target, target.proj @ (ambient @ source.lift))

@@ -63,14 +63,16 @@ def check_fixed_weyl_is_folded(datum, tau, cap=DEFAULT_WEYL_CAP):
     commutes with the pinned tau iff w(tau alpha_j) = tau(w alpha_j) for
     each simple alpha_j, as tau w tau^-1 is in W, and an element of W is
     determined by its images of the simple roots.  Most elements fail
-    at the first simple root, tested first by two lookups."""
+    at the first simple root, tested first by two lookups.  The walk's
+    refusal past the cap comes first, when it yields the identity."""
+    walk = weyl_walk(datum, cap)
+    fixed = {next(walk)}
     t = root_permutation(tau.matrix, datum.roots)
     at_simples = _gather(datum.simple_indices)
     at_images = _gather(at_simples(t))  # p -> w(tau alpha_j), each j
     s = datum.simple_indices[0] if datum.simple_indices else None
-    fixed = {p for p in weyl_walk(datum, cap)
-             if (s is None or p[t[s]] == t[p[s]])
-             and at_images(p) == _gather(at_simples(p))(t)}
+    fixed.update(p for p in walk if (s is None or p[t[s]] == t[p[s]])
+                 and at_images(p) == _gather(at_simples(p))(t))
     moves = [_gather(root_permutation(w, datum.roots))
              for w in folded_generators(datum, tau)]
     folded = set(search([tuple(range(len(datum.roots)))], moves,

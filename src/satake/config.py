@@ -13,8 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .circle import ExactCircle
-from .kottwitz import SphericalSetting, TorusWithAction, cochar_torus, \
-    kottwitz_group
+from .kottwitz import TorusWithAction, cochar_torus, setting_for_torus
 from .matrices import IntMatrix
 from .presets import refuse_large_rank, resolve_preset
 from .rootdata import ROOT_CAP, BasedRootDatum, CapExceeded, galois_action, \
@@ -333,8 +332,7 @@ class ResolvedGroup(namedtuple("ResolvedGroup", "name datum action torus q"
     __slots__ = ()
 
     def setting(self):
-        return SphericalSetting(self.datum, self.action, self.torus,
-                                kottwitz_group(self.torus))
+        return setting_for_torus(self.torus, self.datum, self.action)
 
 
 def _action_matrix(tagged, rank, what):

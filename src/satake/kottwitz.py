@@ -264,14 +264,16 @@ class SphericalSetting(namedtuple("SphericalSetting", "datum action torus"
         return tuple(_moves(hom.matrix) for hom in self.weyl_generators)
 
 
-def setting_for_torus(torus):
-    return SphericalSetting(None, None, torus, kottwitz_group(torus))
+def setting_for_torus(torus, datum=None, action=None):
+    """The classification setting of a cochar-side torus, and of the
+    datum with its Galois action that it comes from, if any: the one
+    place a setting is built."""
+    return SphericalSetting(datum, action, torus, kottwitz_group(torus))
 
 
 def setting_for_datum(datum, action):
     """The classification setting of a datum with its Galois action."""
-    torus = cochar_torus(datum, action)
-    return SphericalSetting(datum, action, torus, kottwitz_group(torus))
+    return setting_for_torus(cochar_torus(datum, action), datum, action)
 
 
 def weyl_orbit(setting, ident, max_orbit=None):

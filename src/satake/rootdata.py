@@ -155,10 +155,17 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
         given = tuple.__getitem__(self, slice(1, 4))
         if given[0] is not None:
             return given + (None,)
-        simples = [a for a, _ in self.simple_pairs]
-        return _closed(root_closure(simples, [av for _, av in
-                                              self.simple_pairs], ROOT_CAP),
-                       simples)
+        return self._closure_lists(ROOT_CAP)
+
+    def _closure_lists(self, cap):
+        """The lists (roots, coroots, simple indices, positive indices) of
+        the `root_closure` of the simple pairs under `cap`."""
+        simples = self.simple_roots()
+        roots, coroots, positive = root_closure(
+            simples, [av for _, av in self.simple_pairs], cap)
+        index = {r: i for i, r in enumerate(roots)}
+        return (tuple(roots), tuple(coroots),
+                tuple(index[a] for a in simples), positive)
 
     @property
     def roots(self):
@@ -196,22 +203,26 @@ class BasedRootDatum(namedtuple("BasedRootDatum", "rank roots coroots"
                      for i in self.simple_indices)
 
     def seed_pairs(self):
-        """The pairs that generate the datum by reflections: the simple
-        pairs of a generated datum, else the pairs of its `closure_seeds`,
-        which generate a valid datum (`validate` certifies that they
-        do)."""
+        """The pairs that generate the datum by reflections, chosen here
+        alone: the simple pairs and those of the doubles 2 alpha_i that
+        are roots, whose coroots alpha_i^ / 2 complete the span Q^.  A
+        generated datum, the closure of its simple pairs, reads no root."""
         if tuple.__getitem__(self, 1) is None:
             return self.simple_pairs
         coroot = dict(zip(self.roots, self.coroots))
-        return [(b, coroot[b])
-                for b in closure_seeds(self.simple_roots(), coroot)]
+        doubles = (tuple([2 * v for v in a]) for a in self.simple_roots())
+        return self.simple_pairs + tuple((b, coroot[b]) for b in doubles
+                                         if b in coroot)
 
     def simple_roots(self):
         return [a for a, _ in self.simple_pairs]
 
-    def cartan_entry(self, i, j):
-        """<alpha_i, alpha_j^> over the simple system."""
-        return _dot(self.simple_pairs[i][0], self.simple_pairs[j][1])
+    @cached_property
+    def cartan(self):
+        """The Cartan matrix of the simple system, row i the pairings
+        <alpha_i, alpha_j^> with the simple coroots: one product."""
+        return images(IntMatrix([av for _, av in self.simple_pairs],
+                                ncols=self.rank), self.simple_roots())
 
     def reflection_matrix(self, root_index):
         """s_alpha on the character lattice: x - <x, alpha^> alpha."""
@@ -303,15 +314,6 @@ def root_closure(simple_roots, simple_coroots, cap=ROOT_CAP):
             tuple(i for i, r in enumerate(roots) if r in positive))
 
 
-def _closed(closure, simples):
-    """A `root_closure` as the lists of a datum with the simple roots
-    `simples`: roots, coroots, simple indices, positive indices."""
-    roots, coroots, positive = closure
-    index = {r: i for i, r in enumerate(roots)}
-    return tuple(roots), tuple(coroots), tuple(index[a] for a in simples), \
-        positive
-
-
 def generated_datum(simple_roots, simple_coroots, label=""):
     """The based root datum generated by reflections from a simple system,
     holding only its simple pairs until its other roots are read; their
@@ -329,19 +331,9 @@ def generated_datum(simple_roots, simple_coroots, label=""):
 def datum_from_simples(simple_roots, simple_coroots, label="", cap=ROOT_CAP):
     """`generated_datum`, its closure built at once under `cap`: it raises
     here when the pairs do not close, as a fold needs."""
-    closure = root_closure(simple_roots, simple_coroots, cap)
     datum = generated_datum(simple_roots, simple_coroots, label)
-    datum.__dict__["_lists"] = _closed(closure, datum.simple_roots())
+    datum.__dict__["_lists"] = datum._closure_lists(cap)
     return datum
-
-
-def closure_seeds(simples, coroot):
-    """The simple roots and the doubles 2 alpha_i that are roots (keys of
-    the root -> coroot dict `coroot`).  Their pairs generate the datum by
-    reflections, and their coroots span the coroot lattice Q^: when
-    2 alpha is a root, its coroot alpha^ / 2 is not in the simple span."""
-    doubles = (tuple([2 * v for v in a]) for a in simples)
-    return simples + [b for b in doubles if b in coroot]
 
 
 def validate(datum):
@@ -383,16 +375,15 @@ def validate(datum):
     if datum.rank - solver.consistency.nrows < len(datum.simple_indices):
         return ["simple roots are linearly dependent"]
     coroot = dict(zip(datum.roots, datum.coroots))
-    simples = datum.simple_roots()
-    cartan = images(IntMatrix([coroot[a] for a in simples], ncols=datum.rank),
-                    simples)
+    cartan = datum.cartan
     if all(c <= 0 and (c == 0) == (cartan[j][i] == 0)
            for i, row in enumerate(cartan)
            for j, c in enumerate(row) if i != j):
-        bases = closure_seeds(simples, coroot)
+        seeds = datum.seed_pairs()
         try:
             roots, coroots, positive = root_closure(
-                bases, map(coroot.get, bases), cap=len(datum.roots))
+                [b for b, _ in seeds], [bv for _, bv in seeds],
+                cap=len(datum.roots))
         except (ValueError, CapExceeded):
             roots = coroots = ()
         if dict(zip(roots, coroots)) == coroot:
@@ -686,12 +677,6 @@ def _simple_orbits(datum, *automorphisms):
     return _orbits(range(len(simples)), perms)
 
 
-def _simple_orbit_partition(datum, *automorphisms):
-    """`_simple_orbits` as tuples of indices into the roots."""
-    return [tuple(datum.simple_indices[i] for i in orbit)
-            for orbit in _simple_orbits(datum, *automorphisms)]
-
-
 def folded_generators(datum, *automorphisms):
     """Longest elements of the orbit parabolics: one matrix per orbit J of
     the simple roots under the group the automorphisms generate.
@@ -707,11 +692,9 @@ def folded_generators(datum, *automorphisms):
     w s_j (alpha_i) = w(alpha_i) - <alpha_i, alpha_j^> w(alpha_j).  So only
     the simple pairs are read.
     """
-    pairs, n = datum.simple_pairs, datum.rank
+    pairs, cartan, n = datum.simple_pairs, datum.cartan, datum.rank
     out = []
     for orbit in _simple_orbits(datum, *automorphisms):
-        cartan = [[_dot(pairs[i][0], pairs[j][1]) for j in orbit]
-                  for i in orbit]
         # row b: the coefficients of w(alpha_{orbit[b]}) over alpha_J
         coefficients = [[int(b == c) for c in range(len(orbit))]
                         for b in range(len(orbit))]
@@ -725,9 +708,9 @@ def folded_generators(datum, *automorphisms):
             image = tuple(_dot(row, root) for row in w)
             w = tuple(tuple([x - c * y for x, y in zip(row, coroot)])
                       if c else row for row, c in zip(w, image))
-            coefficients = [[x - cartan[b][j] * y
+            coefficients = [[x - cartan[i][orbit[j]] * y
                              for x, y in zip(row, coefficients[j])]
-                            for b, row in enumerate(coefficients)]
+                            for i, row in zip(orbit, coefficients)]
         out.append(IntMatrix._trusted(w, n))
     return out
 
@@ -764,24 +747,23 @@ def restricted_root_data(datum, tau):
     proj_free = IntMatrix(coinv.proj.data[k:], ncols=datum.rank)
     lift_free_t = IntMatrix(coinv.lift.transpose().data[k:], ncols=datum.rank)
 
-    roots, coroots = datum.roots, datum.coroots
-    orbits = _simple_orbit_partition(datum, tau)
-    cosimples = [coroots[i] for i in datum.simple_indices]
+    cartan = datum.cartan
+    orbits = _simple_orbits(datum, tau)
+    cosimples = [av for _, av in datum.simple_pairs]
     if set(images(tau.dual(), cosimples)) != set(cosimples):
         raise FoldingError("tau does not permute the simple coroots")
     cosums = []
     for orbit in orbits:
-        a2 = any(_dot(roots[p], coroots[q]) for p in orbit for q in orbit
-                 if p != q)
-        cosum = map(sum, zip(*(coroots[i] for i in orbit)))
+        a2 = any(cartan[p][q] for p in orbit for q in orbit if p != q)
+        cosum = map(sum, zip(*(cosimples[i] for i in orbit)))
         cosums.append(tuple([2 * a for a in cosum] if a2 else cosum))
-    folded = images(proj_free, roots)
+    folded = images(proj_free, datum.roots)
     image_set = set(folded)
     halves = {b: tuple(v // 2 for v in b) for b in image_set
               if not any(v % 2 for v in b)}
     doubles = {b for b, h in halves.items() if h in image_set}
     label = "restricted (reduced)" if doubles else "restricted"
-    simples = [folded[orbit[0]] for orbit in orbits]
+    simples = [folded[datum.simple_indices[orbit[0]]] for orbit in orbits]
     try:
         reduced = (datum_from_simples(simples, images(lift_free_t, cosums),
                                       label, cap=len(image_set))
@@ -818,7 +800,7 @@ def detect_type(datum):
     k = len(datum.simple_pairs)
     if k == 0:
         return "torus"
-    cartan = [[datum.cartan_entry(i, j) for j in range(k)] for i in range(k)]
+    cartan = datum.cartan
     # the connected components of the Dynkin diagram: per node j, the map
     # sending each node joined to j there, and fixing the others
     components = _orbits(range(k), [[j if cartan[i][j] else i

@@ -190,13 +190,6 @@ def test_center_check_matches_two_quotients_on_the_grid(name):
     assert_center_check_matches_two_quotients(rg.datum, rg.action.tau)
 
 
-@settings(max_examples=25, deadline=None)
-@given(config=random_twisted_data())
-def test_center_check_matches_two_quotients_on_random_data(config):
-    rg = resolve(config)
-    assert_center_check_matches_two_quotients(rg.datum, rg.action.tau)
-
-
 def bc_datum(n, central):
     """BC_n on Z^(n + central), the last `central` coordinates a central
     torus: roots +-e_i +- e_j, +-e_i and +-2e_i (i, j <= n), the coroot

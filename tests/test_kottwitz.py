@@ -38,7 +38,7 @@ from satake.rootdata import (
     BasedRootDatum, CapExceeded, FoldingError, GaloisAction,
     RestrictedRootData,
     automorphism_order, check_twist_relation, datum_from_simples, dual_datum,
-    _simple_orbit_partition, folded_generators, galois_action, mulclose,
+    folded_generators, galois_action, mulclose,
     pinned_automorphism, restricted_root_data, root_closure, search,
     validate,
 )
@@ -50,8 +50,8 @@ from test_matrices import INDUCED_TORI, sympy_inverse
 from test_rootdata import (GRID_DATA, bfs_weyl_group, corrupted_copies,
                            fixed_weyl_subgroup,
                            reference_restricted_root_data,
-                           simple_coefficients_oracle, validate_by_matrices,
-                           weyl_group)
+                           simple_coefficients_oracle, simple_root_orbits,
+                           validate_by_matrices, weyl_group)
 
 Q = ExactCircle(1, 0)
 QINV = Q.inverse()
@@ -477,7 +477,8 @@ def folded_type_name(datum, tau):
     k = len(datum.simple_indices)
     simples = datum.simple_roots()
     perm = [simples.index(tau.apply(r)) for r in simples]
-    cartan = [[datum.cartan_entry(i, j) for j in range(k)] for i in range(k)]
+    cartan = [[sum(x * y for x, y in zip(a, bv)) for _, bv in
+               datum.simple_pairs] for a, _ in datum.simple_pairs]
     types, non_reduced, done = [], False, set()
     for i in range(k):
         if i in done:
@@ -890,7 +891,7 @@ def folded_generators_by_products(datum, *automorphisms):
     product w @ s_j with the full reflection matrix of alpha_j."""
     positive = set(datum.positive_roots())
     out = []
-    for orbit in _simple_orbit_partition(datum, *automorphisms):
+    for orbit in simple_root_orbits(datum, *automorphisms):
         w = IntMatrix.identity(datum.rank)
         while True:
             j = next((j for j in sorted(orbit)

@@ -2,9 +2,10 @@
 one-exact-solver decision (the Smith form), the one stored form,
 precomposition kernel and value renderer of a character, the one class
 listing of `orbits` and the one induced-map formula kept in the source,
-one reflection kernel and one certificate behind the root layer, the
-commands that may start a root closure, a config reader without nested functions, one place that recognises
-identity and zero matrices, one equivariance check and one quotient
+one reflection kernel, one certificate, one closure builder, one seed
+list and one Cartan matrix behind the root layer, the commands that may
+start a root closure, one setting constructor, a config reader without
+nested functions, one place that recognises identity and zero matrices, one equivariance check and one quotient
 for the center certificate, modules that parse at the
 declared Python floor, a start-up that loads no `dataclasses`, records
 that stay read-only, and a `test` extra that lists what the tests
@@ -16,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import ModuleType
 
@@ -147,11 +149,12 @@ def test_one_reflection_pass_behind_the_root_layer():
     """`_reflections` is the one reflection kernel: the closure calls it,
     and `_reflected`, the pass behind `validate`'s root-by-root report
     (called once) and `weyl_walk`'s generators.  `root_closure` is the
-    one certificate of a datum, and only three functions start it: a
-    preset's `_lists`, on the first read of its roots, a fold's
-    `datum_from_simples` and a config's `validate`.  No function in
-    the package builds a `reflection_matrix`, and the dense fallback is
-    gone."""
+    one certificate of a datum, and only two functions start it: the
+    one closure builder, `BasedRootDatum._closure_lists`, which a
+    preset's `_lists` calls on the first read of its roots and a fold's
+    `datum_from_simples` at once, and a config's `validate`.  No
+    function in the package builds a `reflection_matrix`, and the dense
+    fallback is gone."""
     def callers(name):
         return [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
                 for owner in _callers(_tree(path.name), name)]
@@ -161,8 +164,9 @@ def test_one_reflection_pass_behind_the_root_layer():
     assert sorted(callers("_reflected")) == [("rootdata", "validate"),
                                              ("rootdata", "weyl_walk")]
     assert sorted(callers("root_closure")) == [
-        ("rootdata", "_lists"), ("rootdata", "datum_from_simples"),
-        ("rootdata", "validate")]
+        ("rootdata", "_closure_lists"), ("rootdata", "validate")]
+    assert sorted(callers("_closure_lists")) == [
+        ("rootdata", "_lists"), ("rootdata", "datum_from_simples")]
     assert callers("reflection_matrix") == []
     names = {name for path in sorted(SRC.glob("*.py"))
              for name in _referenced(_tree(path.name))}
@@ -170,7 +174,7 @@ def test_one_reflection_pass_behind_the_root_layer():
                for node in ast.walk(_tree(path.name))
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     for gone in ("_reflections_certified", "_reflection_problems",
-                 "_maps_into"):
+                 "_maps_into", "_closed"):
         assert gone not in names | defined, gone
 
 
@@ -401,17 +405,40 @@ def test_each_question_of_the_descent_is_answered_in_one_place():
 
 def test_the_coroot_span_is_seeded_in_one_place():
     """The roots whose coroots span Q^, the simple roots and the doubles
-    2 alpha_i that are roots, are chosen only by `rootdata.closure_seeds`:
-    `validate` closes their pairs, and `BasedRootDatum.seed_pairs` hands
-    them out, to the pinning certificate and to the center check, which
-    spans Q^ by their coroots, on non-reduced data too."""
-    assert _owners_in_src(lambda node: isinstance(node, ast.Call) and (
-        getattr(node.func, "id", None) == "closure_seeds")) == [
-        ("rootdata", "seed_pairs"), ("rootdata", "validate")]
+    2 alpha_i that are roots, are chosen only by
+    `BasedRootDatum.seed_pairs`, which hands them out to `validate`,
+    which closes their pairs, to the pinning certificate and to the
+    center check, which spans Q^ by their coroots, on non-reduced data
+    too; `closure_seeds` is gone."""
     assert _owners_in_src(lambda node: isinstance(node, ast.Call) and (
         getattr(node.func, "attr", None) == "seed_pairs")) == [
         ("components", "check_center_covers_components"),
-        ("rootdata", "_seed_certificate")]
+        ("rootdata", "_seed_certificate"), ("rootdata", "validate")]
+    assert not hasattr(rootdata, "closure_seeds")
+
+
+def test_the_cartan_matrix_is_computed_once():
+    """One Cartan matrix: the cached `BasedRootDatum.cartan`, one
+    product of the simple coroots with the simple roots, is what
+    `detect_type`, `folded_generators`, `validate` and
+    `restricted_root_data` read.  No other function pairs a root with a
+    coroot but to check <alpha, alpha^> = 2 (`root_closure`,
+    `validate`), and `folded_generators` dots w's rows with a root to
+    apply it; `cartan_entry` and the root-index orbits
+    `_simple_orbit_partition` are gone."""
+    assert _owners_in_src(lambda node: isinstance(node, ast.Attribute) and (
+        node.attr == "cartan")) == [
+        ("rootdata", "detect_type"), ("rootdata", "folded_generators"),
+        ("rootdata", "restricted_root_data"), ("rootdata", "validate")]
+    assert _owners_in_src(lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "_dot")) == [
+        ("rootdata", "folded_generators"), ("rootdata", "root_closure"),
+        ("rootdata", "validate")]
+    names = {name for path in sorted(SRC.glob("*.py"))
+             for name in _referenced(_tree(path.name))}
+    for gone in ("cartan_entry", "_simple_orbit_partition"):
+        assert gone not in names, gone
+        assert not hasattr(rootdata, gone), gone
 
 
 DATUM_PRESETS = sorted(name for name in GRID
@@ -464,6 +491,52 @@ def test_t_mod_t0_at_rank_100_builds_no_closure(name, monkeypatch, capsys):
     for command in ("kottwitz", "compact"):
         assert main([command, "--preset", name]) == 0
     assert calls == {"root_closure": 0, "pinned_violations": 0}
+    capsys.readouterr()
+
+
+def test_verify_ks_refuses_a_large_weyl_group_before_reading_a_root(
+        monkeypatch, capsys):
+    """The 9900 roots of split GL100 are never built when W = S_100 is
+    refused: the walk's refusal, from the Cartan type A99, comes first."""
+    calls = _count_root_reads(monkeypatch)
+    start = time.perf_counter()
+    assert main(["verify-ks", "--preset", "split GL100"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert calls == {"root_closure": 0, "pinned_violations": 0}
+    err = capsys.readouterr().err
+    assert err.startswith("error: Weyl group enumeration: A99 has ")
+    assert err.endswith(" elements, over the cap 1000000\n")
+
+
+@pytest.mark.parametrize("name", [
+    next(name for name in sorted(GRID) if resolve_preset(name).datum),
+    next(name for name in sorted(GRID) if not resolve_preset(name).datum)])
+def test_each_command_builds_one_setting(name, monkeypatch, tmp_path,
+                                         capsys):
+    """Every command that classifies builds its setting through one of
+    `kottwitz.setting_for_torus` and `setting_for_datum`, once: on a
+    datum preset and on a torus preset."""
+    calls = []
+    for attr in ("setting_for_torus", "setting_for_datum"):
+        original = getattr(satake.kottwitz, attr)
+
+        def counted(*args, original=original):
+            calls.append(original.__name__)
+            return original(*args)
+        for module in list(sys.modules.values()):
+            if (module is not None and module.__name__.startswith("satake")
+                    and getattr(module, attr, None) is original):
+                monkeypatch.setattr(module, attr, counted)
+    torsion, free = GRID[name]
+    cfg = tmp_path / "values.cfg"
+    cfg.write_text(f"values = {_values(torsion, free)}\n"
+                   f"values2 = {_values(torsion, free, shift=1)}\n")
+    for argv in (["classify", "--config", str(cfg)],
+                 ["equal", "--config", str(cfg)],
+                 ["orbits", "--torsion", "2"], ["modulus"]):
+        calls.clear()
+        assert main([*argv, "--preset", name]) == 0, argv
+        assert calls == ["setting_for_torus"], argv
     capsys.readouterr()
 
 

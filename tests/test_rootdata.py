@@ -25,7 +25,7 @@ from satake import rootdata
 from satake.components import check_fixed_weyl_is_folded
 from satake.rootdata import (
     DEFAULT_WEYL_CAP, ROOT_CAP, BasedRootDatum, CapExceeded, FoldingError,
-    PinnedAutomorphism, RestrictedRootData, _simple_orbit_partition,
+    PinnedAutomorphism, RestrictedRootData,
     datum_from_simples, detect_type, dual_datum,
     folded_generators, galois_action, mulclose, pinned_automorphism,
     pinned_violations, restricted_root_data, root_closure, root_permutation,
@@ -44,7 +44,7 @@ def test_sl2_basics():
     assert dual_datum(SL2).reflection_matrix(0) == IntMatrix([[-1]])
     assert weyl_group(SL2).order == 2
     assert SL2.two_rho() == (2,)
-    assert SL2.cartan_entry(0, 0) == 2
+    assert SL2.cartan == ((2,),)
 
 
 def test_dual_datum_involution():
@@ -266,6 +266,25 @@ def test_folding_takes_one_smith_form(name, monkeypatch):
     assert len(calls) == FOLDING_FORMS[name]
 
 
+def simple_root_orbits(datum, *automorphisms):
+    """The orbits on the simple roots of the group the automorphisms
+    generate, each as its sorted root indices, in the order of their
+    first simple root: the matrices applied until no simple root is
+    new."""
+    index = {datum.roots[i]: i for i in datum.simple_indices}
+    orbits = []
+    for i in datum.simple_indices:
+        if any(i in orbit for orbit in orbits):
+            continue
+        orbit, frontier = {i}, {i}
+        while frontier:
+            frontier = {index[aut.matrix.apply(datum.roots[j])]
+                        for j in frontier for aut in automorphisms} - orbit
+            orbit |= frontier
+        orbits.append(sorted(orbit))
+    return orbits
+
+
 def reference_restricted_root_data(datum, tau):
     """The all-orbit fold, the reference for `restricted_root_data`:
     every tau-orbit of roots gives its one image in the torsion-free
@@ -304,8 +323,8 @@ def reference_restricted_root_data(datum, tau):
     roots = sorted(restricted)
     position = {image: i for i, image in enumerate(roots)}
     simple = []
-    for orbit in _simple_orbit_partition(datum, tau):
-        i = position[proj_free.apply(datum.roots[orbit[0]])]
+    for j in datum.simple_indices:  # a tau-orbit has one image
+        i = position[proj_free.apply(datum.roots[j])]
         if i not in simple:
             simple.append(i)
     full = BasedRootDatum(r, roots, [restricted[b] for b in roots], simple,
@@ -389,7 +408,7 @@ def test_a_double_takes_half_the_coroot_of_its_root():
     assert reference_restricted_root_data(datum, tau).non_reduced
 
 
-# coroot j is column j, so cartan_entry(i, j) = F4_CARTAN[i][j]
+# coroot j is column j, so cartan[i][j] = F4_CARTAN[i][j]
 F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 
@@ -798,7 +817,8 @@ def test_walk_asks_the_kernel_for_no_coroot_image(monkeypatch, capsys):
     """verify-ks on flip D4 walks W from the root side alone: every move
     of the reflection kernel that `weyl_walk` builds (through
     `_reflected`) carries no coroot image, while those of the preset's
-    closure, built on the first read of its roots, carry theirs."""
+    closure, built by `_closure_lists` on the first read of its roots,
+    carry theirs."""
     kernel = rootdata._reflections
     coroot_images = {}
 
@@ -817,8 +837,8 @@ def test_walk_asks_the_kernel_for_no_coroot_image(monkeypatch, capsys):
     capsys.readouterr()
     assert coroot_images["weyl_walk"]
     assert set(coroot_images["weyl_walk"]) == {None}
-    assert coroot_images["_lists"]
-    assert None not in coroot_images["_lists"]
+    assert coroot_images["_closure_lists"]
+    assert None not in coroot_images["_closure_lists"]
 
 
 @pytest.mark.parametrize("name", WEYL_PRESETS)

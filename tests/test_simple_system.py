@@ -1,7 +1,8 @@
-"""Root data read from the simple system first: the seed certificate of a
-pinned automorphism against the root-by-root report, and the folded
-generators by simple coefficients against the positive-root oracle, on
-the grid presets, `random_twisted_data` and the non-reduced BC1-BC3."""
+"""Root data read from the simple system first: the Cartan matrix against
+one dot product per entry, the seed certificate of a pinned automorphism
+against the root-by-root report, and the folded generators by simple
+coefficients against the positive-root oracle, on the grid presets,
+`random_twisted_data` and the non-reduced BC1-BC3."""
 
 from operator import mul
 
@@ -12,11 +13,11 @@ from satake.config import GroupConfig, resolve
 from satake.matrices import IntMatrix, kernel_basis
 from satake.presets import split_gl
 from satake.rootdata import (BasedRootDatum, PinnedAutomorphism,
-                             _seed_certificate, _simple_orbit_partition,
+                             _seed_certificate,
                              folded_generators, generated_datum,
                              pinned_violations, restricted_root_data)
 from test_kottwitz import random_twisted_data, unimodular
-from test_rootdata import GRID_DATA
+from test_rootdata import GRID_DATA, simple_root_orbits
 
 
 def bc_config(n):
@@ -32,6 +33,26 @@ BC_DATA = {f"BC{n}": bc_config(n) for n in (1, 2, 3)}
 POOL = {**GRID_DATA, **BC_DATA}
 groups = st.one_of(st.sampled_from(sorted(POOL)).map(POOL.get),
                    random_twisted_data().map(resolve))
+
+
+def dot_cartan(datum):
+    """The oracle for `BasedRootDatum.cartan`: <alpha_i, alpha_j^> as one
+    dot product per entry."""
+    return tuple(tuple(sum(map(mul, a, bv)) for _, bv in datum.simple_pairs)
+                 for a, _ in datum.simple_pairs)
+
+
+@pytest.mark.parametrize("name", [*sorted(POOL), "split GL100"])
+def test_the_cartan_matrix_is_the_pairings_of_the_simple_pairs(name):
+    datum = POOL[name].datum if name in POOL else resolve(preset=name).datum
+    assert datum.cartan == dot_cartan(datum)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=random_twisted_data())
+def test_the_cartan_matrix_is_the_pairings_on_random_data(config):
+    datum = resolve(config).datum
+    assert datum.cartan == dot_cartan(datum)
 
 
 def test_the_bc_configs_are_non_reduced():
@@ -135,7 +156,7 @@ def folded_generators_by_positive_roots(datum, *automorphisms):
     roots, coroots, n = datum.roots, datum.coroots, datum.rank
     positive = {roots[i] for i in datum.positive_indices}
     out = []
-    for orbit in _simple_orbit_partition(datum, *automorphisms):
+    for orbit in simple_root_orbits(datum, *automorphisms):
         members = sorted(orbit)
         w = IntMatrix.identity(n).data
         while True:
